@@ -288,7 +288,7 @@ def cmd_run(args) -> int:
             summary.append(f"v0: {_fmt_float(v0s[0])}")
             summary.append(f"margin: {_fmt_float(runs[0].margin.min_margin)}")
         if cfg.compare:
-            gap = _solver_gap(gait, starts[0], cfg.t0, periods, steps, cfg.tol)
+            gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps, cfg.tol)
             write_json(out / "compare.json", gap)
             summary.append(f"solver_sup_distance: {_fmt_float(gap['sup_distance'])}")
     else:
@@ -310,8 +310,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _solver_gap(gait, x0, t0, periods, steps, tol) -> dict:
-    run = simulate_reduced(gait, x0, t0, periods, steps, tol)
+def _solver_gap(run, x0, t0, periods, steps, tol) -> dict:
+    """Sup distance between a reduced run from x0 and the oracle on the same grid."""
+    gait = run.gait
     oracle = incremental_oracle(gait, x0, t0, periods, steps, tol)
     gap = float(np.max(np.abs(run.motion.positions - oracle.motion.positions)))
     return {
@@ -329,7 +330,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs a gait scenario or an inline gait")
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
-    gap = _solver_gap(gait, starts[0], cfg.t0, periods, steps, cfg.tol)
+    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, cfg.tol)
+    gap = _solver_gap(run, starts[0], cfg.t0, periods, steps, cfg.tol)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

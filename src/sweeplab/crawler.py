@@ -106,12 +106,16 @@ def pi_z(x) -> np.ndarray:
 
 
 def assemble_positions(y, z) -> np.ndarray:
-    """Invert (pi_Y, pi_Z): unique x with mean y and consecutive gaps z."""
+    """Invert (pi_Y, pi_Z): unique x with mean y and consecutive gaps z.
+
+    Works row by row on stacks: y of shape (...) and z of shape (..., N-1)
+    give positions of shape (..., N).
+    """
     z = np.asarray(z, dtype=float)
-    N = len(z) + 1
-    prefix = np.concatenate(([0.0], np.cumsum(z)))
-    x0 = y - prefix.sum() / N
-    return x0 + prefix
+    N = z.shape[-1] + 1
+    prefix = np.concatenate((np.zeros(z.shape[:-1] + (1,)), np.cumsum(z, axis=-1)), axis=-1)
+    x0 = np.asarray(y, dtype=float) - prefix.sum(axis=-1) / N
+    return x0[..., None] + prefix
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +203,6 @@ def build_moving_set(g: Gait) -> MovingPolyhedron:
     return MovingPolyhedron(np.array(normals), tuple(offsets))
 
 
-def shift_vector(g: Gait, t: float) -> np.ndarray:
-    return g.stiffness * rest_length_values(g, t)
-
-
 # ---------------------------------------------------------------------------
 # Uniqueness margin
 
@@ -231,20 +231,21 @@ def margin_at(g: Gait, t: float):
     return float(best), best_subset
 
 
+def _margin_scan(g: Gait, times):
+    """Margins at each time and the report on their first minimum."""
+    times = np.asarray(times, dtype=float)
+    results = [margin_at(g, t) for t in times]
+    margins = np.array([val for val, _ in results])
+    i = int(np.argmin(margins))
+    return MarginReport(float(margins[i]), float(times[i]), results[i][1]), margins
+
+
 def check_gait_uniqueness(g: Gait, times) -> MarginReport:
-    best = np.inf
-    worst_t = None
-    worst_subset = ()
-    for t in np.asarray(times, dtype=float):
-        val, subset = margin_at(g, t)
-        if val < best:
-            best, worst_t, worst_subset = val, float(t), subset
-    return MarginReport(float(best), worst_t, worst_subset)
+    return _margin_scan(g, times)[0]
 
 
 def _margin_gate(g: Gait, times, tol: float) -> MarginReport:
-    margins = np.array([margin_at(g, t)[0] for t in times])
-    report = check_gait_uniqueness(g, times)
+    report, margins = _margin_scan(g, times)
     frac = float(np.mean(margins <= tol))
     if frac > MARGIN_REJECT_FRACTION:
         raise DegenerateGaitError(
@@ -331,7 +332,7 @@ def simulate_reduced(
     dy = recover_translation(traj.multipliers, g.stiffness, g.num_blocks)
     y = pi_y(x0) + np.concatenate(([0.0], np.cumsum(dy)))
     z = -traj.states / g.stiffness
-    positions = np.array([assemble_positions(yk, zk) for yk, zk in zip(y, z)])
+    positions = assemble_positions(y, z)
     motion = Motion(traj.times, positions, steps_per_period, g.period)
     return CrawlerRun(g, traj, motion, margin)
 

@@ -334,12 +334,12 @@ def vertices(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
     pts = np.array(points)
     # Dedupe coincident solutions coming from different subsets.
-    scale = 1.0 + np.abs(pts).max()
-    keep = []
-    for z in pts:
-        if all(np.linalg.norm(z - w) > 1e-7 * scale for w in keep):
-            keep.append(z)
-    return np.array(keep)
+    threshold = 1e-7 * (1.0 + np.abs(pts).max())
+    keep = pts[:1]
+    for z in pts[1:]:
+        if np.all(np.linalg.norm(keep - z, axis=1) > threshold):
+            keep = np.vstack([keep, z])
+    return keep
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.states)) * self.h
 
-    def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
-
 
 def _phase_times(t0: float, h: float, M: int) -> np.ndarray:
     return t0 + np.arange(M) * h
@@ -113,12 +110,12 @@ def _check_alignment(signals, t0: float, h: float, label: str) -> None:
             )
 
 
+def _mask_bits(m: int) -> np.ndarray:
+    return np.left_shift(1, np.arange(m, dtype=np.int64))
+
+
 def _active_mask(B, c, z, tol) -> int:
-    resid = c - B @ z
-    mask = 0
-    for i in np.flatnonzero(resid <= tol):
-        mask |= 1 << int(i)
-    return mask
+    return int((c - B @ z <= tol) @ _mask_bits(len(c)))
 
 
 def step(F_next: FrozenPolyhedron, z, drift_value, h: float, tol: float = DEFAULT_TOL):
@@ -127,6 +124,58 @@ def step(F_next: FrozenPolyhedron, z, drift_value, h: float, tol: float = DEFAUL
     p = z if drift_value is None else z + h * np.asarray(drift_value, dtype=float)
     res = project(F_next, p, tol)
     return res.point, res.multipliers
+
+
+def _face_maps(B, subset, faces):
+    """(idx, B_S, G_S^-1, Pi_S, R_S) for an accepted subset, built on first use."""
+    face = faces.get(subset)
+    if face is None:
+        idx = np.array(subset)
+        BS = B[idx]
+        Ginv = np.linalg.inv(BS @ BS.T)
+        R = BS.T @ Ginv
+        face = faces[subset] = (idx, BS, Ginv, np.eye(B.shape[1]) - R @ BS, R)
+    return face
+
+
+def _segment(B, c, dz, z, face, tol):
+    """Run the steps of one block from z with the accepted subset held fixed.
+
+    c holds the offsets each step projects onto and dz its drift increments
+    (None without drift); face is _face_maps's tuple, or None for interior
+    steps. Every step must pass the tests _project_raw applies to its hint,
+    in the same order: p not interior, multipliers >= -tol, the new state
+    feasible. Returns (accepted steps, states, multipliers on the subset,
+    residuals c - B z), the arrays covering the whole block.
+    """
+    L = len(c)
+    # Running sum of the drift increments, added in the same order as the
+    # scalar loop, so interior blocks are bit-identical to scalar steps.
+    q = z if dz is None else np.cumsum(np.vstack([z, dz]), axis=0)[1:]
+    if face is None:
+        Z = np.broadcast_to(q, (L, len(z)))
+        resid = c - Z @ B.T
+        return _accepted(np.all(resid >= -tol, axis=1)), Z, None, resid
+    idx, BS, Ginv, Pi, R = face
+    cS = c[:, idx]
+    # With S fixed, z_{j+1} = Pi_S (z_k + h sum d) + R_S c_S(j), since Pi_S R_S = 0.
+    Z = q @ Pi.T + cS @ R.T
+    P = np.vstack([z, Z[:-1]])
+    if dz is not None:
+        P += dz
+    lam = (P @ BS.T - cS) @ Ginv.T
+    BZ = Z @ B.T
+    ok = (
+        ~np.all(c - P @ B.T >= -tol, axis=1)
+        & np.all(lam >= -tol, axis=1)
+        & np.all(BZ <= c + tol, axis=1)
+    )
+    return _accepted(ok), Z, lam, c - BZ
+
+
+def _accepted(ok) -> int:
+    """Length of the leading run of True in ok."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
 
 def simulate(
@@ -142,6 +191,12 @@ def simulate(
     Offsets and drift are evaluated at the M grid phases once, so offsets are
     bit-identical across periods and the discrete flow is exactly periodic.
     The drift is evaluated at the left endpoint of each step.
+
+    Each scalar projection is followed by one vectorized block over the rest
+    of its period, with the accepted subset held fixed: between active-set
+    changes the scheme is a fixed affine map. The block stops at the first
+    step that would not accept that subset, which goes back to the scalar
+    projection, the only full search.
     """
     if periods < 1 or steps_per_period < 1:
         raise ValueError("periods and steps_per_period must be positive")
@@ -179,16 +234,38 @@ def simulate(
     states[0] = z0
     masks[0] = _active_mask(B, offsets_phase[0], z0, tol)
 
+    # Row ph holds what step k with k % M == ph uses: the offsets frozen at
+    # its end and its drift increment.
+    c_next = np.roll(offsets_phase, -1, axis=0)
+    dz = None if drift_phase is None else h * drift_phase
+    bits = _mask_bits(m)
+    faces = {}
+
     z = z0.copy()
-    hint = None
-    for k in range(K):
-        p = z if drift_phase is None else z + h * drift_phase[k % M]
-        c_next = offsets_phase[(k + 1) % M]
-        z, lam, subset = _project_raw(B, c_next, table, p, tol, hint)
-        hint = subset if subset else None
+    subset = ()
+    k = 0
+    while k < K:
+        ph = k % M
+        p = z if dz is None else z + dz[ph]
+        z, lam, subset = _project_raw(B, c_next[ph], table, p, tol, subset or None)
         states[k + 1] = z
         multipliers[k] = lam
-        masks[k + 1] = _active_mask(B, c_next, z, tol)
+        masks[k + 1] = _active_mask(B, c_next[ph], z, tol)
+        k += 1
+        # Blocks never cross a period boundary, so every period starts with a
+        # scalar step and the discrete map stays exactly T-periodic.
+        if k % M:
+            rows = slice(k % M, M)
+            face = _face_maps(B, subset, faces) if subset else None
+            used, Z, lam, resid = _segment(
+                B, c_next[rows], None if dz is None else dz[rows], z, face, tol
+            )
+            states[k + 1 : k + 1 + used] = Z[:used]
+            if face is not None:
+                multipliers[k : k + used, face[0]] = np.maximum(lam[:used], 0.0)
+            masks[k + 1 : k + 1 + used] = (resid[:used] <= tol) @ bits
+            k += used
+            z = states[k]
 
     states.setflags(write=False)
     multipliers.setflags(write=False)

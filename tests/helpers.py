@@ -10,8 +10,15 @@ import itertools
 
 import numpy as np
 
-from sweeplab.polyhedra import FrozenPolyhedron, positively_spanning
-from sweeplab.signals import PeriodicSignal
+from sweeplab.polyhedra import (
+    DEFAULT_TOL,
+    FrozenPolyhedron,
+    MovingPolyhedron,
+    active_set,
+    positively_spanning,
+    project,
+)
+from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, eval_many
 
 
 def brute_force_cone_coefficients(B_active: np.ndarray, v: np.ndarray):
@@ -143,3 +150,64 @@ def random_gait_with_margin(rng: np.random.Generator, num_blocks: int, threshold
         g = random_gait(rng, num_blocks)
         if gait_margin_floor(g) > threshold:
             return g
+
+
+def random_moving_polyhedron(rng: np.random.Generator, n: int, m: int, period: float = 1.0):
+    """Random compact moving polyhedron and a point inside it at t=0.
+
+    The offsets are b_i . center(t) + slack_i(t) with a center path and
+    positive slacks that are piecewise linear on the period/4 grid, so the
+    set is nonempty at all times and sweeps across the state as it moves.
+    """
+    B = random_polyhedron(rng, n, m).normals
+    knots = period * np.arange(4) / 4.0
+    centers = rng.normal(scale=0.8, size=(4, n))
+    slacks = rng.uniform(0.2, 1.0, size=(4, m))
+    offsets = [
+        PeriodicSignal(period, list(zip(knots, centers @ B[i] + slacks[:, i]))) for i in range(m)
+    ]
+    return MovingPolyhedron(B, offsets), centers[0]
+
+
+def random_drift(rng: np.random.Generator, n: int, period: float = 1.0):
+    """Piecewise-constant drift, one signal per coordinate, on the period/4 grid."""
+    knots = period * np.arange(4) / 4.0
+    values = rng.normal(scale=2.0, size=(n, 4))
+    return tuple(PeriodicSignal(period, list(zip(knots, v)), PIECEWISE_CONSTANT) for v in values)
+
+
+def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: int,
+                       tol: float = DEFAULT_TOL):
+    """Step-by-step catching-up: one polyhedra.project per step, hinted with
+    the previous step's subset, and active masks from polyhedra.active_set.
+
+    Returns (states, multipliers, active_masks) laid out like a Trajectory.
+    """
+    P = problem.moving_set
+    M = steps_per_period
+    h = problem.period / M
+    phases = t0 + np.arange(M) * h
+    frozen = [
+        FrozenPolyhedron(P.normals, c)
+        for c in np.column_stack([eval_many(s, phases) for s in P.offsets])
+    ]
+    drift = None
+    if problem.drift is not None:
+        drift = np.column_stack([eval_many(s, phases) for s in problem.drift])
+
+    def mask(F, z):
+        return sum(1 << int(i) for i in active_set(F, z, tol))
+
+    z = np.asarray(z0, dtype=float)
+    states, multipliers, masks = [z], [], [mask(frozen[0], z)]
+    hint = None
+    for k in range(periods * M):
+        p = z if drift is None else z + h * drift[k % M]
+        F = frozen[(k + 1) % M]
+        res = project(F, p, tol, hint)
+        hint = res.subset or None
+        z = res.point
+        states.append(z)
+        multipliers.append(res.multipliers)
+        masks.append(mask(F, z))
+    return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import random_drift, random_moving_polyhedron, reference_simulate
+from sweeplab.crawler import build_moving_set, pi_z
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
-from sweeplab.scenarios import wedge_poincare, wedge_scenario
-from sweeplab.signals import PeriodicSignal, combine, triangle_wave
+from sweeplab.scenarios import catalog, wedge_poincare, wedge_scenario
+from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, triangle_wave
 from sweeplab.sweeping import (
     SweepingProblem,
     Trajectory,
@@ -97,6 +99,75 @@ def test_trajectory_record_invariants():
     for k in range(len(traj.multipliers)):
         delta = traj.states[k] - traj.states[k + 1] - B.T @ traj.multipliers[k]
         assert np.linalg.norm(delta) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# segment kernel against the step-by-step reference
+
+SEGMENT_CASES = (
+    ["wedge", "triangle", "box1", "box3", "crawler2", "crawler3"]
+    + [f"random{i}" for i in range(4)]
+    + [f"random{i}-drift" for i in range(4)]
+    + ["slow-recession"]
+)
+
+
+def segment_case(name):
+    """(problem, z0, periods, steps per period) for one kernel-check case.
+
+    Bundled scenarios run at their recommended periods and 300 steps per
+    period, which puts every bundled breakpoint on the grid.
+    """
+    if name == "slow-recession":
+        # The upper wall pushes the state down, then recedes by half the
+        # tolerance per step: the step leaving the wall is interior within
+        # tolerance although the wall's multiplier is only -tol/2.
+        wall = PeriodicSignal(T1, [(0.0, 0.5), (0.5, 0.0), (0.75, 5e-8)])
+        interval = moving_interval(PeriodicSignal.constant(-1.0, T1), wall)
+        return SweepingProblem(interval), np.array([0.3]), 2, 400
+    if name.startswith("random"):
+        i = int(name[6])
+        rng = np.random.default_rng(700 + i)
+        n = 2 + i % 2
+        moving_set, z0 = random_moving_polyhedron(rng, n, n + 3)
+        drift = random_drift(rng, n) if name.endswith("-drift") else None
+        return SweepingProblem(moving_set, drift), z0, 4, 200
+    sc = catalog()[name]
+    if sc.gait is None:
+        return sc.problem, sc.initial_state, sc.recommended_periods, 300
+    g = sc.gait
+    problem = SweepingProblem(build_moving_set(g))
+    return problem, -g.stiffness * pi_z(sc.initial_state), sc.recommended_periods, 300
+
+
+@pytest.mark.parametrize("name", SEGMENT_CASES)
+def test_segment_kernel_matches_step_by_step_reference(name):
+    problem, z0, periods, M = segment_case(name)
+    traj = simulate(problem, z0, 0.0, periods, M)
+    states, multipliers, masks = reference_simulate(problem, z0, 0.0, periods, M)
+    assert np.any(multipliers > 0), f"{name}: the state never touches the boundary (test vacuous)"
+    np.testing.assert_array_equal(traj.active_masks, masks)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.multipliers, multipliers, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_segment_kernel_interior_runs_are_bitwise(with_drift):
+    walls = PeriodicSignal(T1, [(0.0, 1.0), (0.5, 2.0)])
+    box = MovingPolyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], (walls,) * 4)
+    drift = None
+    if with_drift:
+        drift = tuple(
+            PeriodicSignal(T1, [(0.0, v), (0.5, -v)], PIECEWISE_CONSTANT) for v in (0.3, -0.7)
+        )
+    problem = SweepingProblem(box, drift)
+    z0 = np.array([0.1, -0.2])
+    traj = simulate(problem, z0, 0.0, 3, 400)
+    states, multipliers, masks = reference_simulate(problem, z0, 0.0, 3, 400)
+    assert not np.any(multipliers)
+    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(traj.multipliers, multipliers)
+    np.testing.assert_array_equal(traj.active_masks, masks)
 
 
 # ---------------------------------------------------------------------------
