@@ -35,13 +35,13 @@ from .errors import (
 from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
 from .scenarios import Scenario, catalog
 from .sweeping import (
+    FLOAT_FMT,
     SweepingProblem,
+    _write_csv,
     convergence_report,
     simulate,
     write_trajectory_csv,
 )
-
-FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +213,9 @@ def _initial_states(cfg: RunConfig, sc: Scenario | None, gait, problem, rng) -> 
 # Motion CSV (gait runs)
 
 def write_motion_csv(path: Path, run) -> None:
+    """t, block positions x, mean position y, gaps z and shape w; lines end in \\n."""
     motion = run.motion
     N = motion.positions.shape[1]
-    w = run.reduced.states
-    z = motion.gaps
-    y = motion.mean_positions
     header = (
         ["t"]
         + [f"x{i + 1}" for i in range(N)]
@@ -225,17 +223,10 @@ def write_motion_csv(path: Path, run) -> None:
         + [f"z{i + 1}" for i in range(N - 1)]
         + [f"w{i + 1}" for i in range(N - 1)]
     )
-    lines = [",".join(header)]
-    for k in range(len(motion.times)):
-        row = (
-            [FLOAT_FMT % motion.times[k]]
-            + [FLOAT_FMT % v for v in motion.positions[k]]
-            + [FLOAT_FMT % y[k]]
-            + [FLOAT_FMT % v for v in z[k]]
-            + [FLOAT_FMT % v for v in w[k]]
-        )
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack(
+        [motion.times, motion.positions, motion.mean_positions, motion.gaps, run.reduced.states]
+    )
+    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (3 * N)), "\n")
 
 
 # ---------------------------------------------------------------------------

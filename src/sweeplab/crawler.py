@@ -200,7 +200,10 @@ def build_moving_set(g: Gait) -> MovingPolyhedron:
         coeffs = [1.0] + [k * nu[j] for j in range(N - 1)]
         offsets.append(combine([g.mu_minus[i], *g.rest_lengths], coeffs))
         normals.append(-nu)
-    return MovingPolyhedron(np.array(normals), tuple(offsets))
+    # Nonempty and bounded by construction: the rest shape w = -k*ell(t) has slack
+    # mu_i^+(t) or mu_i^-(t) > 0 (Gait checks) in every constraint, and the
+    # +-nu_i positively span R^{N-1}.
+    return MovingPolyhedron(np.array(normals), tuple(offsets), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +222,14 @@ def margin_at(g: Gait, t: float):
     if N > 16:
         raise EnumerationCapError("margin enumeration supports at most 16 blocks")
     mup, mum = friction_values(g, t)
-    total_minus = mum.sum()
-    best = np.inf
-    best_subset = ()
-    for bits in range(1 << N):
-        subset = tuple(i for i in range(N) if bits >> i & 1)
-        val = abs(sum(mup[i] + mum[i] for i in subset) - total_minus)
-        if val < best:
-            best = val
-            best_subset = subset
-    return float(best), best_subset
+    # sums[bits] = sum of mu_i^+ + mu_i^- over the blocks i set in bits, added
+    # in ascending block order; np.argmin returns the first minimum in bitmask order.
+    sums = np.zeros(1)
+    for a in mup + mum:
+        sums = np.concatenate([sums, sums + a])
+    vals = np.abs(sums - mum.sum())
+    bits = int(np.argmin(vals))
+    return float(vals[bits]), tuple(i for i in range(N) if bits >> i & 1)
 
 
 def _margin_scan(g: Gait, times):

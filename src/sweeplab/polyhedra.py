@@ -69,7 +69,7 @@ class MovingPolyhedron:
     """Fixed normals with periodic offset signals c_i(t).
 
     Construction checks compactness once (the normals must positively span the
-    whole space) and nonemptiness on a sample grid over one period.
+    whole space) and nonemptiness at every offset breakpoint.
     """
 
     normals: np.ndarray
@@ -113,12 +113,11 @@ class MovingPolyhedron:
     def offsets_at(self, t: float) -> np.ndarray:
         return np.array([eval_signal(s, t) for s in self.offsets])
 
-    def validate_nonempty(self, times=None) -> None:
-        """Check nonemptiness at sampled times (breakpoints plus a uniform grid)."""
-        if times is None:
-            bps = np.unique(np.concatenate([s.times for s in self.offsets]))
-            times = np.unique(np.concatenate([bps, np.linspace(0.0, self.period, 17)]))
-        for t in times:
+    def validate_nonempty(self) -> None:
+        """Check nonemptiness at the offset breakpoints, which decides it exactly: between
+        consecutive breakpoints (wrap-around included) every offset is affine in t, so a
+        convex combination of points feasible at both ends is feasible in between."""
+        for t in np.unique(np.concatenate([s.times for s in self.offsets])):
             F = freeze(self, t)
             vertices(F)  # raises InfeasibleSetError when empty
 
@@ -159,6 +158,11 @@ def positively_spanning(normals: np.ndarray, tol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 # Candidate-subset table (shared by projection, vertices, faces)
 
+def _independent(BS: np.ndarray) -> bool:
+    """True iff the rows of BS are linearly independent (rank tolerance 1e-12 * max|BS|)."""
+    return np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) == len(BS)
+
+
 def _subset_table_key(B: np.ndarray):
     return (B.tobytes(), B.shape)
 
@@ -193,7 +197,7 @@ def _subset_table(B: np.ndarray):
             except np.linalg.LinAlgError:
                 continue
             # Discard numerically dependent families as well.
-            if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) < size:
+            if not _independent(BS):
                 continue
             entries.append((np.array(idx, dtype=int), BS.copy(), G))
     table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)})
@@ -299,7 +303,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v, tol: float = DEFAULT_TOL) -> np.
     if len(act) == 0:
         raise NormalConeError("normal cone at an interior point is {0}, but v != 0")
     BS = F.normals[act]
-    if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) < len(act):
+    if not _independent(BS):
         raise LicqError(f"active normals {tuple(act)} are linearly dependent")
     G = BS @ BS.T
     lam_s = _solve_multipliers(BS, G, BS @ v)
@@ -356,11 +360,9 @@ def check_licq(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> LicqReport:
     trimmed to a dependent subset of at most n+1 constraints.
     """
     B = F.normals
-    n = F.dim
     for v in vertices(F, tol):
         act = active_set(F, v, tol)
-        BS = B[act]
-        if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) < len(act):
+        if not _independent(B[act]):
             return LicqReport(False, _dependent_witness(B, act))
     return LicqReport(True, None)
 
@@ -369,8 +371,7 @@ def _dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
     """Smallest-prefix dependent subfamily of the active set (size <= n+1)."""
     for size in range(2, len(act) + 1):
         for idx in itertools.combinations(act.tolist(), size):
-            BS = B[list(idx)]
-            if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) < size:
+            if not _independent(B[list(idx)]):
                 return tuple(idx)
     return tuple(act.tolist())
 

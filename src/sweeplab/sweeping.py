@@ -10,7 +10,6 @@ be tested at tolerances near machine precision instead of O(h).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .polyhedra import (
     DEFAULT_TOL,
     FrozenPolyhedron,
     MovingPolyhedron,
+    _independent,
     _project_raw,
     _subset_table,
     project,
@@ -27,6 +27,7 @@ from .polyhedra import (
 from .signals import PeriodicSignal, eval_many
 
 FLOAT_FMT = "%.17g"
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -281,21 +282,24 @@ def poincare_samples(traj: Trajectory) -> np.ndarray:
     return traj.states[:: traj.steps_per_period]
 
 
-def _window(traj: Trajectory, q: int) -> np.ndarray:
+def _period_deltas(traj: Trajectory) -> np.ndarray:
+    """z(t_k + qT) - z(t_k + (q+1)T) over grid points qM..(q+1)M of every window q,
+    as a contiguous (Q-1, M+1, n) array, so that per-window sums keep their order."""
     M = traj.steps_per_period
-    return traj.states[q * M : (q + 1) * M + 1]
+    s = traj.states[: traj.periods * M + 1]
+    delta = s[:-M] - s[M:]
+    return np.concatenate([delta[:-1].reshape(-1, M, s.shape[1]), delta[M::M, None]], axis=1)
 
 
 def period_distance_sup(traj: Trajectory, q: int) -> float:
     """max_k |z(t_k + qT) - z(t_k + (q+1)T)| over one period window."""
     if q < 0 or q + 2 > traj.periods:
         raise IndexError(f"window {q} out of range for {traj.periods} periods")
-    diff = _window(traj, q) - _window(traj, q + 1)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    return float(period_distances_sup(traj)[q])
 
 
 def period_distances_sup(traj: Trajectory) -> np.ndarray:
-    return np.array([period_distance_sup(traj, q) for q in range(traj.periods - 1)])
+    return np.max(np.linalg.norm(_period_deltas(traj), axis=2), axis=1)
 
 
 def period_distance_w12(traj: Trajectory, q: int) -> float:
@@ -306,17 +310,15 @@ def period_distance_w12(traj: Trajectory, q: int) -> float:
     """
     if q < 0 or q + 2 > traj.periods:
         raise IndexError(f"window {q} out of range for {traj.periods} periods")
-    h = traj.h
-    delta = _window(traj, q) - _window(traj, q + 1)
-    value_part = h * float(np.sum(delta**2))
-    dd = np.diff(delta, axis=0) / h
-    dd = np.vstack([dd, dd[-1]])
-    deriv_part = h * float(np.sum(dd**2))
-    return float(np.sqrt(value_part + deriv_part))
+    return float(period_distances_w12(traj)[q])
 
 
 def period_distances_w12(traj: Trajectory) -> np.ndarray:
-    return np.array([period_distance_w12(traj, q) for q in range(traj.periods - 1)])
+    h = traj.h
+    delta = _period_deltas(traj)
+    dd = np.diff(delta, axis=1) / h
+    dd = np.concatenate([dd, dd[:, -1:]], axis=1)
+    return np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -344,9 +346,12 @@ def classify_convergence(
     only when the full run fails the spread test); undetermined when no
     suffix with at least two ratios qualifies.
     """
-    if traj.periods < Q_min + 2:
-        raise ValueError(f"need at least {Q_min + 2} periods, have {traj.periods}")
-    d = period_distances_sup(traj)
+    return _classify(period_distances_sup(traj), tol_ft, Q_min, ratio_spread)
+
+
+def _classify(d: np.ndarray, tol_ft: float, Q_min: int, ratio_spread: float) -> Classification:
+    if len(d) + 1 < Q_min + 2:
+        raise ValueError(f"need at least {Q_min + 2} periods, have {len(d) + 1}")
     if d[-1] <= tol_ft:
         above = np.flatnonzero(d > tol_ft)
         qstar = 0 if len(above) == 0 else int(above[-1]) + 1
@@ -378,8 +383,7 @@ def _visited_licq(traj: Trajectory, masks) -> None:
         idx = [i for i in range(B.shape[0]) if mask >> i & 1]
         if len(idx) <= 1:
             continue
-        BS = B[idx]
-        if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) < len(idx):
+        if not _independent(B[idx]):
             raise LicqError(f"visited active set {tuple(idx)} has dependent normals")
 
 
@@ -415,12 +419,13 @@ def hypomonotone_check(traj1: Trajectory, traj2: Trajectory, slack: float = 1e-1
 
 def estimate_limit_cycle(traj: Trajectory):
     """Last full period window and its residual sup-distance to the window before."""
+    return _limit_cycle(traj, period_distances_sup(traj))
+
+
+def _limit_cycle(traj: Trajectory, d_sup: np.ndarray):
     if traj.periods < 2:
         raise ValueError("need at least 2 periods to estimate a limit cycle")
-    M = traj.steps_per_period
-    window = traj.states[-(M + 1) :]
-    residual = period_distance_sup(traj, traj.periods - 2)
-    return window, residual
+    return traj.states[-(traj.steps_per_period + 1) :], float(d_sup[-1])
 
 
 @dataclass(frozen=True)
@@ -446,11 +451,12 @@ def convergence_report(
     Q_min: int = 3,
     ratio_spread: float = 0.2,
 ) -> ConvergenceReport:
-    cycle, residual = estimate_limit_cycle(traj)
+    d_sup = period_distances_sup(traj)
+    cycle, residual = _limit_cycle(traj, d_sup)
     return ConvergenceReport(
-        d_sup=period_distances_sup(traj),
+        d_sup=d_sup,
         d_w12=period_distances_w12(traj),
-        classification=classify_convergence(traj, tol_ft, Q_min, ratio_spread),
+        classification=_classify(d_sup, tol_ft, Q_min, ratio_spread),
         cycle=cycle,
         residual=residual,
     )
@@ -488,7 +494,18 @@ def validate_trajectory(traj: Trajectory, tol: float = DEFAULT_TOL) -> None:
             raise ValueError(f"multiplier support not active at step {k}")
 
 
+def _write_csv(path, header, table: np.ndarray, row_fmt: str, newline: str) -> None:
+    """Header, then the table's rows; one `%` formats a block of rows at a time."""
+    line = row_fmt + newline
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo : lo + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Rows t, z, the multipliers of the step landing at z, active bitmask; \\r\\n line ends."""
     n = traj.problem.dim
     m = traj.problem.moving_set.num_constraints
     header = (
@@ -497,34 +514,22 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + [f"eta_{i + 1}" for i in range(m)]
         + ["active_bitmask"]
     )
-    times = traj.times
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj.states)):
-            eta = traj.multipliers[k - 1] if k > 0 else np.zeros(m)
-            row = (
-                [FLOAT_FMT % times[k]]
-                + [FLOAT_FMT % x for x in traj.states[k]]
-                + [FLOAT_FMT % x for x in eta]
-                + [str(int(traj.active_masks[k]))]
-            )
-            writer.writerow(row)
+    eta = np.vstack([np.zeros(m), traj.multipliers])
+    table = np.column_stack([traj.times, traj.states, eta, traj.active_masks])
+    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (1 + n + m) + ["%d"]), "\r\n")
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     """Rebuild a Trajectory from a CSV written by write_trajectory_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n = problem.dim
     m = problem.moving_set.num_constraints
-    if len(header) != 1 + n + m + 1:
-        raise ValueError("CSV header does not match the problem dimensions")
-    times = np.array([float(r[0]) for r in data])
-    states = np.array([[float(x) for x in r[1 : 1 + n]] for r in data])
-    etas = np.array([[float(x) for x in r[1 + n : 1 + n + m]] for r in data])[1:]
-    masks = np.array([int(r[-1]) for r in data], dtype=np.int64)
+    if data.shape[1] != 1 + n + m + 1:
+        raise ValueError("CSV columns do not match the problem dimensions")
+    times = data[:, 0]
+    states = data[:, 1 : 1 + n]
+    etas = data[1:, 1 + n : 1 + n + m]
+    masks = data[:, -1].astype(np.int64)
     h = float(times[1] - times[0])
     M = int(round(problem.period / h))
     return Trajectory(problem, float(times[0]), problem.period / M, M, states, etas, masks)

@@ -6,7 +6,10 @@ central differences, and random polyhedra are built to be compact and
 nonempty by construction.
 """
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -143,6 +146,34 @@ def gait_slips_from_rest(g) -> bool:
 
     x0 = assemble_positions(0.0, rest_length_values(g, 0.0))
     return any(not admissible(g, g.period * j / 8.0, x0) for j in range(8))
+
+
+def reference_margin_at(g, t: float):
+    """Uniqueness margin by a loop over the 2^N subsets in bitmask order,
+    keeping the first minimum: the reference for crawler.margin_at."""
+    from sweeplab.crawler import friction_values
+
+    N = g.num_blocks
+    mup, mum = friction_values(g, t)
+    total_minus = mum.sum()
+    best = np.inf
+    best_subset = ()
+    for bits in range(1 << N):
+        subset = tuple(i for i in range(N) if bits >> i & 1)
+        val = abs(sum(mup[i] + mum[i] for i in subset) - total_minus)
+        if val < best:
+            best = val
+            best_subset = subset
+    return float(best), best_subset
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py, the benchmark's module, from the source tree."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_gait_with_margin(rng: np.random.Generator, num_blocks: int, threshold: float):

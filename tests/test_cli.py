@@ -1,10 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 from sweeplab.cli import dump_json, main
+from sweeplab.crawler import simulate_reduced
 from sweeplab.scenarios import catalog
-from sweeplab.sweeping import read_trajectory_csv, validate_trajectory
+from sweeplab.sweeping import (
+    FLOAT_FMT,
+    convergence_report,
+    read_trajectory_csv,
+    simulate,
+    validate_trajectory,
+)
 
 
 def run_cli(*args):
@@ -47,6 +55,40 @@ def test_run_trajectory_csv_parses_back(tmp_path):
     sc = catalog()["wedge"]
     traj = read_trajectory_csv(out / "trajectory.csv", sc.problem)
     validate_trajectory(traj)
+
+
+def test_run_output_number_format(tmp_path):
+    # Every CSV field is FLOAT_FMT % the value it came from (the bitmask %d);
+    # trajectory.csv lines end in \r\n, motion.csv lines in \n.
+    cat = catalog()
+    wedge, crawler2 = cat["wedge"], cat["crawler2"]
+    assert run_cli("run", "--scenario", "wedge", "--out", str(tmp_path / "w"),
+                   "--periods", "4", "--steps", "200") == 0
+    assert run_cli("run", "--scenario", "crawler2", "--out", str(tmp_path / "g"),
+                   "--periods", "3", "--steps", "500") == 0
+    traj = simulate(wedge.problem, wedge.initial_state, 0.0, 4, 200)
+    run = simulate_reduced(crawler2.gait, crawler2.initial_state, 0.0, 3, 500)
+
+    for out, t in ((tmp_path / "w", traj), (tmp_path / "g", run.reduced)):
+        raw = (out / "trajectory.csv").read_bytes()
+        assert raw.count(b"\r\n") == raw.count(b"\n") == len(t.states) + 1
+        rows = [line.split(",") for line in raw.decode().split("\r\n")[1:-1]]
+        eta = np.vstack([np.zeros(t.multipliers.shape[1]), t.multipliers])
+        floats = np.column_stack([t.times, t.states, eta])
+        assert [r[:-1] for r in rows] == [[FLOAT_FMT % x for x in row] for row in floats]
+        assert [r[-1] for r in rows] == ["%d" % mask for mask in t.active_masks]
+
+    raw = (tmp_path / "g" / "motion.csv").read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == len(run.motion.times) + 1
+    m = run.motion
+    table = np.column_stack([m.times, m.positions, m.mean_positions, m.gaps, run.reduced.states])
+    rows = [line.split(",") for line in raw.decode().split("\n")[1:-1]]
+    assert rows == [[FLOAT_FMT % x for x in row] for row in table]
+
+    d_sup = convergence_report(traj, Q_min=2).d_sup
+    listed = "[" + ", ".join(FLOAT_FMT % x for x in d_sup) + "]"
+    assert dump_json(d_sup) == listed
+    assert f'"d_sup": {listed}' in (tmp_path / "w" / "convergence.json").read_text()
 
 
 def test_run_gait_velocity_and_spread(tmp_path):

@@ -1,7 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from helpers import central_difference_gradient
+import sweeplab.crawler
+import sweeplab.signals
+from helpers import (
+    central_difference_gradient,
+    load_perfbench,
+    random_gait,
+    reference_margin_at,
+)
 from sweeplab.crawler import (
     Gait,
     admissible,
@@ -13,11 +22,13 @@ from sweeplab.crawler import (
     energy,
     energy_gradient,
     estimate_velocity,
+    friction_values,
     incremental_oracle,
     margin_at,
     pi_y,
     pi_z,
     recover_translation,
+    rest_length_values,
     running_periodic_decomposition,
     simulate_reduced,
 )
@@ -26,7 +37,13 @@ from sweeplab.errors import (
     EnumerationCapError,
     InadmissibleStateError,
 )
-from sweeplab.polyhedra import check_licq, contains, freeze
+from sweeplab.polyhedra import (
+    MovingPolyhedron,
+    check_licq,
+    contains,
+    freeze,
+    positively_spanning,
+)
 from sweeplab.scenarios import degenerate_gait, three_block_gait, two_block_gait
 from sweeplab.signals import PeriodicSignal, eval_signal, triangle_wave
 
@@ -152,6 +169,26 @@ def test_force_identity_pins_constraints():
             np.testing.assert_allclose(resid[N:], mum + force, atol=1e-12)
 
 
+def test_moving_set_nonempty_and_bounded_by_construction():
+    # build_moving_set skips validation: the rest shape w = -k*ell(t) must keep
+    # a slack of at least the smallest friction threshold at every breakpoint.
+    rng = np.random.default_rng(21)
+    gaits = [random_gait(rng, N) for N in range(2, 8) for _ in range(2)]
+    workloads = load_perfbench("workloads")
+    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler)
+    gaits += [workloads.peristaltic_gait(sl, N) for N in (6, 7)]
+    for g in gaits:
+        K = build_moving_set(g)
+        assert positively_spanning(K.normals)
+        for t in np.unique(np.concatenate([s.times for s in K.offsets])):
+            F = freeze(K, t)
+            w = -g.stiffness * rest_length_values(g, t)
+            mup, mum = friction_values(g, t)
+            slack = F.offsets - F.normals @ w
+            assert slack.min() >= min(mup.min(), mum.min()) - 1e-12, (g.num_blocks, t)
+        MovingPolyhedron(K.normals, K.offsets)   # validates, raises if K(t) is ever empty
+
+
 # ---------------------------------------------------------------------------
 # uniqueness margin
 
@@ -179,6 +216,16 @@ def test_margin_zero_iff_licq_fails():
             margin, _ = margin_at(g, float(t))
             licq = check_licq(freeze(K, float(t))).holds
             assert (margin <= TOL) == (not licq)
+
+
+def test_margin_matches_subset_loop_reference():
+    # Exact equality of the value and the first minimizing subset, including
+    # the exact ties that lattice-valued thresholds produce.
+    rng = np.random.default_rng(17)
+    gaits = [random_gait(rng, N) for N in range(2, 9) for _ in range(3)] + [degenerate_gait()]
+    for g in gaits:
+        for t in np.concatenate([np.arange(8) / 8.0, rng.uniform(0, 1, size=8)]):
+            assert margin_at(g, float(t)) == reference_margin_at(g, float(t)), (g.num_blocks, t)
 
 
 def test_margin_enumeration_cap():

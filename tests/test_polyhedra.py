@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     brute_force_cone_coefficients,
+    random_moving_polyhedron,
     random_point_outside,
     random_polyhedron,
 )
@@ -28,7 +29,7 @@ from sweeplab.polyhedra import (
     project,
     vertices,
 )
-from sweeplab.signals import PeriodicSignal, triangle_wave
+from sweeplab.signals import PeriodicSignal, eval_signal, triangle_wave
 
 TOL = 1e-9
 
@@ -349,6 +350,44 @@ def test_moving_polyhedron_rejects_infeasible_instant():
                 PeriodicSignal(1.0, [(0.0, -0.0), (0.5, -2.0)]),
             ),
         )
+
+
+def test_moving_polyhedron_breakpoints_decide_nonemptiness():
+    # Offsets are affine between breakpoints, so checking the breakpoints only
+    # must accept or reject exactly as a dense grid of times does.
+    rng = np.random.default_rng(41)
+    dense = np.arange(160) / 160.0   # contains the period/4 knots
+    outcomes = set()
+    for case in range(16):
+        n = 2 + case % 2
+        P, _ = random_moving_polyhedron(rng, n, n + 2 + case % 3)
+        B, offsets = P.normals, list(P.offsets)
+        if case % 4:
+            # Move one offset at one knot to just below or just above the
+            # smallest value of its constraint on the set there.
+            i = int(rng.integers(len(offsets)))
+            s = offsets[i]
+            j = int(rng.integers(len(s.times)))
+            low = float(np.min(vertices(freeze(P, s.times[j])) @ B[i]))
+            values = s.values.copy()
+            values[j] = low + rng.uniform(-0.3, 0.3)
+            offsets[i] = PeriodicSignal(s.period, list(zip(s.times, values)))
+
+        def nonempty(t):
+            try:
+                vertices(FrozenPolyhedron(B, [eval_signal(s, t) for s in offsets]))
+            except InfeasibleSetError:
+                return False
+            return True
+
+        expected = all(nonempty(t) for t in dense)
+        outcomes.add(expected)
+        if expected:
+            MovingPolyhedron(B, offsets)
+        else:
+            with pytest.raises(InfeasibleSetError):
+                MovingPolyhedron(B, offsets)
+    assert outcomes == {True, False}
 
 
 def test_freeze_periodicity_and_values():
