@@ -111,25 +111,28 @@ class RunConfig:
                 raw = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if "scenario" in raw:
-            cfg.scenario = raw["scenario"]
-        if "gait" in raw:
-            cfg.gait = Gait.from_json(raw["gait"])
-        if "problem" in raw:
-            cfg.problem = SweepingProblem.from_json(raw["problem"])
-        for key in ("t0", "tol", "tol_ft", "tol_v"):
-            if key in raw:
-                setattr(cfg, key, float(raw[key]))
-        if "periods" in raw:
-            cfg.periods = int(raw["periods"])
-        if "steps_per_period" in raw:
-            cfg.steps_per_period = int(raw["steps_per_period"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "initial_states" in raw:
-            cfg.initial_states = raw["initial_states"]
-        if "reports" in raw:
-            cfg.reports = tuple(raw["reports"])
+        try:
+            if "scenario" in raw:
+                cfg.scenario = raw["scenario"]
+            if "gait" in raw:
+                cfg.gait = Gait.from_json(raw["gait"])
+            if "problem" in raw:
+                cfg.problem = SweepingProblem.from_json(raw["problem"])
+            for key in ("t0", "tol", "tol_ft", "tol_v"):
+                if key in raw:
+                    setattr(cfg, key, float(raw[key]))
+            if "periods" in raw:
+                cfg.periods = int(raw["periods"])
+            if "steps_per_period" in raw:
+                cfg.steps_per_period = int(raw["steps_per_period"])
+            if "seed" in raw:
+                cfg.seed = int(raw["seed"])
+            if "initial_states" in raw:
+                cfg.initial_states = raw["initial_states"]
+            if "reports" in raw:
+                cfg.reports = tuple(raw["reports"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config {args.config}: {type(exc).__name__}: {exc}") from exc
         if getattr(args, "scenario", None):
             cfg.scenario = args.scenario
         if getattr(args, "periods", None) is not None:
@@ -162,8 +165,12 @@ class RunConfig:
             gait, problem = sc.gait, sc.problem
         if gait is None and problem is None:
             raise ConfigError("config needs a scenario name, a gait, or a problem")
-        periods = self.periods or (sc.recommended_periods if sc else 10)
-        steps = self.steps_per_period or (sc.recommended_steps if sc else 1000)
+        periods = self.periods
+        if periods is None:
+            periods = sc.recommended_periods if sc else 10
+        steps = self.steps_per_period
+        if steps is None:
+            steps = sc.recommended_steps if sc else 1000
         if periods < 1 or steps < 1:
             raise ConfigError("periods and steps_per_period must be positive")
         if gait is not None and "velocity" in self.reports and periods < 3:
@@ -193,10 +200,22 @@ def _random_states_in(F, count: int, rng, tol: float) -> list:
 def _initial_states(cfg: RunConfig, sc: Scenario | None, gait, problem, rng) -> list:
     requested = cfg.initial_states
     if isinstance(requested, list):
-        return [np.asarray(s, dtype=float) for s in requested]
+        dim = gait.num_blocks if gait is not None else problem.dim
+        try:
+            states = [np.asarray(s, dtype=float) for s in requested]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial states must be lists of numbers: {exc}") from exc
+        if not states or any(s.shape != (dim,) for s in states):
+            raise ConfigError(f"initial_states must be a nonempty list of states with {dim} entries")
+        return states
     count = None
     if isinstance(requested, dict) and "random" in requested:
-        count = int(requested["random"])
+        try:
+            count = int(requested["random"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"the number of starts must be an integer: {exc}") from exc
+        if count < 1:
+            raise ConfigError(f"the number of starts must be positive, got {count}")
     if count is None:
         if sc is not None:
             return [np.asarray(sc.initial_state, dtype=float)]

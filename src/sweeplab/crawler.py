@@ -28,6 +28,7 @@ from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_
 from .sweeping import SweepingProblem, Trajectory, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
+_MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
 
 
 @dataclass(frozen=True)
@@ -218,27 +219,42 @@ class MarginReport:
 
 def margin_at(g: Gait, t: float):
     """min over subsets J of |sum_J mu^+ - sum_{J^c} mu^-| at time t."""
-    N = g.num_blocks
-    if N > 16:
-        raise EnumerationCapError("margin enumeration supports at most 16 blocks")
-    mup, mum = friction_values(g, t)
-    # sums[bits] = sum of mu_i^+ + mu_i^- over the blocks i set in bits, added
-    # in ascending block order; np.argmin returns the first minimum in bitmask order.
-    sums = np.zeros(1)
-    for a in mup + mum:
-        sums = np.concatenate([sums, sums + a])
-    vals = np.abs(sums - mum.sum())
-    bits = int(np.argmin(vals))
-    return float(vals[bits]), tuple(i for i in range(N) if bits >> i & 1)
+    report = _margin_scan(g, [t])[0]
+    return report.min_margin, report.worst_subset
 
 
 def _margin_scan(g: Gait, times):
-    """Margins at each time and the report on their first minimum."""
+    """Margins at each time and the report on their first minimum.
+
+    Column bits of the subset-sum table holds the sum of mu_i^+ + mu_i^- over the
+    blocks i set in bits, added in ascending block order; argmin keeps the first
+    minimum in bitmask order, then in time. Blocks of rows bound the memory.
+    """
+    N = g.num_blocks
+    if N > 16:
+        raise EnumerationCapError("margin enumeration supports at most 16 blocks")
     times = np.asarray(times, dtype=float)
-    results = [margin_at(g, t) for t in times]
-    margins = np.array([val for val, _ in results])
+    # (times x N) tables: each row of mum sums in the same order as a 1-d array.
+    mup = np.column_stack([eval_many(s, times) for s in g.mu_plus])
+    mum = np.column_stack([eval_many(s, times) for s in g.mu_minus])
+    both = mup + mum
+    total_minus = mum.sum(axis=1)
+    margins = np.empty(len(times))
+    best = np.empty(len(times), dtype=np.int64)
+    rows = max(1, _MARGIN_BLOCK_SUMS >> N)
+    for lo in range(0, len(times), rows):
+        block = slice(lo, lo + rows)
+        sums = np.zeros((len(margins[block]), 1 << N))
+        for i in range(N):
+            np.add(sums[:, : 1 << i], both[block, i, None], out=sums[:, 1 << i : 2 << i])
+        sums -= total_minus[block, None]
+        np.abs(sums, out=sums)
+        best[block] = sums.argmin(axis=1)
+        margins[block] = sums.min(axis=1)
     i = int(np.argmin(margins))
-    return MarginReport(float(margins[i]), float(times[i]), results[i][1]), margins
+    bits = int(best[i])
+    subset = tuple(j for j in range(N) if bits >> j & 1)
+    return MarginReport(float(margins[i]), float(times[i]), subset), margins
 
 
 def check_gait_uniqueness(g: Gait, times) -> MarginReport:
@@ -454,7 +470,10 @@ def incremental_oracle(
         mup = mup_phase[ph]
         mum = mum_phase[ph]
         b = g.stiffness * (PZ.T @ ell)
-        x_new, pat = _oracle_step(x, A, b, mup, mum, patterns, hint, tol)
+        try:
+            x_new, pat = _oracle_step(x, A, b, mup, mum, patterns, hint, tol)
+        except PatternSearchError as exc:
+            raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         x = x_new
         xs[k + 1] = x
         chosen[k] = pat

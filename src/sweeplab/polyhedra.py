@@ -27,7 +27,7 @@ from .errors import (
     MembershipError,
     NormalConeError,
 )
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_signal
+from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal
 
 DEFAULT_TOL = 1e-9
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
@@ -117,9 +117,9 @@ class MovingPolyhedron:
         """Check nonemptiness at the offset breakpoints, which decides it exactly: between
         consecutive breakpoints (wrap-around included) every offset is affine in t, so a
         convex combination of points feasible at both ends is feasible in between."""
-        for t in np.unique(np.concatenate([s.times for s in self.offsets])):
-            F = freeze(self, t)
-            vertices(F)  # raises InfeasibleSetError when empty
+        ts = np.unique(np.concatenate([s.times for s in self.offsets]))
+        for c in np.column_stack([eval_many(s, ts) for s in self.offsets]):
+            vertices(FrozenPolyhedron(self.normals, c))  # raises InfeasibleSetError when empty
 
     def to_json(self) -> dict:
         return {

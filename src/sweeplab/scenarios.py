@@ -17,7 +17,7 @@ import numpy as np
 from .crawler import Gait, assemble_positions, rest_length_values
 from .errors import SweepLabError
 from .polyhedra import DEFAULT_TOL, FrozenPolyhedron, MovingPolyhedron, active_set, vertices
-from .signals import PeriodicSignal, combine, eval_signal, triangle_wave
+from .signals import PeriodicSignal, combine, eval_many, eval_signal, triangle_wave
 from .sweeping import SweepingProblem
 
 
@@ -53,8 +53,7 @@ def ncell_scenario(a_signals, b_signals, name: str = "cell") -> Scenario:
     n = len(a_signals)
     for a, b in zip(a_signals, b_signals):
         ts = np.unique(np.concatenate([a.times, b.times]))
-        gaps = np.array([eval_signal(b, t) - eval_signal(a, t) for t in ts])
-        if np.any(gaps < 0):
+        if np.any(eval_many(b, ts) - eval_many(a, ts) < 0):
             raise ValueError("interval inversion: a_i(t) > b_i(t) at some breakpoint")
     eye = np.eye(n)
     normals = np.vstack([eye, -eye])

@@ -71,34 +71,16 @@ class PeriodicSignal:
         return PeriodicSignal(obj["period"], obj["points"], obj["kind"])
 
 
-def _reduce(t: float, period: float) -> float:
-    # Floor-convention reduction; maps any real (including negatives) to [0, period).
-    tau = t % period
-    if tau >= period:  # guard against rounding at the right edge
-        tau -= period
-    return tau
-
-
 def eval_signal(s: PeriodicSignal, t: float) -> float:
-    """Evaluate s at time t (periodic extension)."""
-    tau = _reduce(float(t), s.period)
-    ts, vs = s.times, s.values
-    if s.kind == PIECEWISE_CONSTANT:
-        i = np.searchsorted(ts, tau, side="right") - 1
-        return float(vs[i]) if i >= 0 else float(vs[-1])
-    if len(ts) == 1:
-        return float(vs[0])
-    # Extend with the wrap segment on both sides so that [0, period) is covered.
-    ext_t = np.concatenate(([ts[-1] - s.period], ts, [ts[0] + s.period]))
-    ext_v = np.concatenate(([vs[-1]], vs, [vs[0]]))
-    return float(np.interp(tau, ext_t, ext_v))
+    """Evaluate s at time t (periodic extension): eval_many at one time."""
+    return float(eval_many(s, [t])[0])
 
 
 def eval_many(s: PeriodicSignal, ts) -> np.ndarray:
     """Vectorized evaluation on an array of times."""
     ts = np.asarray(ts, dtype=float)
     tau = ts % s.period
-    tau[tau >= s.period] -= s.period
+    tau[tau >= s.period] -= s.period  # a remainder can round up to the period
     if s.kind == PIECEWISE_CONSTANT:
         idx = np.searchsorted(s.times, tau, side="right") - 1
         return s.values[np.where(idx >= 0, idx, len(s.values) - 1)]
@@ -148,11 +130,9 @@ def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
     for t in merged[1:]:
         if t - keep[-1] > 1e-12 * max(1.0, period):
             keep.append(t)
-    pts = []
-    for t in keep:
-        v = constant + sum(c * eval_signal(s, t) for s, c in zip(signals, coeffs))
-        pts.append((float(t), float(v)))
-    return PeriodicSignal(period, pts, PIECEWISE_LINEAR)
+    keep = np.array(keep)
+    values = constant + sum(c * eval_many(s, keep) for s, c in zip(signals, coeffs))
+    return PeriodicSignal(period, zip(keep, values), PIECEWISE_LINEAR)
 
 
 def triangle_wave(period, amplitude, peak_fraction=0.5, base=0.0) -> PeriodicSignal:

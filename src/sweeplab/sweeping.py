@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridAlignmentError, InadmissibleStateError, LicqError
+from .errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from .polyhedra import (
     DEFAULT_TOL,
     FrozenPolyhedron,
@@ -248,7 +248,10 @@ def simulate(
     while k < K:
         ph = k % M
         p = z if dz is None else z + dz[ph]
-        z, lam, subset = _project_raw(B, c_next[ph], table, p, tol, subset or None)
+        try:
+            z, lam, subset = _project_raw(B, c_next[ph], table, p, tol, subset or None)
+        except InfeasibleSetError as exc:
+            raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
         multipliers[k] = lam
         masks[k + 1] = _active_mask(B, c_next[ph], z, tol)

@@ -87,16 +87,25 @@ def lattice_signal(rng: np.random.Generator, period: float, kmax: int = 4) -> Pe
     return PeriodicSignal(period, pts)
 
 
-def random_gait(rng: np.random.Generator, num_blocks: int, period: float = 1.0):
+def uniform_signal(rng: np.random.Generator, period: float, kmax: int = 4) -> PeriodicSignal:
+    """Piecewise-linear signal with breakpoints on the period/8 grid and values
+    uniform in [0.25, 2]: sums of such values depend on their order."""
+    num = int(rng.integers(1, kmax + 1))
+    slots = sorted(rng.choice(8, size=num, replace=False))
+    return PeriodicSignal(period, [(period * s / 8.0, rng.uniform(0.25, 2.0)) for s in slots])
+
+
+def random_gait(rng: np.random.Generator, num_blocks: int, period: float = 1.0,
+                signal=lattice_signal):
     from sweeplab.crawler import Gait
 
     return Gait(
         num_blocks=num_blocks,
         period=period,
         stiffness=1.0,
-        rest_lengths=tuple(lattice_signal(rng, period) for _ in range(num_blocks - 1)),
-        mu_plus=tuple(lattice_signal(rng, period) for _ in range(num_blocks)),
-        mu_minus=tuple(lattice_signal(rng, period) for _ in range(num_blocks)),
+        rest_lengths=tuple(signal(rng, period) for _ in range(num_blocks - 1)),
+        mu_plus=tuple(signal(rng, period) for _ in range(num_blocks)),
+        mu_minus=tuple(signal(rng, period) for _ in range(num_blocks)),
     )
 
 

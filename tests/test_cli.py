@@ -150,6 +150,51 @@ def test_run_misaligned_steps_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("scenario", ["box1", "crawler2"])
+@pytest.mark.parametrize("flags,config", [
+    (["--periods", "0"], {}),
+    (["--steps", "0"], {}),
+    (["--starts", "0"], {}),
+    (["--periods", "-2"], {}),
+    ([], {"periods": 0}),
+    ([], {"steps_per_period": 0}),
+    ([], {"initial_states": {"random": 0}}),
+    ([], {"initial_states": []}),
+], ids=["periods-flag", "steps-flag", "starts-flag", "periods-negative",
+        "periods-config", "steps-config", "starts-config", "states-empty"])
+def test_run_nonpositive_counts_exit_4(tmp_path, capsys, scenario, flags, config):
+    # A count the user gave is used as given, so zero is rejected, not replaced
+    # by the recommended value.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, **config}))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), *flags) == 4
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+def _gait_missing_signal():
+    gait = catalog()["crawler2"].gait.to_json()
+    gait["mu_plus"] = gait["mu_plus"][:1]
+    return {"gait": gait}
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "wedge", "initial_states": [[0.1, 0, 0]]},
+    {"scenario": "crawler2", "initial_states": [[0.0]]},
+    {"scenario": "crawler2", "initial_states": [[0.0, "a"]]},
+    {"scenario": "crawler2", "initial_states": {"random": "a"}},
+    _gait_missing_signal(),
+    {"gait": {"N": 2}},
+], ids=["state-too-long", "state-too-short", "state-not-numeric", "starts-not-numeric",
+        "gait-signal-count", "gait-missing-key"])
+def test_run_malformed_config_exit_4(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 4
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_run_velocity_needs_three_periods(tmp_path):
     code = run_cli("run", "--scenario", "crawler2", "--out", str(tmp_path / "x"),
                    "--periods", "2", "--steps", "100")

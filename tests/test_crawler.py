@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +11,11 @@ from helpers import (
     load_perfbench,
     random_gait,
     reference_margin_at,
+    uniform_signal,
 )
 from sweeplab.crawler import (
     Gait,
+    MarginReport,
     admissible,
     assemble_positions,
     build_force_polyhedron,
@@ -36,6 +39,7 @@ from sweeplab.errors import (
     DegenerateGaitError,
     EnumerationCapError,
     InadmissibleStateError,
+    PatternSearchError,
 )
 from sweeplab.polyhedra import (
     MovingPolyhedron,
@@ -220,12 +224,37 @@ def test_margin_zero_iff_licq_fails():
 
 def test_margin_matches_subset_loop_reference():
     # Exact equality of the value and the first minimizing subset, including
-    # the exact ties that lattice-valued thresholds produce.
+    # the exact ties that lattice-valued thresholds produce; uniform thresholds
+    # at N >= 8 show any change in the order of summation. Over the times, the
+    # scan reports the first minimum, also when several times tie.
     rng = np.random.default_rng(17)
     gaits = [random_gait(rng, N) for N in range(2, 9) for _ in range(3)] + [degenerate_gait()]
+    gaits += [random_gait(rng, N, signal=uniform_signal) for N in (8, 9, 12)]
+    tied = 0
     for g in gaits:
-        for t in np.concatenate([np.arange(8) / 8.0, rng.uniform(0, 1, size=8)]):
-            assert margin_at(g, float(t)) == reference_margin_at(g, float(t)), (g.num_blocks, t)
+        times = np.concatenate([np.arange(8) / 8.0, rng.uniform(0, 1, size=8)])
+        refs = [reference_margin_at(g, float(t)) for t in times]
+        for t, ref in zip(times, refs):
+            assert margin_at(g, float(t)) == ref, (g.num_blocks, t)
+        first = min(range(len(times)), key=lambda i: refs[i][0])
+        expected = MarginReport(refs[first][0], float(times[first]), refs[first][1])
+        assert check_gait_uniqueness(g, times) == expected, g.num_blocks
+        tied += sum(val == refs[first][0] for val, _ in refs) > 1
+    assert tied > 0, "no gait has tied minima over time (test vacuous)"
+
+
+def test_margin_scan_memory_is_bounded():
+    # The subset-sum table is built in blocks: an N=12 scan over 2000 times
+    # would need 64 MiB for one unblocked table.
+    g = random_gait(np.random.default_rng(23), 12, signal=uniform_signal)
+    times = np.linspace(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        check_gait_uniqueness(g, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_margin_enumeration_cap():
@@ -426,6 +455,25 @@ def test_oracle_four_blocks_matches_reduced():
     oracle = incremental_oracle(g, x0, 0.0, 3, 400)
     gap = np.max(np.abs(run.motion.positions - oracle.motion.positions))
     assert gap <= 0.01
+
+
+def test_oracle_error_names_step_and_time(monkeypatch):
+    # Every pattern fails from the fourth try on; at rest each step accepts its
+    # first try, so step 3 (landing at t = 4h) is the first to fail.
+    real = sweeplab.crawler._try_pattern
+    tries = []
+
+    def failing_try_pattern(x, *args):
+        tries.append(1)
+        return real(x, *args) if len(tries) <= 3 else (x, 1.0)
+
+    monkeypatch.setattr(sweeplab.crawler, "_try_pattern", failing_try_pattern)
+    with pytest.raises(
+        PatternSearchError,
+        match=r"^step 3, t=0\.040000000000000001: no consistent slip pattern; "
+        r"nearest miss \(0, 0\) violates by 1\.000e\+00$",
+    ):
+        incremental_oracle(constant_gait(), np.zeros(2), 0.0, 2, 100)
 
 
 def test_oracle_block_cap():

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_drift, random_moving_polyhedron, reference_simulate
 from sweeplab.crawler import build_moving_set, pi_z
-from sweeplab.errors import GridAlignmentError, InadmissibleStateError, LicqError
+from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
 from sweeplab.scenarios import catalog, wedge_poincare, wedge_scenario
 from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, triangle_wave
@@ -88,6 +88,15 @@ def test_simulate_rejects_misaligned_breakpoints():
     problem = SweepingProblem(P)
     with pytest.raises(GridAlignmentError):
         simulate(problem, np.array([0.0]), 0.0, 2, 100)  # 1/3 not on the h=0.01 grid
+
+
+def test_simulate_error_names_step_and_time():
+    # {z <= hi(t), -z <= 0} with hi going 1 -> -0.5 over the first half period is
+    # empty on (T/3, 2T/3); the first grid time inside is step 4's, t = 5T/12.
+    hi = PeriodicSignal(T1, [(0.0, 1.0), (T1 / 2, -0.5)])
+    P = MovingPolyhedron([[1.0], [-1.0]], (hi, PeriodicSignal.constant(0.0, T1)), validate=False)
+    with pytest.raises(InfeasibleSetError, match=r"^step 4, t=0\.41666666666666663: no feasible"):
+        simulate(SweepingProblem(P), np.array([0.5]), 0.0, 2, 12)
 
 
 def test_trajectory_record_invariants():
