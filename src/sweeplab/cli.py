@@ -85,6 +85,54 @@ def write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # Run configuration
 
+REPORTS = ("trajectory", "convergence", "velocity")
+FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
+VELOCITY_TOL = 1e-6      # spread of the last per-period displacements for a converged v0
+
+
+def _expect(value, *types):
+    """value, if its type is one of types exactly (so true is not an int)."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def _integer(value, least: int) -> int:
+    """A JSON integer (5 or 5.0; not 2.7, "5" or true) that is at least `least`."""
+    if (type(_expect(value, int, float)) is float and not value.is_integer()) or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _starts(value):
+    """A nonempty list of states, or {"random": k} parsed to the count k."""
+    if isinstance(value, dict) and list(value) == ["random"]:
+        return _integer(value["random"], 1)
+    if isinstance(value, list) and value:
+        return [np.asarray(s, dtype=float) for s in value]
+    raise ValueError(f'expected a nonempty list of states or {{"random": k}}, got {value!r}')
+
+
+def _reports(value) -> tuple:
+    if not all(r in REPORTS for r in _expect(value, list)):
+        raise ValueError(f"expected names from {list(REPORTS)}, got {value!r}")
+    return tuple(value)
+
+
+# Every key a config may set, with the parser of its value; any other key is an error.
+CONFIG_KEYS = {
+    "scenario": lambda v: _expect(v, str),
+    "gait": Gait.from_json,
+    "problem": SweepingProblem.from_json,
+    "t0": lambda v: float(_expect(v, int, float)),
+    "periods": lambda v: _integer(v, 1),
+    "steps_per_period": lambda v: _integer(v, 1),
+    "seed": lambda v: _integer(v, 0),
+    "initial_states": _starts,
+    "reports": _reports,
+}
+
+
 @dataclass
 class RunConfig:
     scenario: str | None = None
@@ -93,86 +141,56 @@ class RunConfig:
     t0: float = 0.0
     periods: int | None = None
     steps_per_period: int | None = None
-    tol: float = DEFAULT_TOL
-    tol_ft: float = 1e-9
-    tol_v: float = 1e-6
     seed: int = 0
-    initial_states: object = None      # list of states, {"random": k}, or None (scenario default)
-    reports: tuple = ("trajectory", "convergence", "velocity")
+    initial_states: list | int | None = None   # states, a random-start count, or None (scenario default)
+    reports: tuple = REPORTS
     compare: bool = False
     out: Path = field(default_factory=lambda: Path("."))
 
     @staticmethod
     def load(args) -> "RunConfig":
-        cfg = RunConfig()
+        """Parse the config file, and the flags that override its keys, through CONFIG_KEYS."""
         raw = {}
         if args.config:
             try:
                 raw = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        try:
-            if "scenario" in raw:
-                cfg.scenario = raw["scenario"]
-            if "gait" in raw:
-                cfg.gait = Gait.from_json(raw["gait"])
-            if "problem" in raw:
-                cfg.problem = SweepingProblem.from_json(raw["problem"])
-            for key in ("t0", "tol", "tol_ft", "tol_v"):
-                if key in raw:
-                    setattr(cfg, key, float(raw[key]))
-            if "periods" in raw:
-                cfg.periods = int(raw["periods"])
-            if "steps_per_period" in raw:
-                cfg.steps_per_period = int(raw["steps_per_period"])
-            if "seed" in raw:
-                cfg.seed = int(raw["seed"])
-            if "initial_states" in raw:
-                cfg.initial_states = raw["initial_states"]
-            if "reports" in raw:
-                cfg.reports = tuple(raw["reports"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config {args.config}: {type(exc).__name__}: {exc}") from exc
-        if getattr(args, "scenario", None):
-            cfg.scenario = args.scenario
-        if getattr(args, "periods", None) is not None:
-            cfg.periods = args.periods
-        if getattr(args, "steps", None) is not None:
-            cfg.steps_per_period = args.steps
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
-        if getattr(args, "t0", None) is not None:
-            cfg.t0 = args.t0
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config {args.config} is not a JSON object")
+        for key in CONFIG_KEYS:   # a flag that overrides a key is stored under its name
+            if getattr(args, key, None) is not None:
+                raw[key] = getattr(args, key)
         if getattr(args, "starts", None) is not None:
-            cfg.initial_states = {"random": args.starts}
-        if getattr(args, "compare", False):
-            cfg.compare = True
-        if getattr(args, "out", None):
-            cfg.out = Path(args.out)
+            raw["initial_states"] = {"random": args.starts}
+        cfg = RunConfig(compare=getattr(args, "compare", False), out=Path(getattr(args, "out", None) or "."))
+        for key, value in raw.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}; the keys are {', '.join(CONFIG_KEYS)}")
+            try:
+                setattr(cfg, key, CONFIG_KEYS[key](value))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {key}: {type(exc).__name__}: {exc}") from exc
         return cfg
 
     def resolve(self):
         """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps)."""
+        if [self.scenario, self.gait, self.problem].count(None) != 2:
+            raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
         sc = None
         gait, problem = self.gait, self.problem
         if self.scenario is not None:
-            if gait is not None or problem is not None:
-                raise ConfigError("give either a scenario name or an inline gait/problem")
             try:
                 sc = catalog()[self.scenario]
             except KeyError:
                 raise ConfigError(f"unknown scenario {self.scenario!r}") from None
             gait, problem = sc.gait, sc.problem
-        if gait is None and problem is None:
-            raise ConfigError("config needs a scenario name, a gait, or a problem")
         periods = self.periods
         if periods is None:
             periods = sc.recommended_periods if sc else 10
         steps = self.steps_per_period
         if steps is None:
             steps = sc.recommended_steps if sc else 1000
-        if periods < 1 or steps < 1:
-            raise ConfigError("periods and steps_per_period must be positive")
         if gait is not None and "velocity" in self.reports and periods < 3:
             raise ConfigError("velocity reports need at least 3 periods")
         if "convergence" in self.reports and periods < 3:
@@ -183,8 +201,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Initial states
 
-def _random_states_in(F, count: int, rng, tol: float) -> list:
-    lo, hi = bounding_box(F, tol)
+def _random_states_in(F, count: int, rng) -> list:
+    lo, hi = bounding_box(F, DEFAULT_TOL)
     out = []
     guard = 0
     while len(out) < count:
@@ -192,7 +210,7 @@ def _random_states_in(F, count: int, rng, tol: float) -> list:
         if guard > 100000:
             raise ConfigError("rejection sampling failed to find admissible states")
         z = rng.uniform(lo, hi)
-        if contains(F, z, tol):
+        if contains(F, z, DEFAULT_TOL):
             out.append(z)
     return out
 
@@ -201,31 +219,17 @@ def _initial_states(cfg: RunConfig, sc: Scenario | None, gait, problem, rng) -> 
     requested = cfg.initial_states
     if isinstance(requested, list):
         dim = gait.num_blocks if gait is not None else problem.dim
-        try:
-            states = [np.asarray(s, dtype=float) for s in requested]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial states must be lists of numbers: {exc}") from exc
-        if not states or any(s.shape != (dim,) for s in states):
+        if any(s.shape != (dim,) for s in requested):
             raise ConfigError(f"initial_states must be a nonempty list of states with {dim} entries")
-        return states
-    count = None
-    if isinstance(requested, dict) and "random" in requested:
-        try:
-            count = int(requested["random"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"the number of starts must be an integer: {exc}") from exc
-        if count < 1:
-            raise ConfigError(f"the number of starts must be positive, got {count}")
-    if count is None:
-        if sc is not None:
-            return [np.asarray(sc.initial_state, dtype=float)]
-        count = 1
+        return requested
+    if requested is None and sc is not None:
+        return [np.asarray(sc.initial_state, dtype=float)]
+    count = 1 if requested is None else requested
     if gait is not None:
         K0 = freeze(build_moving_set(gait), cfg.t0)
-        ws = _random_states_in(K0, count, rng, cfg.tol)
+        ws = _random_states_in(K0, count, rng)
         return [assemble_positions(0.0, -w / gait.stiffness) for w in ws]
-    F0 = freeze(problem.moving_set, cfg.t0)
-    return [np.asarray(z, dtype=float) for z in _random_states_in(F0, count, rng, cfg.tol)]
+    return _random_states_in(freeze(problem.moving_set, cfg.t0), count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +255,18 @@ def write_motion_csv(path: Path, run) -> None:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _suffix(i: int, total: int) -> str:
-    return "" if total == 1 else f"_s{i}"
+def _output_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
 
 
 def cmd_run(args) -> int:
     cfg = RunConfig.load(args)
     sc, gait, problem, periods, steps = cfg.resolve()
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.out)
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
     summary = [
@@ -272,58 +279,57 @@ def cmd_run(args) -> int:
         f"starts: {len(starts)}",
     ]
 
+    # Every start, and the oracle cross-check, is simulated before any file is
+    # written, so a failing run leaves no partial outputs.
     if gait is not None:
-        runs = [simulate_reduced(gait, x0, cfg.t0, periods, steps, cfg.tol) for x0 in starts]
-        for i, run in enumerate(runs):
-            tag = _suffix(i, len(runs))
-            if "trajectory" in cfg.reports:
-                write_trajectory_csv(run.reduced, out / f"trajectory{tag}.csv")
-                write_motion_csv(out / f"motion{tag}.csv", run)
-            if "convergence" in cfg.reports:
-                rep = convergence_report(run.reduced, cfg.tol_ft, Q_min=min(3, periods - 2))
-                write_json(out / f"convergence{tag}.json", rep.to_json())
-        if "velocity" in cfg.reports:
-            vels = [estimate_velocity(r.motion, cfg.tol_v) for r in runs]
-            v0s = [v.v0 for v in vels]
-            payload = {
-                "v0": v0s[0],
-                "per_period": vels[0].per_period,
-                "margin": runs[0].margin.min_margin,
-                "converged": all(v.converged for v in vels),
-            }
-            if len(v0s) > 1:
-                payload["v0_by_start"] = v0s
-                payload["v0_spread"] = max(v0s) - min(v0s)
-            write_json(out / "velocity.json", payload)
-            summary.append(f"v0: {_fmt_float(v0s[0])}")
-            summary.append(f"margin: {_fmt_float(runs[0].margin.min_margin)}")
-        if cfg.compare:
-            gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps, cfg.tol)
-            write_json(out / "compare.json", gap)
-            summary.append(f"solver_sup_distance: {_fmt_float(gap['sup_distance'])}")
+        runs = [simulate_reduced(gait, x0, cfg.t0, periods, steps, DEFAULT_TOL) for x0 in starts]
+        trajs = [run.reduced for run in runs]
     else:
-        for i, z0 in enumerate(starts):
-            tag = _suffix(i, len(starts))
-            traj = simulate(problem, z0, cfg.t0, periods, steps, cfg.tol)
-            if "trajectory" in cfg.reports:
-                write_trajectory_csv(traj, out / f"trajectory{tag}.csv")
-            if "convergence" in cfg.reports:
-                rep = convergence_report(traj, cfg.tol_ft, Q_min=min(3, periods - 2))
-                write_json(out / f"convergence{tag}.json", rep.to_json())
-                if i == 0:
-                    summary.append(f"classification: {rep.classification.kind}")
-                    if rep.classification.ratio is not None:
-                        summary.append(f"ratio: {_fmt_float(rep.classification.ratio)}")
-                    summary.append(f"residual: {_fmt_float(rep.residual)}")
+        runs = []
+        trajs = [simulate(problem, z0, cfg.t0, periods, steps, DEFAULT_TOL) for z0 in starts]
+    gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if runs and cfg.compare else None
+    for i, traj in enumerate(trajs):
+        tag = "" if len(trajs) == 1 else f"_s{i}"
+        if "trajectory" in cfg.reports:
+            write_trajectory_csv(traj, out / f"trajectory{tag}.csv")
+            if runs:
+                write_motion_csv(out / f"motion{tag}.csv", runs[i])
+        if "convergence" in cfg.reports:
+            rep = convergence_report(traj, FINITE_TIME_TOL, Q_min=min(3, periods - 2))
+            write_json(out / f"convergence{tag}.json", rep.to_json())
+            if i == 0 and not runs:
+                summary.append(f"classification: {rep.classification.kind}")
+                if rep.classification.ratio is not None:
+                    summary.append(f"ratio: {_fmt_float(rep.classification.ratio)}")
+                summary.append(f"residual: {_fmt_float(rep.residual)}")
+
+    if runs and "velocity" in cfg.reports:
+        vels = [estimate_velocity(r.motion, VELOCITY_TOL) for r in runs]
+        v0s = [v.v0 for v in vels]
+        payload = {
+            "v0": v0s[0],
+            "per_period": vels[0].per_period,
+            "margin": runs[0].margin.min_margin,
+            "converged": all(v.converged for v in vels),
+        }
+        if len(v0s) > 1:
+            payload["v0_by_start"] = v0s
+            payload["v0_spread"] = max(v0s) - min(v0s)
+        write_json(out / "velocity.json", payload)
+        summary.append(f"v0: {_fmt_float(v0s[0])}")
+        summary.append(f"margin: {_fmt_float(runs[0].margin.min_margin)}")
+    if gap is not None:
+        write_json(out / "compare.json", gap)
+        summary.append(f"solver_sup_distance: {_fmt_float(gap['sup_distance'])}")
 
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return 0
 
 
-def _solver_gap(run, x0, t0, periods, steps, tol) -> dict:
+def _solver_gap(run, x0, t0, periods, steps) -> dict:
     """Sup distance between a reduced run from x0 and the oracle on the same grid."""
     gait = run.gait
-    oracle = incremental_oracle(gait, x0, t0, periods, steps, tol)
+    oracle = incremental_oracle(gait, x0, t0, periods, steps, DEFAULT_TOL)
     gap = float(np.max(np.abs(run.motion.positions - oracle.motion.positions)))
     return {
         "sup_distance": gap,
@@ -340,12 +346,10 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs a gait scenario or an inline gait")
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
-    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, cfg.tol)
-    gap = _solver_gap(run, starts[0], cfg.t0, periods, steps, cfg.tol)
+    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, DEFAULT_TOL)
+    gap = _solver_gap(run, starts[0], cfg.t0, periods, steps)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "compare.json", gap)
+        write_json(_output_dir(cfg.out) / "compare.json", gap)
     print(f"sup distance between reduced and oracle trajectories: {_fmt_float(gap['sup_distance'])}")
     return 0
 
@@ -361,7 +365,7 @@ def cmd_check_gait(args) -> int:
     print(f"uniqueness margin: {_fmt_float(report.min_margin)}")
     print(f"worst time: {_fmt_float(report.worst_time)}")
     print(f"worst forward-slip subset (0-based blocks): {list(report.worst_subset)}")
-    if report.min_margin <= cfg.tol:
+    if report.min_margin <= DEFAULT_TOL:
         print("gait rejected: margin vanishes", file=sys.stderr)
         return 2
     return 0
@@ -389,7 +393,7 @@ def _add_common(p: argparse.ArgumentParser, with_run_flags: bool = True) -> None
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="seed for random initial states")
         p.add_argument("--periods", type=int, help="number of periods to simulate")
-        p.add_argument("--steps", type=int, help="steps per period")
+        p.add_argument("--steps", type=int, dest="steps_per_period", help="steps per period")
         p.add_argument("--t0", type=float, help="start time")
         p.add_argument("--starts", type=int, help="number of random initial states")
 

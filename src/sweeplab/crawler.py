@@ -191,16 +191,12 @@ def build_moving_set(g: Gait) -> MovingPolyhedron:
     PZ = shape_matrix(N)
     normals = []
     offsets = []
-    for i in range(N):
-        nu = PZ[:, i]
-        coeffs = [1.0] + [-k * nu[j] for j in range(N - 1)]
-        offsets.append(combine([g.mu_plus[i], *g.rest_lengths], coeffs))
-        normals.append(nu)
-    for i in range(N):
-        nu = PZ[:, i]
-        coeffs = [1.0] + [k * nu[j] for j in range(N - 1)]
-        offsets.append(combine([g.mu_minus[i], *g.rest_lengths], coeffs))
-        normals.append(-nu)
+    for sign, mu in ((1.0, g.mu_plus), (-1.0, g.mu_minus)):
+        for i in range(N):
+            nu = sign * PZ[:, i]
+            coeffs = [1.0] + [-k * nu[j] for j in range(N - 1)]
+            offsets.append(combine([mu[i], *g.rest_lengths], coeffs))
+            normals.append(nu)
     # Nonempty and bounded by construction: the rest shape w = -k*ell(t) has slack
     # mu_i^+(t) or mu_i^-(t) > 0 (Gait checks) in every constraint, and the
     # +-nu_i positively span R^{N-1}.

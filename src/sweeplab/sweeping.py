@@ -96,8 +96,12 @@ class Trajectory:
         return self.t0 + np.arange(len(self.states)) * self.h
 
 
-def _phase_times(t0: float, h: float, M: int) -> np.ndarray:
-    return t0 + np.arange(M) * h
+def _phase_table(signals, t0: float, h: float, M: int):
+    """(M x len(signals)) values at the grid phases t0 + k*h, or None when signals is None."""
+    if signals is None:
+        return None
+    phases = t0 + np.arange(M) * h
+    return np.column_stack([eval_many(s, phases) for s in signals])
 
 
 def _check_alignment(signals, t0: float, h: float, label: str) -> None:
@@ -215,11 +219,8 @@ def simulate(
     if z0.shape != (n,):
         raise ValueError(f"initial state has shape {z0.shape}, expected ({n},)")
 
-    phases = _phase_times(t0, h, M)
-    offsets_phase = np.column_stack([eval_many(s, phases) for s in P.offsets])
-    drift_phase = None
-    if problem.drift is not None:
-        drift_phase = np.column_stack([eval_many(s, phases) for s in problem.drift])
+    offsets_phase = _phase_table(P.offsets, t0, h, M)
+    drift_phase = _phase_table(problem.drift, t0, h, M)
 
     if np.any(B @ z0 > offsets_phase[0] + tol):
         worst = float(np.max(B @ z0 - offsets_phase[0]))
@@ -475,11 +476,8 @@ def validate_trajectory(traj: Trajectory, tol: float = DEFAULT_TOL) -> None:
     M = traj.steps_per_period
     h = traj.h
     K = len(traj.states) - 1
-    phases = _phase_times(traj.t0, h, M)
-    offsets_phase = np.column_stack([eval_many(s, phases) for s in P.offsets])
-    drift_phase = None
-    if traj.problem.drift is not None:
-        drift_phase = np.column_stack([eval_many(s, phases) for s in traj.problem.drift])
+    offsets_phase = _phase_table(P.offsets, traj.t0, h, M)
+    drift_phase = _phase_table(traj.problem.drift, traj.t0, h, M)
     for k in range(K):
         z_next = traj.states[k + 1]
         c_next = offsets_phase[(k + 1) % M]

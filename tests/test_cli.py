@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sweeplab.cli import dump_json, main
+from sweeplab.cli import CONFIG_KEYS, dump_json, main
 from sweeplab.crawler import simulate_reduced
 from sweeplab.scenarios import catalog
 from sweeplab.sweeping import (
@@ -179,20 +181,98 @@ def _gait_missing_signal():
     return {"gait": gait}
 
 
-@pytest.mark.parametrize("config", [
-    {"scenario": "wedge", "initial_states": [[0.1, 0, 0]]},
-    {"scenario": "crawler2", "initial_states": [[0.0]]},
-    {"scenario": "crawler2", "initial_states": [[0.0, "a"]]},
-    {"scenario": "crawler2", "initial_states": {"random": "a"}},
-    _gait_missing_signal(),
-    {"gait": {"N": 2}},
-], ids=["state-too-long", "state-too-short", "state-not-numeric", "starts-not-numeric",
-        "gait-signal-count", "gait-missing-key"])
-def test_run_malformed_config_exit_4(tmp_path, capsys, config):
+def _gait_and_problem():
+    cat = catalog()
+    return {"gait": cat["crawler2"].gait.to_json(), "problem": cat["box1"].problem.to_json()}
+
+
+@pytest.mark.parametrize("config,flags", [
+    pytest.param({"scenario": "wedge", "initial_states": [[0.1, 0, 0]]}, [], id="state-too-long"),
+    pytest.param({"scenario": "crawler2", "initial_states": [[0.0]]}, [], id="state-too-short"),
+    pytest.param({"scenario": "crawler2", "initial_states": [[0.0, "a"]]}, [], id="state-not-numeric"),
+    pytest.param({"scenario": "crawler2", "initial_states": {"random": "a"}}, [], id="starts-not-numeric"),
+    pytest.param(_gait_missing_signal(), [], id="gait-signal-count"),
+    pytest.param({"gait": {"N": 2}}, [], id="gait-missing-key"),
+    pytest.param({"scenario": "crawler2", "reports": ["velocty"]}, [], id="report-unknown"),
+    pytest.param({"scenario": "crawler2", "reports": "velocity"}, [], id="reports-not-list"),
+    pytest.param({"scenario": "crawler2", "initial_states": "abc"}, [], id="states-string"),
+    pytest.param({"scenario": "crawler2", "initial_states": {"rand": 2}}, [], id="starts-key-unknown"),
+    pytest.param({"scenario": "crawler2", "steps_per_perod": 10}, [], id="key-unknown"),
+    pytest.param({"scenario": ["crawler2"]}, [], id="scenario-not-string"),
+    pytest.param({"scenario": "crawler2", "seed": -1}, [], id="seed-negative"),
+    pytest.param({"scenario": "crawler2"}, ["--starts", "2", "--seed", "-1"], id="seed-flag-negative"),
+    pytest.param({"scenario": "crawler2", "periods": 6.5}, [], id="periods-fractional"),
+    pytest.param({"scenario": "crawler2", "initial_states": {"random": 2.9}}, [], id="starts-fractional"),
+    pytest.param({"scenario": "crawler2", "tol": 1e-9}, [], id="tol-removed"),
+    pytest.param({"scenario": "crawler2", "periods": "5"}, [], id="periods-string"),
+    pytest.param({"scenario": "crawler2", "seed": True}, [], id="seed-bool"),
+    pytest.param({"scenario": "crawler2", "t0": "0"}, [], id="t0-string"),
+    pytest.param({"problem": 5}, [], id="problem-not-object"),
+    pytest.param(_gait_and_problem(), [], id="gait-and-problem"),
+    pytest.param(["crawler2"], [], id="config-not-object"),
+])
+def test_run_malformed_config_exit_4(tmp_path, capsys, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 4
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), *flags) == 4
     assert "configuration error" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
+def test_run_config_accepts_every_key(tmp_path):
+    # scenario, gait and problem exclude each other; the three configs share the rest.
+    cat = catalog()
+    common = {"t0": 0, "periods": 4.0, "steps_per_period": 100, "seed": 3,
+              "reports": ["trajectory", "convergence", "velocity"]}
+    configs = [
+        {"scenario": "crawler2", "initial_states": {"random": 2}},
+        {"gait": cat["crawler2"].gait.to_json(), "initial_states": [[0.0, 0.0]]},
+        {"problem": cat["box1"].problem.to_json(), "initial_states": [[0.5], [0.25]]},
+    ]
+    assert set(common).union(*configs) == set(CONFIG_KEYS)
+    for i, config in enumerate(configs):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        cfg.write_text(json.dumps({**common, **config}))
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "periods: 4\nsteps_per_period: 100\nseed: 3\n" in summary
+        assert (out / "convergence.json").exists() or (out / "convergence_s0.json").exists()
+
+
+def test_readme_config_example_runs(tmp_path):
+    # The inline-problem example in README's CLI section must stay a valid config.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^## CLI$.*?^```json\n(.*?)^```", readme, re.S | re.M).group(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("scenario,states", [
+    ("box1", [[0.5], [9.0]]),
+    ("crawler2", [[0.0, 0.0], [0.0, 9.0]]),
+])
+def test_run_failing_start_writes_no_outputs(tmp_path, scenario, states):
+    # Every start is simulated before any file is written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "periods": 4, "steps_per_period": 100,
+                               "initial_states": states}))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 3
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_output_path_is_a_file_exit_4(tmp_path, capsys, command):
+    path = tmp_path / "F"
+    path.write_text("kept")
+    code = run_cli(command, "--scenario", "crawler2", "--periods", "3", "--steps", "100",
+                   "--out", str(path))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+    assert path.read_text() == "kept"
 
 
 def test_run_velocity_needs_three_periods(tmp_path):
