@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +87,7 @@ def write_json(path: Path, obj) -> None:
 # Run configuration
 
 REPORTS = ("trajectory", "convergence", "velocity")
+PLAIN_REPORTS = ("trajectory", "convergence")   # velocity needs a gait
 FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
 VELOCITY_TOL = 1e-6      # spread of the last per-period displacements for a converged v0
 
@@ -102,6 +104,14 @@ def _integer(value, least: int) -> int:
     if (type(_expect(value, int, float)) is float and not value.is_integer()) or value < least:
         raise ValueError(f"expected an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _finite(value) -> float:
+    """A JSON number (not a string or true) that is neither infinite nor NaN."""
+    value = float(_expect(value, int, float))
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _starts(value):
@@ -124,7 +134,7 @@ CONFIG_KEYS = {
     "scenario": lambda v: _expect(v, str),
     "gait": Gait.from_json,
     "problem": SweepingProblem.from_json,
-    "t0": lambda v: float(_expect(v, int, float)),
+    "t0": _finite,
     "periods": lambda v: _integer(v, 1),
     "steps_per_period": lambda v: _integer(v, 1),
     "seed": lambda v: _integer(v, 0),
@@ -143,7 +153,7 @@ class RunConfig:
     steps_per_period: int | None = None
     seed: int = 0
     initial_states: list | int | None = None   # states, a random-start count, or None (scenario default)
-    reports: tuple = REPORTS
+    reports: tuple | None = None   # None: REPORTS for a gait, PLAIN_REPORTS otherwise
     compare: bool = False
     out: Path = field(default_factory=lambda: Path("."))
 
@@ -174,7 +184,11 @@ class RunConfig:
         return cfg
 
     def resolve(self):
-        """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps)."""
+        """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps).
+
+        Also fills in the default reports, and rejects a compare or a velocity
+        report on a run without a gait.
+        """
         if [self.scenario, self.gait, self.problem].count(None) != 2:
             raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
         sc = None
@@ -191,7 +205,13 @@ class RunConfig:
         steps = self.steps_per_period
         if steps is None:
             steps = sc.recommended_steps if sc else 1000
-        if gait is not None and "velocity" in self.reports and periods < 3:
+        if gait is None and self.compare:
+            raise ConfigError("compare needs a gait scenario or an inline gait")
+        if self.reports is None:
+            self.reports = REPORTS if gait is not None else PLAIN_REPORTS
+        elif gait is None and "velocity" in self.reports:
+            raise ConfigError("velocity reports need a gait scenario or an inline gait")
+        if "velocity" in self.reports and periods < 3:
             raise ConfigError("velocity reports need at least 3 periods")
         if "convergence" in self.reports and periods < 3:
             raise ConfigError("convergence reports need at least 3 periods")
@@ -287,7 +307,7 @@ def cmd_run(args) -> int:
     else:
         runs = []
         trajs = [simulate(problem, z0, cfg.t0, periods, steps, DEFAULT_TOL) for z0 in starts]
-    gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if runs and cfg.compare else None
+    gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
         if "trajectory" in cfg.reports:
@@ -303,7 +323,7 @@ def cmd_run(args) -> int:
                     summary.append(f"ratio: {_fmt_float(rep.classification.ratio)}")
                 summary.append(f"residual: {_fmt_float(rep.residual)}")
 
-    if runs and "velocity" in cfg.reports:
+    if "velocity" in cfg.reports:
         vels = [estimate_velocity(r.motion, VELOCITY_TOL) for r in runs]
         v0s = [v.v0 for v in vels]
         payload = {
@@ -342,8 +362,6 @@ def _solver_gap(run, x0, t0, periods, steps) -> dict:
 def cmd_compare(args) -> int:
     cfg = RunConfig.load(args)
     sc, gait, problem, periods, steps = cfg.resolve()
-    if gait is None:
-        raise ConfigError("compare needs a gait scenario or an inline gait")
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
     run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, DEFAULT_TOL)
@@ -412,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="reduced pipeline vs slip-pattern oracle")
     _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, compare=True)
 
     p_chk = sub.add_parser("check-gait", help="report the uniqueness margin of a gait")
     _add_common(p_chk, with_run_flags=False)

@@ -418,6 +418,43 @@ def _pattern_list(N: int):
     return pats
 
 
+class _PatternSystem:
+    """Index sets and matrix blocks of one slip pattern.
+
+    Sticking blocks T keep their positions; slipping blocks S solve
+    A_SS x_S = b_S - target_S - A_ST x_T, with target mu^+ for forward and
+    -mu^- for backward slip.
+    """
+
+    def __init__(self, A: np.ndarray, negA: np.ndarray, pat: tuple):
+        N = len(pat)
+        self.A = A
+        self.negA = negA
+        self.slips = np.array([i for i in range(N) if pat[i] != 0], dtype=np.intp)
+        self.sticks = np.array([i for i in range(N) if pat[i] == 0], dtype=np.intp)
+        self.forward = np.array(pat)[self.slips] > 0
+        self.ahead = [i for i in range(N) if pat[i] > 0]
+        self.back = [i for i in range(N) if pat[i] < 0]
+        self.still = self.sticks.tolist()
+        self.all_slip = len(self.sticks) == 0
+        if len(self.slips) and not self.all_slip:
+            self.A_SS = A[np.ix_(self.slips, self.slips)]
+            self.A_ST = A[np.ix_(self.slips, self.sticks)]
+
+
+class _PatternTable(dict):
+    """Per-run cache of pattern systems, filled on first use."""
+
+    def __init__(self, A: np.ndarray):
+        super().__init__()
+        self.A = A
+        self.negA = -A
+
+    def __missing__(self, pat):
+        system = self[pat] = _PatternSystem(self.A, self.negA, pat)
+        return system
+
+
 def incremental_oracle(
     g: Gait,
     x0,
@@ -433,6 +470,12 @@ def incremental_oracle(
     force balance at their saturated threshold, and the first pattern passing
     the sign and bound checks is accepted (patterns with fewer slipping blocks
     are tried first, the previous step's pattern before all others).
+
+    While the previous step's pattern keeps passing, its steps up to the end
+    of the period are solved as one block (``_pattern_block``); the
+    enumeration runs only at the step where the block fails, and skips the
+    pattern the block has just seen fail. The all-slip pattern is only ever
+    tried step by step.
     """
     N = g.num_blocks
     if N > 8:
@@ -452,7 +495,10 @@ def incremental_oracle(
 
     PZ = shape_matrix(N)
     A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell
+    # One stacked matrix-vector product per phase, bit-equal to PZ.T @ ell per row.
+    b_phase = g.stiffness * (PZ.T @ ell_phase[..., None])[..., 0]
     patterns = _pattern_list(N)
+    table = _PatternTable(A)
 
     K = periods * M
     xs = np.empty((K + 1, N))
@@ -460,34 +506,90 @@ def incremental_oracle(
     chosen = np.zeros((K, N), dtype=np.int8)
     x = x0.copy()
     hint = None
-    for k in range(K):
+    k = 0
+    while k < K:
         ph = (k + 1) % M
-        ell = ell_phase[ph]
-        mup = mup_phase[ph]
-        mum = mum_phase[ph]
-        b = g.stiffness * (PZ.T @ ell)
+        order = patterns if hint is None else itertools.chain((hint,), patterns)
+        nearest = (np.inf, None)
+        if hint is not None and not table[hint].all_slip:
+            end = ph + min(M - ph, K - k)
+            rows, violation = _pattern_block(
+                x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end], tol
+            )
+            n = len(rows)
+            if n:
+                xs[k + 1 : k + 1 + n] = rows
+                chosen[k : k + n] = hint
+                x = rows[-1]
+                k += n
+            if violation is None:
+                continue
+            # The block stopped at step k: the hint fails there, so the
+            # enumeration starts past it with the hint as the nearest miss.
+            ph = (k + 1) % M
+            order = patterns
+            if violation < nearest[0]:
+                nearest = (violation, hint)
         try:
-            x_new, pat = _oracle_step(x, A, b, mup, mum, patterns, hint, tol)
+            x, hint = _oracle_step(
+                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, order, nearest, tol
+            )
         except PatternSearchError as exc:
             raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
-        x = x_new
         xs[k + 1] = x
-        chosen[k] = pat
-        hint = pat
+        chosen[k] = hint
+        k += 1
     times = t0 + h * np.arange(K + 1)
     motion = Motion(times, xs, M, g.period)
     return OracleRun(g, motion, chosen)
 
 
-def _oracle_step(x, A, b, mup, mum, patterns, hint, tol):
-    order = []
-    if hint is not None:
-        order.append(tuple(int(s) for s in hint))
-    nearest = (np.inf, None)
-    for pat in itertools.chain(order, patterns):
-        x_new, violation = _try_pattern(x, A, b, mup, mum, pat, tol)
+def _pattern_block(x, system, b, mup, mum, tol):
+    """Run one slip pattern over consecutive steps, cut at the first step it fails.
+
+    b, mup and mum hold one row per step. Sticking blocks keep x, so every
+    slipping row is solved at once; each row must then pass ``_try_pattern``'s
+    own tests: slipping blocks move in their direction from the previous row,
+    sticking forces stay within the friction bounds. The stacked solve and
+    matrix-vector products make the same LAPACK/BLAS call per row as the
+    single-step path, so the rows are bit-equal to it. Returns the rows that
+    pass and the pattern's violation at the first failing row (None if every
+    row passes).
+    """
+    S, T = system.slips, system.sticks
+    rows = np.repeat(x[None, :], len(b), axis=0)
+    if len(S):
+        target = np.where(system.forward, mup[:, S], -mum[:, S])
+        rhs = b[:, S] - target - system.A_ST @ x[T]
+        rows[:, S] = np.linalg.solve(system.A_SS, rhs[..., None])[..., 0]
+    force = (system.negA @ rows[..., None])[..., 0] + b
+    prev = np.concatenate((x[None, :], rows[:-1]))
+    terms = np.concatenate(
+        (
+            prev[:, system.ahead] - rows[:, system.ahead],
+            rows[:, system.back] - prev[:, system.back],
+            force[:, T] - mup[:, T],
+            -mum[:, T] - force[:, T],
+        ),
+        axis=1,
+    )
+    # As in _try_pattern's running max, a NaN term never counts as a violation.
+    failing = np.flatnonzero((terms > tol).any(axis=1))
+    if not len(failing):
+        return rows, None
+    cut = failing[0]
+    return rows[:cut], float(np.nanmax(terms[cut]))
+
+
+def _oracle_step(x, b, mup, mum, table, order, nearest, tol):
+    """First pattern in order whose KKT violation is within tol, with its solution.
+
+    nearest is the closest miss already seen, as (violation, pattern).
+    """
+    for pat in order:
+        x_new, violation = _try_pattern(x, b, mup, mum, table[pat], tol)
         if violation <= tol:
-            return x_new, np.array(pat, dtype=np.int8)
+            return x_new, pat
         if violation < nearest[0]:
             nearest = (violation, pat)
     raise PatternSearchError(
@@ -495,33 +597,32 @@ def _oracle_step(x, A, b, mup, mum, patterns, hint, tol):
     )
 
 
-def _try_pattern(x, A, b, mup, mum, pat, tol):
+def _try_pattern(x, b, mup, mum, system, tol):
     """Solve a slip pattern and return (candidate, worst KKT violation)."""
-    N = len(x)
-    slips = [i for i, s in enumerate(pat) if s != 0]
+    S = system.slips
     x_new = x.copy()
-    if slips:
-        idx = np.array(slips)
-        target = np.where(np.array(pat)[idx] > 0, mup[idx], -mum[idx])
-        rhs = b[idx] - target
-        if len(slips) < N:
-            sticks = np.array([i for i in range(N) if pat[i] == 0])
-            rhs = rhs - A[np.ix_(idx, sticks)] @ x[sticks]
-            x_new[idx] = np.linalg.solve(A[np.ix_(idx, idx)], rhs)
+    if len(S):
+        target = np.where(system.forward, mup[S], -mum[S])
+        rhs = b[S] - target
+        if not system.all_slip:
+            rhs = rhs - system.A_ST @ x[system.sticks]
+            x_new[S] = np.linalg.solve(system.A_SS, rhs)
         else:
             # The all-slip system is singular (translation invariance) and
             # consistent only for degenerate friction balances.
+            A = system.A
             sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             if np.linalg.norm(A @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
                 return x, np.inf
             x_new[:] = sol
-    force = -A @ x_new + b
+    force = (system.negA @ x_new + b).tolist()
+    old, new = x.tolist(), x_new.tolist()
+    hi, lo = mup.tolist(), mum.tolist()
     violation = 0.0
-    for i in range(N):
-        if pat[i] > 0:
-            violation = max(violation, x[i] - x_new[i])          # must move forward
-        elif pat[i] < 0:
-            violation = max(violation, x_new[i] - x[i])          # must move backward
-        else:
-            violation = max(violation, force[i] - mup[i], -mum[i] - force[i])
+    for i in system.ahead:
+        violation = max(violation, old[i] - new[i])          # must move forward
+    for i in system.back:
+        violation = max(violation, new[i] - old[i])          # must move backward
+    for i in system.still:
+        violation = max(violation, force[i] - hi[i], -lo[i] - force[i])
     return x_new, violation

@@ -251,3 +251,90 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
         multipliers.append(res.multipliers)
         masks.append(mask(F, z))
     return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)
+
+
+def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,
+                     tol: float = DEFAULT_TOL):
+    """Step-by-step slip-pattern enumeration: at every step, the previous
+    step's pattern first, then all 3^N patterns with fewer slipping blocks
+    first, each solved from scratch. The reference for
+    crawler.incremental_oracle.
+
+    Returns (positions, patterns) laid out like an OracleRun's motion
+    positions and patterns.
+    """
+    from sweeplab.crawler import shape_matrix
+    from sweeplab.errors import PatternSearchError
+
+    N = g.num_blocks
+    x0 = np.asarray(x0, dtype=float)
+    M = int(steps_per_period)
+    h = g.period / M
+    phases = t0 + h * np.arange(M)
+    ell_phase = np.column_stack([eval_many(s, phases) for s in g.rest_lengths])
+    mup_phase = np.column_stack([eval_many(s, phases) for s in g.mu_plus])
+    mum_phase = np.column_stack([eval_many(s, phases) for s in g.mu_minus])
+
+    PZ = shape_matrix(N)
+    A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell
+    patterns = list(itertools.product((0, 1, -1), repeat=N))
+    patterns.sort(key=lambda p: (sum(1 for s in p if s != 0), p))
+
+    def try_pattern(x, b, mup, mum, pat):
+        slips = [i for i, s in enumerate(pat) if s != 0]
+        x_new = x.copy()
+        if slips:
+            idx = np.array(slips)
+            target = np.where(np.array(pat)[idx] > 0, mup[idx], -mum[idx])
+            rhs = b[idx] - target
+            if len(slips) < N:
+                sticks = np.array([i for i in range(N) if pat[i] == 0])
+                rhs = rhs - A[np.ix_(idx, sticks)] @ x[sticks]
+                x_new[idx] = np.linalg.solve(A[np.ix_(idx, idx)], rhs)
+            else:
+                sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+                if np.linalg.norm(A @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
+                    return x, np.inf
+                x_new[:] = sol
+        force = -A @ x_new + b
+        violation = 0.0
+        for i in range(N):
+            if pat[i] > 0:
+                violation = max(violation, x[i] - x_new[i])
+            elif pat[i] < 0:
+                violation = max(violation, x_new[i] - x[i])
+            else:
+                violation = max(violation, force[i] - mup[i], -mum[i] - force[i])
+        return x_new, violation
+
+    def oracle_step(x, b, mup, mum, hint):
+        order = []
+        if hint is not None:
+            order.append(tuple(int(s) for s in hint))
+        nearest = (np.inf, None)
+        for pat in itertools.chain(order, patterns):
+            x_new, violation = try_pattern(x, b, mup, mum, pat)
+            if violation <= tol:
+                return x_new, np.array(pat, dtype=np.int8)
+            if violation < nearest[0]:
+                nearest = (violation, pat)
+        raise PatternSearchError(
+            f"no consistent slip pattern; nearest miss {nearest[1]} violates by {nearest[0]:.3e}"
+        )
+
+    K = periods * M
+    xs = np.empty((K + 1, N))
+    xs[0] = x0
+    chosen = np.zeros((K, N), dtype=np.int8)
+    x = x0.copy()
+    hint = None
+    for k in range(K):
+        ph = (k + 1) % M
+        b = g.stiffness * (PZ.T @ ell_phase[ph])
+        try:
+            x, hint = oracle_step(x, b, mup_phase[ph], mum_phase[ph], hint)
+        except PatternSearchError as exc:
+            raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
+        xs[k + 1] = x
+        chosen[k] = hint
+    return xs, chosen

@@ -207,6 +207,13 @@ def _gait_and_problem():
     pytest.param({"scenario": "crawler2", "periods": "5"}, [], id="periods-string"),
     pytest.param({"scenario": "crawler2", "seed": True}, [], id="seed-bool"),
     pytest.param({"scenario": "crawler2", "t0": "0"}, [], id="t0-string"),
+    pytest.param({"scenario": "crawler2", "t0": float("nan")}, [], id="t0-nan"),
+    pytest.param({"scenario": "box1", "t0": float("inf")}, [], id="t0-infinite"),
+    pytest.param({"scenario": "crawler2"}, ["--t0", "nan"], id="t0-flag-nan"),
+    pytest.param({"scenario": "box1"}, ["--t0=-inf"], id="t0-flag-infinite"),
+    pytest.param({"scenario": "box1", "reports": ["velocity"]}, [], id="velocity-report-plain"),
+    pytest.param({"problem": catalog()["box1"].problem.to_json(), "reports": ["trajectory", "velocity"]},
+                 [], id="velocity-report-problem"),
     pytest.param({"problem": 5}, [], id="problem-not-object"),
     pytest.param(_gait_and_problem(), [], id="gait-and-problem"),
     pytest.param(["crawler2"], [], id="config-not-object"),
@@ -223,12 +230,14 @@ def test_run_malformed_config_exit_4(tmp_path, capsys, config, flags):
 def test_run_config_accepts_every_key(tmp_path):
     # scenario, gait and problem exclude each other; the three configs share the rest.
     cat = catalog()
-    common = {"t0": 0, "periods": 4.0, "steps_per_period": 100, "seed": 3,
-              "reports": ["trajectory", "convergence", "velocity"]}
+    # A velocity report needs a gait.
+    common = {"t0": 0, "periods": 4.0, "steps_per_period": 100, "seed": 3}
+    gait_reports = ["trajectory", "convergence", "velocity"]
     configs = [
-        {"scenario": "crawler2", "initial_states": {"random": 2}},
-        {"gait": cat["crawler2"].gait.to_json(), "initial_states": [[0.0, 0.0]]},
-        {"problem": cat["box1"].problem.to_json(), "initial_states": [[0.5], [0.25]]},
+        {"scenario": "crawler2", "initial_states": {"random": 2}, "reports": gait_reports},
+        {"gait": cat["crawler2"].gait.to_json(), "initial_states": [[0.0, 0.0]], "reports": gait_reports},
+        {"problem": cat["box1"].problem.to_json(), "initial_states": [[0.5], [0.25]],
+         "reports": ["trajectory", "convergence"]},
     ]
     assert set(common).union(*configs) == set(CONFIG_KEYS)
     for i, config in enumerate(configs):
@@ -315,6 +324,14 @@ def test_run_with_compare_flag(tmp_path):
                    "--periods", "4", "--steps", "400", "--compare")
     assert code == 0
     assert (out / "compare.json").exists()
+
+
+@pytest.mark.parametrize("command,flags", [("run", ["--compare"]), ("compare", [])])
+def test_compare_without_gait_exit_4_writes_nothing(tmp_path, capsys, command, flags):
+    out = tmp_path / "x"
+    assert run_cli(command, "--scenario", "box1", "--out", str(out), *flags) == 4
+    assert "compare needs a gait" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_gait_good_and_degenerate(capsys):

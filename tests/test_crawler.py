@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import sweeplab.crawler
+import sweeplab.polyhedra
 import sweeplab.signals
 from helpers import (
     central_difference_gradient,
     load_perfbench,
+    gait_slips_from_rest,
     random_gait,
+    random_gait_with_margin,
     reference_margin_at,
+    reference_oracle,
     uniform_signal,
 )
 from sweeplab.crawler import (
@@ -458,22 +462,115 @@ def test_oracle_four_blocks_matches_reduced():
 
 
 def test_oracle_error_names_step_and_time(monkeypatch):
-    # Every pattern fails from the fourth try on; at rest each step accepts its
-    # first try, so step 3 (landing at t = 4h) is the first to fail.
-    real = sweeplab.crawler._try_pattern
+    # At rest, step 0 accepts its first scalar try and the same pattern then
+    # runs as a block from step 1. The block is cut after steps 1 and 2 with
+    # a violation of 1, and every later scalar try fails by 2, so step 3
+    # (landing at t = 4h) is the first to fail and the block's pattern, with
+    # the block's violation, is the nearest miss.
+    real_try, real_block = sweeplab.crawler._try_pattern, sweeplab.crawler._pattern_block
     tries = []
 
     def failing_try_pattern(x, *args):
         tries.append(1)
-        return real(x, *args) if len(tries) <= 3 else (x, 1.0)
+        return real_try(x, *args) if len(tries) <= 1 else (x, 2.0)
+
+    def short_block(*args):
+        rows, violation = real_block(*args)
+        assert len(rows) > 2 and violation is None
+        return rows[:2], 1.0
 
     monkeypatch.setattr(sweeplab.crawler, "_try_pattern", failing_try_pattern)
+    monkeypatch.setattr(sweeplab.crawler, "_pattern_block", short_block)
     with pytest.raises(
         PatternSearchError,
         match=r"^step 3, t=0\.040000000000000001: no consistent slip pattern; "
         r"nearest miss \(0, 0\) violates by 1\.000e\+00$",
     ):
         incremental_oracle(constant_gait(), np.zeros(2), 0.0, 2, 100)
+
+
+def _rest_start(g):
+    return assemble_positions(0.0, rest_length_values(g, 0.0))
+
+
+# The benchmark's gait_wide workload: its gaits, and the start sampler it uses.
+_WORKLOADS = load_perfbench("workloads")
+_SL = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler, polyhedra=sweeplab.polyhedra)
+
+
+@pytest.mark.parametrize("gait", [two_block_gait(), two_block_gait(mirrored=True), three_block_gait()],
+                         ids=["crawler2", "crawler2-mirror", "crawler3"])
+def test_oracle_bit_equal_to_reference(gait):
+    x0 = _rest_start(gait)
+    run = incremental_oracle(gait, x0, 0.0, 10, 1000)
+    positions, patterns = reference_oracle(gait, x0, 0.0, 10, 1000)
+    assert run.motion.positions.tobytes() == positions.tobytes()
+    np.testing.assert_array_equal(run.patterns, patterns)
+
+
+def test_oracle_matches_reference_on_random_gaits():
+    # The criterion-05 gaits: random lattice gaits with a margin that slip from rest.
+    rng = np.random.default_rng(555)
+    for N in (2, 3, 3):
+        g = random_gait_with_margin(rng, N, 0.1)
+        while not gait_slips_from_rest(g):
+            g = random_gait_with_margin(rng, N, 0.1)
+        x0 = _rest_start(g)
+        run = incremental_oracle(g, x0, 0.0, 5, 1000)
+        positions, patterns = reference_oracle(g, x0, 0.0, 5, 1000)
+        assert np.any(patterns != 0)
+        np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(run.patterns, patterns)
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_oracle_matches_reference_on_peristaltic_gaits(seed):
+    # Starts drawn as the gait_wide workload draws them for this seed.
+    wide = _WORKLOADS.GaitWide
+    rng = np.random.default_rng(seed)
+    for N, count in wide.STARTS.items():
+        g = _WORKLOADS.peristaltic_gait(_SL, N)
+        K = build_moving_set(g)
+        for _ in range(count):
+            x0 = assemble_positions(0.0, -_WORKLOADS._admissible_point(_SL, K, rng) / g.stiffness)
+            run = incremental_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
+            positions, patterns = reference_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
+            np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(run.patterns, patterns)
+
+
+@pytest.mark.parametrize("gait,M", [(three_block_gait(), 400), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],
+                         ids=["crawler3", "peristaltic7"])
+def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
+    # Each block row is bit-equal to the single-step solution from the row
+    # before it, and the violation at the cut is the one _try_pattern reports.
+    cr = sweeplab.crawler
+    N = gait.num_blocks
+    positions, patterns = reference_oracle(gait, _rest_start(gait), 0.0, 2, M)
+    PZ = cr.shape_matrix(N)
+    ell, mup, mum = (np.array([[eval_signal(s, k / M) for s in sigs] for k in range(M)])
+                     for sigs in (gait.rest_lengths, gait.mu_plus, gait.mu_minus))
+    b = np.array([gait.stiffness * (PZ.T @ row) for row in ell])
+    table = cr._PatternTable(gait.stiffness * (PZ.T @ PZ))
+    fixed = [(0,) * N, (1,) + (0,) * (N - 1), (0,) * (N - 2) + (-1, 1)]
+    slip_rows = cuts = 0
+    for k in range(0, M, 7):
+        ph = (k + 1) % M
+        x = positions[k]
+        for pat in dict.fromkeys([tuple(int(s) for s in patterns[k]), *fixed]):
+            system = table[pat]
+            rows, violation = cr._pattern_block(x, system, b[ph:], mup[ph:], mum[ph:], TOL)
+            prev = x
+            for r, row in enumerate(rows):
+                single, v = cr._try_pattern(prev, b[ph + r], mup[ph + r], mum[ph + r], system, TOL)
+                assert single.tobytes() == row.tobytes() and v <= TOL
+                prev = row
+            slip_rows += len(rows) if len(system.slips) else 0
+            if violation is not None:
+                cuts += 1
+                r = ph + len(rows)
+                assert cr._try_pattern(prev, b[r], mup[r], mum[r], system, TOL)[1] == violation > TOL
+    assert slip_rows > 20 and cuts > 0
 
 
 def test_oracle_block_cap():
