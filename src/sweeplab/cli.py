@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .crawler import (
+    VELOCITY_TOL,
     Gait,
     assemble_positions,
     build_moving_set,
@@ -36,6 +37,7 @@ from .errors import (
 from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
 from .scenarios import Scenario, catalog
 from .sweeping import (
+    FINITE_TIME_TOL,
     FLOAT_FMT,
     SweepingProblem,
     _write_csv,
@@ -88,8 +90,6 @@ def write_json(path: Path, obj) -> None:
 
 REPORTS = ("trajectory", "convergence", "velocity")
 PLAIN_REPORTS = ("trajectory", "convergence")   # velocity needs a gait
-FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
-VELOCITY_TOL = 1e-6      # spread of the last per-period displacements for a converged v0
 
 
 def _expect(value, *types):
@@ -186,8 +186,8 @@ class RunConfig:
     def resolve(self):
         """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps).
 
-        Also fills in the default reports, and rejects a compare or a velocity
-        report on a run without a gait.
+        Also rejects a compare on a run without a gait. The reports are
+        `run`'s alone, so `cmd_run` fills in their default and checks them.
         """
         if [self.scenario, self.gait, self.problem].count(None) != 2:
             raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
@@ -207,14 +207,6 @@ class RunConfig:
             steps = sc.recommended_steps if sc else 1000
         if gait is None and self.compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
-        if self.reports is None:
-            self.reports = REPORTS if gait is not None else PLAIN_REPORTS
-        elif gait is None and "velocity" in self.reports:
-            raise ConfigError("velocity reports need a gait scenario or an inline gait")
-        if "velocity" in self.reports and periods < 3:
-            raise ConfigError("velocity reports need at least 3 periods")
-        if "convergence" in self.reports and periods < 3:
-            raise ConfigError("convergence reports need at least 3 periods")
         return sc, gait, problem, periods, steps
 
 
@@ -286,6 +278,14 @@ def _output_dir(path: Path) -> Path:
 def cmd_run(args) -> int:
     cfg = RunConfig.load(args)
     sc, gait, problem, periods, steps = cfg.resolve()
+    reports = cfg.reports
+    if reports is None:
+        reports = REPORTS if gait is not None else PLAIN_REPORTS
+    elif gait is None and "velocity" in reports:
+        raise ConfigError("velocity reports need a gait scenario or an inline gait")
+    for name in ("velocity", "convergence"):
+        if name in reports and periods < 3:
+            raise ConfigError(f"{name} reports need at least 3 periods")
     out = _output_dir(cfg.out)
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
@@ -310,11 +310,11 @@ def cmd_run(args) -> int:
     gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
-        if "trajectory" in cfg.reports:
+        if "trajectory" in reports:
             write_trajectory_csv(traj, out / f"trajectory{tag}.csv")
             if runs:
                 write_motion_csv(out / f"motion{tag}.csv", runs[i])
-        if "convergence" in cfg.reports:
+        if "convergence" in reports:
             rep = convergence_report(traj, FINITE_TIME_TOL, Q_min=min(3, periods - 2))
             write_json(out / f"convergence{tag}.json", rep.to_json())
             if i == 0 and not runs:
@@ -323,7 +323,7 @@ def cmd_run(args) -> int:
                     summary.append(f"ratio: {_fmt_float(rep.classification.ratio)}")
                 summary.append(f"residual: {_fmt_float(rep.residual)}")
 
-    if "velocity" in cfg.reports:
+    if "velocity" in reports:
         vels = [estimate_velocity(r.motion, VELOCITY_TOL) for r in runs]
         v0s = [v.v0 for v in vels]
         payload = {

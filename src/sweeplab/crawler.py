@@ -25,10 +25,11 @@ from .errors import (
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron
 from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal
-from .sweeping import SweepingProblem, Trajectory, simulate
+from .sweeping import SweepingProblem, Trajectory, _phase_table, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
+VELOCITY_TOL = 1e-6            # spread of the last per-period displacements for a converged v0
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,7 @@ class VelocityEstimate:
     converged: bool
 
 
-def estimate_velocity(motion: Motion, tol_v: float = 1e-6) -> VelocityEstimate:
+def estimate_velocity(motion: Motion, tol_v: float = VELOCITY_TOL) -> VelocityEstimate:
     """Per-period mean-position displacements and the final-period velocity."""
     Q = motion.periods
     if Q < 3:
@@ -384,7 +385,7 @@ class RunningPeriodicDecomposition:
     converged: bool
 
 
-def running_periodic_decomposition(motion: Motion, tol_v: float = 1e-6) -> RunningPeriodicDecomposition:
+def running_periodic_decomposition(motion: Motion, tol_v: float = VELOCITY_TOL) -> RunningPeriodicDecomposition:
     """Split x(t) = x_bar0 + (t - t0) v_bar0 + p(t) over the last period.
 
     The endpoint mismatch of p over that window is reported as the residual;
@@ -488,10 +489,9 @@ def incremental_oracle(
 
     M = int(steps_per_period)
     h = g.period / M
-    phases = t0 + h * np.arange(M)
-    ell_phase = np.column_stack([eval_many(s, phases) for s in g.rest_lengths])
-    mup_phase = np.column_stack([eval_many(s, phases) for s in g.mu_plus])
-    mum_phase = np.column_stack([eval_many(s, phases) for s in g.mu_minus])
+    ell_phase = _phase_table(g.rest_lengths, t0, h, M)
+    mup_phase = _phase_table(g.mu_plus, t0, h, M)
+    mum_phase = _phase_table(g.mu_minus, t0, h, M)
 
     PZ = shape_matrix(N)
     A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell

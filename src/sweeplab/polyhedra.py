@@ -6,10 +6,10 @@ time instant yields a FrozenPolyhedron on which the geometric operations run.
 
 Euclidean projection uses exhaustive active-set enumeration: every subset of
 constraints with linearly independent normals is a candidate equality set, and
-the unique projection is the candidate that is primal feasible with
-nonnegative multipliers. Problems here are small (n <= ~8, m <= 24), so the
-enumeration is exact and cheap, and its multipliers feed the sweeping-process
-integrator directly.
+the unique projection is the first candidate, in size-then-lexicographic
+order, that is primal feasible with nonnegative multipliers. Problems here
+are small (n <= ~8, m <= 24), so the enumeration is exact and cheap, and its
+multipliers feed the sweeping-process integrator directly.
 """
 
 from __future__ import annotations
@@ -200,6 +200,7 @@ def _subset_table(B: np.ndarray):
             if not _independent(BS):
                 continue
             entries.append((np.array(idx, dtype=int), BS.copy(), G))
+    # Only the benchmark's tracer (perfbench/spans.py, on_project) reads the index.
     table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)})
     if len(_TABLES) > 512:
         _TABLES.clear()
@@ -244,20 +245,12 @@ class ProjectionResult:
     subset: tuple                  # indices of the accepted equality set
 
 
-def _project_raw(B, c, table, p, tol, hint=None):
+def _project_raw(B, c, table, p, tol):
     """Core projection onto {B z <= c}; returns (z*, lambda, subset)."""
     resid = c - B @ p
     if np.all(resid >= -tol):
         return p.copy(), np.zeros(B.shape[0]), ()
-    entries, index = table
-    order = []
-    if hint:
-        pos = index.get(tuple(hint))
-        if pos is not None:
-            order.append(pos)
-    candidates = itertools.chain(order, range(len(entries)))
-    for pos in candidates:
-        idx, BS, G = entries[pos]
+    for idx, BS, G in table[0]:
         lam_s = _solve_multipliers(BS, G, BS @ p - c[idx])
         if np.any(lam_s < -tol):
             continue
@@ -269,19 +262,19 @@ def _project_raw(B, c, table, p, tol, hint=None):
     raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
 
 
-def project(F: FrozenPolyhedron, p, tol: float = DEFAULT_TOL, hint=None) -> ProjectionResult:
+def project(F: FrozenPolyhedron, p, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Euclidean projection of p onto F with KKT multipliers.
 
     Returns the unique nearest point z* and the nonnegative multipliers lam
     with p - z* = sum_i lam_i b_i, supported on constraints active at z*.
-    Subsets are tried in size-then-lexicographic order (after an optional
-    hint), which makes the reported multipliers deterministic.
+    Subsets are tried in size-then-lexicographic order, which makes the
+    reported multipliers deterministic.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (F.dim,):
         raise ValueError(f"point has dimension {p.shape}, expected ({F.dim},)")
     table = _subset_table(F.normals)
-    z, lam, subset = _project_raw(F.normals, F.offsets, table, p, tol, hint)
+    z, lam, subset = _project_raw(F.normals, F.offsets, table, p, tol)
     return ProjectionResult(z, lam, subset)
 
 

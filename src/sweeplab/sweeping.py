@@ -27,6 +27,7 @@ from .polyhedra import (
 from .signals import PeriodicSignal, eval_many
 
 FLOAT_FMT = "%.17g"
+FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -148,10 +149,10 @@ def _segment(B, c, dz, z, face, tol):
 
     c holds the offsets each step projects onto and dz its drift increments
     (None without drift); face is _face_maps's tuple, or None for interior
-    steps. Every step must pass the tests _project_raw applies to its hint,
-    in the same order: p not interior, multipliers >= -tol, the new state
-    feasible. Returns (accepted steps, states, multipliers on the subset,
-    residuals c - B z), the arrays covering the whole block.
+    steps. Every step must pass the tests _project_raw applies to each
+    candidate, in the same order: p not interior, multipliers >= -tol, the
+    new state feasible. Returns (accepted steps, states, multipliers on the
+    subset, residuals c - B z), the arrays covering the whole block.
     """
     L = len(c)
     # Running sum of the drift increments, added in the same order as the
@@ -201,7 +202,8 @@ def simulate(
     of its period, with the accepted subset held fixed: between active-set
     changes the scheme is a fixed affine map. The block stops at the first
     step that would not accept that subset, which goes back to the scalar
-    projection, the only full search.
+    projection, a full search in the fixed candidate order. The block is the
+    only warm start.
     """
     if periods < 1 or steps_per_period < 1:
         raise ValueError("periods and steps_per_period must be positive")
@@ -244,13 +246,12 @@ def simulate(
     faces = {}
 
     z = z0.copy()
-    subset = ()
     k = 0
     while k < K:
         ph = k % M
         p = z if dz is None else z + dz[ph]
         try:
-            z, lam, subset = _project_raw(B, c_next[ph], table, p, tol, subset or None)
+            z, lam, subset = _project_raw(B, c_next[ph], table, p, tol)
         except InfeasibleSetError as exc:
             raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
@@ -337,7 +338,7 @@ class Classification:
 
 def classify_convergence(
     traj: Trajectory,
-    tol_ft: float = 1e-9,
+    tol_ft: float = FINITE_TIME_TOL,
     Q_min: int = 3,
     ratio_spread: float = 0.2,
 ) -> Classification:
@@ -451,7 +452,7 @@ class ConvergenceReport:
 
 def convergence_report(
     traj: Trajectory,
-    tol_ft: float = 1e-9,
+    tol_ft: float = FINITE_TIME_TOL,
     Q_min: int = 3,
     ratio_spread: float = 0.2,
 ) -> ConvergenceReport:

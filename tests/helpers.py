@@ -218,8 +218,9 @@ def random_drift(rng: np.random.Generator, n: int, period: float = 1.0):
 
 def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: int,
                        tol: float = DEFAULT_TOL):
-    """Step-by-step catching-up: one polyhedra.project per step, hinted with
-    the previous step's subset, and active masks from polyhedra.active_set.
+    """Step-by-step catching-up: one polyhedra.project per step, each a full
+    search, so no warm start is shared with the segment kernel, and active
+    masks from polyhedra.active_set.
 
     Returns (states, multipliers, active_masks) laid out like a Trajectory.
     """
@@ -240,12 +241,10 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
 
     z = np.asarray(z0, dtype=float)
     states, multipliers, masks = [z], [], [mask(frozen[0], z)]
-    hint = None
     for k in range(periods * M):
         p = z if drift is None else z + h * drift[k % M]
         F = frozen[(k + 1) % M]
-        res = project(F, p, tol, hint)
-        hint = res.subset or None
+        res = project(F, p, tol)
         z = res.point
         states.append(z)
         multipliers.append(res.multipliers)

@@ -1,5 +1,6 @@
 """The benchmark's tracer (perfbench/spans.py) wraps sweeplab attributes by
-name; a refactor that drops or renames one must fail here."""
+name and reads some of their arguments by position; a refactor that drops or
+renames one, or moves an argument the tracer reads, must fail here."""
 
 from types import SimpleNamespace
 
@@ -45,3 +46,24 @@ def test_tracer_installs_and_restores_every_attribute():
         now = vars(owner)
         assert now.keys() == old.keys(), owner.__name__
         assert all(now[name] is old[name] for name in old), owner.__name__
+
+
+def test_tracer_counts_through_the_wrapped_arguments():
+    """Calls through the wrappers whose callbacks read _project_raw's table
+    (and its subset index) and count the oracle's scalar searches."""
+    sl = SimpleNamespace(**{m: getattr(sweeplab, m) for m in MODULES})
+    scenarios = sl.scenarios.catalog()
+    box3, crawler3 = scenarios["box3"], scenarios["crawler3"]
+    tracer = load_perfbench("spans").Tracer(sl)
+    tracer.install()
+    try:
+        sl.sweeping.simulate(box3.problem, box3.initial_state, 0.0, 3, 200)
+        sl.crawler.incremental_oracle(crawler3.gait, crawler3.initial_state, 0.0, 2, 200)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    projections = tracer.layer_times()["polyhedra.project"][0]
+    full = counts.get("polyhedra.full_searches", 0)
+    assert counts.get("polyhedra.interior_steps", 0) + full == projections
+    assert counts.get("polyhedra.candidates_tried", 0) >= full > 0
+    assert counts.get("crawler.oracle_steps", 0) > 0

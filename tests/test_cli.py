@@ -290,6 +290,21 @@ def test_run_velocity_needs_three_periods(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command,flags,config", [
+    ("compare", ["--scenario", "crawler2", "--periods", "2", "--steps", "100"], None),
+    ("compare", [], {"scenario": "crawler2", "periods": 2, "steps_per_period": 100,
+                     "reports": ["velocity"]}),
+    ("check-gait", [], {"scenario": "crawler2", "periods": 2}),
+], ids=["compare-flags", "compare-config", "check-gait-config"])
+def test_report_rules_are_runs_alone(tmp_path, capsys, command, flags, config):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(path)]
+    assert run_cli(command, *flags) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_inline_problem_config(tmp_path):
     sc = catalog()["box1"]
     cfg = tmp_path / "cfg.json"
