@@ -119,7 +119,10 @@ def _starts(value):
     if isinstance(value, dict) and list(value) == ["random"]:
         return _integer(value["random"], 1)
     if isinstance(value, list) and value:
-        return [np.asarray(s, dtype=float) for s in value]
+        states = [np.asarray(s, dtype=float) for s in value]
+        if not all(np.isfinite(s).all() for s in states):
+            raise ValueError(f"expected finite states, got {value!r}")
+        return states
     raise ValueError(f'expected a nonempty list of states or {{"random": k}}, got {value!r}')
 
 
@@ -364,6 +367,10 @@ def cmd_compare(args) -> int:
     sc, gait, problem, periods, steps = cfg.resolve()
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)
+    if len(starts) > 1:
+        raise ConfigError(
+            f"compare takes one start, got {len(starts)}; run --compare checks the first of several"
+        )
     run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, DEFAULT_TOL)
     gap = _solver_gap(run, starts[0], cfg.t0, periods, steps)
     if args.out:

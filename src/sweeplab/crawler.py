@@ -414,7 +414,14 @@ class OracleRun:
 
 
 def _pattern_list(N: int):
-    pats = list(itertools.product((0, 1, -1), repeat=N))
+    """The 3^N - 2^N slip patterns with a sticking block, fewest slips first.
+
+    An all-slip pattern leaves the enumeration: its force balance is
+    consistent only where the uniqueness margin vanishes, and there its
+    solutions form a segment x* + c*1 with a block at rest at one end, and
+    the pattern that makes that block stick passes with N-1 slips, earlier.
+    """
+    pats = [p for p in itertools.product((0, 1, -1), repeat=N) if 0 in p]
     pats.sort(key=lambda p: (sum(1 for s in p if s != 0), p))
     return pats
 
@@ -429,7 +436,6 @@ class _PatternSystem:
 
     def __init__(self, A: np.ndarray, negA: np.ndarray, pat: tuple):
         N = len(pat)
-        self.A = A
         self.negA = negA
         self.slips = np.array([i for i in range(N) if pat[i] != 0], dtype=np.intp)
         self.sticks = np.array([i for i in range(N) if pat[i] == 0], dtype=np.intp)
@@ -437,8 +443,7 @@ class _PatternSystem:
         self.ahead = [i for i in range(N) if pat[i] > 0]
         self.back = [i for i in range(N) if pat[i] < 0]
         self.still = self.sticks.tolist()
-        self.all_slip = len(self.sticks) == 0
-        if len(self.slips) and not self.all_slip:
+        if len(self.slips):
             self.A_SS = A[np.ix_(self.slips, self.slips)]
             self.A_ST = A[np.ix_(self.slips, self.sticks)]
 
@@ -466,17 +471,17 @@ def incremental_oracle(
 ) -> OracleRun:
     """Full-space incremental minimizer x_{k+1} = argmin E(t,x) + R(t, x - x_k).
 
-    Solved exactly per step by enumerating the 3^N forward/stick/backward slip
-    patterns: sticking blocks are pinned, slipping blocks satisfy the linear
-    force balance at their saturated threshold, and the first pattern passing
-    the sign and bound checks is accepted (patterns with fewer slipping blocks
-    are tried first, the previous step's pattern before all others).
+    Solved exactly per step by enumerating the forward/stick/backward slip
+    patterns with at least one sticking block (``_pattern_list``): sticking
+    blocks are pinned, slipping blocks satisfy the linear force balance at
+    their saturated threshold, and the first pattern passing the sign and
+    bound checks is accepted (patterns with fewer slipping blocks first).
 
-    While the previous step's pattern keeps passing, its steps up to the end
-    of the period are solved as one block (``_pattern_block``); the
-    enumeration runs only at the step where the block fails, and skips the
-    pattern the block has just seen fail. The all-slip pattern is only ever
-    tried step by step.
+    Every step starts in a block (``_pattern_block``): the current pattern,
+    all-stick at step 0, is solved over the steps up to the end of the
+    period and cut at the first step where it fails. Only there does the
+    enumeration run, with the block's miss as its nearest miss, and the
+    pattern it accepts starts the next block.
     """
     N = g.num_blocks
     if N > 8:
@@ -505,34 +510,28 @@ def incremental_oracle(
     xs[0] = x0
     chosen = np.zeros((K, N), dtype=np.int8)
     x = x0.copy()
-    hint = None
+    hint = patterns[0]   # all-stick: every step starts in a block
     k = 0
     while k < K:
         ph = (k + 1) % M
-        order = patterns if hint is None else itertools.chain((hint,), patterns)
-        nearest = (np.inf, None)
-        if hint is not None and not table[hint].all_slip:
-            end = ph + min(M - ph, K - k)
-            rows, violation = _pattern_block(
-                x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end], tol
-            )
-            n = len(rows)
-            if n:
-                xs[k + 1 : k + 1 + n] = rows
-                chosen[k : k + n] = hint
-                x = rows[-1]
-                k += n
-            if violation is None:
-                continue
-            # The block stopped at step k: the hint fails there, so the
-            # enumeration starts past it with the hint as the nearest miss.
-            ph = (k + 1) % M
-            order = patterns
-            if violation < nearest[0]:
-                nearest = (violation, hint)
+        end = ph + min(M - ph, K - k)
+        rows, violation = _pattern_block(
+            x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end], tol
+        )
+        n = len(rows)
+        if n:
+            xs[k + 1 : k + 1 + n] = rows
+            chosen[k : k + n] = hint
+            x = rows[-1]
+            k += n
+        if violation is None:
+            continue
+        # The block stopped at step k: enumerate there, with the block's
+        # pattern as the nearest miss.
+        ph = (k + 1) % M
         try:
             x, hint = _oracle_step(
-                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, order, nearest, tol
+                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, patterns, (violation, hint), tol
             )
         except PatternSearchError as exc:
             raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
@@ -581,12 +580,12 @@ def _pattern_block(x, system, b, mup, mum, tol):
     return rows[:cut], float(np.nanmax(terms[cut]))
 
 
-def _oracle_step(x, b, mup, mum, table, order, nearest, tol):
-    """First pattern in order whose KKT violation is within tol, with its solution.
+def _oracle_step(x, b, mup, mum, table, patterns, nearest, tol):
+    """First of patterns whose KKT violation is within tol, with its solution.
 
     nearest is the closest miss already seen, as (violation, pattern).
     """
-    for pat in order:
+    for pat in patterns:
         x_new, violation = _try_pattern(x, b, mup, mum, table[pat], tol)
         if violation <= tol:
             return x_new, pat
@@ -603,18 +602,8 @@ def _try_pattern(x, b, mup, mum, system, tol):
     x_new = x.copy()
     if len(S):
         target = np.where(system.forward, mup[S], -mum[S])
-        rhs = b[S] - target
-        if not system.all_slip:
-            rhs = rhs - system.A_ST @ x[system.sticks]
-            x_new[S] = np.linalg.solve(system.A_SS, rhs)
-        else:
-            # The all-slip system is singular (translation invariance) and
-            # consistent only for degenerate friction balances.
-            A = system.A
-            sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            if np.linalg.norm(A @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
-                return x, np.inf
-            x_new[:] = sol
+        rhs = b[S] - target - system.A_ST @ x[system.sticks]
+        x_new[S] = np.linalg.solve(system.A_SS, rhs)
     force = (system.negA @ x_new + b).tolist()
     old, new = x.tolist(), x_new.tolist()
     hi, lo = mup.tolist(), mum.tolist()

@@ -220,6 +220,8 @@ def simulate(
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (n,):
         raise ValueError(f"initial state has shape {z0.shape}, expected ({n},)")
+    if not np.isfinite(z0).all():
+        raise ValueError(f"initial state {z0} is not finite")
 
     offsets_phase = _phase_table(P.offsets, t0, h, M)
     drift_phase = _phase_table(problem.drift, t0, h, M)

@@ -7,6 +7,7 @@ import pytest
 
 from sweeplab.cli import CONFIG_KEYS, dump_json, main
 from sweeplab.crawler import simulate_reduced
+from sweeplab.polyhedra import DEFAULT_TOL, contains, freeze
 from sweeplab.scenarios import catalog
 from sweeplab.sweeping import (
     FLOAT_FMT,
@@ -118,6 +119,21 @@ def test_run_is_deterministic(tmp_path):
     assert read_bytes_map(out1) == read_bytes_map(out2)
 
 
+def test_run_random_starts_on_plain_problem(tmp_path):
+    # Random starts for a problem are drawn from its set frozen at t0.
+    problem = catalog()["box3"].problem
+    args = ("run", "--scenario", "box3", "--starts", "3", "--seed", "1")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*args, "--out", str(out1)) == 0
+    assert run_cli(*args, "--out", str(out2)) == 0
+    files = read_bytes_map(out1)
+    assert {f"trajectory_s{i}.csv" for i in range(3)} <= set(files)
+    starts = [read_trajectory_csv(out1 / f"trajectory_s{i}.csv", problem).states[0] for i in range(3)]
+    assert all(contains(freeze(problem.moving_set, 0.0), z0, DEFAULT_TOL) for z0 in starts)
+    assert len({z0.tobytes() for z0 in starts}) == 3
+    assert read_bytes_map(out2) == files
+
+
 def test_run_degenerate_gait_exit_2(tmp_path):
     code = run_cli("run", "--scenario", "crawler2-degenerate", "--out", str(tmp_path / "x"))
     assert code == 2
@@ -191,6 +207,9 @@ def _gait_and_problem():
     pytest.param({"scenario": "crawler2", "initial_states": [[0.0]]}, [], id="state-too-short"),
     pytest.param({"scenario": "crawler2", "initial_states": [[0.0, "a"]]}, [], id="state-not-numeric"),
     pytest.param({"scenario": "crawler2", "initial_states": {"random": "a"}}, [], id="starts-not-numeric"),
+    pytest.param({"scenario": "box1", "initial_states": [[float("nan")]]}, [], id="state-nan-plain"),
+    pytest.param({"scenario": "crawler2", "initial_states": [[0.0, float("nan")]]}, [], id="state-nan-gait"),
+    pytest.param({"scenario": "wedge", "initial_states": [[float("inf"), 0.0]]}, [], id="state-infinite"),
     pytest.param(_gait_missing_signal(), [], id="gait-signal-count"),
     pytest.param({"gait": {"N": 2}}, [], id="gait-missing-key"),
     pytest.param({"scenario": "crawler2", "reports": ["velocty"]}, [], id="report-unknown"),
@@ -339,6 +358,24 @@ def test_run_with_compare_flag(tmp_path):
                    "--periods", "4", "--steps", "400", "--compare")
     assert code == 0
     assert (out / "compare.json").exists()
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--starts", "3", "--seed", "4"], None),
+    ([], {"scenario": "crawler2", "initial_states": [[0.0, 0.0], [0.0, 0.5]]}),
+], ids=["starts-flag", "states-config"])
+def test_compare_several_starts_exit_4_writes_nothing(tmp_path, capsys, flags, config):
+    # compare cross-checks one start; run --compare checks the first of several.
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(path)]
+    else:
+        flags = [*flags, "--scenario", "crawler2"]
+    out = tmp_path / "x"
+    assert run_cli("compare", *flags, "--periods", "3", "--steps", "200", "--out", str(out)) == 4
+    assert "compare takes one start, got" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags", [("run", ["--compare"]), ("compare", [])])

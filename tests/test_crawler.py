@@ -10,6 +10,7 @@ import sweeplab.signals
 from helpers import (
     central_difference_gradient,
     load_perfbench,
+    gait_margin_floor,
     gait_slips_from_rest,
     random_gait,
     random_gait_with_margin,
@@ -462,22 +463,19 @@ def test_oracle_four_blocks_matches_reduced():
 
 
 def test_oracle_error_names_step_and_time(monkeypatch):
-    # At rest, step 0 accepts its first scalar try and the same pattern then
-    # runs as a block from step 1. The block is cut after steps 1 and 2 with
-    # a violation of 1, and every later scalar try fails by 2, so step 3
-    # (landing at t = 4h) is the first to fail and the block's pattern, with
-    # the block's violation, is the nearest miss.
-    real_try, real_block = sweeplab.crawler._try_pattern, sweeplab.crawler._pattern_block
-    tries = []
+    # At rest, step 0 starts in the all-stick block. The first block is cut
+    # after steps 0, 1 and 2 with a violation of 1, and every scalar try
+    # fails by 2, so step 3 (landing at t = 4h) is the first to fail and the
+    # block's pattern, with the block's violation, is the nearest miss.
+    real_block = sweeplab.crawler._pattern_block
 
     def failing_try_pattern(x, *args):
-        tries.append(1)
-        return real_try(x, *args) if len(tries) <= 1 else (x, 2.0)
+        return x, 2.0
 
     def short_block(*args):
         rows, violation = real_block(*args)
-        assert len(rows) > 2 and violation is None
-        return rows[:2], 1.0
+        assert len(rows) > 3 and violation is None
+        return rows[:3], 1.0
 
     monkeypatch.setattr(sweeplab.crawler, "_try_pattern", failing_try_pattern)
     monkeypatch.setattr(sweeplab.crawler, "_pattern_block", short_block)
@@ -571,6 +569,61 @@ def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
                 r = ph + len(rows)
                 assert cr._try_pattern(prev, b[r], mup[r], mum[r], system, TOL)[1] == violation > TOL
     assert slip_rows > 20 and cuts > 0
+
+
+def test_pattern_list_leaves_out_all_slip():
+    for N in range(2, 6):
+        pats = sweeplab.crawler._pattern_list(N)
+        assert len(set(pats)) == len(pats) == 3**N - 2**N
+        assert all(0 in p for p in pats)
+        assert pats[0] == (0,) * N
+
+
+def test_oracle_searches_only_at_block_cuts(monkeypatch):
+    # Step 0 starts in a block, and every search follows a block that was cut.
+    cr = sweeplab.crawler
+    real_block, real_step = cr._pattern_block, cr._oracle_step
+    calls = []
+
+    def block(*args):
+        rows, violation = real_block(*args)
+        calls.append(("block", violation is not None))
+        return rows, violation
+
+    def search(*args):
+        calls.append(("search", None))
+        return real_step(*args)
+
+    monkeypatch.setattr(cr, "_pattern_block", block)
+    monkeypatch.setattr(cr, "_oracle_step", search)
+    gait = three_block_gait()
+    incremental_oracle(gait, _rest_start(gait), 0.0, 2, 200)
+    assert calls[0][0] == "block"
+    searches = [i for i, (kind, _) in enumerate(calls) if kind == "search"]
+    assert searches and all(calls[i - 1] == ("block", True) for i in searches)
+
+
+# Random lattice gaits whose uniqueness margin vanishes on the 200-step grid.
+_ZERO_MARGIN_GAITS = [random_gait(np.random.default_rng(0), N) for N in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "gait,periods,M",
+    [(degenerate_gait(), 10, 1000)] + [(g, 3, 200) for g in _ZERO_MARGIN_GAITS],
+    ids=["crawler2-degenerate"] + [f"random-N{g.num_blocks}" for g in _ZERO_MARGIN_GAITS],
+)
+def test_oracle_bit_equal_to_reference_where_margin_vanishes(gait, periods, M):
+    # At a grid phase with zero margin, some all-slip force balance is
+    # consistent. The oracle leaves the all-slip patterns out; the reference
+    # enumerates all 3^N, and the two must still agree bit for bit.
+    assert gait_margin_floor(gait) == 0
+    assert min(reference_margin_at(gait, gait.period * k / M)[0] for k in range(M)) == 0
+    x0 = _rest_start(gait)
+    run = incremental_oracle(gait, x0, 0.0, periods, M)
+    positions, patterns = reference_oracle(gait, x0, 0.0, periods, M)
+    assert np.any(patterns != 0)
+    assert run.motion.positions.tobytes() == positions.tobytes()
+    np.testing.assert_array_equal(run.patterns, patterns)
 
 
 def test_oracle_block_cap():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,15 @@ def test_simulate_rejects_inadmissible_start():
         simulate(problem, np.array([2.0]), 0.0, 2, 10)
 
 
+@pytest.mark.parametrize("z0", [[0.3, 0.3], [np.nan], [np.inf], [-np.inf]],
+                         ids=["wrong-shape", "nan", "inf", "minus-inf"])
+def test_simulate_rejects_malformed_start(z0):
+    # A NaN start would pass the admissibility test: B @ z0 > c + tol is False for NaN.
+    problem = SweepingProblem(constant_interval())
+    with pytest.raises(ValueError, match="initial state"):
+        simulate(problem, np.array(z0), 0.0, 2, 10)
+
+
 def test_simulate_rejects_misaligned_breakpoints():
     tri = triangle_wave(1.0, 1.0, peak_fraction=1.0 / 3.0)
     P = moving_interval(PeriodicSignal.constant(-1.0, 1.0), tri)
@@ -108,6 +119,66 @@ def test_trajectory_record_invariants():
     for k in range(len(traj.multipliers)):
         delta = traj.states[k] - traj.states[k + 1] - B.T @ traj.multipliers[k]
         assert np.linalg.norm(delta) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# validate_trajectory on broken copies of a valid run
+
+def twin_face_run():
+    """A falling upper face pushes z down; a twin of that face lies 1 above it.
+
+    The twin shares the face's normal, so a multiplier moved onto it keeps
+    the reconstruction intact while sitting on an inactive constraint.
+    """
+    hi = triangle_wave(T1, -0.5, base=1.0)
+    P = MovingPolyhedron(
+        [[1.0], [-1.0], [1.0]], (hi, PeriodicSignal.constant(0.0, T1), combine([hi], [1.0], 1.0))
+    )
+    traj = simulate(SweepingProblem(P), np.array([0.9]), 0.0, 2, 100)
+    validate_trajectory(traj)
+    return traj
+
+
+def broken_copy(traj, fault, k):
+    states, multipliers = traj.states.copy(), traj.multipliers.copy()
+    if fault == "infeasible":
+        states[k + 1] += 2.0
+    elif fault == "reconstruction":
+        multipliers[k, 1] += 0.5
+    else:   # the pushing face's multiplier moves to its inactive twin
+        multipliers[k, 2], multipliers[k, 0] = multipliers[k, 0], 0.0
+    return dataclasses.replace(traj, states=states, multipliers=multipliers)
+
+
+@pytest.mark.parametrize("faults,message", [
+    ((("infeasible", 0),), "state {} infeasible"),
+    ((("reconstruction", 0),), "multiplier reconstruction fails at step {}"),
+    ((("support", 0),), "multiplier support not active at step {}"),
+    ((("infeasible", 5), ("support", 0)), "multiplier support not active at step {}"),
+    ((("support", 0), ("reconstruction", 0)), "multiplier reconstruction fails at step {}"),
+    ((("reconstruction", 0), ("infeasible", 0)), "state {} infeasible"),
+], ids=["infeasible", "reconstruction", "support",
+        "earliest-step", "reconstruction-before-support", "feasibility-before-reconstruction"])
+def test_validate_trajectory_names_the_first_broken_step(faults, message):
+    # Faults at step k (+ a later offset): the smallest failing step wins,
+    # and at one step the checks run in loop order.
+    traj = twin_face_run()
+    k = int(np.flatnonzero(traj.multipliers[:, 0] > 0)[3])
+    for fault, later in faults:
+        traj = broken_copy(traj, fault, k + later)
+    step = k + 1 if message.startswith("state") else k
+    with pytest.raises(ValueError, match=f"^{message.format(step)}$"):
+        validate_trajectory(traj)
+
+
+def test_validate_trajectory_adds_the_drift():
+    sc = catalog()["triangle"]
+    traj = simulate(sc.problem, sc.initial_state, 0.0, 2, 300)
+    validate_trajectory(traj)
+    # The same record read as a drift-free run fails where the drift first moves the state.
+    undriven = dataclasses.replace(traj, problem=SweepingProblem(sc.problem.moving_set))
+    with pytest.raises(ValueError, match="^multiplier reconstruction fails at step 0$"):
+        validate_trajectory(undriven)
 
 
 # ---------------------------------------------------------------------------
