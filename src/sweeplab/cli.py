@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .crawler import (
-    VELOCITY_TOL,
     Gait,
     assemble_positions,
     build_moving_set,
@@ -37,7 +36,6 @@ from .errors import (
 from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
 from .scenarios import Scenario, catalog
 from .sweeping import (
-    FINITE_TIME_TOL,
     FLOAT_FMT,
     SweepingProblem,
     _write_csv,
@@ -217,7 +215,7 @@ class RunConfig:
 # Initial states
 
 def _random_states_in(F, count: int, rng) -> list:
-    lo, hi = bounding_box(F, DEFAULT_TOL)
+    lo, hi = bounding_box(F)
     out = []
     guard = 0
     while len(out) < count:
@@ -225,7 +223,7 @@ def _random_states_in(F, count: int, rng) -> list:
         if guard > 100000:
             raise ConfigError("rejection sampling failed to find admissible states")
         z = rng.uniform(lo, hi)
-        if contains(F, z, DEFAULT_TOL):
+        if contains(F, z):
             out.append(z)
     return out
 
@@ -305,11 +303,11 @@ def cmd_run(args) -> int:
     # Every start, and the oracle cross-check, is simulated before any file is
     # written, so a failing run leaves no partial outputs.
     if gait is not None:
-        runs = [simulate_reduced(gait, x0, cfg.t0, periods, steps, DEFAULT_TOL) for x0 in starts]
+        runs = [simulate_reduced(gait, x0, cfg.t0, periods, steps) for x0 in starts]
         trajs = [run.reduced for run in runs]
     else:
         runs = []
-        trajs = [simulate(problem, z0, cfg.t0, periods, steps, DEFAULT_TOL) for z0 in starts]
+        trajs = [simulate(problem, z0, cfg.t0, periods, steps) for z0 in starts]
     gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
@@ -318,7 +316,7 @@ def cmd_run(args) -> int:
             if runs:
                 write_motion_csv(out / f"motion{tag}.csv", runs[i])
         if "convergence" in reports:
-            rep = convergence_report(traj, FINITE_TIME_TOL, Q_min=min(3, periods - 2))
+            rep = convergence_report(traj)
             write_json(out / f"convergence{tag}.json", rep.to_json())
             if i == 0 and not runs:
                 summary.append(f"classification: {rep.classification.kind}")
@@ -327,7 +325,7 @@ def cmd_run(args) -> int:
                 summary.append(f"residual: {_fmt_float(rep.residual)}")
 
     if "velocity" in reports:
-        vels = [estimate_velocity(r.motion, VELOCITY_TOL) for r in runs]
+        vels = [estimate_velocity(r.motion) for r in runs]
         v0s = [v.v0 for v in vels]
         payload = {
             "v0": v0s[0],
@@ -352,7 +350,7 @@ def cmd_run(args) -> int:
 def _solver_gap(run, x0, t0, periods, steps) -> dict:
     """Sup distance between a reduced run from x0 and the oracle on the same grid."""
     gait = run.gait
-    oracle = incremental_oracle(gait, x0, t0, periods, steps, DEFAULT_TOL)
+    oracle = incremental_oracle(gait, x0, t0, periods, steps)
     gap = float(np.max(np.abs(run.motion.positions - oracle.motion.positions)))
     return {
         "sup_distance": gap,
@@ -371,7 +369,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(
             f"compare takes one start, got {len(starts)}; run --compare checks the first of several"
         )
-    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps, DEFAULT_TOL)
+    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps)
     gap = _solver_gap(run, starts[0], cfg.t0, periods, steps)
     if args.out:
         write_json(_output_dir(cfg.out) / "compare.json", gap)

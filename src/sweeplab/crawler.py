@@ -25,7 +25,7 @@ from .errors import (
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron
 from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal
-from .sweeping import SweepingProblem, Trajectory, _phase_table, simulate
+from .sweeping import SweepingProblem, Trajectory, _grid_step, _phase_table, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
@@ -152,11 +152,11 @@ def dissipation(g: Gait, t: float, v) -> float:
     return float(np.sum(mup * np.maximum(v, 0.0) + mum * np.maximum(-v, 0.0)))
 
 
-def admissible(g: Gait, t: float, x, tol: float = DEFAULT_TOL) -> bool:
+def admissible(g: Gait, t: float, x) -> bool:
     """True iff the elastic force -dE/dx lies within the friction bounds."""
     force = -energy_gradient(g, t, x)
     mup, mum = friction_values(g, t)
-    return bool(np.all(force <= mup + tol) and np.all(force >= -mum - tol))
+    return bool(np.all(force <= mup + DEFAULT_TOL) and np.all(force >= -mum - DEFAULT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,9 @@ def check_gait_uniqueness(g: Gait, times) -> MarginReport:
     return _margin_scan(g, times)[0]
 
 
-def _margin_gate(g: Gait, times, tol: float) -> MarginReport:
+def _margin_gate(g: Gait, times) -> MarginReport:
     report, margins = _margin_scan(g, times)
-    frac = float(np.mean(margins <= tol))
+    frac = float(np.mean(margins <= DEFAULT_TOL))
     if frac > MARGIN_REJECT_FRACTION:
         raise DegenerateGaitError(
             f"uniqueness margin vanishes on {frac:.1%} of the grid "
@@ -326,22 +326,21 @@ def simulate_reduced(
     t0: float,
     periods: int,
     steps_per_period: int,
-    tol: float = DEFAULT_TOL,
 ) -> CrawlerRun:
     """Integrate the reduced sweeping process and recover the full motion."""
+    h = _grid_step(g.period, t0, periods, steps_per_period)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (g.num_blocks,):
         raise ValueError(f"x0 must have {g.num_blocks} entries")
-    if not admissible(g, t0, x0, tol):
+    if not admissible(g, t0, x0):
         raise InadmissibleStateError("initial configuration violates the force bounds")
-    h = g.period / steps_per_period
     grid = t0 + h * np.arange(steps_per_period)
-    margin = _margin_gate(g, grid, tol)
+    margin = _margin_gate(g, grid)
 
     K = build_moving_set(g)
     problem = SweepingProblem(K)
     w0 = -g.stiffness * pi_z(x0)
-    traj = simulate(problem, w0, t0, periods, steps_per_period, tol)
+    traj = simulate(problem, w0, t0, periods, steps_per_period)
 
     dy = recover_translation(traj.multipliers, g.stiffness, g.num_blocks)
     y = pi_y(x0) + np.concatenate(([0.0], np.cumsum(dy)))
@@ -361,7 +360,7 @@ class VelocityEstimate:
     converged: bool
 
 
-def estimate_velocity(motion: Motion, tol_v: float = VELOCITY_TOL) -> VelocityEstimate:
+def estimate_velocity(motion: Motion) -> VelocityEstimate:
     """Per-period mean-position displacements and the final-period velocity."""
     Q = motion.periods
     if Q < 3:
@@ -372,7 +371,7 @@ def estimate_velocity(motion: Motion, tol_v: float = VELOCITY_TOL) -> VelocityEs
         float((y[q * M] - y[(q - 1) * M]) / motion.period) for q in range(1, Q + 1)
     ]
     last3 = per_period[-3:]
-    converged = bool(max(last3) - min(last3) < tol_v)
+    converged = bool(max(last3) - min(last3) < VELOCITY_TOL)
     return VelocityEstimate(per_period[-1], per_period, converged)
 
 
@@ -385,13 +384,13 @@ class RunningPeriodicDecomposition:
     converged: bool
 
 
-def running_periodic_decomposition(motion: Motion, tol_v: float = VELOCITY_TOL) -> RunningPeriodicDecomposition:
+def running_periodic_decomposition(motion: Motion) -> RunningPeriodicDecomposition:
     """Split x(t) = x_bar0 + (t - t0) v_bar0 + p(t) over the last period.
 
     The endpoint mismatch of p over that window is reported as the residual;
     a non-converged velocity estimate is flagged (and warned), not fatal.
     """
-    vel = estimate_velocity(motion, tol_v)
+    vel = estimate_velocity(motion)
     if not vel.converged:
         warnings.warn("velocity estimate has not settled; decomposition residual may be large")
     M = motion.steps_per_period
@@ -467,7 +466,6 @@ def incremental_oracle(
     t0: float,
     periods: int,
     steps_per_period: int,
-    tol: float = DEFAULT_TOL,
 ) -> OracleRun:
     """Full-space incremental minimizer x_{k+1} = argmin E(t,x) + R(t, x - x_k).
 
@@ -483,17 +481,17 @@ def incremental_oracle(
     enumeration run, with the block's miss as its nearest miss, and the
     pattern it accepts starts the next block.
     """
+    M = int(steps_per_period)
+    h = _grid_step(g.period, t0, periods, M)
     N = g.num_blocks
     if N > 8:
         raise EnumerationCapError("slip-pattern enumeration supports at most 8 blocks")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (N,):
         raise ValueError(f"x0 must have {N} entries")
-    if not admissible(g, t0, x0, tol):
+    if not admissible(g, t0, x0):
         raise InadmissibleStateError("initial configuration violates the force bounds")
 
-    M = int(steps_per_period)
-    h = g.period / M
     ell_phase = _phase_table(g.rest_lengths, t0, h, M)
     mup_phase = _phase_table(g.mu_plus, t0, h, M)
     mum_phase = _phase_table(g.mu_minus, t0, h, M)
@@ -516,7 +514,7 @@ def incremental_oracle(
         ph = (k + 1) % M
         end = ph + min(M - ph, K - k)
         rows, violation = _pattern_block(
-            x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end], tol
+            x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end]
         )
         n = len(rows)
         if n:
@@ -531,7 +529,7 @@ def incremental_oracle(
         ph = (k + 1) % M
         try:
             x, hint = _oracle_step(
-                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, patterns, (violation, hint), tol
+                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, patterns, (violation, hint)
             )
         except PatternSearchError as exc:
             raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
@@ -543,7 +541,7 @@ def incremental_oracle(
     return OracleRun(g, motion, chosen)
 
 
-def _pattern_block(x, system, b, mup, mum, tol):
+def _pattern_block(x, system, b, mup, mum):
     """Run one slip pattern over consecutive steps, cut at the first step it fails.
 
     b, mup and mum hold one row per step. Sticking blocks keep x, so every
@@ -573,21 +571,21 @@ def _pattern_block(x, system, b, mup, mum, tol):
         axis=1,
     )
     # As in _try_pattern's running max, a NaN term never counts as a violation.
-    failing = np.flatnonzero((terms > tol).any(axis=1))
+    failing = np.flatnonzero((terms > DEFAULT_TOL).any(axis=1))
     if not len(failing):
         return rows, None
     cut = failing[0]
     return rows[:cut], float(np.nanmax(terms[cut]))
 
 
-def _oracle_step(x, b, mup, mum, table, patterns, nearest, tol):
-    """First of patterns whose KKT violation is within tol, with its solution.
+def _oracle_step(x, b, mup, mum, table, patterns, nearest):
+    """First of patterns whose KKT violation is within DEFAULT_TOL, with its solution.
 
     nearest is the closest miss already seen, as (violation, pattern).
     """
     for pat in patterns:
-        x_new, violation = _try_pattern(x, b, mup, mum, table[pat], tol)
-        if violation <= tol:
+        x_new, violation = _try_pattern(x, b, mup, mum, table[pat])
+        if violation <= DEFAULT_TOL:
             return x_new, pat
         if violation < nearest[0]:
             nearest = (violation, pat)
@@ -596,7 +594,7 @@ def _oracle_step(x, b, mup, mum, table, patterns, nearest, tol):
     )
 
 
-def _try_pattern(x, b, mup, mum, system, tol):
+def _try_pattern(x, b, mup, mum, system):
     """Solve a slip pattern and return (candidate, worst KKT violation)."""
     S = system.slips
     x_new = x.copy()

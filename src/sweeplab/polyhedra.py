@@ -29,9 +29,11 @@ from .errors import (
 )
 from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign test
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
 MAX_TABLE_SIZE = 300_000  # safety cap on the number of candidate subsets
+_SPANNING_TOL = 1e-10     # NNLS residual above which a unit vector is not in cone{b_i}
+_GAMMA_DIVISIONS = 50     # simplex grid resolution of gamma_constant
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def freeze(P: MovingPolyhedron, t: float) -> FrozenPolyhedron:
     return FrozenPolyhedron(P.normals, P.offsets_at(t))
 
 
-def positively_spanning(normals: np.ndarray, tol: float = 1e-10) -> bool:
+def positively_spanning(normals: np.ndarray) -> bool:
     """True iff cone{b_i} = R^n, i.e. the recession cone of the set is {0}."""
     B = np.asarray(normals, dtype=float)
     n = B.shape[1]
@@ -150,7 +152,7 @@ def positively_spanning(normals: np.ndarray, tol: float = 1e-10) -> bool:
             e = np.zeros(n)
             e[j] = sign
             _, resid = _scipy_nnls(B.T, e)
-            if resid > tol:
+            if resid > _SPANNING_TOL:
                 return False
     return True
 
@@ -219,20 +221,20 @@ def _solve_multipliers(BS: np.ndarray, G: np.ndarray, rhs: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 # Membership and active sets
 
-def contains(F: FrozenPolyhedron, z, tol: float = DEFAULT_TOL) -> bool:
+def contains(F: FrozenPolyhedron, z) -> bool:
     z = np.asarray(z, dtype=float)
     if z.shape != (F.dim,):
         raise ValueError(f"point has dimension {z.shape}, expected ({F.dim},)")
-    return bool(np.all(F.normals @ z <= F.offsets + tol))
+    return bool(np.all(F.normals @ z <= F.offsets + DEFAULT_TOL))
 
 
-def active_set(F: FrozenPolyhedron, z, tol: float = DEFAULT_TOL) -> np.ndarray:
+def active_set(F: FrozenPolyhedron, z) -> np.ndarray:
     """Indices of constraints active at z (empty for interior points)."""
     z = np.asarray(z, dtype=float)
     resid = F.offsets - F.normals @ z
-    if np.any(resid < -tol):
+    if np.any(resid < -DEFAULT_TOL):
         raise MembershipError(f"point violates constraints by {-resid.min():.3e} > tol")
-    return np.flatnonzero(resid <= tol)
+    return np.flatnonzero(resid <= DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +247,24 @@ class ProjectionResult:
     subset: tuple                  # indices of the accepted equality set
 
 
-def _project_raw(B, c, table, p, tol):
+def _project_raw(B, c, table, p):
     """Core projection onto {B z <= c}; returns (z*, lambda, subset)."""
     resid = c - B @ p
-    if np.all(resid >= -tol):
+    if np.all(resid >= -DEFAULT_TOL):
         return p.copy(), np.zeros(B.shape[0]), ()
     for idx, BS, G in table[0]:
         lam_s = _solve_multipliers(BS, G, BS @ p - c[idx])
-        if np.any(lam_s < -tol):
+        if np.any(lam_s < -DEFAULT_TOL):
             continue
         z = p - BS.T @ lam_s
-        if np.all(B @ z <= c + tol):
+        if np.all(B @ z <= c + DEFAULT_TOL):
             lam = np.zeros(B.shape[0])
             lam[idx] = np.maximum(lam_s, 0.0)
             return z, lam, tuple(int(i) for i in idx)
     raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
 
 
-def project(F: FrozenPolyhedron, p, tol: float = DEFAULT_TOL) -> ProjectionResult:
+def project(F: FrozenPolyhedron, p) -> ProjectionResult:
     """Euclidean projection of p onto F with KKT multipliers.
 
     Returns the unique nearest point z* and the nonnegative multipliers lam
@@ -274,24 +276,24 @@ def project(F: FrozenPolyhedron, p, tol: float = DEFAULT_TOL) -> ProjectionResul
     if p.shape != (F.dim,):
         raise ValueError(f"point has dimension {p.shape}, expected ({F.dim},)")
     table = _subset_table(F.normals)
-    z, lam, subset = _project_raw(F.normals, F.offsets, table, p, tol)
+    z, lam, subset = _project_raw(F.normals, F.offsets, table, p)
     return ProjectionResult(z, lam, subset)
 
 
 # ---------------------------------------------------------------------------
 # Normal-cone decomposition
 
-def decompose_normal(F: FrozenPolyhedron, z, v, tol: float = DEFAULT_TOL) -> np.ndarray:
+def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
     """Unique nonnegative coefficients with v = sum_i lam_i b_i on the active set.
 
     Requires the active normals at z to be linearly independent; the
     coefficients then depend only on v and the face, not on the base point.
     """
     v = np.asarray(v, dtype=float)
-    act = active_set(F, z, tol)
+    act = active_set(F, z)
     lam = np.zeros(F.num_constraints)
     vnorm = np.linalg.norm(v)
-    if vnorm <= tol:
+    if vnorm <= DEFAULT_TOL:
         return lam
     if len(act) == 0:
         raise NormalConeError("normal cone at an interior point is {0}, but v != 0")
@@ -300,10 +302,10 @@ def decompose_normal(F: FrozenPolyhedron, z, v, tol: float = DEFAULT_TOL) -> np.
         raise LicqError(f"active normals {tuple(act)} are linearly dependent")
     G = BS @ BS.T
     lam_s = _solve_multipliers(BS, G, BS @ v)
-    if np.any(lam_s < -tol):
+    if np.any(lam_s < -DEFAULT_TOL):
         raise NormalConeError(f"negative coefficient {lam_s.min():.3e}: v not in the normal cone")
     lam_s = np.maximum(lam_s, 0.0)
-    if np.linalg.norm(v - BS.T @ lam_s) > tol * (1.0 + vnorm):
+    if np.linalg.norm(v - BS.T @ lam_s) > DEFAULT_TOL * (1.0 + vnorm):
         raise NormalConeError("residual too large: v not in the span of the active normals")
     lam[act] = lam_s
     return lam
@@ -312,7 +314,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v, tol: float = DEFAULT_TOL) -> np.
 # ---------------------------------------------------------------------------
 # Vertices, LICQ, faces
 
-def vertices(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
+def vertices(F: FrozenPolyhedron) -> np.ndarray:
     """All vertices of a compact F, found from square independent subsystems.
 
     Raises InfeasibleSetError if no vertex exists (empty or unbounded set).
@@ -325,7 +327,7 @@ def vertices(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> np.ndarray:
         if len(idx) != n:
             continue
         z = np.linalg.solve(BS, c[idx])
-        if np.all(B @ z <= c + tol):
+        if np.all(B @ z <= c + DEFAULT_TOL):
             points.append(z)
     if not points:
         raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
@@ -345,7 +347,7 @@ class LicqReport:
     witness: tuple | None   # a dependent constraint subset realized on a nonempty face
 
 
-def check_licq(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> LicqReport:
+def check_licq(F: FrozenPolyhedron) -> LicqReport:
     """Check linear independence of active normals everywhere on F.
 
     Any dependent active family appears (as a subfamily) in the active set of
@@ -353,8 +355,8 @@ def check_licq(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> LicqReport:
     trimmed to a dependent subset of at most n+1 constraints.
     """
     B = F.normals
-    for v in vertices(F, tol):
-        act = active_set(F, v, tol)
+    for v in vertices(F):
+        act = active_set(F, v)
         if not _independent(B[act]):
             return LicqReport(False, _dependent_witness(B, act))
     return LicqReport(True, None)
@@ -369,7 +371,7 @@ def _dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
     return tuple(act.tolist())
 
 
-def enumerate_faces(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> set:
+def enumerate_faces(F: FrozenPolyhedron) -> set:
     """All active sets realized by some point of F, as a set of index tuples.
 
     A subset S is realizable exactly when its closure A(S) = {i active on all
@@ -377,8 +379,8 @@ def enumerate_faces(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> set:
     are drawn from vertex active sets and closed by intersecting the vertex
     active sets that contain them.
     """
-    vs = vertices(F, tol)
-    vertex_active = [frozenset(active_set(F, v, tol).tolist()) for v in vs]
+    vs = vertices(F)
+    vertex_active = [frozenset(active_set(F, v).tolist()) for v in vs]
     all_active = frozenset.intersection(*vertex_active)  # constraints active on all of F
     faces = {tuple(sorted(all_active))}
     seen = set()
@@ -400,21 +402,22 @@ def enumerate_faces(F: FrozenPolyhedron, tol: float = DEFAULT_TOL) -> set:
 # ---------------------------------------------------------------------------
 # Reverse-triangle constant
 
-def gamma_constant(F: FrozenPolyhedron, divisions: int = 50, tol: float = DEFAULT_TOL) -> float:
+def gamma_constant(F: FrozenPolyhedron) -> float:
     """Estimate of the smallest gamma with
     sum lam_i |b_i| <= gamma * |sum lam_i b_i| over all faces and lam >= 0.
 
     Per realized face, the ratio is maximized over a dense grid on the unit
-    simplex of coefficients (the ratio is scale invariant); the estimate
-    approaches the true constant from below as divisions grow. Requires LICQ.
+    simplex of coefficients (the ratio is scale invariant) with _GAMMA_DIVISIONS
+    steps per edge; the estimate approaches the true constant from below as
+    the grid is refined. Requires LICQ.
     """
-    report = check_licq(F, tol)
+    report = check_licq(F)
     if not report.holds:
         raise LicqError(f"gamma constant requires LICQ; dependent subset {report.witness}")
     B = F.normals
     norms = np.linalg.norm(B, axis=1)
     best = 0.0
-    for face in enumerate_faces(F, tol):
+    for face in enumerate_faces(F):
         if not face:
             continue
         idx = np.array(face, dtype=int)
@@ -424,8 +427,8 @@ def gamma_constant(F: FrozenPolyhedron, divisions: int = 50, tol: float = DEFAUL
         if k == 1:
             best = max(best, 1.0)
             continue
-        for comp in _simplex_grid(k, divisions):
-            lam = np.array(comp, dtype=float) / divisions
+        for comp in _simplex_grid(k, _GAMMA_DIVISIONS):
+            lam = np.array(comp, dtype=float) / _GAMMA_DIVISIONS
             denom = np.linalg.norm(BS.T @ lam)
             if denom <= 1e-14:
                 continue
@@ -443,7 +446,7 @@ def _simplex_grid(k: int, divisions: int):
             yield (head,) + rest
 
 
-def bounding_box(F: FrozenPolyhedron, tol: float = DEFAULT_TOL):
+def bounding_box(F: FrozenPolyhedron):
     """Componentwise (lo, hi) over the vertices of a compact F."""
-    vs = vertices(F, tol)
+    vs = vertices(F)
     return vs.min(axis=0), vs.max(axis=0)

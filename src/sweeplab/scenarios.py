@@ -16,7 +16,7 @@ import numpy as np
 
 from .crawler import Gait, assemble_positions, rest_length_values
 from .errors import SweepLabError
-from .polyhedra import DEFAULT_TOL, FrozenPolyhedron, MovingPolyhedron, active_set, vertices
+from .polyhedra import FrozenPolyhedron, MovingPolyhedron, active_set, vertices
 from .signals import PeriodicSignal, combine, eval_many, eval_signal, triangle_wave
 from .sweeping import SweepingProblem
 
@@ -220,7 +220,7 @@ def triangle_scenario(alpha: float = 2.0, period: float = 3.0, side: float = 1.0
 # ---------------------------------------------------------------------------
 # Acute-corner diagnostic
 
-def acute_corner_note(F: FrozenPolyhedron, tol: float = DEFAULT_TOL):
+def acute_corner_note(F: FrozenPolyhedron):
     """Flag 2-d vertices whose interior angle is strictly acute.
 
     The test uses edge directions: at a vertex with active normals n_i, n_j,
@@ -233,8 +233,8 @@ def acute_corner_note(F: FrozenPolyhedron, tol: float = DEFAULT_TOL):
         raise ValueError("acute-corner analysis is for 2-d sets only")
     B, c = F.normals, F.offsets
     flagged = []
-    for v in vertices(F, tol):
-        act = active_set(F, v, tol)
+    for v in vertices(F):
+        act = active_set(F, v)
         if len(act) < 2:
             continue
         dirs = {}

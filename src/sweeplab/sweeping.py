@@ -28,6 +28,8 @@ from .signals import PeriodicSignal, eval_many
 
 FLOAT_FMT = "%.17g"
 FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
+_RATIO_SPREAD = 0.2      # relative spread below which per-period ratios count as geometric
+_MONOTONE_SLACK = 1e-12  # rounding allowance per step of hypomonotone_check
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -105,6 +107,25 @@ def _phase_table(signals, t0: float, h: float, M: int):
     return np.column_stack([eval_many(s, phases) for s in signals])
 
 
+def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
+    """The step h = T/M of a run of `periods` periods of M steps from t0.
+
+    Raises ValueError unless periods and M are positive, and
+    GridAlignmentError when floats near |t0| + T lie more than 1e-6*h apart
+    (the relative tolerance of _check_alignment): the clock t0 + k*h could
+    not resolve the steps.
+    """
+    if periods < 1 or M < 1:
+        raise ValueError("periods and steps_per_period must be positive")
+    h = T / M
+    spacing = float(np.spacing(abs(t0) + T))
+    if spacing > 1e-6 * h:
+        raise GridAlignmentError(
+            f"t0={t0} is too large for the step h={h}: floats near it are {spacing:.3e} apart"
+        )
+    return h
+
+
 def _check_alignment(signals, t0: float, h: float, label: str) -> None:
     for i, s in enumerate(signals):
         r = (s.times - t0) / h
@@ -120,15 +141,15 @@ def _mask_bits(m: int) -> np.ndarray:
     return np.left_shift(1, np.arange(m, dtype=np.int64))
 
 
-def _active_mask(B, c, z, tol) -> int:
-    return int((c - B @ z <= tol) @ _mask_bits(len(c)))
+def _active_mask(B, c, z) -> int:
+    return int((c - B @ z <= DEFAULT_TOL) @ _mask_bits(len(c)))
 
 
-def step(F_next: FrozenPolyhedron, z, drift_value, h: float, tol: float = DEFAULT_TOL):
+def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
     """One catching-up step: project z + h*drift onto the next frozen set."""
     z = np.asarray(z, dtype=float)
     p = z if drift_value is None else z + h * np.asarray(drift_value, dtype=float)
-    res = project(F_next, p, tol)
+    res = project(F_next, p)
     return res.point, res.multipliers
 
 
@@ -144,15 +165,15 @@ def _face_maps(B, subset, faces):
     return face
 
 
-def _segment(B, c, dz, z, face, tol):
+def _segment(B, c, dz, z, face):
     """Run the steps of one block from z with the accepted subset held fixed.
 
     c holds the offsets each step projects onto and dz its drift increments
     (None without drift); face is _face_maps's tuple, or None for interior
     steps. Every step must pass the tests _project_raw applies to each
-    candidate, in the same order: p not interior, multipliers >= -tol, the
-    new state feasible. Returns (accepted steps, states, multipliers on the
-    subset, residuals c - B z), the arrays covering the whole block.
+    candidate, in the same order: p not interior, multipliers >= -DEFAULT_TOL,
+    the new state feasible. Returns (accepted steps, states, multipliers on
+    the subset, residuals c - B z), the arrays covering the whole block.
     """
     L = len(c)
     # Running sum of the drift increments, added in the same order as the
@@ -161,7 +182,7 @@ def _segment(B, c, dz, z, face, tol):
     if face is None:
         Z = np.broadcast_to(q, (L, len(z)))
         resid = c - Z @ B.T
-        return _accepted(np.all(resid >= -tol, axis=1)), Z, None, resid
+        return _accepted(np.all(resid >= -DEFAULT_TOL, axis=1)), Z, None, resid
     idx, BS, Ginv, Pi, R = face
     cS = c[:, idx]
     # With S fixed, z_{j+1} = Pi_S (z_k + h sum d) + R_S c_S(j), since Pi_S R_S = 0.
@@ -172,9 +193,9 @@ def _segment(B, c, dz, z, face, tol):
     lam = (P @ BS.T - cS) @ Ginv.T
     BZ = Z @ B.T
     ok = (
-        ~np.all(c - P @ B.T >= -tol, axis=1)
-        & np.all(lam >= -tol, axis=1)
-        & np.all(BZ <= c + tol, axis=1)
+        ~np.all(c - P @ B.T >= -DEFAULT_TOL, axis=1)
+        & np.all(lam >= -DEFAULT_TOL, axis=1)
+        & np.all(BZ <= c + DEFAULT_TOL, axis=1)
     )
     return _accepted(ok), Z, lam, c - BZ
 
@@ -190,7 +211,6 @@ def simulate(
     t0: float,
     periods: int,
     steps_per_period: int,
-    tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """Run Q*M catching-up steps with h = T/M from an admissible state.
 
@@ -205,12 +225,9 @@ def simulate(
     projection, a full search in the fixed candidate order. The block is the
     only warm start.
     """
-    if periods < 1 or steps_per_period < 1:
-        raise ValueError("periods and steps_per_period must be positive")
-    P = problem.moving_set
-    T = problem.period
     M = int(steps_per_period)
-    h = T / M
+    h = _grid_step(problem.period, t0, periods, M)
+    P = problem.moving_set
     _check_alignment(P.offsets, t0, h, "offset")
     if problem.drift is not None:
         _check_alignment(problem.drift, t0, h, "drift")
@@ -226,11 +243,9 @@ def simulate(
     offsets_phase = _phase_table(P.offsets, t0, h, M)
     drift_phase = _phase_table(problem.drift, t0, h, M)
 
-    if np.any(B @ z0 > offsets_phase[0] + tol):
+    if np.any(B @ z0 > offsets_phase[0] + DEFAULT_TOL):
         worst = float(np.max(B @ z0 - offsets_phase[0]))
-        raise InadmissibleStateError(
-            f"inadmissible initial state: constraint violation {worst:.3e} at t0={t0}"
-        )
+        raise InadmissibleStateError(f"constraint violation {worst:.3e} at t0={t0}")
 
     table = _subset_table(B)
     K = periods * M
@@ -238,7 +253,7 @@ def simulate(
     multipliers = np.zeros((K, m))
     masks = np.zeros(K + 1, dtype=np.int64)
     states[0] = z0
-    masks[0] = _active_mask(B, offsets_phase[0], z0, tol)
+    masks[0] = _active_mask(B, offsets_phase[0], z0)
 
     # Row ph holds what step k with k % M == ph uses: the offsets frozen at
     # its end and its drift increment.
@@ -253,12 +268,12 @@ def simulate(
         ph = k % M
         p = z if dz is None else z + dz[ph]
         try:
-            z, lam, subset = _project_raw(B, c_next[ph], table, p, tol)
+            z, lam, subset = _project_raw(B, c_next[ph], table, p)
         except InfeasibleSetError as exc:
             raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
         multipliers[k] = lam
-        masks[k + 1] = _active_mask(B, c_next[ph], z, tol)
+        masks[k + 1] = _active_mask(B, c_next[ph], z)
         k += 1
         # Blocks never cross a period boundary, so every period starts with a
         # scalar step and the discrete map stays exactly T-periodic.
@@ -266,12 +281,12 @@ def simulate(
             rows = slice(k % M, M)
             face = _face_maps(B, subset, faces) if subset else None
             used, Z, lam, resid = _segment(
-                B, c_next[rows], None if dz is None else dz[rows], z, face, tol
+                B, c_next[rows], None if dz is None else dz[rows], z, face
             )
             states[k + 1 : k + 1 + used] = Z[:used]
             if face is not None:
                 multipliers[k : k + used, face[0]] = np.maximum(lam[:used], 0.0)
-            masks[k + 1 : k + 1 + used] = (resid[:used] <= tol) @ bits
+            masks[k + 1 : k + 1 + used] = (resid[:used] <= DEFAULT_TOL) @ bits
             k += used
             z = states[k]
 
@@ -338,40 +353,35 @@ class Classification:
         return {"kind": self.kind, "period": self.period, "ratio": self.ratio}
 
 
-def classify_convergence(
-    traj: Trajectory,
-    tol_ft: float = FINITE_TIME_TOL,
-    Q_min: int = 3,
-    ratio_spread: float = 0.2,
-) -> Classification:
-    """Classify the per-period sup-distance sequence.
+def classify_convergence(traj: Trajectory) -> Classification:
+    """Classify the per-period sup-distance sequence of a run of at least 2 periods.
 
-    Finite-time at q* when d_q <= tol_ft for all q >= q* (q* minimal).
+    Finite-time at q* when d_q <= FINITE_TIME_TOL for all q >= q* (q* minimal).
     Otherwise geometric with the median ratio over the largest suffix of the
-    above-tolerance run whose ratios have relative spread below ratio_spread
+    above-tolerance run whose ratios have relative spread below _RATIO_SPREAD
     (early windows may carry a transient in the sup geometry and are dropped
     only when the full run fails the spread test); undetermined when no
     suffix with at least two ratios qualifies.
     """
-    return _classify(period_distances_sup(traj), tol_ft, Q_min, ratio_spread)
+    return _classify(period_distances_sup(traj))
 
 
-def _classify(d: np.ndarray, tol_ft: float, Q_min: int, ratio_spread: float) -> Classification:
-    if len(d) + 1 < Q_min + 2:
-        raise ValueError(f"need at least {Q_min + 2} periods, have {len(d) + 1}")
-    if d[-1] <= tol_ft:
-        above = np.flatnonzero(d > tol_ft)
+def _classify(d: np.ndarray) -> Classification:
+    if len(d) < 1:
+        raise ValueError(f"need at least 2 periods, have {len(d) + 1}")
+    if d[-1] <= FINITE_TIME_TOL:
+        above = np.flatnonzero(d > FINITE_TIME_TOL)
         qstar = 0 if len(above) == 0 else int(above[-1]) + 1
         return Classification("finite-time", period=qstar)
     qa = len(d) - 1
-    while qa > 0 and d[qa - 1] > tol_ft:
+    while qa > 0 and d[qa - 1] > FINITE_TIME_TOL:
         qa -= 1
     ratios = d[qa + 1 :] / d[qa:-1]
     for start in range(len(ratios) - 1):
         tail = ratios[start:]
         med = float(np.median(tail))
         spread = float((np.max(tail) - np.min(tail)) / med) if med > 0 else np.inf
-        if spread < ratio_spread:
+        if spread < _RATIO_SPREAD:
             return Classification("geometric", ratio=med)
     return Classification("undetermined")
 
@@ -407,7 +417,7 @@ def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
     return np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
 
 
-def hypomonotone_check(traj1: Trajectory, traj2: Trajectory, slack: float = 1e-12) -> bool:
+def hypomonotone_check(traj1: Trajectory, traj2: Trajectory) -> bool:
     """True iff |z1_k - z2_k| is nonincreasing (same problem, same grid).
 
     Discrete projections onto a common convex set are jointly nonexpansive,
@@ -421,7 +431,7 @@ def hypomonotone_check(traj1: Trajectory, traj2: Trajectory, slack: float = 1e-1
     ):
         raise ValueError("trajectories live on different grids")
     d = np.linalg.norm(traj1.states - traj2.states, axis=1)
-    return bool(np.all(np.diff(d) <= slack))
+    return bool(np.all(np.diff(d) <= _MONOTONE_SLACK))
 
 
 def estimate_limit_cycle(traj: Trajectory):
@@ -452,18 +462,13 @@ class ConvergenceReport:
         }
 
 
-def convergence_report(
-    traj: Trajectory,
-    tol_ft: float = FINITE_TIME_TOL,
-    Q_min: int = 3,
-    ratio_spread: float = 0.2,
-) -> ConvergenceReport:
+def convergence_report(traj: Trajectory) -> ConvergenceReport:
     d_sup = period_distances_sup(traj)
     cycle, residual = _limit_cycle(traj, d_sup)
     return ConvergenceReport(
         d_sup=d_sup,
         d_w12=period_distances_w12(traj),
-        classification=_classify(d_sup, tol_ft, Q_min, ratio_spread),
+        classification=_classify(d_sup),
         cycle=cycle,
         residual=residual,
     )
@@ -472,7 +477,7 @@ def convergence_report(
 # ---------------------------------------------------------------------------
 # Trajectory validation and CSV round trip
 
-def validate_trajectory(traj: Trajectory, tol: float = DEFAULT_TOL) -> None:
+def validate_trajectory(traj: Trajectory) -> None:
     """Check the discrete-solution invariants; raise ValueError on violation."""
     P = traj.problem.moving_set
     B = P.normals
@@ -484,7 +489,7 @@ def validate_trajectory(traj: Trajectory, tol: float = DEFAULT_TOL) -> None:
     for k in range(K):
         z_next = traj.states[k + 1]
         c_next = offsets_phase[(k + 1) % M]
-        if np.any(B @ z_next > c_next + 10 * tol):
+        if np.any(B @ z_next > c_next + 10 * DEFAULT_TOL):
             raise ValueError(f"state {k + 1} infeasible")
         p = traj.states[k]
         if drift_phase is not None:
@@ -494,7 +499,7 @@ def validate_trajectory(traj: Trajectory, tol: float = DEFAULT_TOL) -> None:
             raise ValueError(f"multiplier reconstruction fails at step {k}")
         resid = c_next - B @ z_next
         support = np.flatnonzero(traj.multipliers[k] > 0)
-        if np.any(resid[support] > 10 * tol):
+        if np.any(resid[support] > 10 * DEFAULT_TOL):
             raise ValueError(f"multiplier support not active at step {k}")
 
 

@@ -14,14 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from sweeplab.polyhedra import (
-    DEFAULT_TOL,
     FrozenPolyhedron,
     MovingPolyhedron,
-    active_set,
     positively_spanning,
     project,
 )
 from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, eval_many
+
+# The references' own working tolerance: the library's value, set here rather
+# than read from the package, so a change there shows up as a mismatch.
+TOL = 1e-9
 
 
 def brute_force_cone_coefficients(B_active: np.ndarray, v: np.ndarray):
@@ -74,7 +76,7 @@ def random_point_outside(rng: np.random.Generator, F: FrozenPolyhedron) -> np.nd
 
     while True:
         p = rng.normal(scale=4.0, size=F.dim)
-        if not contains(F, p, 1e-9):
+        if not contains(F, p):
             return p
 
 
@@ -217,10 +219,10 @@ def random_drift(rng: np.random.Generator, n: int, period: float = 1.0):
 
 
 def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: int,
-                       tol: float = DEFAULT_TOL):
+                       tol: float = TOL):
     """Step-by-step catching-up: one polyhedra.project per step, each a full
     search, so no warm start is shared with the segment kernel, and active
-    masks from polyhedra.active_set.
+    masks from the residuals at tol.
 
     Returns (states, multipliers, active_masks) laid out like a Trajectory.
     """
@@ -237,14 +239,14 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
         drift = np.column_stack([eval_many(s, phases) for s in problem.drift])
 
     def mask(F, z):
-        return sum(1 << int(i) for i in active_set(F, z, tol))
+        return sum(1 << int(i) for i in np.flatnonzero(F.offsets - F.normals @ z <= tol))
 
     z = np.asarray(z0, dtype=float)
     states, multipliers, masks = [z], [], [mask(frozen[0], z)]
     for k in range(periods * M):
         p = z if drift is None else z + h * drift[k % M]
         F = frozen[(k + 1) % M]
-        res = project(F, p, tol)
+        res = project(F, p)
         z = res.point
         states.append(z)
         multipliers.append(res.multipliers)
@@ -253,7 +255,7 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
 
 
 def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,
-                     tol: float = DEFAULT_TOL):
+                     tol: float = TOL):
     """Step-by-step slip-pattern enumeration: at every step, the previous
     step's pattern first, then all 3^N patterns with fewer slipping blocks
     first, each solved from scratch. The reference for

@@ -62,13 +62,13 @@ def _report(num: int, name: str, checks) -> None:
     assert ok, f"criterion {num:02d} ({name}): " + "; ".join(failed)
 
 
-def _sample_states(problem, t0, count, rng, tol=TOL):
+def _sample_states(problem, t0, count, rng):
     F = freeze(problem.moving_set, t0)
-    lo, hi = bounding_box(F, tol)
+    lo, hi = bounding_box(F)
     out = []
     while len(out) < count:
         z = rng.uniform(lo, hi)
-        if contains(F, z, tol):
+        if contains(F, z):
             out.append(z)
     return out
 
@@ -199,7 +199,7 @@ def test_criterion_04_crawler_velocity():
     v0s = []
     while len(v0s) < 5:
         w0 = rng.uniform(lo, hi)
-        if not contains(K0, w0, TOL):
+        if not contains(K0, w0):
             continue
         x0 = assemble_positions(0.0, -w0 / g.stiffness)
         v0s.append(estimate_velocity(simulate_reduced(g, x0, 0.0, 10, M).motion).v0)
@@ -328,7 +328,7 @@ def test_criterion_06_hypomonotonicity():
             za, zb = _sample_states(problem, 0.0, 2, rng)
             ta = simulate(problem, za, 0.0, 3, steps)
             tb = simulate(problem, zb, 0.0, 3, steps)
-            if not hypomonotone_check(ta, tb, slack=1e-12):
+            if not hypomonotone_check(ta, tb):
                 bad += 1
         checks.append((bad == 0, f"{name}: {bad}/20 start pairs violate monotonicity"))
     _report(6, "discrete hypomonotonicity", checks)
@@ -356,13 +356,13 @@ def test_criterion_07_kkt_suite():
             recon_bad += 1
         if np.linalg.norm(rp.point - rq.point) > np.linalg.norm(p - q) + 1e-10:
             nonexp_bad += 1
-        act = active_set(F, rp.point, 1e-7)
+        act = active_set(F, rp.point)
         BS = F.normals[act]
         if len(act) and np.linalg.matrix_rank(BS, tol=1e-10) == len(act):
             v = BS.T @ rng.uniform(0.0, 2.0, size=len(act))
             from sweeplab.polyhedra import decompose_normal
 
-            lam = decompose_normal(F, rp.point, v, 1e-7)
+            lam = decompose_normal(F, rp.point, v)
             ref, resid = brute_force_cone_coefficients(BS, v)
             nnls_checked += 1
             if resid > 1e-9 or np.max(np.abs(lam[act] - ref)) > 1e-8:
@@ -391,7 +391,7 @@ def test_criterion_08_margin_licq_equivalence():
         grid = np.linspace(0.0, g.period, 100, endpoint=False)
         for t in grid:
             margin, _ = margin_at(g, float(t))
-            licq = check_licq(freeze(K, float(t)), TOL).holds
+            licq = check_licq(freeze(K, float(t))).holds
             if (margin <= TOL) == licq:
                 disagreements += 1
             if margin <= TOL:

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sweeplab.cli import CONFIG_KEYS, dump_json, main
 from sweeplab.crawler import simulate_reduced
-from sweeplab.polyhedra import DEFAULT_TOL, contains, freeze
+from sweeplab.polyhedra import contains, freeze
 from sweeplab.scenarios import catalog
 from sweeplab.sweeping import (
     FLOAT_FMT,
@@ -88,7 +89,7 @@ def test_run_output_number_format(tmp_path):
     rows = [line.split(",") for line in raw.decode().split("\n")[1:-1]]
     assert rows == [[FLOAT_FMT % x for x in row] for row in table]
 
-    d_sup = convergence_report(traj, Q_min=2).d_sup
+    d_sup = convergence_report(traj).d_sup
     listed = "[" + ", ".join(FLOAT_FMT % x for x in d_sup) + "]"
     assert dump_json(d_sup) == listed
     assert f'"d_sup": {listed}' in (tmp_path / "w" / "convergence.json").read_text()
@@ -129,7 +130,7 @@ def test_run_random_starts_on_plain_problem(tmp_path):
     files = read_bytes_map(out1)
     assert {f"trajectory_s{i}.csv" for i in range(3)} <= set(files)
     starts = [read_trajectory_csv(out1 / f"trajectory_s{i}.csv", problem).states[0] for i in range(3)]
-    assert all(contains(freeze(problem.moving_set, 0.0), z0, DEFAULT_TOL) for z0 in starts)
+    assert all(contains(freeze(problem.moving_set, 0.0), z0) for z0 in starts)
     assert len({z0.tobytes() for z0 in starts}) == 3
     assert read_bytes_map(out2) == files
 
@@ -149,6 +150,15 @@ def test_run_inadmissible_start_exit_3(tmp_path):
     }))
     code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert code == 3
+
+
+def test_run_inadmissible_plain_start_names_the_prefix_once(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "wedge", "initial_states": [[1e308, 0.0]]}))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("inadmissible initial state: constraint violation 1.000e+308 at t0=0.0")
+    assert err.count("inadmissible initial state") == 1
 
 
 def test_run_unknown_scenario_exit_4(tmp_path):
@@ -230,6 +240,10 @@ def _gait_and_problem():
     pytest.param({"scenario": "box1", "t0": float("inf")}, [], id="t0-infinite"),
     pytest.param({"scenario": "crawler2"}, ["--t0", "nan"], id="t0-flag-nan"),
     pytest.param({"scenario": "box1"}, ["--t0=-inf"], id="t0-flag-infinite"),
+    # Every grid time t0 + k*h would round to t0: a frozen clock.
+    pytest.param({"scenario": "crawler2", "t0": 1e17, "periods": 3, "steps_per_period": 100}, [],
+                 id="t0-too-large-gait"),
+    pytest.param({"scenario": "wedge", "t0": 1e300}, [], id="t0-too-large-plain"),
     pytest.param({"scenario": "box1", "reports": ["velocity"]}, [], id="velocity-report-plain"),
     pytest.param({"problem": catalog()["box1"].problem.to_json(), "reports": ["trajectory", "velocity"]},
                  [], id="velocity-report-problem"),
@@ -243,7 +257,7 @@ def test_run_malformed_config_exit_4(tmp_path, capsys, config, flags):
     out = tmp_path / "x"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), *flags) == 4
     assert "configuration error" in capsys.readouterr().err
-    assert not (out / "summary.txt").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_config_accepts_every_key(tmp_path):
@@ -275,6 +289,20 @@ def test_readme_config_example_runs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(example)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # Every `sweeplab ...` line in README's sh blocks runs, writing under tmp_path.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("sweeplab ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for i, argv in enumerate(commands):
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / f"out{i}")
+        assert main(argv) == 0, argv
 
 
 @pytest.mark.parametrize("scenario,states", [

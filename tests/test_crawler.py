@@ -126,9 +126,9 @@ def test_force_polyhedron_is_friction_box():
     g = constant_gait(mu_plus=1.0, mu_minus=2.0)
     C0 = freeze(build_force_polyhedron(g), 0.0)
     np.testing.assert_allclose(C0.offsets, [1, 1, 2, 2])
-    assert contains(C0, [0.0, 0.0], TOL)
-    assert contains(C0, [1.0, -2.0], TOL)
-    assert not contains(C0, [1.1, 0.0], TOL)
+    assert contains(C0, [0.0, 0.0])
+    assert contains(C0, [1.0, -2.0])
+    assert not contains(C0, [1.1, 0.0])
 
 
 def test_force_polyhedron_always_licq_and_contains_zero():
@@ -137,15 +137,15 @@ def test_force_polyhedron_always_licq_and_contains_zero():
     for t in np.linspace(0, 1, 9):
         F = freeze(C, t)
         assert check_licq(F).holds
-        assert contains(F, np.zeros(2), 0.0)
+        assert np.all(F.normals @ np.zeros(2) <= F.offsets)
 
 
 def test_moving_set_interval_two_blocks():
     g = constant_gait(mu_plus=1.0, mu_minus=2.0)
     K0 = freeze(build_moving_set(g), 0.0)
     # intersection of [-1, 2] (block 1 bounds) and [-2, 1] (block 2 bounds)
-    assert contains(K0, [-1.0], TOL) and contains(K0, [1.0], TOL)
-    assert not contains(K0, [1.0 + 1e-6], TOL) and not contains(K0, [-1.0 - 1e-6], TOL)
+    assert contains(K0, [-1.0]) and contains(K0, [1.0])
+    assert not contains(K0, [1.0 + 1e-6]) and not contains(K0, [-1.0 - 1e-6])
 
 
 def test_moving_set_translates_with_actuation():
@@ -154,9 +154,9 @@ def test_moving_set_translates_with_actuation():
     for t in (0.0, 0.2, 0.5, 0.8):
         L = eval_signal(g.rest_lengths[0], t)
         F = freeze(K, t)
-        assert contains(F, [1.0 - L], TOL) and contains(F, [-1.0 - L], TOL)
-        assert not contains(F, [1.0 - L + 1e-6], TOL)
-        assert not contains(F, [-1.0 - L - 1e-6], TOL)
+        assert contains(F, [1.0 - L]) and contains(F, [-1.0 - L])
+        assert not contains(F, [1.0 - L + 1e-6])
+        assert not contains(F, [-1.0 - L - 1e-6])
 
 
 def test_force_identity_pins_constraints():
@@ -274,9 +274,9 @@ def test_margin_enumeration_cap():
 
 def test_admissible_rest_and_overstretched():
     g = constant_gait(mu_plus=1.0, mu_minus=2.0)
-    assert admissible(g, 0.0, np.array([0.0, 0.0]), TOL)
+    assert admissible(g, 0.0, np.array([0.0, 0.0]))
     # gap 5 gives force (5, -5), outside [-2, 1]^2
-    assert not admissible(g, 0.0, np.array([0.0, 5.0]), TOL)
+    assert not admissible(g, 0.0, np.array([0.0, 5.0]))
 
 
 def test_admissible_equals_reduced_membership():
@@ -288,7 +288,7 @@ def test_admissible_equals_reduced_membership():
         t = float(rng.uniform(0, 1))
         x = rng.normal(scale=1.5, size=3)
         w = -g.stiffness * pi_z(x)
-        assert admissible(g, t, x, TOL) == contains(freeze(K, t), w, TOL)
+        assert admissible(g, t, x) == contains(freeze(K, t), w)
         agree += 1
     assert agree == 100
 
@@ -429,7 +429,7 @@ def test_oracle_trajectory_admissible_each_step():
     run = incremental_oracle(g, np.array([0.0, 0.0]), 0.0, 3, 300)
     h = g.period / 300
     for k in range(1, len(run.motion.positions)):
-        assert admissible(g, k * h, run.motion.positions[k], 1e-7)
+        assert admissible(g, k * h, run.motion.positions[k])
 
 
 def test_oracle_matches_reduced_pipeline():
@@ -557,17 +557,17 @@ def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
         x = positions[k]
         for pat in dict.fromkeys([tuple(int(s) for s in patterns[k]), *fixed]):
             system = table[pat]
-            rows, violation = cr._pattern_block(x, system, b[ph:], mup[ph:], mum[ph:], TOL)
+            rows, violation = cr._pattern_block(x, system, b[ph:], mup[ph:], mum[ph:])
             prev = x
             for r, row in enumerate(rows):
-                single, v = cr._try_pattern(prev, b[ph + r], mup[ph + r], mum[ph + r], system, TOL)
+                single, v = cr._try_pattern(prev, b[ph + r], mup[ph + r], mum[ph + r], system)
                 assert single.tobytes() == row.tobytes() and v <= TOL
                 prev = row
             slip_rows += len(rows) if len(system.slips) else 0
             if violation is not None:
                 cuts += 1
                 r = ph + len(rows)
-                assert cr._try_pattern(prev, b[r], mup[r], mum[r], system, TOL)[1] == violation > TOL
+                assert cr._try_pattern(prev, b[r], mup[r], mum[r], system)[1] == violation > TOL
     assert slip_rows > 20 and cuts > 0
 
 
@@ -668,15 +668,14 @@ def test_decomposition_invariant_under_period_shift():
 
 
 def test_decomposition_warns_when_not_converged():
+    # From rest the first period carries the transient: the per-period
+    # displacements 2.5, 2, 2 spread by far more than VELOCITY_TOL.
     g = two_block_gait()
-    run = simulate_reduced(g, np.array([0.0, 0.0]), 0.0, 3, 100)
-    motion = run.motion
-    # truncate to the transient-dominated head: build a short motion record
-    from sweeplab.crawler import Motion
-
-    head = Motion(motion.times[:301], motion.positions[:301], 100, g.period)
+    motion = simulate_reduced(g, np.array([0.0, 0.0]), 0.0, 3, 100).motion
+    assert not estimate_velocity(motion).converged
     with pytest.warns(UserWarning):
-        running_periodic_decomposition(head, tol_v=1e-12)
+        dec = running_periodic_decomposition(motion)
+    assert not dec.converged
 
 
 # ---------------------------------------------------------------------------

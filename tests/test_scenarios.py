@@ -298,6 +298,6 @@ def test_catalog_initial_states_admissible():
     for sc in cat.values():
         if sc.kind == "sweeping":
             F = freeze(sc.problem.moving_set, 0.0)
-            assert contains(F, sc.initial_state, 1e-9)
+            assert contains(F, sc.initial_state)
         else:
-            assert admissible(sc.gait, 0.0, sc.initial_state, 1e-9)
+            assert admissible(sc.gait, 0.0, sc.initial_state)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_drift, random_moving_polyhedron, reference_simulate
-from sweeplab.crawler import build_moving_set, pi_z
+from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
 from sweeplab.scenarios import catalog, wedge_poincare, wedge_scenario
@@ -13,6 +13,7 @@ from sweeplab.sweeping import (
     SweepingProblem,
     Trajectory,
     classify_convergence,
+    convergence_report,
     estimate_limit_cycle,
     hypomonotone_check,
     lambda_convergence,
@@ -99,6 +100,38 @@ def test_simulate_rejects_misaligned_breakpoints():
     problem = SweepingProblem(P)
     with pytest.raises(GridAlignmentError):
         simulate(problem, np.array([0.0]), 0.0, 2, 100)  # 1/3 not on the h=0.01 grid
+
+
+def _grid_runs(t0, periods, M):
+    """simulate on box1, simulate_reduced and incremental_oracle on crawler2."""
+    cat = catalog()
+    box, crawler = cat["box1"], cat["crawler2"]
+    return [
+        lambda: simulate(box.problem, box.initial_state, t0, periods, M),
+        lambda: simulate_reduced(crawler.gait, crawler.initial_state, t0, periods, M),
+        lambda: incremental_oracle(crawler.gait, crawler.initial_state, t0, periods, M),
+    ]
+
+
+@pytest.mark.parametrize("periods,M", [(0, 10), (-1, 10), (2, 0)])
+def test_runs_reject_an_empty_grid(periods, M):
+    for run in _grid_runs(0.0, periods, M):
+        with pytest.raises(ValueError, match="must be positive"):
+            run()
+
+
+@pytest.mark.parametrize("t0", [1e17, -1e17, 1e300])
+def test_runs_reject_a_clock_that_cannot_resolve_the_step(t0):
+    # Floats near 1e17 are 16 apart, so every t0 + k*h would round to one time.
+    for run in _grid_runs(t0, 3, 100):
+        with pytest.raises(GridAlignmentError, match="too large for the step"):
+            run()
+
+
+def test_runs_accept_a_large_clock_that_resolves_the_step():
+    # Near 2^20 floats are 2.3e-10 apart, within 1e-6 * h = 1e-8.
+    for run in _grid_runs(2.0**20, 1, 100):
+        run()
 
 
 def test_simulate_error_names_step_and_time():
@@ -369,6 +402,30 @@ def test_classify_finite_time_from_start():
 def test_classify_undetermined_on_wobbly_ratios():
     traj = _synthetic_trajectory([1.0, 0.5, 0.4, 0.08, 0.06, 0.008])
     assert classify_convergence(traj).kind == "undetermined"
+
+
+@pytest.mark.parametrize("periods,box1,wedge", [
+    (2, "undetermined", "undetermined"),
+    (3, "finite-time", "undetermined"),
+    (4, "finite-time", "geometric"),
+])
+def test_classify_from_two_periods(periods, box1, wedge):
+    # One period distance is enough to classify; a geometric ratio needs two
+    # ratios, so three distances.
+    cat = catalog()
+    for name, kind in (("box1", box1), ("wedge", wedge)):
+        sc = cat[name]
+        traj = simulate(sc.problem, sc.initial_state, 0.0, periods, 200)
+        assert classify_convergence(traj).kind == kind
+        assert convergence_report(traj).classification == classify_convergence(traj)
+
+
+def test_classify_rejects_one_period():
+    traj = simulate(box_problem(), np.array([0.0]), 0.0, 1, 50)
+    with pytest.raises(ValueError, match="at least 2 periods"):
+        classify_convergence(traj)
+    with pytest.raises(ValueError, match="at least 2 periods"):
+        convergence_report(traj)
 
 
 # ---------------------------------------------------------------------------
