@@ -284,9 +284,9 @@ def cmd_run(args) -> int:
         reports = REPORTS if gait is not None else PLAIN_REPORTS
     elif gait is None and "velocity" in reports:
         raise ConfigError("velocity reports need a gait scenario or an inline gait")
-    for name in ("velocity", "convergence"):
-        if name in reports and periods < 3:
-            raise ConfigError(f"{name} reports need at least 3 periods")
+    for name, least in (("velocity", 3), ("convergence", 2)):
+        if name in reports and periods < least:
+            raise ConfigError(f"{name} reports need at least {least} periods")
     out = _output_dir(cfg.out)
     rng = np.random.default_rng(cfg.seed)
     starts = _initial_states(cfg, sc, gait, problem, rng)

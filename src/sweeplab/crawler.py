@@ -25,7 +25,7 @@ from .errors import (
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron
 from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal
-from .sweeping import SweepingProblem, Trajectory, _grid_step, _phase_table, simulate
+from .sweeping import SweepingProblem, Trajectory, _check_alignment, _grid_step, _phase_table, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
@@ -409,7 +409,7 @@ def running_periodic_decomposition(motion: Motion) -> RunningPeriodicDecompositi
 class OracleRun:
     gait: Gait
     motion: Motion
-    patterns: np.ndarray = field(repr=False)   # (K, N) in {-1, 0, +1}
+    patterns: np.ndarray = field(repr=False)   # (K, N) int8 signs of each step's displacement
 
 
 def _pattern_list(N: int):
@@ -480,9 +480,16 @@ def incremental_oracle(
     period and cut at the first step where it fails. Only there does the
     enumeration run, with the block's miss as its nearest miss, and the
     pattern it accepts starts the next block.
+
+    The run's ``patterns`` are the signs of each step's displacement, 0 where
+    |dx| <= DEFAULT_TOL, not the accepted patterns: at a zero-speed slip both
+    slip and stick pass, and which one is accepted depends on the search.
     """
     M = int(steps_per_period)
     h = _grid_step(g.period, t0, periods, M)
+    _check_alignment(g.rest_lengths, t0, h, "rest_lengths")
+    _check_alignment(g.mu_plus, t0, h, "mu_plus")
+    _check_alignment(g.mu_minus, t0, h, "mu_minus")
     N = g.num_blocks
     if N > 8:
         raise EnumerationCapError("slip-pattern enumeration supports at most 8 blocks")
@@ -506,7 +513,6 @@ def incremental_oracle(
     K = periods * M
     xs = np.empty((K + 1, N))
     xs[0] = x0
-    chosen = np.zeros((K, N), dtype=np.int8)
     x = x0.copy()
     hint = patterns[0]   # all-stick: every step starts in a block
     k = 0
@@ -519,7 +525,6 @@ def incremental_oracle(
         n = len(rows)
         if n:
             xs[k + 1 : k + 1 + n] = rows
-            chosen[k : k + n] = hint
             x = rows[-1]
             k += n
         if violation is None:
@@ -534,11 +539,11 @@ def incremental_oracle(
         except PatternSearchError as exc:
             raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         xs[k + 1] = x
-        chosen[k] = hint
         k += 1
     times = t0 + h * np.arange(K + 1)
     motion = Motion(times, xs, M, g.period)
-    return OracleRun(g, motion, chosen)
+    dx = np.diff(xs, axis=0)
+    return OracleRun(g, motion, (dx > DEFAULT_TOL).astype(np.int8) - (dx < -DEFAULT_TOL))
 
 
 def _pattern_block(x, system, b, mup, mum):

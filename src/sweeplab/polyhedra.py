@@ -33,7 +33,6 @@ DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign t
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
 MAX_TABLE_SIZE = 300_000  # safety cap on the number of candidate subsets
 _SPANNING_TOL = 1e-10     # NNLS residual above which a unit vector is not in cone{b_i}
-_GAMMA_DIVISIONS = 50     # simplex grid resolution of gamma_constant
 
 
 @dataclass(frozen=True)
@@ -403,47 +402,31 @@ def enumerate_faces(F: FrozenPolyhedron) -> set:
 # Reverse-triangle constant
 
 def gamma_constant(F: FrozenPolyhedron) -> float:
-    """Estimate of the smallest gamma with
+    """The smallest gamma with
     sum lam_i |b_i| <= gamma * |sum lam_i b_i| over all faces and lam >= 0.
 
-    Per realized face, the ratio is maximized over a dense grid on the unit
-    simplex of coefficients (the ratio is scale invariant) with _GAMMA_DIVISIONS
-    steps per edge; the estimate approaches the true constant from below as
-    the grid is refined. Requires LICQ.
+    With u_i = b_i/|b_i| and mu_i = lam_i |b_i|, the ratio on a face S is
+    1/|sum mu_i u_i| over the unit simplex, so gamma(S) = 1/dist(0, conv{u_i : i in S}).
+    gamma(S) grows with S, so the active sets of the vertices decide. The
+    nearest point of the hull is the nearest point of the affine hull of one
+    support, with weights y/sum y >= 0 for y = (U U^T)^-1 1, at distance
+    (sum y)^(-1/2); a support with a zero weight gives its sub-support's value.
+    Requires LICQ, under which every such Gram matrix is invertible.
     """
     report = check_licq(F)
     if not report.holds:
         raise LicqError(f"gamma constant requires LICQ; dependent subset {report.witness}")
-    B = F.normals
-    norms = np.linalg.norm(B, axis=1)
-    best = 0.0
-    for face in enumerate_faces(F):
-        if not face:
-            continue
-        idx = np.array(face, dtype=int)
-        BS = B[idx]
-        ns = norms[idx]
-        k = len(idx)
-        if k == 1:
-            best = max(best, 1.0)
-            continue
-        for comp in _simplex_grid(k, _GAMMA_DIVISIONS):
-            lam = np.array(comp, dtype=float) / _GAMMA_DIVISIONS
-            denom = np.linalg.norm(BS.T @ lam)
-            if denom <= 1e-14:
-                continue
-            best = max(best, float(lam @ ns) / denom)
+    U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
+    best = 1.0
+    for v in vertices(F):
+        act = active_set(F, v).tolist()
+        for size in range(2, len(act) + 1):
+            for idx in itertools.combinations(act, size):
+                US = U[list(idx)]
+                y = np.linalg.solve(US @ US.T, np.ones(size))
+                if np.all(y >= 0):
+                    best = max(best, float(np.sqrt(y.sum())))
     return best
-
-
-def _simplex_grid(k: int, divisions: int):
-    """Integer compositions of `divisions` into k nonnegative parts."""
-    if k == 1:
-        yield (divisions,)
-        return
-    for head in range(divisions + 1):
-        for rest in _simplex_grid(k - 1, divisions - head):
-            yield (head,) + rest
 
 
 def bounding_box(F: FrozenPolyhedron):

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import nnls
 
 from sweeplab.polyhedra import (
     FrozenPolyhedron,
@@ -47,6 +48,33 @@ def brute_force_cone_coefficients(B_active: np.ndarray, v: np.ndarray):
                 best_lam = np.zeros(k)
                 best_lam[list(idx)] = np.maximum(sol, 0.0)
     return best_lam, best_resid
+
+
+def reference_gamma(F: FrozenPolyhedron, tol: float = TOL) -> float:
+    """The reverse-triangle constant as the largest 1/dist(0, conv{u_i}) over
+    the vertices, with u_i the unit normals active there.
+
+    Vertices come from every square subsystem. The min-norm point of a hull
+    comes from one NNLS: minimizing |U^T w|^2 + (sum w - 1)^2 over w >= 0
+    scales the hull's optimal weights, so |U^T w| / sum w is the distance.
+    """
+    B, c = F.normals, F.offsets
+    m, n = B.shape
+    U = B / np.linalg.norm(B, axis=1, keepdims=True)
+    best = 0.0
+    for idx in itertools.combinations(range(m), n):
+        BS = B[list(idx)]
+        if abs(np.linalg.det(BS)) < 1e-12:
+            continue
+        v = np.linalg.solve(BS, c[list(idx)])
+        resid = c - B @ v
+        if np.any(resid < -tol):
+            continue
+        UA = U[resid <= tol]
+        A = np.vstack([UA.T, np.ones(len(UA))])
+        w, _ = nnls(A, np.append(np.zeros(n), 1.0))
+        best = max(best, w.sum() / np.linalg.norm(UA.T @ w))
+    return best
 
 
 def central_difference_gradient(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
@@ -252,6 +280,12 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
         multipliers.append(res.multipliers)
         masks.append(mask(F, z))
     return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)
+
+
+def canonical_patterns(positions: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """The sign of each block's displacement at each step, 0 where |dx| <= tol."""
+    dx = np.diff(positions, axis=0)
+    return np.where(dx > tol, 1, np.where(dx < -tol, -1, 0)).astype(np.int8)
 
 
 def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,

@@ -337,6 +337,16 @@ def test_run_velocity_needs_three_periods(tmp_path):
     assert code == 4
 
 
+def test_run_convergence_needs_two_periods(tmp_path, capsys):
+    out = tmp_path / "two"
+    assert run_cli("run", "--scenario", "box1", "--out", str(out), "--periods", "2") == 0
+    assert len(json.loads((out / "convergence.json").read_text())["d_sup"]) == 1
+    out = tmp_path / "one"
+    assert run_cli("run", "--scenario", "box1", "--out", str(out), "--periods", "1") == 4
+    assert "convergence reports need at least 2 periods" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags,config", [
     ("compare", ["--scenario", "crawler2", "--periods", "2", "--steps", "100"], None),
     ("compare", [], {"scenario": "crawler2", "periods": 2, "steps_per_period": 100,

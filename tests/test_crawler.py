@@ -8,6 +8,7 @@ import sweeplab.crawler
 import sweeplab.polyhedra
 import sweeplab.signals
 from helpers import (
+    canonical_patterns,
     central_difference_gradient,
     load_perfbench,
     gait_margin_floor,
@@ -43,6 +44,7 @@ from sweeplab.crawler import (
 from sweeplab.errors import (
     DegenerateGaitError,
     EnumerationCapError,
+    GridAlignmentError,
     InadmissibleStateError,
     PatternSearchError,
 )
@@ -53,8 +55,8 @@ from sweeplab.polyhedra import (
     freeze,
     positively_spanning,
 )
-from sweeplab.scenarios import degenerate_gait, three_block_gait, two_block_gait
-from sweeplab.signals import PeriodicSignal, eval_signal, triangle_wave
+from sweeplab.scenarios import catalog, degenerate_gait, three_block_gait, two_block_gait
+from sweeplab.signals import PeriodicSignal, eval_many, eval_signal, triangle_wave
 
 TOL = 1e-9
 
@@ -491,6 +493,14 @@ def _rest_start(g):
     return assemble_positions(0.0, rest_length_values(g, 0.0))
 
 
+def _assert_patterns_match_reference(run, positions, chosen):
+    # The oracle reports canonical patterns; the reference records the
+    # patterns it accepted, which may call a block slipping that did not move.
+    canonical = canonical_patterns(positions)
+    np.testing.assert_array_equal(run.patterns, canonical)
+    assert np.all(np.abs(np.diff(positions, axis=0))[chosen != canonical] <= TOL)
+
+
 # The benchmark's gait_wide workload: its gaits, and the start sampler it uses.
 _WORKLOADS = load_perfbench("workloads")
 _SL = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler, polyhedra=sweeplab.polyhedra)
@@ -503,38 +513,96 @@ def test_oracle_bit_equal_to_reference(gait):
     run = incremental_oracle(gait, x0, 0.0, 10, 1000)
     positions, patterns = reference_oracle(gait, x0, 0.0, 10, 1000)
     assert run.motion.positions.tobytes() == positions.tobytes()
-    np.testing.assert_array_equal(run.patterns, patterns)
+    _assert_patterns_match_reference(run, positions, patterns)
 
 
-def test_oracle_matches_reference_on_random_gaits():
-    # The criterion-05 gaits: random lattice gaits with a margin that slip from rest.
+def _criterion_05_random_gaits():
+    # Random lattice gaits with a margin that slip from rest, drawn as criterion 05 draws them.
     rng = np.random.default_rng(555)
+    gaits = []
     for N in (2, 3, 3):
         g = random_gait_with_margin(rng, N, 0.1)
         while not gait_slips_from_rest(g):
             g = random_gait_with_margin(rng, N, 0.1)
+        gaits.append(g)
+    return gaits
+
+
+def _peristaltic_starts(seed):
+    # The gait_wide workload's gaits and starts for this seed, drawn as it draws them.
+    rng = np.random.default_rng(seed)
+    for N, count in _WORKLOADS.GaitWide.STARTS.items():
+        g = _WORKLOADS.peristaltic_gait(_SL, N)
+        K = build_moving_set(g)
+        for _ in range(count):
+            yield g, assemble_positions(0.0, -_WORKLOADS._admissible_point(_SL, K, rng) / g.stiffness)
+
+
+def test_oracle_matches_reference_on_random_gaits():
+    for g in _criterion_05_random_gaits():
         x0 = _rest_start(g)
         run = incremental_oracle(g, x0, 0.0, 5, 1000)
         positions, patterns = reference_oracle(g, x0, 0.0, 5, 1000)
         assert np.any(patterns != 0)
         np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(run.patterns, patterns)
+        _assert_patterns_match_reference(run, positions, patterns)
 
 
 @pytest.mark.parametrize("seed", [101, 102, 103])
 def test_oracle_matches_reference_on_peristaltic_gaits(seed):
-    # Starts drawn as the gait_wide workload draws them for this seed.
     wide = _WORKLOADS.GaitWide
-    rng = np.random.default_rng(seed)
-    for N, count in wide.STARTS.items():
-        g = _WORKLOADS.peristaltic_gait(_SL, N)
-        K = build_moving_set(g)
-        for _ in range(count):
-            x0 = assemble_positions(0.0, -_WORKLOADS._admissible_point(_SL, K, rng) / g.stiffness)
-            run = incremental_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
-            positions, patterns = reference_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
-            np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
-            np.testing.assert_array_equal(run.patterns, patterns)
+    for g, x0 in _peristaltic_starts(seed):
+        run = incremental_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
+        positions, patterns = reference_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
+        np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
+        _assert_patterns_match_reference(run, positions, patterns)
+
+
+def _canonical_pattern_runs(case):
+    """(gait, x0, periods, M) of the runs whose canonical patterns are checked."""
+    if case.startswith("peristaltic"):
+        wide = _WORKLOADS.GaitWide
+        return [(g, x0, wide.PERIODS, wide.STEPS) for g, x0 in _peristaltic_starts(int(case[-3:]))]
+    if case == "criterion05":
+        return [(g, _rest_start(g), 5, 2000) for g in [two_block_gait(), *_criterion_05_random_gaits()]]
+    gait = {"crawler2": two_block_gait(), "crawler2-mirror": two_block_gait(mirrored=True),
+            "crawler3": three_block_gait()}[case]
+    return [(gait, _rest_start(gait), 10, 1000)]
+
+
+@pytest.mark.parametrize("case", ["crawler2", "crawler2-mirror", "crawler3", "peristaltic-101",
+                                  "peristaltic-102", "peristaltic-103", "criterion05"])
+def test_canonical_patterns_are_kkt_patterns_shared_by_both_solvers(case):
+    # Every canonical row passes the oracle's own KKT test from the row before
+    # and lands on the next row; none is all-slip; and the reduced pipeline's
+    # motion has the same canonical patterns.
+    cr = sweeplab.crawler
+    for gait, x0, periods, M in _canonical_pattern_runs(case):
+        oracle = incremental_oracle(gait, x0, 0.0, periods, M)
+        reduced = simulate_reduced(gait, x0, 0.0, periods, M)
+        pats, xs = oracle.patterns, oracle.motion.positions
+        N = gait.num_blocks
+        assert pats.dtype == np.int8 and pats.shape == (periods * M, N)
+        assert np.any(pats != 0) and not np.any(np.all(pats != 0, axis=1))
+        np.testing.assert_array_equal(canonical_patterns(reduced.motion.positions), pats)
+        PZ = cr.shape_matrix(N)
+        ts = gait.period * np.arange(M) / M
+        ell, mup, mum = (np.column_stack([eval_many(s, ts) for s in sigs])
+                         for sigs in (gait.rest_lengths, gait.mu_plus, gait.mu_minus))
+        b = gait.stiffness * ell @ PZ
+        table = cr._PatternTable(gait.stiffness * (PZ.T @ PZ))
+        for k, pat in enumerate(pats.tolist()):
+            ph = (k + 1) % M
+            x_new, violation = cr._try_pattern(xs[k], b[ph], mup[ph], mum[ph], table[tuple(pat)])
+            assert violation <= TOL
+            assert np.max(np.abs(x_new - xs[k + 1])) <= 1e-14
+
+
+def test_oracle_rejects_breakpoints_off_its_grid():
+    sc = catalog()["crawler2"]
+    for run in (simulate_reduced, incremental_oracle):
+        with pytest.raises(GridAlignmentError, match="is not on the grid"):
+            run(sc.gait, sc.initial_state, 0.0005, 3, 100)
 
 
 @pytest.mark.parametrize("gait,M", [(three_block_gait(), 400), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],
@@ -623,7 +691,7 @@ def test_oracle_bit_equal_to_reference_where_margin_vanishes(gait, periods, M):
     positions, patterns = reference_oracle(gait, x0, 0.0, periods, M)
     assert np.any(patterns != 0)
     assert run.motion.positions.tobytes() == positions.tobytes()
-    np.testing.assert_array_equal(run.patterns, patterns)
+    _assert_patterns_match_reference(run, positions, patterns)
 
 
 def test_oracle_block_cap():

@@ -6,6 +6,7 @@ from helpers import (
     random_moving_polyhedron,
     random_point_outside,
     random_polyhedron,
+    reference_gamma,
 )
 from sweeplab.errors import (
     EnumerationCapError,
@@ -276,7 +277,33 @@ def test_gamma_single_constraint_cell():
 
 
 def test_gamma_orthonormal_pair():
-    assert gamma_constant(unit_square()) == pytest.approx(np.sqrt(2.0), rel=1e-6)
+    assert gamma_constant(unit_square()) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_box_is_sqrt_n(n):
+    eye = np.eye(n)
+    F = FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(2 * n))
+    assert gamma_constant(F) == pytest.approx(np.sqrt(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("F,alpha", [
+    (wedge(), np.pi / 4),
+    (FrozenPolyhedron([[0, -1], [-np.sqrt(3), 1], [np.sqrt(3), 1]], [0, 0, np.sqrt(3)]), np.pi / 3),
+], ids=["wedge", "equilateral"])
+def test_gamma_triangle_is_set_by_its_sharpest_corner(F, alpha):
+    # at a corner of interior angle alpha the unit normals are pi - alpha
+    # apart, so their hull is sin(alpha/2) from the origin
+    assert gamma_constant(F) == pytest.approx(1.0 / np.sin(alpha / 2), rel=1e-12)
+
+
+def test_gamma_matches_min_norm_reference_on_random_polyhedra():
+    # Draws 7, 12 and 18 have a vertex whose affine-hull point of all active
+    # unit normals has a negative weight, so they pin the support sign test.
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        F = random_polyhedron(rng, 3, 6)
+        assert gamma_constant(F) == pytest.approx(reference_gamma(F), rel=1e-6)
 
 
 def test_gamma_grows_for_nearly_parallel_normals():
@@ -319,7 +346,7 @@ def test_gamma_matches_continuous_optimizer_on_wedge():
 
         res = minimize_scalar(neg_ratio, bounds=(0.0, 1.0), method="bounded")
         best = max(best, -res.fun)
-    assert gamma_constant(F) == pytest.approx(best, rel=2e-3)
+    assert gamma_constant(F) == pytest.approx(best, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
