@@ -34,7 +34,7 @@ from .errors import (
     SweepLabError,
 )
 from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
-from .scenarios import Scenario, catalog
+from .scenarios import Scenario, catalog, scenario
 from .sweeping import (
     FLOAT_FMT,
     SweepingProblem,
@@ -196,7 +196,7 @@ class RunConfig:
         gait, problem = self.gait, self.problem
         if self.scenario is not None:
             try:
-                sc = catalog()[self.scenario]
+                sc = scenario(self.scenario)
             except KeyError:
                 raise ConfigError(f"unknown scenario {self.scenario!r}") from None
             gait, problem = sc.gait, sc.problem

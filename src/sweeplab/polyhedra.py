@@ -10,6 +10,12 @@ the unique projection is the first candidate, in size-then-lexicographic
 order, that is primal feasible with nonnegative multipliers. Problems here
 are small (n <= ~8, m <= 24), so the enumeration is exact and cheap, and its
 multipliers feed the sweeping-process integrator directly.
+
+All candidates of one size are tested together: one stacked solve for their
+multipliers, one stacked product for their points, and the first passing row
+in table order wins. Stacked LAPACK/BLAS calls run the same routine per item
+as one-at-a-time calls, so the result is bit-equal to trying the candidates in
+a loop; tests/helpers.py:reference_project_raw is that loop and pins it.
 """
 
 from __future__ import annotations
@@ -174,8 +180,11 @@ _TABLES: dict = {}
 def _subset_table(B: np.ndarray):
     """All index subsets with linearly independent normals, sizes 1..n.
 
-    Entries are (indices, B_S, G_S) with G_S = B_S B_S^T, ordered by size then
-    lexicographically. Cached per distinct normals matrix.
+    Returns (entries, index, stacks). Entries are (indices, B_S, G_S) with
+    G_S = B_S B_S^T, ordered by size then lexicographically; index maps each
+    index tuple to its entry number. stacks[s - 1] holds the size-s entries as
+    read-only arrays (K_s, s), (K_s, s, n) and (K_s, s, s) in table order, and
+    the entries are views into them. Cached per distinct normals matrix.
     """
     key = _subset_table_key(B)
     table = _TABLES.get(key)
@@ -185,8 +194,10 @@ def _subset_table(B: np.ndarray):
     if m > ENUMERATION_CAP:
         raise EnumerationCapError(f"{m} constraints exceed the enumeration cap {ENUMERATION_CAP}")
     entries = []
+    stacks = []
     count = 0
     for size in range(1, n + 1):
+        found = []
         for idx in itertools.combinations(range(m), size):
             count += 1
             if count > MAX_TABLE_SIZE:
@@ -200,16 +211,26 @@ def _subset_table(B: np.ndarray):
             # Discard numerically dependent families as well.
             if not _independent(BS):
                 continue
-            entries.append((np.array(idx, dtype=int), BS.copy(), G))
+            found.append((idx, BS, G))
+        stack = (
+            np.array([f[0] for f in found], dtype=int).reshape(-1, size),
+            np.array([f[1] for f in found]).reshape(-1, size, n),
+            np.array([f[2] for f in found]).reshape(-1, size, size),
+        )
+        for a in stack:
+            a.setflags(write=False)
+        stacks.append(stack)
+        entries.extend(zip(*stack))
     # Only the benchmark's tracer (perfbench/spans.py, on_project) reads the index.
-    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)})
+    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks)
     if len(_TABLES) > 512:
         _TABLES.clear()
     _TABLES[key] = table
     return table
 
 
-def _solve_multipliers(BS: np.ndarray, G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_multipliers(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G lam = rhs, for one system (rhs (s,)) or a stack (rhs (K, s, 1))."""
     lam = np.linalg.solve(G, rhs)
     # One step of iterative refinement keeps equality residuals near machine eps
     # even for moderately ill-conditioned active sets.
@@ -251,15 +272,22 @@ def _project_raw(B, c, table, p):
     resid = c - B @ p
     if np.all(resid >= -DEFAULT_TOL):
         return p.copy(), np.zeros(B.shape[0]), ()
-    for idx, BS, G in table[0]:
-        lam_s = _solve_multipliers(BS, G, BS @ p - c[idx])
-        if np.any(lam_s < -DEFAULT_TOL):
+    bound = (c + DEFAULT_TOL)[:, None]
+    for idx, BS, G in table[2]:
+        # Per row: multipliers >= -tol, then the point feasible; the first
+        # row passing both wins, as in a loop over the candidates.
+        lam_s = _solve_multipliers(G, (BS @ p - c[idx])[..., None])
+        rows = np.flatnonzero(~(lam_s < -DEFAULT_TOL).any(axis=(1, 2)))
+        if not len(rows):
             continue
-        z = p - BS.T @ lam_s
-        if np.all(B @ z <= c + DEFAULT_TOL):
+        Z = p[:, None] - BS[rows].transpose(0, 2, 1) @ lam_s[rows]
+        feasible = (B @ Z <= bound).all(axis=(1, 2))
+        first = feasible.argmax()
+        if feasible[first]:
+            j = rows[first]
             lam = np.zeros(B.shape[0])
-            lam[idx] = np.maximum(lam_s, 0.0)
-            return z, lam, tuple(int(i) for i in idx)
+            lam[idx[j]] = np.maximum(lam_s[j, :, 0], 0.0)
+            return Z[first, :, 0].copy(), lam, tuple(int(i) for i in idx[j])
     raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
 
 
@@ -300,7 +328,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
     if not _independent(BS):
         raise LicqError(f"active normals {tuple(act)} are linearly dependent")
     G = BS @ BS.T
-    lam_s = _solve_multipliers(BS, G, BS @ v)
+    lam_s = _solve_multipliers(G, BS @ v)
     if np.any(lam_s < -DEFAULT_TOL):
         raise NormalConeError(f"negative coefficient {lam_s.min():.3e}: v not in the normal cone")
     lam_s = np.maximum(lam_s, 0.0)
@@ -319,18 +347,11 @@ def vertices(F: FrozenPolyhedron) -> np.ndarray:
     Raises InfeasibleSetError if no vertex exists (empty or unbounded set).
     """
     B, c = F.normals, F.offsets
-    n = F.dim
-    entries, _ = _subset_table(B)
-    points = []
-    for idx, BS, _G in entries:
-        if len(idx) != n:
-            continue
-        z = np.linalg.solve(BS, c[idx])
-        if np.all(B @ z <= c + DEFAULT_TOL):
-            points.append(z)
-    if not points:
+    idx, BS, _G = _subset_table(B)[2][F.dim - 1]
+    Z = np.linalg.solve(BS, c[idx][..., None])
+    pts = Z[np.all(B @ Z <= (c + DEFAULT_TOL)[:, None], axis=(1, 2)), :, 0]
+    if not len(pts):
         raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
-    pts = np.array(points)
     # Dedupe coincident solutions coming from different subsets.
     threshold = 1e-7 * (1.0 + np.abs(pts).max())
     keep = pts[:1]
@@ -353,9 +374,16 @@ def check_licq(F: FrozenPolyhedron) -> LicqReport:
     some vertex, so it suffices to inspect vertex active sets. The witness is
     trimmed to a dependent subset of at most n+1 constraints.
     """
-    B = F.normals
-    for v in vertices(F):
-        act = active_set(F, v)
+    return _licq_report(F.normals, _vertex_active_sets(F))
+
+
+def _vertex_active_sets(F: FrozenPolyhedron) -> list:
+    """The active set of each vertex of F, in vertices' order."""
+    return [active_set(F, v) for v in vertices(F)]
+
+
+def _licq_report(B: np.ndarray, vertex_active: list) -> LicqReport:
+    for act in vertex_active:
         if not _independent(B[act]):
             return LicqReport(False, _dependent_witness(B, act))
     return LicqReport(True, None)
@@ -378,8 +406,7 @@ def enumerate_faces(F: FrozenPolyhedron) -> set:
     are drawn from vertex active sets and closed by intersecting the vertex
     active sets that contain them.
     """
-    vs = vertices(F)
-    vertex_active = [frozenset(active_set(F, v).tolist()) for v in vs]
+    vertex_active = [frozenset(act.tolist()) for act in _vertex_active_sets(F)]
     all_active = frozenset.intersection(*vertex_active)  # constraints active on all of F
     faces = {tuple(sorted(all_active))}
     seen = set()
@@ -413,15 +440,15 @@ def gamma_constant(F: FrozenPolyhedron) -> float:
     (sum y)^(-1/2); a support with a zero weight gives its sub-support's value.
     Requires LICQ, under which every such Gram matrix is invertible.
     """
-    report = check_licq(F)
+    vertex_active = _vertex_active_sets(F)
+    report = _licq_report(F.normals, vertex_active)
     if not report.holds:
         raise LicqError(f"gamma constant requires LICQ; dependent subset {report.witness}")
     U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
     best = 1.0
-    for v in vertices(F):
-        act = active_set(F, v).tolist()
+    for act in vertex_active:
         for size in range(2, len(act) + 1):
-            for idx in itertools.combinations(act, size):
+            for idx in itertools.combinations(act.tolist(), size):
                 US = U[list(idx)]
                 y = np.linalg.solve(US @ US.T, np.ones(size))
                 if np.all(y >= 0):

@@ -330,16 +330,18 @@ def _gait_scenario(name: str, g: Gait, v0_ref: float | None) -> Scenario:
 # ---------------------------------------------------------------------------
 # Catalog
 
-def catalog() -> dict:
-    """All bundled scenarios by name."""
+def _box1() -> Scenario:
     T = 1.0
     a1 = triangle_wave(T, 2.0)
-    box1 = ncell_scenario([a1], [combine([a1], [1.0], constant=1.0)], name="box1")
+    return ncell_scenario([a1], [combine([a1], [1.0], constant=1.0)], name="box1")
 
+
+def _box3() -> Scenario:
+    T = 1.0
     a_1 = triangle_wave(T, 2.0)
     a_2 = PeriodicSignal(T, [(0.0, -1.0), (0.25, 1.0), (0.75, -1.0)])
     a_3 = PeriodicSignal(T, [(0.0, 0.0), (0.25, 1.0)])
-    box3 = ncell_scenario(
+    return ncell_scenario(
         [a_1, a_2, a_3],
         [
             combine([a_1], [1.0], constant=1.0),
@@ -349,13 +351,24 @@ def catalog() -> dict:
         name="box3",
     )
 
-    return {
-        "wedge": wedge_scenario(),
-        "triangle": triangle_scenario(),
-        "box1": box1,
-        "box3": box3,
-        "crawler2": _gait_scenario("crawler2", two_block_gait(), 2.0),
-        "crawler2-mirror": _gait_scenario("crawler2-mirror", two_block_gait(mirrored=True), -2.0),
-        "crawler3": _gait_scenario("crawler3", three_block_gait(), None),
-        "crawler2-degenerate": _gait_scenario("crawler2-degenerate", degenerate_gait(), None),
-    }
+
+_BUILDERS = {
+    "wedge": wedge_scenario,
+    "triangle": triangle_scenario,
+    "box1": _box1,
+    "box3": _box3,
+    "crawler2": lambda: _gait_scenario("crawler2", two_block_gait(), 2.0),
+    "crawler2-mirror": lambda: _gait_scenario("crawler2-mirror", two_block_gait(mirrored=True), -2.0),
+    "crawler3": lambda: _gait_scenario("crawler3", three_block_gait(), None),
+    "crawler2-degenerate": lambda: _gait_scenario("crawler2-degenerate", degenerate_gait(), None),
+}
+
+
+def scenario(name: str) -> Scenario:
+    """The bundled scenario with this name, built alone; KeyError for an unknown name."""
+    return _BUILDERS[name]()
+
+
+def catalog() -> dict:
+    """All bundled scenarios by name."""
+    return {name: build() for name, build in _BUILDERS.items()}

@@ -10,6 +10,7 @@ import importlib.util
 import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import nnls
@@ -75,6 +76,54 @@ def reference_gamma(F: FrozenPolyhedron, tol: float = TOL) -> float:
         w, _ = nnls(A, np.append(np.zeros(n), 1.0))
         best = max(best, w.sum() / np.linalg.norm(UA.T @ w))
     return best
+
+
+def reference_project_raw(B, c, table, p, tol: float = TOL):
+    """The projection's candidate loop, one candidate at a time: the first
+    subset in table order whose refined multipliers are >= -tol and whose
+    point is feasible. The bit-equal reference for polyhedra._project_raw.
+    """
+    from sweeplab.errors import InfeasibleSetError
+
+    resid = c - B @ p
+    if np.all(resid >= -tol):
+        return p.copy(), np.zeros(B.shape[0]), ()
+    for idx, BS, G in table[0]:
+        rhs = BS @ p - c[idx]
+        lam_s = np.linalg.solve(G, rhs)
+        lam_s += np.linalg.solve(G, rhs - G @ lam_s)
+        if np.any(lam_s < -tol):
+            continue
+        z = p - BS.T @ lam_s
+        if np.all(B @ z <= c + tol):
+            lam = np.zeros(B.shape[0])
+            lam[idx] = np.maximum(lam_s, 0.0)
+            return z, lam, tuple(int(i) for i in idx)
+    raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
+
+
+def reference_vertices(F: FrozenPolyhedron, tol: float = TOL) -> np.ndarray:
+    """polyhedra.vertices one square subsystem at a time, over the same table."""
+    from sweeplab.errors import InfeasibleSetError
+    from sweeplab.polyhedra import _subset_table
+
+    B, c = F.normals, F.offsets
+    points = []
+    for idx, BS, _G in _subset_table(B)[0]:
+        if len(idx) != F.dim:
+            continue
+        z = np.linalg.solve(BS, c[idx])
+        if np.all(B @ z <= c + tol):
+            points.append(z)
+    if not points:
+        raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
+    pts = np.array(points)
+    threshold = 1e-7 * (1.0 + np.abs(pts).max())
+    keep = pts[:1]
+    for z in pts[1:]:
+        if np.all(np.linalg.norm(keep - z, axis=1) > threshold):
+            keep = np.vstack([keep, z])
+    return keep
 
 
 def central_difference_gradient(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
@@ -213,6 +262,24 @@ def load_perfbench(name: str):
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def peristaltic_starts(seed: int):
+    """The benchmark's gait_wide gaits and starts for this seed, drawn as it draws them."""
+    import sweeplab.crawler
+    import sweeplab.polyhedra
+    import sweeplab.signals
+
+    workloads = load_perfbench("workloads")
+    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler,
+                         polyhedra=sweeplab.polyhedra)
+    rng = np.random.default_rng(seed)
+    for N, count in workloads.GaitWide.STARTS.items():
+        g = workloads.peristaltic_gait(sl, N)
+        K = sl.crawler.build_moving_set(g)
+        for _ in range(count):
+            z = workloads._admissible_point(sl, K, rng)
+            yield g, sl.crawler.assemble_positions(0.0, -z / g.stiffness)
 
 
 def random_gait_with_margin(rng: np.random.Generator, num_blocks: int, threshold: float):

@@ -13,6 +13,7 @@ from helpers import (
     load_perfbench,
     gait_margin_floor,
     gait_slips_from_rest,
+    peristaltic_starts,
     random_gait,
     random_gait_with_margin,
     reference_margin_at,
@@ -501,7 +502,7 @@ def _assert_patterns_match_reference(run, positions, chosen):
     assert np.all(np.abs(np.diff(positions, axis=0))[chosen != canonical] <= TOL)
 
 
-# The benchmark's gait_wide workload: its gaits, and the start sampler it uses.
+# The benchmark's gait_wide workload and its gaits.
 _WORKLOADS = load_perfbench("workloads")
 _SL = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler, polyhedra=sweeplab.polyhedra)
 
@@ -528,16 +529,6 @@ def _criterion_05_random_gaits():
     return gaits
 
 
-def _peristaltic_starts(seed):
-    # The gait_wide workload's gaits and starts for this seed, drawn as it draws them.
-    rng = np.random.default_rng(seed)
-    for N, count in _WORKLOADS.GaitWide.STARTS.items():
-        g = _WORKLOADS.peristaltic_gait(_SL, N)
-        K = build_moving_set(g)
-        for _ in range(count):
-            yield g, assemble_positions(0.0, -_WORKLOADS._admissible_point(_SL, K, rng) / g.stiffness)
-
-
 def test_oracle_matches_reference_on_random_gaits():
     for g in _criterion_05_random_gaits():
         x0 = _rest_start(g)
@@ -551,7 +542,7 @@ def test_oracle_matches_reference_on_random_gaits():
 @pytest.mark.parametrize("seed", [101, 102, 103])
 def test_oracle_matches_reference_on_peristaltic_gaits(seed):
     wide = _WORKLOADS.GaitWide
-    for g, x0 in _peristaltic_starts(seed):
+    for g, x0 in peristaltic_starts(seed):
         run = incremental_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
         positions, patterns = reference_oracle(g, x0, 0.0, wide.PERIODS, wide.STEPS)
         np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-14)
@@ -562,7 +553,7 @@ def _canonical_pattern_runs(case):
     """(gait, x0, periods, M) of the runs whose canonical patterns are checked."""
     if case.startswith("peristaltic"):
         wide = _WORKLOADS.GaitWide
-        return [(g, x0, wide.PERIODS, wide.STEPS) for g, x0 in _peristaltic_starts(int(case[-3:]))]
+        return [(g, x0, wide.PERIODS, wide.STEPS) for g, x0 in peristaltic_starts(int(case[-3:]))]
     if case == "criterion05":
         return [(g, _rest_start(g), 5, 2000) for g in [two_block_gait(), *_criterion_05_random_gaits()]]
     gait = {"crawler2": two_block_gait(), "crawler2-mirror": two_block_gait(mirrored=True),

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+import sweeplab.polyhedra
+import sweeplab.sweeping
 from helpers import (
     brute_force_cone_coefficients,
+    load_perfbench,
+    peristaltic_starts,
     random_moving_polyhedron,
     random_point_outside,
     random_polyhedron,
     reference_gamma,
+    reference_project_raw,
+    reference_vertices,
 )
+from sweeplab.crawler import build_moving_set, simulate_reduced
 from sweeplab.errors import (
     EnumerationCapError,
     InfeasibleSetError,
@@ -29,7 +36,10 @@ from sweeplab.polyhedra import (
     positively_spanning,
     project,
     vertices,
+    _project_raw,
+    _subset_table,
 )
+from sweeplab.scenarios import catalog
 from sweeplab.signals import PeriodicSignal, eval_signal, triangle_wave
 
 TOL = 1e-9
@@ -140,6 +150,78 @@ def test_projection_property_suite():
         assert np.all(r2.multipliers <= 1e-9)
 
 
+def _assert_projection_bit_equal(B, c, p):
+    table = _subset_table(B)
+    z, lam, subset = _project_raw(B, c, table, p)
+    z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p)
+    assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref), (B, c, p)
+    assert subset == subset_ref
+    return subset
+
+
+def _random_draws(count):
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        F = random_polyhedron(rng, n, int(rng.integers(n + 1, 11)))
+        yield rng, F
+
+
+def test_project_bit_equal_to_candidate_loop_on_random_polyhedra():
+    for rng, F in _random_draws(50):
+        for _ in range(4):
+            _assert_projection_bit_equal(F.normals, F.offsets, random_point_outside(rng, F))
+
+
+@pytest.mark.parametrize("normals,offsets,p,subset,also_passing", [
+    # {x <= 1} and {x <= 1, y <= 1} (multiplier 0 on y) both pass: the smaller size wins.
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], [2.0, 1.0], (0,), (0, 1)),
+    # x + y <= 2 also passes through the vertex (1, 1): two pairs pass, the first wins.
+    ([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]], [1, 1, 2, 0, 0], [2.0, 1.5], (0, 1), (0, 2)),
+], ids=["larger-size", "same-size"])
+def test_project_tie_goes_to_the_first_passing_candidate(normals, offsets, p, subset, also_passing):
+    B, c, p = np.array(normals, float), np.array(offsets, float), np.array(p)
+    assert _assert_projection_bit_equal(B, c, p) == subset
+    S = list(also_passing)
+    lam = np.linalg.solve(B[S] @ B[S].T, B[S] @ p - c[S])
+    assert np.all(lam >= 0) and np.all(B @ (p - B[S].T @ lam) <= c + TOL)
+
+
+def test_project_bit_equal_on_the_gait_wide_searches(monkeypatch):
+    calls = []
+
+    def recording(B, c, table, p):
+        result = _project_raw(B, c, table, p)
+        calls.append((B, c.copy(), table, p.copy(), result))
+        return result
+
+    monkeypatch.setattr(sweeplab.sweeping, "_project_raw", recording)
+    wide = load_perfbench("workloads").GaitWide
+    for g, x0 in peristaltic_starts(101):
+        simulate_reduced(g, x0, 0.0, wide.PERIODS, wide.STEPS)
+    full = [call for call in calls if call[4][2]]
+    assert len(full) > 100
+    for B, c, table, p, (z, lam, subset) in full:
+        z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p)
+        assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
+        assert subset == subset_ref
+
+
+@pytest.mark.parametrize("normals,offsets", [
+    ([[1.0], [-1.0]], [-1.0, -2.0]),
+    ([[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, -1.0]),
+], ids=["interval", "triangle"])
+def test_project_empty_set_matches_candidate_loop(normals, offsets):
+    B, c = np.array(normals, float), np.array(offsets, float)
+    p = np.full(B.shape[1], 3.0)
+    table = _subset_table(B)
+    with pytest.raises(InfeasibleSetError) as ref:
+        reference_project_raw(B, c, table, p)
+    with pytest.raises(InfeasibleSetError) as got:
+        _project_raw(B, c, table, p)
+    assert str(got.value) == str(ref.value)
+
+
 # ---------------------------------------------------------------------------
 # normal-cone decomposition
 
@@ -222,6 +304,20 @@ def test_bounding_box():
     lo, hi = bounding_box(wedge())
     np.testing.assert_allclose(lo, [0, 0], atol=1e-12)
     np.testing.assert_allclose(hi, [2, 2], atol=1e-12)
+
+
+def _bundled_moving_sets():
+    for sc in catalog().values():
+        yield sc.name, build_moving_set(sc.gait) if sc.gait else sc.problem.moving_set
+
+
+def test_vertices_bit_equal_to_square_subsystem_loop():
+    for _, F in _random_draws(50):
+        assert np.array_equal(vertices(F), reference_vertices(F))
+    for name, K in _bundled_moving_sets():
+        for t in np.unique(np.concatenate([s.times for s in K.offsets])):
+            F = freeze(K, t)
+            assert np.array_equal(vertices(F), reference_vertices(F)), (name, t)
 
 
 def test_check_licq_square_and_wedge():
@@ -318,6 +414,19 @@ def test_gamma_grows_for_nearly_parallel_normals():
         values.append(gamma_constant(F))
     assert values[0] < values[1] < values[2]
     assert values[2] > 100
+
+
+def test_gamma_enumerates_the_vertices_once(monkeypatch):
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return vertices(F)
+
+    monkeypatch.setattr(sweeplab.polyhedra, "vertices", counting)
+    eye = np.eye(4)
+    gamma_constant(FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(8)))
+    assert len(calls) == 1
 
 
 def test_gamma_requires_licq():

@@ -11,6 +11,7 @@ from sweeplab.scenarios import (
     edge_map,
     ncell_scenario,
     reference_gaits,
+    scenario,
     triangle_scenario,
     wedge_poincare,
     wedge_scenario,
@@ -264,6 +265,18 @@ def test_catalog_contents_and_export():
         for entry in sc.reference.values():
             if isinstance(entry, dict) and "source" in entry:
                 assert entry["source"] in ("closed-form", "derived", "construction")
+
+
+def test_scenario_builds_the_catalog_entry_alone():
+    for name, sc in catalog().items():
+        one = scenario(name)
+        assert one.name == name
+        assert one.export_json() == sc.export_json()
+        assert (one.recommended_periods, one.recommended_steps) == (
+            sc.recommended_periods, sc.recommended_steps)
+        np.testing.assert_array_equal(one.initial_state, sc.initial_state)
+    with pytest.raises(KeyError):
+        scenario("no-such-scenario")
 
 
 def test_bundled_scenarios_w12_monotone():
