@@ -16,11 +16,17 @@ multipliers, one stacked product for their points, and the first passing row
 in table order wins. Stacked LAPACK/BLAS calls run the same routine per item
 as one-at-a-time calls, so the result is bit-equal to trying the candidates in
 a loop; tests/helpers.py:reference_project_raw is that loop and pins it.
+
+One rule, _independent, decides linear independence everywhere: s <= n rows
+and sigma_min > sqrt(eps) * sigma_max with the rows scaled to unit length, so
+an independent family's Gram matrix is invertible in floats. It replaced a
+rank test at tolerance 1e-12 (plus, in the table, a factorization of G_S).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,9 +171,13 @@ def positively_spanning(normals: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # Candidate-subset table (shared by projection, vertices, faces)
 
-def _independent(BS: np.ndarray) -> bool:
-    """True iff the rows of BS are linearly independent (rank tolerance 1e-12 * max|BS|)."""
-    return np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) == len(BS)
+def _independent(BS: np.ndarray):
+    """The module's independence rule for one (s, n) matrix (a bool) or a
+    stack (K, s, n) (a boolean array of length K)."""
+    s, n = BS.shape[-2:]
+    sv = np.linalg.svd(BS / np.linalg.norm(BS, axis=-1, keepdims=True), compute_uv=False)
+    ok = (s <= n) & (sv[..., -1] > np.sqrt(np.finfo(float).eps) * sv[..., 0])
+    return ok if ok.ndim else bool(ok)
 
 
 def _subset_table_key(B: np.ndarray):
@@ -193,30 +203,15 @@ def _subset_table(B: np.ndarray):
     m, n = B.shape
     if m > ENUMERATION_CAP:
         raise EnumerationCapError(f"{m} constraints exceed the enumeration cap {ENUMERATION_CAP}")
+    if sum(math.comb(m, size) for size in range(1, n + 1)) > MAX_TABLE_SIZE:
+        raise EnumerationCapError("candidate subset enumeration too large")
     entries = []
     stacks = []
-    count = 0
     for size in range(1, n + 1):
-        found = []
-        for idx in itertools.combinations(range(m), size):
-            count += 1
-            if count > MAX_TABLE_SIZE:
-                raise EnumerationCapError("candidate subset enumeration too large")
-            BS = B[list(idx)]
-            G = BS @ BS.T
-            try:
-                np.linalg.cholesky(G)
-            except np.linalg.LinAlgError:
-                continue
-            # Discard numerically dependent families as well.
-            if not _independent(BS):
-                continue
-            found.append((idx, BS, G))
-        stack = (
-            np.array([f[0] for f in found], dtype=int).reshape(-1, size),
-            np.array([f[1] for f in found]).reshape(-1, size, n),
-            np.array([f[2] for f in found]).reshape(-1, size, size),
-        )
+        idx = np.array(list(itertools.combinations(range(m), size)), dtype=int).reshape(-1, size)
+        idx = idx[_independent(B[idx])]
+        BS = B[idx]
+        stack = (idx, BS, BS @ BS.transpose(0, 2, 1))
         for a in stack:
             a.setflags(write=False)
         stacks.append(stack)
@@ -392,9 +387,10 @@ def _licq_report(B: np.ndarray, vertex_active: list) -> LicqReport:
 def _dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
     """Smallest-prefix dependent subfamily of the active set (size <= n+1)."""
     for size in range(2, len(act) + 1):
-        for idx in itertools.combinations(act.tolist(), size):
-            if not _independent(B[list(idx)]):
-                return tuple(idx)
+        idx = np.array(list(itertools.combinations(act.tolist(), size)))
+        dependent = np.flatnonzero(~_independent(B[idx]))
+        if len(dependent):
+            return tuple(idx[dependent[0]].tolist())
     return tuple(act.tolist())
 
 

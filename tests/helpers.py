@@ -78,6 +78,59 @@ def reference_gamma(F: FrozenPolyhedron, tol: float = TOL) -> float:
     return best
 
 
+def reference_subset_table(B: np.ndarray):
+    """The subset table as it was built one combination at a time: a Cholesky
+    of G_S, then a rank test at tolerance 1e-12 * max(1, max|B_S|), for each
+    combination in size-then-lexicographic order. The bit-equal reference for
+    polyhedra._subset_table; returns (entries, index, stacks) as it does.
+    """
+    from sweeplab.errors import EnumerationCapError
+    from sweeplab.polyhedra import MAX_TABLE_SIZE
+
+    m, n = B.shape
+    entries = []
+    stacks = []
+    count = 0
+    for size in range(1, n + 1):
+        found = []
+        for idx in itertools.combinations(range(m), size):
+            count += 1
+            if count > MAX_TABLE_SIZE:
+                raise EnumerationCapError("candidate subset enumeration too large")
+            BS = B[list(idx)]
+            G = BS @ BS.T
+            try:
+                np.linalg.cholesky(G)
+            except np.linalg.LinAlgError:
+                continue
+            # Discard numerically dependent families as well.
+            if np.linalg.matrix_rank(BS, tol=1e-12 * max(1.0, np.abs(BS).max())) != len(BS):
+                continue
+            found.append((idx, BS, G))
+        stack = (
+            np.array([f[0] for f in found], dtype=int).reshape(-1, size),
+            np.array([f[1] for f in found]).reshape(-1, size, n),
+            np.array([f[2] for f in found]).reshape(-1, size, size),
+        )
+        for a in stack:
+            a.setflags(write=False)
+        stacks.append(stack)
+        entries.extend(zip(*stack))
+    return entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks
+
+
+def reference_dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
+    """polyhedra._dependent_witness one combination at a time: the first
+    dependent combination of the smallest size, in lexicographic order."""
+    from sweeplab.polyhedra import _independent
+
+    for size in range(2, len(act) + 1):
+        for idx in itertools.combinations(act.tolist(), size):
+            if not _independent(B[list(idx)]):
+                return tuple(idx)
+    return tuple(act.tolist())
+
+
 def reference_project_raw(B, c, table, p, tol: float = TOL):
     """The projection's candidate loop, one candidate at a time: the first
     subset in table order whose refined multipliers are >= -tol and whose

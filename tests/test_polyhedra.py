@@ -1,20 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import sweeplab.crawler
 import sweeplab.polyhedra
+import sweeplab.signals
 import sweeplab.sweeping
 from helpers import (
     brute_force_cone_coefficients,
     load_perfbench,
     peristaltic_starts,
+    random_gait,
     random_moving_polyhedron,
     random_point_outside,
     random_polyhedron,
+    reference_dependent_witness,
     reference_gamma,
     reference_project_raw,
+    reference_subset_table,
     reference_vertices,
 )
-from sweeplab.crawler import build_moving_set, simulate_reduced
+from sweeplab.crawler import build_moving_set, margin_at, simulate_reduced
 from sweeplab.errors import (
     EnumerationCapError,
     InfeasibleSetError,
@@ -36,13 +43,21 @@ from sweeplab.polyhedra import (
     positively_spanning,
     project,
     vertices,
+    _dependent_witness,
+    _independent,
     _project_raw,
     _subset_table,
+    _vertex_active_sets,
 )
 from sweeplab.scenarios import catalog
 from sweeplab.signals import PeriodicSignal, eval_signal, triangle_wave
 
 TOL = 1e-9
+
+
+def nearly_parallel_pair():
+    # Normals 0 and 1 are 1e-10 apart: their Gram matrix is singular in floats.
+    return FrozenPolyhedron([[1, 0], [1, 1e-10], [-1, 0], [0, -1], [0, 1]], np.ones(5))
 
 
 def unit_square():
@@ -223,6 +238,103 @@ def test_project_empty_set_matches_candidate_loop(normals, offsets):
 
 
 # ---------------------------------------------------------------------------
+# independence rule and subset table
+
+def test_independent_ignores_row_scale():
+    assert _independent(np.array([[1e9, 0.0], [0.0, 1.0]]))
+
+
+def test_independent_rejects_more_rows_than_columns():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(50, 3, 2))
+    assert not _independent(stack[0])
+    assert not _independent(stack).any()
+
+
+def test_independent_rejects_a_pair_with_a_singular_gram_matrix():
+    B = nearly_parallel_pair().normals[:2]
+    assert not _independent(B)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B @ B.T, np.ones(2))
+
+
+def test_independent_stacked_equals_per_item_calls():
+    # Random rows, rows scaled over 1e-3..1e3, and nearly dependent families
+    # around the sqrt(eps) bound.
+    rng = np.random.default_rng(11)
+    for s, n in [(1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (4, 6), (3, 2)]:
+        stack = rng.normal(size=(60, s, n)) * 10.0 ** rng.uniform(-3, 3, size=(60, s, 1))
+        if 1 < s <= n:
+            mix = rng.normal(size=(60, 1, s - 1)) @ stack[:, : s - 1]
+            eps = 10.0 ** rng.uniform(-16, -4, size=(60, 1, 1))
+            stack[30:, -1:] = (mix + eps * rng.normal(size=(60, 1, n)))[30:]
+        stacked = _independent(stack)
+        assert stacked.dtype == bool and stacked.shape == (60,)
+        assert stacked.tolist() == [_independent(BS) for BS in stack]
+
+
+def _table_inputs():
+    for name, K in _bundled_moving_sets():
+        yield name, K.normals
+    yield "triangle-moving", catalog()["triangle"].reference["moving_form"].moving_set.normals
+    for n in range(1, 5):
+        yield f"box{n}", np.vstack([np.eye(n), -np.eye(n)])
+    yield "half-plane", np.array([[1.0, 0.0]])
+    for i, (_, F) in enumerate(_random_draws(50)):
+        yield f"random{i}", F.normals
+
+
+def _assert_table_equal(B):
+    entries, index, stacks = _subset_table(B)
+    ref_entries, ref_index, ref_stacks = reference_subset_table(B)
+    assert index == ref_index
+    for stack, ref in zip(stacks, ref_stacks, strict=True):
+        for a, b in zip(stack, ref, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert not a.flags.writeable
+    for entry, ref in zip(entries, ref_entries, strict=True):
+        stack = stacks[len(entry[0]) - 1]
+        for a, b, whole in zip(entry, ref, stack, strict=True):
+            assert np.shares_memory(a, whole) and np.array_equal(a, b)
+
+
+def test_subset_table_equals_combination_loop():
+    for name, B in _table_inputs():
+        _assert_table_equal(B)
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_subset_table_equals_combination_loop_on_peristaltic_gaits(N):
+    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler,
+                         polyhedra=sweeplab.polyhedra)
+    g = load_perfbench("workloads").peristaltic_gait(sl, N)
+    _assert_table_equal(build_moving_set(g).normals)
+
+
+def test_subset_table_half_plane_has_empty_stacks():
+    sweeplab.polyhedra._TABLES.clear()
+    _, index, stacks = _subset_table(np.array([[1.0, 0.0]]))
+    assert list(index) == [(0,)]
+    assert [a.shape for a in stacks[1]] == [(0, 2), (0, 2, 2), (0, 2, 2)]
+
+
+def test_subset_table_drops_a_pair_with_a_singular_gram_matrix():
+    _, index, _ = _subset_table(nearly_parallel_pair().normals)
+    assert (0, 1) not in index and (0, 3) in index
+
+
+def test_subset_table_cap_raises_before_any_array_is_built(monkeypatch):
+    # m = 20, n = 9: 431,909 combinations of sizes 1..9 exceed MAX_TABLE_SIZE.
+    def untouched(*args):
+        raise AssertionError("the table tested a combination before checking the cap")
+
+    monkeypatch.setattr(sweeplab.polyhedra, "_independent", untouched)
+    B = np.random.default_rng(0).normal(size=(20, 9))
+    with pytest.raises(EnumerationCapError, match="^candidate subset enumeration too large$"):
+        _subset_table(B)
+
+
+# ---------------------------------------------------------------------------
 # normal-cone decomposition
 
 def test_decompose_zero_vector():
@@ -267,6 +379,11 @@ def test_decompose_rejects_dependent_active():
     F = FrozenPolyhedron([[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 0, 0])
     with pytest.raises(LicqError):
         decompose_normal(F, [1.0, 0.5], np.array([2.0, 0.0]))
+
+
+def test_decompose_rejects_a_pair_with_a_singular_gram_matrix():
+    with pytest.raises(LicqError):
+        decompose_normal(nearly_parallel_pair(), (1.0, 0.0), (1.0, 0.0))
 
 
 def test_decompose_matches_brute_force_nnls():
@@ -330,6 +447,40 @@ def test_check_licq_duplicated_constraint():
     report = check_licq(F)
     assert not report.holds
     assert report.witness == (0, 1)
+
+
+def test_check_licq_nearly_parallel_pair():
+    report = check_licq(nearly_parallel_pair())
+    assert not report.holds
+    assert report.witness == (0, 1)
+
+
+def _assert_witness_matches_per_item_loop(F):
+    checked = 0
+    for act in _vertex_active_sets(F):
+        if not _independent(F.normals[act]):
+            assert _dependent_witness(F.normals, act) == reference_dependent_witness(F.normals, act)
+            checked += 1
+    return checked
+
+
+def test_dependent_witness_matches_per_item_loop():
+    F = FrozenPolyhedron([[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 0, 0])
+    assert _assert_witness_matches_per_item_loop(F) == 2
+    # Three copies of x <= 1: the pairs (0, 1), (0, 2) and (1, 2) are all dependent.
+    F = FrozenPolyhedron([[1, 0], [1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1, 0, 0])
+    assert _assert_witness_matches_per_item_loop(F) == 2
+    assert check_licq(F).witness == (0, 1)
+    # Criterion 08's draws, at its zero-margin instants.
+    rng = np.random.default_rng(88)
+    checked = 0
+    for _ in range(20):
+        g = random_gait(rng, int(rng.integers(2, 4)))
+        K = build_moving_set(g)
+        for t in np.linspace(0.0, g.period, 100, endpoint=False):
+            if margin_at(g, float(t))[0] <= TOL:
+                checked += _assert_witness_matches_per_item_loop(freeze(K, float(t)))
+    assert checked > 0
 
 
 def test_check_licq_flat_set():
