@@ -332,6 +332,8 @@ def simulate_reduced(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (g.num_blocks,):
         raise ValueError(f"x0 must have {g.num_blocks} entries")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"initial state {x0} is not finite")
     if not admissible(g, t0, x0):
         raise InadmissibleStateError("initial configuration violates the force bounds")
     grid = t0 + h * np.arange(steps_per_period)
@@ -496,6 +498,8 @@ def incremental_oracle(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (N,):
         raise ValueError(f"x0 must have {N} entries")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"initial state {x0} is not finite")
     if not admissible(g, t0, x0):
         raise InadmissibleStateError("initial configuration violates the force bounds")
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls as _scipy_nnls
 
 from .errors import (
     EnumerationCapError,
@@ -44,7 +43,6 @@ from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal
 DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign test
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
 MAX_TABLE_SIZE = 300_000  # safety cap on the number of candidate subsets
-_SPANNING_TOL = 1e-10     # NNLS residual above which a unit vector is not in cone{b_i}
 
 
 @dataclass(frozen=True)
@@ -155,17 +153,17 @@ def freeze(P: MovingPolyhedron, t: float) -> FrozenPolyhedron:
 
 
 def positively_spanning(normals: np.ndarray) -> bool:
-    """True iff cone{b_i} = R^n, i.e. the recession cone of the set is {0}."""
+    """True iff the recession cone {d : B d <= 0} is {0}: B has rank n, and for the
+    null direction d of every n-1 independent rows (each extreme ray of a pointed
+    cone is one), both d and -d break some unit row by more than DEFAULT_TOL."""
     B = np.asarray(normals, dtype=float)
     n = B.shape[1]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            e = np.zeros(n)
-            e[j] = sign
-            _, resid = _scipy_nnls(B.T, e)
-            if resid > _SPANNING_TOL:
-                return False
-    return True
+    stacks = _subset_table(B)[2]
+    if not len(stacks[n - 1][0]):
+        return False
+    D = np.linalg.svd(stacks[n - 2][1])[2][:, -1] if n > 1 else np.ones((1, 1))
+    V = (B / np.linalg.norm(B, axis=1, keepdims=True)) @ D.T
+    return bool(np.all((V > DEFAULT_TOL).any(axis=0) & (V < -DEFAULT_TOL).any(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +319,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
         raise NormalConeError("normal cone at an interior point is {0}, but v != 0")
     BS = F.normals[act]
     if not _independent(BS):
-        raise LicqError(f"active normals {tuple(act)} are linearly dependent")
+        raise LicqError(f"active normals {tuple(act.tolist())} are linearly dependent")
     G = BS @ BS.T
     lam_s = _solve_multipliers(G, BS @ v)
     if np.any(lam_s < -DEFAULT_TOL):

@@ -15,12 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import nnls
 
-from sweeplab.polyhedra import (
-    FrozenPolyhedron,
-    MovingPolyhedron,
-    positively_spanning,
-    project,
-)
+from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, project
 from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, eval_many
 
 # The references' own working tolerance: the library's value, set here rather
@@ -188,13 +183,28 @@ def central_difference_gradient(f, x: np.ndarray, step: float = 1e-4) -> np.ndar
     return g
 
 
+def reference_positively_spanning(normals: np.ndarray) -> bool:
+    """cone{b_i} = R^n, decided by NNLS: every signed unit vector +-e_j must be a
+    nonnegative combination of the normals, up to a residual of 1e-10."""
+    B = np.asarray(normals, dtype=float)
+    n = B.shape[1]
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            e = np.zeros(n)
+            e[j] = sign
+            _, resid = nnls(B.T, e)
+            if resid > 1e-10:
+                return False
+    return True
+
+
 def random_polyhedron(rng: np.random.Generator, n: int, m: int) -> FrozenPolyhedron:
     """Compact, nonempty random polyhedron containing a known interior point."""
     assert m >= n + 1
     while True:
         B = rng.normal(size=(m, n))
         B /= np.linalg.norm(B, axis=1, keepdims=True)
-        if positively_spanning(B):
+        if reference_positively_spanning(B):
             break
     center = rng.normal(scale=0.5, size=n)
     slack = rng.uniform(0.3, 1.5, size=m)

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -439,3 +442,16 @@ def test_list_scenarios(capsys):
     text = capsys.readouterr().out
     for name in ("wedge", "triangle", "box1", "crawler2"):
         assert name in text
+
+
+def test_the_cli_runs_without_scipy():
+    # A fresh interpreter: the test session itself imports scipy for its references.
+    code = (
+        "import sys, sweeplab.cli\n"
+        "assert sweeplab.cli.main(['list-scenarios']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

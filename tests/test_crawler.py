@@ -314,6 +314,16 @@ def test_reduced_rejects_inadmissible_start():
         simulate_reduced(g, np.array([0.0, 5.0]), 0.0, 3, 100)
 
 
+@pytest.mark.parametrize("runner", [simulate_reduced, incremental_oracle],
+                         ids=["simulate_reduced", "incremental_oracle"])
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, np.inf]], ids=["nan", "inf"])
+def test_runners_reject_a_non_finite_start(runner, x0):
+    # Checked before admissibility, which would read nan as a force-bound
+    # violation and warn on inf - inf.
+    with pytest.raises(ValueError, match=r"^initial state \[.*\] is not finite$"):
+        runner(two_block_gait(), np.array(x0), 0.0, 3, 100)
+
+
 def test_reduced_rejects_degenerate_gait():
     g = degenerate_gait()
     x0 = np.array([0.0, 0.0])

@@ -17,6 +17,7 @@ from helpers import (
     random_polyhedron,
     reference_dependent_witness,
     reference_gamma,
+    reference_positively_spanning,
     reference_project_raw,
     reference_subset_table,
     reference_vertices,
@@ -382,7 +383,7 @@ def test_decompose_rejects_dependent_active():
 
 
 def test_decompose_rejects_a_pair_with_a_singular_gram_matrix():
-    with pytest.raises(LicqError):
+    with pytest.raises(LicqError, match=r"^active normals \(0, 1\) are linearly dependent$"):
         decompose_normal(nearly_parallel_pair(), (1.0, 0.0), (1.0, 0.0))
 
 
@@ -615,6 +616,73 @@ def test_gamma_matches_continuous_optimizer_on_wedge():
 def test_positively_spanning():
     assert positively_spanning(np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]))
     assert not positively_spanning(np.array([[1.0, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("B, spans", [
+    ([[1.0]], False),                                   # n = 1, one side only
+    ([[2.0], [-1e-3]], True),                           # n = 1, row scale ignored
+    ([[1.0], [3.0]], False),
+    ([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], False),  # rank 2 < n = 3
+    ([[1.0, 0, 0], [0, 1, 0]], False),                  # m < n
+    ([[1.0, 0], [0, 1], [1, 1]], False),                # rank n, all in a half-plane
+    ([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], True),  # simplex, m = n + 1
+    ([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], False),       # m = n
+])
+def test_positively_spanning_hand_cases(B, spans):
+    assert positively_spanning(np.array(B)) is spans
+    assert reference_positively_spanning(np.array(B)) is spans
+
+
+def test_positively_spanning_decides_at_the_working_tolerance():
+    # With unit rows, -e_2 breaks the third row by delta / |(-1, -delta)|; the
+    # rule needs more than DEFAULT_TOL. (NNLS accepts both: -e_2 is in the cone
+    # with coefficients near 1/delta.)
+    for delta, spans in [(2e-9, True), (0.5e-9, False)]:
+        assert positively_spanning(np.array([[1.0, 0], [0, 1], [-1, -delta]])) is spans
+
+
+_SPANNING_FAMILIES = ("gaussian", "unit", "shrunk-row", "low-rank", "half-space")
+
+
+def _spanning_draw(rng, family):
+    n = int(rng.integers(2 if family == "low-rank" else 1, 6))
+    m = int(rng.integers(max(n - 1, 1), n + 6))
+    B = rng.normal(size=(m, n))
+    if family == "unit":
+        B /= np.linalg.norm(B, axis=1, keepdims=True)
+    elif family == "shrunk-row":
+        B[rng.integers(m)] = -(10.0 ** rng.uniform(-12, -1)) * np.eye(n)[rng.integers(n)]
+    elif family == "low-rank":
+        r = int(rng.integers(1, n))
+        B = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+    elif family == "half-space":
+        a = rng.normal(size=n)
+        B -= 2.0 * np.minimum(B @ a, 0.0)[:, None] * a / (a @ a)
+    return B
+
+
+@pytest.mark.parametrize("family", _SPANNING_FAMILIES)
+def test_positively_spanning_agrees_with_nnls(family):
+    rng = np.random.default_rng(_SPANNING_FAMILIES.index(family))
+    answers = []
+    for _ in range(200):
+        B = _spanning_draw(rng, family)
+        answers.append(positively_spanning(B))
+        assert answers[-1] is reference_positively_spanning(B), B
+    if family in ("low-rank", "half-space"):
+        assert not any(answers)
+    else:
+        assert 20 <= sum(answers) <= 180
+
+
+def test_positively_spanning_caps_at_the_enumeration_cap():
+    B = np.vstack([np.eye(3), -np.eye(3), np.random.default_rng(0).normal(size=(19, 3))])
+    with pytest.raises(EnumerationCapError):
+        positively_spanning(B)
+    # A non-spanning set of 25 constraints hits the cap before the rule.
+    signals = [PeriodicSignal.constant(1.0, 1.0)] * 25
+    with pytest.raises(EnumerationCapError):
+        MovingPolyhedron(np.abs(B), signals)
 
 
 def test_moving_polyhedron_rejects_unbounded():
