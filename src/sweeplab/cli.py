@@ -133,7 +133,8 @@ def _reports(value) -> tuple:
 # Every key a config may set, with the parser of its value; any other key is an error.
 CONFIG_KEYS = {
     "scenario": lambda v: _expect(v, str),
-    "gait": Gait.from_json,
+    "gait": lambda v: Gait.from_json(
+        {**v, "N": _integer(v["N"], 2), "T": _finite(v["T"]), "k": _finite(v["k"])}),
     "problem": SweepingProblem.from_json,
     "t0": _finite,
     "periods": lambda v: _integer(v, 1),

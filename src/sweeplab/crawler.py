@@ -47,8 +47,8 @@ class Gait:
         N = self.num_blocks
         if N < 2:
             raise ValueError("a crawler needs at least 2 blocks")
-        if self.stiffness <= 0:
-            raise ValueError("stiffness must be positive")
+        if not all(x > 0 and np.isfinite(x) for x in (self.period, self.stiffness)):
+            raise ValueError("the period and stiffness must be finite and positive")
         if len(self.rest_lengths) != N - 1:
             raise ValueError(f"need {N - 1} rest-length signals, got {len(self.rest_lengths)}")
         if len(self.mu_plus) != N or len(self.mu_minus) != N:

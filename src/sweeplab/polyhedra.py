@@ -21,6 +21,8 @@ One rule, _independent, decides linear independence everywhere: s <= n rows
 and sigma_min > sqrt(eps) * sigma_max with the rows scaled to unit length, so
 an independent family's Gram matrix is invertible in floats. It replaced a
 rank test at tolerance 1e-12 (plus, in the table, a factorization of G_S).
+
+Vertices are identified by their active sets, not by a distance between points.
 """
 
 from __future__ import annotations
@@ -178,10 +180,6 @@ def _independent(BS: np.ndarray):
     return ok if ok.ndim else bool(ok)
 
 
-def _subset_table_key(B: np.ndarray):
-    return (B.tobytes(), B.shape)
-
-
 _TABLES: dict = {}
 
 
@@ -194,7 +192,7 @@ def _subset_table(B: np.ndarray):
     read-only arrays (K_s, s), (K_s, s, n) and (K_s, s, s) in table order, and
     the entries are views into them. Cached per distinct normals matrix.
     """
-    key = _subset_table_key(B)
+    key = (B.tobytes(), B.shape)
     table = _TABLES.get(key)
     if table is not None:
         return table
@@ -233,6 +231,11 @@ def _solve_multipliers(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Membership and active sets
+
+def _mask_bits(m: int) -> np.ndarray:
+    """Bit i of an active-set mask stands for constraint i (exact: m <= 24)."""
+    return np.left_shift(1, np.arange(m, dtype=np.int64))
+
 
 def contains(F: FrozenPolyhedron, z) -> bool:
     z = np.asarray(z, dtype=float)
@@ -337,21 +340,19 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
 def vertices(F: FrozenPolyhedron) -> np.ndarray:
     """All vertices of a compact F, found from square independent subsystems.
 
+    A vertex is fixed by its active set, which has rank n, so of the feasible
+    candidates the first, in table order, of each distinct active set is kept.
     Raises InfeasibleSetError if no vertex exists (empty or unbounded set).
     """
     B, c = F.normals, F.offsets
     idx, BS, _G = _subset_table(B)[2][F.dim - 1]
     Z = np.linalg.solve(BS, c[idx][..., None])
-    pts = Z[np.all(B @ Z <= (c + DEFAULT_TOL)[:, None], axis=(1, 2)), :, 0]
-    if not len(pts):
+    BZ = B @ Z
+    feasible = np.all(BZ <= (c + DEFAULT_TOL)[:, None], axis=(1, 2))
+    if not feasible.any():
         raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
-    # Dedupe coincident solutions coming from different subsets.
-    threshold = 1e-7 * (1.0 + np.abs(pts).max())
-    keep = pts[:1]
-    for z in pts[1:]:
-        if np.all(np.linalg.norm(keep - z, axis=1) > threshold):
-            keep = np.vstack([keep, z])
-    return keep
+    masks = (c - BZ[feasible, :, 0] <= DEFAULT_TOL) @ _mask_bits(len(c))
+    return Z[feasible, :, 0][np.sort(np.unique(masks, return_index=True)[1])]
 
 
 @dataclass(frozen=True)
@@ -370,9 +371,15 @@ def check_licq(F: FrozenPolyhedron) -> LicqReport:
     return _licq_report(F.normals, _vertex_active_sets(F))
 
 
+def _vertex_activity(F: FrozenPolyhedron):
+    """The vertices of F and their (k, m) activity matrix, from one stacked residual test."""
+    vs = vertices(F)
+    return vs, F.offsets - vs @ F.normals.T <= DEFAULT_TOL
+
+
 def _vertex_active_sets(F: FrozenPolyhedron) -> list:
     """The active set of each vertex of F, in vertices' order."""
-    return [active_set(F, v) for v in vertices(F)]
+    return [np.flatnonzero(act) for act in _vertex_activity(F)[1]]
 
 
 def _licq_report(B: np.ndarray, vertex_active: list) -> LicqReport:
@@ -432,6 +439,7 @@ def gamma_constant(F: FrozenPolyhedron) -> float:
     nearest point of the hull is the nearest point of the affine hull of one
     support, with weights y/sum y >= 0 for y = (U U^T)^-1 1, at distance
     (sum y)^(-1/2); a support with a zero weight gives its sub-support's value.
+    Each support of two or more constraints active at some vertex is solved once.
     Requires LICQ, under which every such Gram matrix is invertible.
     """
     vertex_active = _vertex_active_sets(F)
@@ -439,14 +447,14 @@ def gamma_constant(F: FrozenPolyhedron) -> float:
     if not report.holds:
         raise LicqError(f"gamma constant requires LICQ; dependent subset {report.witness}")
     U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
+    supports = {idx for act in vertex_active for size in range(2, len(act) + 1)
+                for idx in itertools.combinations(act.tolist(), size)}
     best = 1.0
-    for act in vertex_active:
-        for size in range(2, len(act) + 1):
-            for idx in itertools.combinations(act.tolist(), size):
-                US = U[list(idx)]
-                y = np.linalg.solve(US @ US.T, np.ones(size))
-                if np.all(y >= 0):
-                    best = max(best, float(np.sqrt(y.sum())))
+    for idx in supports:
+        US = U[list(idx)]
+        y = np.linalg.solve(US @ US.T, np.ones(len(idx)))
+        if np.all(y >= 0):
+            best = max(best, float(np.sqrt(y.sum())))
     return best
 
 

@@ -10,13 +10,14 @@ values obtained by independent hand analysis or oracle computation, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crawler import Gait, assemble_positions, rest_length_values
 from .errors import SweepLabError
-from .polyhedra import FrozenPolyhedron, MovingPolyhedron, active_set, vertices
+from .polyhedra import DEFAULT_TOL, FrozenPolyhedron, MovingPolyhedron, _independent, _vertex_activity
 from .signals import PeriodicSignal, combine, eval_many, eval_signal, triangle_wave
 from .sweeping import SweepingProblem
 
@@ -223,33 +224,23 @@ def triangle_scenario(alpha: float = 2.0, period: float = 3.0, side: float = 1.0
 def acute_corner_note(F: FrozenPolyhedron):
     """Flag 2-d vertices whose interior angle is strictly acute.
 
-    The test uses edge directions: at a vertex with active normals n_i, n_j,
-    the edges point along the perpendiculars oriented into the other
-    constraint's feasible side; the corner is acute iff their inner product is
-    positive. Only feasible edge directions are considered, so degenerate
-    vertices with extra active constraints do not produce spurious pairs.
+    The edges at a vertex are its active constraints that are also active at
+    another vertex; a constraint that only touches the vertex is not one. The
+    interior angle between two independent edges a, b is pi minus the angle
+    between their outward normals, so the corner is acute iff the unit normals
+    have u_a . u_b < -DEFAULT_TOL. Returns (vertex, (a, b)) in vertex order,
+    then ascending pairs.
     """
     if F.dim != 2:
         raise ValueError("acute-corner analysis is for 2-d sets only")
-    B, c = F.normals, F.offsets
+    vs, active = _vertex_activity(F)
+    edges = active & (active.sum(axis=0) >= 2)
+    U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
     flagged = []
-    for v in vertices(F):
-        act = active_set(F, v)
-        if len(act) < 2:
-            continue
-        dirs = {}
-        for i in act:
-            ni = B[i] / np.linalg.norm(B[i])
-            for d in (np.array([-ni[1], ni[0]]), np.array([ni[1], -ni[0]])):
-                probe = v + 1e-6 * d
-                if np.all(B @ probe <= c + 1e-7 * (1.0 + np.abs(c))):
-                    dirs[int(i)] = d
-                    break
-        keys = sorted(dirs)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                if float(dirs[keys[a]] @ dirs[keys[b]]) > 1e-12:
-                    flagged.append((v.copy(), (keys[a], keys[b])))
+    for v, at in zip(vs, edges):
+        for a, b in itertools.combinations(np.flatnonzero(at).tolist(), 2):
+            if _independent(F.normals[[a, b]]) and U[a] @ U[b] < -DEFAULT_TOL:
+                flagged.append((v.copy(), (a, b)))
     return flagged
 
 

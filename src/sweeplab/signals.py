@@ -32,8 +32,6 @@ class PeriodicSignal:
     values: np.ndarray = field(repr=False)
 
     def __init__(self, period, points, kind=PIECEWISE_LINEAR):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
         if kind not in (PIECEWISE_LINEAR, PIECEWISE_CONSTANT):
             raise ValueError(f"unknown signal kind {kind!r}")
         pts = sorted((float(t), float(v)) for t, v in points)
@@ -41,6 +39,8 @@ class PeriodicSignal:
             raise ValueError("a signal needs at least one breakpoint")
         times = np.array([t for t, _ in pts], dtype=float)
         values = np.array([v for _, v in pts], dtype=float)
+        if not (period > 0 and np.isfinite([period, *times, *values]).all()):
+            raise ValueError(f"need a finite period > 0 and finite breakpoints, got period {period}")
         if times[0] < 0 or times[-1] >= period:
             raise ValueError("breakpoint times must lie in [0, period)")
         if np.any(np.diff(times) <= 0):

@@ -20,6 +20,7 @@ from .polyhedra import (
     FrozenPolyhedron,
     MovingPolyhedron,
     _independent,
+    _mask_bits,
     _project_raw,
     _subset_table,
     project,
@@ -135,10 +136,6 @@ def _check_alignment(signals, t0: float, h: float, label: str) -> None:
             raise GridAlignmentError(
                 f"{label}[{i}] breakpoint t={bad} is not on the grid (t0={t0}, h={h})"
             )
-
-
-def _mask_bits(m: int) -> np.ndarray:
-    return np.left_shift(1, np.arange(m, dtype=np.int64))
 
 
 def _active_mask(B, c, z) -> int:

@@ -174,6 +174,22 @@ def reference_vertices(F: FrozenPolyhedron, tol: float = TOL) -> np.ndarray:
     return keep
 
 
+def reference_acute_corners(vs: np.ndarray) -> list:
+    """The corners of a convex polygon, given by its vertices vs, whose
+    interior angle is strictly acute: with the vertices sorted by angle about
+    their centroid, the vectors from a corner to its two neighbours have a
+    positive cosine. Returns the flagged corners as tuples, in vs order."""
+    center = vs.mean(axis=0)
+    order = np.argsort(np.arctan2(*(vs - center).T[::-1]))
+    flagged = []
+    for k, i in enumerate(order):
+        d1 = vs[order[k - 1]] - vs[i]
+        d2 = vs[order[(k + 1) % len(order)]] - vs[i]
+        if d1 @ d2 / (np.linalg.norm(d1) * np.linalg.norm(d2)) > 0:
+            flagged.append(i)
+    return [tuple(vs[i]) for i in sorted(flagged)]
+
+
 def central_difference_gradient(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
     g = np.zeros_like(x, dtype=float)
     for i in range(len(x)):

@@ -263,6 +263,42 @@ def test_run_malformed_config_exit_4(tmp_path, capsys, config, flags):
     assert not out.exists() or not any(out.iterdir())
 
 
+def _crawler2_gait(**change):
+    gait = catalog()["crawler2"].gait.to_json()
+    gait.update(change)
+    return {"gait": gait, "periods": 3, "steps_per_period": 100}
+
+
+def _triangle_problem(signals, key, value):
+    # The triangle's problem has offsets and a piecewise-constant drift.
+    problem = catalog()["triangle"].problem.to_json()
+    signal = (problem["moving_set"]["offsets"] if signals == "offsets" else problem["drift"])[0]
+    if key == "period":
+        signal["period"] = value
+    else:
+        signal["points"][0][1] = value
+    return {"problem": problem, "periods": 3, "steps_per_period": 300}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(_crawler2_gait(T=float("nan")), id="gait-period-nan"),
+    pytest.param(_crawler2_gait(N=2.5), id="gait-blocks-fractional"),
+    pytest.param(_crawler2_gait(T="1"), id="gait-period-string"),
+    pytest.param(_crawler2_gait(k=True), id="gait-stiffness-bool"),
+    pytest.param(_crawler2_gait(k=float("inf")), id="gait-stiffness-infinite"),
+    pytest.param(_triangle_problem("offsets", "period", float("nan")), id="offset-period-nan"),
+    pytest.param(_triangle_problem("offsets", "value", float("nan")), id="offset-point-nan"),
+    pytest.param(_triangle_problem("drift", "value", float("nan")), id="drift-point-nan"),
+])
+def test_run_non_finite_or_mistyped_inline_number_exit_4(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))   # NaN and Infinity, as Python's json reads them
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 4
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_config_accepts_every_key(tmp_path):
     # scenario, gait and problem exclude each other; the three configs share the rest.
     cat = catalog()

@@ -773,3 +773,15 @@ def test_gait_validation_errors():
     pc = (PeriodicSignal(T, [(0.0, 1.0)], kind="pc"), PeriodicSignal.constant(1.0, T))
     with pytest.raises(ValueError):
         Gait(2, T, 1.0, (PeriodicSignal.constant(0.0, T),), pc, mu)
+
+
+@pytest.mark.parametrize("period,stiffness", [
+    (float("nan"), 1.0),
+    (float("inf"), 1.0),
+    (1.0, float("nan")),
+    (1.0, float("inf")),
+], ids=["period-nan", "period-infinite", "stiffness-nan", "stiffness-infinite"])
+def test_gait_rejects_non_finite_period_or_stiffness(period, stiffness):
+    mu = (PeriodicSignal.constant(1.0, 1.0),) * 2
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        Gait(2, period, stiffness, (PeriodicSignal.constant(0.0, 1.0),), mu, mu)

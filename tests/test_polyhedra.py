@@ -438,6 +438,57 @@ def test_vertices_bit_equal_to_square_subsystem_loop():
             assert np.array_equal(vertices(F), reference_vertices(F)), (name, t)
 
 
+def _peristaltic_moving_sets():
+    workloads = load_perfbench("workloads")
+    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler, polyhedra=sweeplab.polyhedra)
+    for N in range(3, 9):
+        yield f"peristaltic{N}", build_moving_set(workloads.peristaltic_gait(sl, N))
+
+
+def test_vertex_active_sets_equal_the_per_vertex_active_set():
+    # One stacked residual test gives what active_set gives one vertex at a time.
+    sets = [F for _, F in _random_draws(50)]
+    for _, K in [*_bundled_moving_sets(), *_peristaltic_moving_sets()]:
+        sets += [freeze(K, t) for t in np.unique(np.concatenate([s.times for s in K.offsets]))]
+    for F in sets:
+        got = _vertex_active_sets(F)
+        want = [active_set(F, v) for v in vertices(F)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+_S60, _C60 = np.sin(np.pi / 3), np.cos(np.pi / 3)
+
+
+@pytest.mark.parametrize("normals,offsets,scale,shift", [
+    ([[0, -1], [1, 0], [-_S60, _C60]], [0, 1, 0], 1e-8, [0, 0]),
+    ([[0, -1], [-1, 1], [1, 0]], [0, 0, 2], 1e-8, [0, 0]),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], 1e-5, [1000, 1000]),
+], ids=["triangle-30-60-90", "wedge", "square-at-1000"])
+def test_vertex_rule_is_scale_and_translation_invariant(normals, offsets, scale, shift):
+    from sweeplab.scenarios import acute_corner_note
+
+    unit = FrozenPolyhedron(normals, offsets)
+    B, shift = unit.normals, np.array(shift, dtype=float)
+    F = FrozenPolyhedron(B, scale * unit.offsets + B @ shift)
+    np.testing.assert_allclose(vertices(F), shift + scale * vertices(unit), rtol=1e-12, atol=1e-12 * scale)
+    lo, hi = bounding_box(F)
+    assert np.all(hi - lo > 0.5 * scale)
+    assert enumerate_faces(F) == enumerate_faces(unit)
+    assert check_licq(F) == check_licq(unit)
+    assert gamma_constant(F) == pytest.approx(gamma_constant(unit), rel=1e-12)
+    assert [p for _, p in acute_corner_note(F)] == [p for _, p in acute_corner_note(unit)]
+
+
+def test_degenerate_vertex_keeps_its_whole_active_set():
+    # x + y <= 2 touches the unit square at (1, 1) only.
+    F = FrozenPolyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 2])
+    vs = vertices(F)
+    assert len(vs) == 4
+    acts = {tuple(np.round(v, 12)): tuple(a.tolist()) for v, a in zip(vs, _vertex_active_sets(F))}
+    assert acts[(1.0, 1.0)] == (0, 1, 4)
+
+
 def test_check_licq_square_and_wedge():
     assert check_licq(unit_square()).holds
     assert check_licq(wedge()).holds
@@ -579,6 +630,22 @@ def test_gamma_enumerates_the_vertices_once(monkeypatch):
     eye = np.eye(4)
     gamma_constant(FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(8)))
     assert len(calls) == 1
+
+
+def test_gamma_solves_each_support_once(monkeypatch):
+    # The 16 vertices of the 4-box hold 176 supports of size >= 2, 72 of them distinct.
+    solve = np.linalg.solve
+    calls = []
+
+    def counting(G, rhs):
+        if np.ndim(G) == 2:   # vertices' one stacked solve has a 3-d G
+            calls.append(G)
+        return solve(G, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    eye = np.eye(4)
+    assert gamma_constant(FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(8))) == 2.0
+    assert len(calls) == 72
 
 
 def test_gamma_requires_licq():

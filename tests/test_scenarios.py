@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import random_polyhedron, reference_acute_corners
 from sweeplab.crawler import check_gait_uniqueness
 from sweeplab.errors import SweepLabError
-from sweeplab.polyhedra import FrozenPolyhedron, freeze
+from sweeplab.polyhedra import FrozenPolyhedron, freeze, vertices
 from sweeplab.scenarios import (
     acute_corner_note,
     bottom_edge_coordinate,
@@ -227,6 +228,39 @@ def test_acute_corner_equilateral_triangle_all_three():
     F = freeze(sc.problem.moving_set, 0.0)
     flagged = acute_corner_note(F)
     assert len(flagged) == 3
+
+
+def _assert_acute_corners_match_geometry(F):
+    vs = vertices(F)
+    assert len(vs) >= 3
+    flagged = sorted({tuple(v) for v, _ in acute_corner_note(F)})
+    assert flagged == sorted(reference_acute_corners(vs))
+
+
+def test_acute_corner_matches_polygon_geometry_on_random_polygons():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m = int(rng.integers(3, 9))
+        _assert_acute_corners_match_geometry(random_polyhedron(rng, 2, m))
+
+
+def test_acute_corner_ignores_a_duplicated_facet():
+    # x <= 1 is listed twice; every corner is a right angle.
+    F = FrozenPolyhedron([[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 0, 0])
+    assert acute_corner_note(F) == []
+    _assert_acute_corners_match_geometry(F)
+
+
+def test_acute_corner_on_a_tiny_wedge():
+    F = FrozenPolyhedron([[0, -1], [-1, 1], [1, 0]], [0, 0, 4e-8])
+    assert [p for _, p in acute_corner_note(F)] == [(0, 1), (1, 2)]
+    _assert_acute_corners_match_geometry(F)
+
+
+def test_acute_corner_skips_a_constraint_that_only_touches_a_vertex():
+    # x + y <= 2 touches the unit square at (1, 1) only, so it is not an edge there.
+    F = FrozenPolyhedron([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], [1, 1, 0, 0, 2])
+    assert acute_corner_note(F) == []
 
 
 def test_acute_corner_rejects_3d():

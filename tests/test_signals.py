@@ -122,3 +122,15 @@ def test_json_round_trip():
 def test_constructor_validation(period, points, kind):
     with pytest.raises(ValueError):
         PeriodicSignal(period, points, kind)
+
+
+@pytest.mark.parametrize("period,points", [
+    (float("nan"), [(0.0, 1.0)]),
+    (float("inf"), [(0.0, 1.0)]),
+    (1.0, [(0.0, float("nan"))]),
+    (1.0, [(0.0, 1.0), (0.5, float("-inf"))]),
+    (1.0, [(float("nan"), 1.0)]),
+], ids=["period-nan", "period-infinite", "value-nan", "value-infinite", "time-nan"])
+def test_constructor_rejects_non_finite_numbers(period, points):
+    with pytest.raises(ValueError, match="finite"):
+        PeriodicSignal(period, points)
