@@ -6,12 +6,12 @@ each block subject to time-dependent dry friction with thresholds mu_i^+(t)
 the shape variable w = -k * pi_Z(x), to a sweeping process on a moving
 polyhedron K(t) in R^{N-1}; the mean position y = pi_Y(x) is recovered from
 the projection multipliers. An independent full-space incremental-minimization
-solver (exact slip-pattern enumeration) cross-checks the reduced pipeline.
+solver (an exact dynamic program along the chain, judged by the slip-pattern
+KKT test) cross-checks the reduced pipeline.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -414,19 +414,6 @@ class OracleRun:
     patterns: np.ndarray = field(repr=False)   # (K, N) int8 signs of each step's displacement
 
 
-def _pattern_list(N: int):
-    """The 3^N - 2^N slip patterns with a sticking block, fewest slips first.
-
-    An all-slip pattern leaves the enumeration: its force balance is
-    consistent only where the uniqueness margin vanishes, and there its
-    solutions form a segment x* + c*1 with a block at rest at one end, and
-    the pattern that makes that block stick passes with N-1 slips, earlier.
-    """
-    pats = [p for p in itertools.product((0, 1, -1), repeat=N) if 0 in p]
-    pats.sort(key=lambda p: (sum(1 for s in p if s != 0), p))
-    return pats
-
-
 class _PatternSystem:
     """Index sets and matrix blocks of one slip pattern.
 
@@ -471,17 +458,20 @@ def incremental_oracle(
 ) -> OracleRun:
     """Full-space incremental minimizer x_{k+1} = argmin E(t,x) + R(t, x - x_k).
 
-    Solved exactly per step by enumerating the forward/stick/backward slip
-    patterns with at least one sticking block (``_pattern_list``): sticking
-    blocks are pinned, slipping blocks satisfy the linear force balance at
-    their saturated threshold, and the first pattern passing the sign and
-    bound checks is accepted (patterns with fewer slipping blocks first).
+    Every step is solved for a forward/stick/backward slip pattern with at
+    least one sticking block: sticking blocks are pinned, slipping blocks
+    satisfy the linear force balance at their saturated threshold, and the
+    pattern is accepted when its solution passes the sign and bound checks
+    (``_try_pattern``, the KKT test).
 
     Every step starts in a block (``_pattern_block``): the current pattern,
     all-stick at step 0, is solved over the steps up to the end of the
-    period and cut at the first step where it fails. Only there does the
-    enumeration run, with the block's miss as its nearest miss, and the
-    pattern it accepts starts the next block.
+    period and cut at the first step where it fails. Only there does a
+    search run (``_oracle_step``): a dynamic program along the chain
+    minimizes the step, and the slip pattern read off its displacement is
+    judged by the KKT test, with the block's miss as the nearest miss. The
+    pattern it accepts starts the next block. There is no cap on the
+    number of blocks: a search costs O(N^2).
 
     The run's ``patterns`` are the signs of each step's displacement, 0 where
     |dx| <= DEFAULT_TOL, not the accepted patterns: at a zero-speed slip both
@@ -493,8 +483,6 @@ def incremental_oracle(
     _check_alignment(g.mu_plus, t0, h, "mu_plus")
     _check_alignment(g.mu_minus, t0, h, "mu_minus")
     N = g.num_blocks
-    if N > 8:
-        raise EnumerationCapError("slip-pattern enumeration supports at most 8 blocks")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (N,):
         raise ValueError(f"x0 must have {N} entries")
@@ -511,14 +499,13 @@ def incremental_oracle(
     A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell
     # One stacked matrix-vector product per phase, bit-equal to PZ.T @ ell per row.
     b_phase = g.stiffness * (PZ.T @ ell_phase[..., None])[..., 0]
-    patterns = _pattern_list(N)
     table = _PatternTable(A)
 
     K = periods * M
     xs = np.empty((K + 1, N))
     xs[0] = x0
     x = x0.copy()
-    hint = patterns[0]   # all-stick: every step starts in a block
+    hint = (0,) * N   # all-stick: every step starts in a block
     k = 0
     while k < K:
         ph = (k + 1) % M
@@ -533,12 +520,13 @@ def incremental_oracle(
             k += n
         if violation is None:
             continue
-        # The block stopped at step k: enumerate there, with the block's
+        # The block stopped at step k: search there, with the block's
         # pattern as the nearest miss.
         ph = (k + 1) % M
         try:
             x, hint = _oracle_step(
-                x, b_phase[ph], mup_phase[ph], mum_phase[ph], table, patterns, (violation, hint)
+                x, b_phase[ph], ell_phase[ph], mup_phase[ph], mum_phase[ph], g.stiffness, table,
+                (violation, hint),
             )
         except PatternSearchError as exc:
             raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
@@ -546,8 +534,7 @@ def incremental_oracle(
         k += 1
     times = t0 + h * np.arange(K + 1)
     motion = Motion(times, xs, M, g.period)
-    dx = np.diff(xs, axis=0)
-    return OracleRun(g, motion, (dx > DEFAULT_TOL).astype(np.int8) - (dx < -DEFAULT_TOL))
+    return OracleRun(g, motion, _signs(np.diff(xs, axis=0)))
 
 
 def _pattern_block(x, system, b, mup, mum):
@@ -587,20 +574,88 @@ def _pattern_block(x, system, b, mup, mum):
     return rows[:cut], float(np.nanmax(terms[cut]))
 
 
-def _oracle_step(x, b, mup, mum, table, patterns, nearest):
-    """First of patterns whose KKT violation is within DEFAULT_TOL, with its solution.
+def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
+    """The step's slip pattern at a block cut, judged by its KKT violation, with its solution.
 
-    nearest is the closest miss already seen, as (violation, pattern).
+    The candidates are the canonical patterns (the signs of the displacement,
+    0 where |dx| <= DEFAULT_TOL) of the minimizers that ``_chain_minimizers``
+    returns, without the all-slip ones, fewest slips first, then in tuple
+    order. Each is re-solved by ``_try_pattern``, so the positions are the
+    block kernel's, and the first whose violation is within DEFAULT_TOL is
+    accepted. If none is, every sticking block of the first candidate whose
+    force breaks a bound slips in that bound's direction, and that pattern is
+    tried once. nearest is the closest miss already seen, as (violation,
+    pattern).
     """
-    for pat in patterns:
-        x_new, violation = _try_pattern(x, b, mup, mum, table[pat])
+    N = len(x)
+    pats = {tuple(_signs(y - x).tolist()) for y in _chain_minimizers(x, ell, mup, mum, k)}
+    pats = sorted((p for p in pats if 0 in p), key=lambda p: (N - p.count(0), p))
+    for i, pat in enumerate(pats):   # the flipped pattern, appended below, is tried last
+        system = table[pat]
+        x_new, violation = _try_pattern(x, b, mup, mum, system)
         if violation <= DEFAULT_TOL:
             return x_new, pat
         if violation < nearest[0]:
             nearest = (violation, pat)
+        if i == 0:
+            force = system.negA @ x_new + b
+            flipped = np.array(pat)
+            stuck = flipped == 0
+            flipped[stuck & (force - mup > DEFAULT_TOL)] = 1
+            flipped[stuck & (-mum - force > DEFAULT_TOL)] = -1
+            flipped = tuple(flipped.tolist())
+            if 0 in flipped and flipped not in pats:
+                pats.append(flipped)
     raise PatternSearchError(
         f"no consistent slip pattern; nearest miss {nearest[1]} violates by {nearest[0]:.3e}"
     )
+
+
+def _signs(dx) -> np.ndarray:
+    """Canonical slip patterns of displacements: their signs, 0 where |dx| <= DEFAULT_TOL."""
+    return (dx > DEFAULT_TOL).astype(np.int8) - (dx < -DEFAULT_TOL)
+
+
+def _chain_minimizers(x, ell, mup, mum, k):
+    """Minimizers of one oracle step from x, by dynamic programming along the chain.
+
+    The step minimizes k/2 sum_j (y_{j+1} - y_j - ell_j)^2 + sum_i phi_i(y_i - x_i)
+    with phi_i(v) = mup_i v for v > 0 and -mum_i v for v < 0. The
+    subdifferential of the value function of blocks 1..j, in y_j, is kept as
+    a monotone polyline (X, G) with flat end rays; for block 1 it is phi_1's
+    jump from -mum_1 to mup_1 at x_1. The spring to block j+1 maps each
+    vertex (X, G) to (X + G/k + ell_j, G), a graph (Y_j, G_j) with Y_j
+    increasing, and phi_{j+1} then lowers G by mum left of x_{j+1}, raises it
+    by mup right of it, and puts its jump there. The last block sits where G
+    reaches 0, and each other block follows from the next one by
+    y_j = y_{j+1} - G_j(y_{j+1})/k - ell_j.
+
+    Returns one minimizer, or, where G is flat at a level within DEFAULT_TOL
+    of 0 (the minimizers form a segment y* + c*1), both ends of that flat piece.
+    """
+    N = len(x)
+    X = np.array([x[0], x[0]])
+    G = np.array([-mum[0], mup[0]])
+    springs = []
+    for j in range(N - 1):
+        Y = X + G / k + ell[j]
+        springs.append((Y, G))
+        c = x[j + 1]
+        lo, hi = np.searchsorted(Y, c, "left"), np.searchsorted(Y, c, "right")
+        gc = np.interp(c, Y, G)
+        X = np.concatenate((Y[:lo], (c, c), Y[hi:]))
+        G = np.concatenate((G[:lo] - mum[j + 1], (gc - mum[j + 1], gc + mup[j + 1]), G[hi:] + mup[j + 1]))
+    flat = np.flatnonzero((G[:-1] == G[1:]) & (np.abs(G[1:]) <= DEFAULT_TOL) & (X[:-1] < X[1:]))
+    ends = (X[flat[0]], X[flat[-1] + 1]) if len(flat) else (np.interp(0.0, G, X),)
+    minimizers = []
+    for end in ends:
+        y = np.empty(N)
+        y[-1] = end
+        for j in range(N - 2, -1, -1):
+            Y, G = springs[j]
+            y[j] = y[j + 1] - np.interp(y[j + 1], Y, G) / k - ell[j]
+        minimizers.append(y)
+    return minimizers
 
 
 def _try_pattern(x, b, mup, mum, system):

@@ -61,6 +61,8 @@ class FrozenPolyhedron:
             raise ValueError("normals must be a 2-d array (m, n)")
         if c.shape != (B.shape[0],):
             raise ValueError("offsets must have one entry per normal")
+        if not np.isfinite(B).all():
+            raise ValueError("normals must be finite")
         if np.any(np.linalg.norm(B, axis=1) == 0):
             raise ValueError("zero normal vector")
         B.setflags(write=False)
@@ -93,6 +95,8 @@ class MovingPolyhedron:
         offs = tuple(offsets)
         if B.ndim != 2 or B.shape[0] != len(offs):
             raise ValueError("need one offset signal per normal")
+        if not np.isfinite(B).all():
+            raise ValueError("normals must be finite")
         if np.any(np.linalg.norm(B, axis=1) == 0):
             raise ValueError("zero normal vector")
         period = offs[0].period
@@ -143,8 +147,11 @@ class MovingPolyhedron:
 
     @staticmethod
     def from_json(obj: dict) -> "MovingPolyhedron":
+        normals = obj["normals"]
+        if any(type(x) not in (int, float) for row in normals for x in row):
+            raise TypeError(f"normals must be JSON numbers, got {normals!r}")
         return MovingPolyhedron(
-            np.array(obj["normals"], dtype=float),
+            np.array(normals, dtype=float),
             [PeriodicSignal.from_json(s) for s in obj["offsets"]],
         )
 

@@ -343,15 +343,20 @@ def load_perfbench(name: str):
     return module
 
 
-def peristaltic_starts(seed: int):
-    """The benchmark's gait_wide gaits and starts for this seed, drawn as it draws them."""
+def _bench_modules():
+    """The sweeplab modules that perfbench's workloads take, as it passes them."""
     import sweeplab.crawler
     import sweeplab.polyhedra
     import sweeplab.signals
 
+    return SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler,
+                           polyhedra=sweeplab.polyhedra)
+
+
+def peristaltic_starts(seed: int):
+    """The benchmark's gait_wide gaits and starts for this seed, drawn as it draws them."""
     workloads = load_perfbench("workloads")
-    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler,
-                         polyhedra=sweeplab.polyhedra)
+    sl = _bench_modules()
     rng = np.random.default_rng(seed)
     for N, count in workloads.GaitWide.STARTS.items():
         g = workloads.peristaltic_gait(sl, N)
@@ -359,6 +364,43 @@ def peristaltic_starts(seed: int):
         for _ in range(count):
             z = workloads._admissible_point(sl, K, rng)
             yield g, sl.crawler.assemble_positions(0.0, -z / g.stiffness)
+
+
+def perturbed_peristaltic_gait(num_blocks: int, seed: int = 0):
+    """The benchmark's peristaltic gait with each constant friction threshold
+    raised by U(0, 0.02): the perturbation lifts the exact ties that give the
+    unperturbed gait a zero uniqueness margin from N = 8 on."""
+    sl = _bench_modules()
+    g = load_perfbench("workloads").peristaltic_gait(sl, num_blocks)
+    rng = np.random.default_rng(seed)
+    mup, mum = ([PeriodicSignal.constant(s.values[0] + rng.uniform(0.0, 0.02), g.period) for s in mu]
+                for mu in (g.mu_plus, g.mu_minus))
+    return sl.crawler.Gait(num_blocks, g.period, g.stiffness, g.rest_lengths, tuple(mup), tuple(mum))
+
+
+def oracle_kkt_violations(g, positions, t0: float, steps_per_period: int, tol: float = TOL) -> np.ndarray:
+    """The worst optimality violation of each step of a crawler run, read from
+    its positions and the gait alone.
+
+    Step k lands on x_{k+1} at grid phase (k+1) mod M. There block i feels the
+    spring force f_i = k s_i - k s_{i-1}, with s_j = x_{j+1} - x_j - L_j the
+    stretch of link j (s_0 = s_N = 0). A block that stays (|dx_i| <= tol)
+    needs -mu_i^- <= f_i <= mu_i^+, one that moves forward f_i = mu_i^+, one
+    that moves backward f_i = -mu_i^-.
+    """
+    x = np.asarray(positions, dtype=float)
+    K = len(x) - 1
+    M = int(steps_per_period)
+    ts = t0 + g.period / M * (np.arange(1, K + 1) % M)
+    ell, mup, mum = (np.column_stack([eval_many(s, ts) for s in sigs])
+                     for sigs in (g.rest_lengths, g.mu_plus, g.mu_minus))
+    stretch = g.stiffness * (np.diff(x[1:], axis=1) - ell)
+    edge = np.zeros((K, 1))
+    force = np.hstack((stretch, edge)) - np.hstack((edge, stretch))
+    dx = np.diff(x, axis=0)
+    violation = np.where(dx > tol, np.abs(force - mup),
+                         np.where(dx < -tol, np.abs(force + mum), np.maximum(force - mup, -mum - force)))
+    return violation.max(axis=1)
 
 
 def random_gait_with_margin(rng: np.random.Generator, num_blocks: int, threshold: float):

@@ -299,6 +299,28 @@ def test_run_non_finite_or_mistyped_inline_number_exit_4(tmp_path, capsys, confi
     assert not out.exists()
 
 
+def _box1_normal(value):
+    problem = catalog()["box1"].problem.to_json()
+    problem["moving_set"]["normals"][0][0] = value
+    return {"problem": problem}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(_box1_normal("1"), id="normal-string"),
+    pytest.param(_box1_normal(True), id="normal-bool"),
+    pytest.param(_box1_normal(float("nan")), id="normal-nan"),
+    pytest.param(_box1_normal(float("inf")), id="normal-infinite"),
+])
+def test_run_inline_normals_must_be_finite_numbers_exit_4(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--periods", "2", "--steps", "100", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert "configuration error: invalid problem" in err and "normals must be" in err
+    assert not out.exists()
+
+
 def test_run_config_accepts_every_key(tmp_path):
     # scenario, gait and problem exclude each other; the three configs share the rest.
     cat = catalog()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -13,7 +14,9 @@ from helpers import (
     load_perfbench,
     gait_margin_floor,
     gait_slips_from_rest,
+    oracle_kkt_violations,
     peristaltic_starts,
+    perturbed_peristaltic_gait,
     random_gait,
     random_gait_with_margin,
     reference_margin_at,
@@ -640,14 +643,6 @@ def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
     assert slip_rows > 20 and cuts > 0
 
 
-def test_pattern_list_leaves_out_all_slip():
-    for N in range(2, 6):
-        pats = sweeplab.crawler._pattern_list(N)
-        assert len(set(pats)) == len(pats) == 3**N - 2**N
-        assert all(0 in p for p in pats)
-        assert pats[0] == (0,) * N
-
-
 def test_oracle_searches_only_at_block_cuts(monkeypatch):
     # Step 0 starts in a block, and every search follows a block that was cut.
     cr = sweeplab.crawler
@@ -695,11 +690,96 @@ def test_oracle_bit_equal_to_reference_where_margin_vanishes(gait, periods, M):
     _assert_patterns_match_reference(run, positions, patterns)
 
 
-def test_oracle_block_cap():
-    g = constant_gait(N=9)
-    x0 = np.zeros(9)
-    with pytest.raises(EnumerationCapError):
-        incremental_oracle(g, x0, 0.0, 2, 10)
+def test_oracle_bit_equal_to_reference_at_eight_blocks():
+    gait = perturbed_peristaltic_gait(8)
+    M = 140   # a multiple of the 2(N-1) breakpoint grid
+    assert check_gait_uniqueness(gait, np.arange(M) / M).min_margin > 0
+    x0 = _rest_start(gait)
+    run = incremental_oracle(gait, x0, 0.0, 2, M)
+    positions, patterns = reference_oracle(gait, x0, 0.0, 2, M)
+    assert np.any(patterns != 0)
+    assert run.motion.positions.tobytes() == positions.tobytes()
+    _assert_patterns_match_reference(run, positions, patterns)
+
+
+@pytest.mark.parametrize("N", [12, 20])
+def test_oracle_steps_are_kkt_points_on_large_crawlers(N):
+    # No block cap: every step of a 12- and a 20-block run, in which every
+    # block slips, passes the optimality conditions read from the positions.
+    gait = perturbed_peristaltic_gait(N)
+    M = 20 * (N - 1)
+    if N == 12:
+        assert check_gait_uniqueness(gait, np.arange(M) / M).min_margin > 0
+    run = incremental_oracle(gait, _rest_start(gait), 0.0, 2, M)
+    assert np.all(np.any(run.patterns != 0, axis=0))   # every block slips
+    assert np.max(oracle_kkt_violations(gait, run.motion.positions, 0.0, M)) <= 10 * TOL
+
+
+def _first_search_sticks(monkeypatch):
+    """Make the chain search of the first block cut return the start, so that
+    its canonical pattern is all-stick, the pattern the block failed with."""
+    cr = sweeplab.crawler
+    real = cr._chain_minimizers
+    calls = []
+
+    def chain_minimizers(x, *args):
+        calls.append(None)
+        return [x.copy()] if len(calls) == 1 else real(x, *args)
+
+    monkeypatch.setattr(cr, "_chain_minimizers", chain_minimizers)
+
+
+def test_oracle_flips_the_violated_sticking_blocks_when_the_pattern_fails(monkeypatch):
+    # From rest, the first search of crawler2 and crawler3 finds all-stick
+    # failing; the blocks whose force breaks a bound slip, and that pattern is
+    # the one the chain search finds, so the run is unchanged.
+    cr = sweeplab.crawler
+    for gait in (two_block_gait(), three_block_gait()):
+        x0 = _rest_start(gait)
+        expected = incremental_oracle(gait, x0, 0.0, 2, 200)
+        first_slip = int(np.flatnonzero(np.any(expected.patterns != 0, axis=1))[0])
+        with monkeypatch.context() as m:
+            _first_search_sticks(m)
+            tried = []
+            real_try = cr._try_pattern
+
+            def try_pattern(x, b, mup, mum, system):
+                tried.append(system)
+                return real_try(x, b, mup, mum, system)
+
+            m.setattr(cr, "_try_pattern", try_pattern)
+            run = incremental_oracle(gait, x0, 0.0, 2, 200)
+        assert run.motion.positions.tobytes() == expected.motion.positions.tobytes()
+        stick, flipped = tried[:2]
+        signs = expected.patterns[first_slip]
+        assert len(stick.slips) == 0
+        assert flipped.slips.tolist() == np.flatnonzero(signs).tolist()
+        assert flipped.forward.tolist() == (signs[signs != 0] > 0).tolist()
+
+
+def test_oracle_error_names_the_nearest_miss_after_the_flip(monkeypatch):
+    # Every pattern the search tries misses by at least 2e-9; the flipped
+    # pattern misses by exactly that, less than the block's miss.
+    cr = sweeplab.crawler
+    gait = two_block_gait()
+    x0 = _rest_start(gait)
+    patterns = incremental_oracle(gait, x0, 0.0, 2, 200).patterns
+    k = int(np.flatnonzero(np.any(patterns != 0, axis=1))[0])
+    _first_search_sticks(monkeypatch)
+    real_try = cr._try_pattern
+
+    def failing_try_pattern(*args):
+        x_new, violation = real_try(*args)
+        return x_new, max(violation, 2e-9)
+
+    monkeypatch.setattr(cr, "_try_pattern", failing_try_pattern)
+    pattern = tuple(patterns[k].tolist())
+    with pytest.raises(
+        PatternSearchError,
+        match=re.escape(f"step {k}, t={(k + 1) * (1.0 / 200):.17g}: no consistent slip pattern; "
+                        f"nearest miss {pattern} violates by 2.000e-09") + "$",
+    ):
+        incremental_oracle(gait, x0, 0.0, 2, 200)
 
 
 # ---------------------------------------------------------------------------

@@ -834,3 +834,20 @@ def test_moving_polyhedron_json_round_trip():
     for a, b in zip(back.offsets, P.offsets):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_polyhedra_reject_non_finite_normals(bad):
+    offsets = (PeriodicSignal.constant(1.0, 1.0),) * 2
+    with pytest.raises(ValueError, match="^normals must be finite$"):
+        FrozenPolyhedron([[bad], [-1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^normals must be finite$"):
+        MovingPolyhedron([[bad], [-1.0]], offsets)
+
+
+@pytest.mark.parametrize("bad", ["1", True], ids=["string", "bool"])
+def test_moving_polyhedron_from_json_rejects_non_numbers(bad):
+    obj = MovingPolyhedron([[1.0], [-1.0]], (PeriodicSignal.constant(1.0, 1.0),) * 2).to_json()
+    obj["normals"][0][0] = bad
+    with pytest.raises(TypeError, match="^normals must be JSON numbers"):
+        MovingPolyhedron.from_json(obj)
