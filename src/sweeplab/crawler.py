@@ -13,6 +13,7 @@ KKT test) cross-checks the reduced pipeline.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,13 +466,15 @@ def incremental_oracle(
     (``_try_pattern``, the KKT test).
 
     Every step starts in a block (``_pattern_block``): the current pattern,
-    all-stick at step 0, is solved over the steps up to the end of the
-    period and cut at the first step where it fails. Only there does a
-    search run (``_oracle_step``): a dynamic program along the chain
-    minimizes the step, and the slip pattern read off its displacement is
-    judged by the KKT test, with the block's miss as the nearest miss. The
-    pattern it accepts starts the next block. There is no cap on the
-    number of blocks: a search costs O(N^2).
+    all-stick at step 0, is solved over the steps up to the next grid phase
+    where a gait signal has a breakpoint, or to the end of the period, and
+    cut at the first step where it fails. A block that no step fails is
+    followed by another with the same pattern. Only at a cut does a search
+    run (``_oracle_step``): a dynamic program along the chain minimizes the
+    step, and the slip pattern read off its displacement is judged by the
+    KKT test, with the block's miss as the nearest miss. The pattern it
+    accepts starts the next block. There is no cap on the number of
+    blocks: a search costs O(N^2) operations on Python floats.
 
     The run's ``patterns`` are the signs of each step's displacement, 0 where
     |dx| <= DEFAULT_TOL, not the accepted patterns: at a zero-speed slip both
@@ -479,9 +482,15 @@ def incremental_oracle(
     """
     M = int(steps_per_period)
     h = _grid_step(g.period, t0, periods, M)
-    _check_alignment(g.rest_lengths, t0, h, "rest_lengths")
-    _check_alignment(g.mu_plus, t0, h, "mu_plus")
-    _check_alignment(g.mu_minus, t0, h, "mu_minus")
+    breaks = np.concatenate([
+        _check_alignment(g.rest_lengths, t0, h, "rest_lengths"),
+        _check_alignment(g.mu_plus, t0, h, "mu_plus"),
+        _check_alignment(g.mu_minus, t0, h, "mu_minus"),
+    ])
+    # A block from phase ph ends just after the first breakpoint phase beyond ph,
+    # or at the period's end.
+    ends = np.unique(breaks % M) + 1
+    block_end = np.append(ends, M)[np.searchsorted(ends, np.arange(M) + 1, "right")].tolist()
     N = g.num_blocks
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (N,):
@@ -509,7 +518,7 @@ def incremental_oracle(
     k = 0
     while k < K:
         ph = (k + 1) % M
-        end = ph + min(M - ph, K - k)
+        end = ph + min(block_end[ph] - ph, K - k)
         rows, violation = _pattern_block(
             x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end]
         )
@@ -588,7 +597,11 @@ def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
     pattern).
     """
     N = len(x)
-    pats = {tuple(_signs(y - x).tolist()) for y in _chain_minimizers(x, ell, mup, mum, k)}
+    start = x.tolist()
+    pats = {
+        tuple((yi - xi > DEFAULT_TOL) - (yi - xi < -DEFAULT_TOL) for yi, xi in zip(y, start))
+        for y in _chain_minimizers(start, ell.tolist(), mup.tolist(), mum.tolist(), k)
+    }
     pats = sorted((p for p in pats if 0 in p), key=lambda p: (N - p.count(0), p))
     for i, pat in enumerate(pats):   # the flipped pattern, appended below, is tried last
         system = table[pat]
@@ -630,32 +643,52 @@ def _chain_minimizers(x, ell, mup, mum, k):
     reaches 0, and each other block follows from the next one by
     y_j = y_{j+1} - G_j(y_{j+1})/k - ell_j.
 
-    Returns one minimizer, or, where G is flat at a level within DEFAULT_TOL
-    of 0 (the minimizers form a segment y* + c*1), both ends of that flat piece.
+    The arguments are lists of Python floats (and k a float); arrays of at
+    most a few dozen numbers cost more in numpy's per-call overhead than in
+    arithmetic. Returns one minimizer, or, where G is flat at a level within
+    DEFAULT_TOL of 0 (the minimizers form a segment y* + c*1), both ends of
+    that flat piece, each as a list.
     """
     N = len(x)
-    X = np.array([x[0], x[0]])
-    G = np.array([-mum[0], mup[0]])
+    X = [x[0], x[0]]
+    G = [-mum[0], mup[0]]
     springs = []
     for j in range(N - 1):
-        Y = X + G / k + ell[j]
+        e = ell[j]
+        Y = [a + g / k + e for a, g in zip(X, G)]
         springs.append((Y, G))
-        c = x[j + 1]
-        lo, hi = np.searchsorted(Y, c, "left"), np.searchsorted(Y, c, "right")
-        gc = np.interp(c, Y, G)
-        X = np.concatenate((Y[:lo], (c, c), Y[hi:]))
-        G = np.concatenate((G[:lo] - mum[j + 1], (gc - mum[j + 1], gc + mup[j + 1]), G[hi:] + mup[j + 1]))
-    flat = np.flatnonzero((G[:-1] == G[1:]) & (np.abs(G[1:]) <= DEFAULT_TOL) & (X[:-1] < X[1:]))
-    ends = (X[flat[0]], X[flat[-1] + 1]) if len(flat) else (np.interp(0.0, G, X),)
+        c, down, up = x[j + 1], mum[j + 1], mup[j + 1]
+        lo, hi = bisect_left(Y, c), bisect_right(Y, c)
+        gc = _interp(c, Y, G)
+        X = Y[:lo] + [c, c] + Y[hi:]
+        G = [g - down for g in G[:lo]] + [gc - down, gc + up] + [g + up for g in G[hi:]]
+    flat = [i for i in range(len(G) - 1)
+            if G[i] == G[i + 1] and abs(G[i]) <= DEFAULT_TOL and X[i] < X[i + 1]]
+    ends = (X[flat[0]], X[flat[-1] + 1]) if flat else (_interp(0.0, G, X),)
     minimizers = []
     for end in ends:
-        y = np.empty(N)
-        y[-1] = end
+        y = [end] * N
         for j in range(N - 2, -1, -1):
             Y, G = springs[j]
-            y[j] = y[j + 1] - np.interp(y[j + 1], Y, G) / k - ell[j]
+            y[j] = y[j + 1] - _interp(y[j + 1], Y, G) / k - ell[j]
         minimizers.append(y)
     return minimizers
+
+
+def _interp(c, xs, fs):
+    """np.interp(c, xs, fs) for one point on Python floats, bit for bit.
+
+    xs is nondecreasing and may repeat a value (a vertical jump); all numbers
+    are finite. As in numpy, j is the last index with xs[j] <= c: before xs[0]
+    the value is fs[0], at or beyond xs[-1] it is fs[-1], at a vertex it is
+    fs[j], and otherwise slope*(c - xs[j]) + fs[j].
+    """
+    j = bisect_right(xs, c) - 1
+    if j < 0:
+        return fs[0]
+    if j == len(xs) - 1 or xs[j] == c:
+        return fs[j]
+    return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (c - xs[j]) + fs[j]
 
 
 def _try_pattern(x, b, mup, mum, system):

@@ -68,6 +68,9 @@ class PeriodicSignal:
 
     @staticmethod
     def from_json(obj: dict) -> "PeriodicSignal":
+        numbers = [obj["period"], *(x for point in obj["points"] for x in point)]
+        if any(type(x) not in (int, float) for x in numbers):
+            raise TypeError(f"a signal's period and breakpoints must be JSON numbers, got {obj!r}")
         return PeriodicSignal(obj["period"], obj["points"], obj["kind"])
 
 

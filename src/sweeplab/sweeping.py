@@ -127,15 +127,23 @@ def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
     return h
 
 
-def _check_alignment(signals, t0: float, h: float, label: str) -> None:
+def _check_alignment(signals, t0: float, h: float, label: str) -> np.ndarray:
+    """Grid indices i of the breakpoints t0 + i*h of all signals.
+
+    Raises GridAlignmentError if a breakpoint lies off the grid.
+    """
+    steps = []
     for i, s in enumerate(signals):
         r = (s.times - t0) / h
-        off = np.abs(r - np.round(r))
+        step = np.round(r)
+        off = np.abs(r - step)
         if np.any(off > 1e-6):
             bad = s.times[int(np.argmax(off))]
             raise GridAlignmentError(
                 f"{label}[{i}] breakpoint t={bad} is not on the grid (t0={t0}, h={h})"
             )
+        steps.append(step)
+    return np.concatenate(steps).astype(np.int64)
 
 
 def _active_mask(B, c, z) -> int:
@@ -318,7 +326,11 @@ def period_distance_sup(traj: Trajectory, q: int) -> float:
 
 
 def period_distances_sup(traj: Trajectory) -> np.ndarray:
-    return np.max(np.linalg.norm(_period_deltas(traj), axis=2), axis=1)
+    return _sup_distances(_period_deltas(traj))
+
+
+def _sup_distances(delta: np.ndarray) -> np.ndarray:
+    return np.max(np.linalg.norm(delta, axis=2), axis=1)
 
 
 def period_distance_w12(traj: Trajectory, q: int) -> float:
@@ -333,8 +345,10 @@ def period_distance_w12(traj: Trajectory, q: int) -> float:
 
 
 def period_distances_w12(traj: Trajectory) -> np.ndarray:
-    h = traj.h
-    delta = _period_deltas(traj)
+    return _w12_distances(_period_deltas(traj), traj.h)
+
+
+def _w12_distances(delta: np.ndarray, h: float) -> np.ndarray:
     dd = np.diff(delta, axis=1) / h
     dd = np.concatenate([dd, dd[:, -1:]], axis=1)
     return np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2)))
@@ -460,11 +474,12 @@ class ConvergenceReport:
 
 
 def convergence_report(traj: Trajectory) -> ConvergenceReport:
-    d_sup = period_distances_sup(traj)
+    delta = _period_deltas(traj)
+    d_sup = _sup_distances(delta)
     cycle, residual = _limit_cycle(traj, d_sup)
     return ConvergenceReport(
         d_sup=d_sup,
-        d_w12=period_distances_w12(traj),
+        d_w12=_w12_distances(delta, traj.h),
         classification=_classify(d_sup),
         cycle=cycle,
         residual=residual,

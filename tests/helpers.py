@@ -561,3 +561,33 @@ def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,
         xs[k + 1] = x
         chosen[k] = hint
     return xs, chosen
+
+
+def reference_chain_minimizers(x, ell, mup, mum, k: float, tol: float = TOL):
+    """crawler._chain_minimizers on numpy arrays, with np.searchsorted and
+    np.interp: the same dynamic program along the chain, as the reference for
+    the Python-float version. Returns a list of one or two minimizer arrays.
+    """
+    N = len(x)
+    X = np.array([x[0], x[0]])
+    G = np.array([-mum[0], mup[0]])
+    springs = []
+    for j in range(N - 1):
+        Y = X + G / k + ell[j]
+        springs.append((Y, G))
+        c = x[j + 1]
+        lo, hi = np.searchsorted(Y, c, "left"), np.searchsorted(Y, c, "right")
+        gc = np.interp(c, Y, G)
+        X = np.concatenate((Y[:lo], (c, c), Y[hi:]))
+        G = np.concatenate((G[:lo] - mum[j + 1], (gc - mum[j + 1], gc + mup[j + 1]), G[hi:] + mup[j + 1]))
+    flat = np.flatnonzero((G[:-1] == G[1:]) & (np.abs(G[1:]) <= tol) & (X[:-1] < X[1:]))
+    ends = (X[flat[0]], X[flat[-1] + 1]) if len(flat) else (np.interp(0.0, G, X),)
+    minimizers = []
+    for end in ends:
+        y = np.empty(N)
+        y[-1] = end
+        for j in range(N - 2, -1, -1):
+            Y, G = springs[j]
+            y[j] = y[j + 1] - np.interp(y[j + 1], Y, G) / k - ell[j]
+        minimizers.append(y)
+    return minimizers

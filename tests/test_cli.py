@@ -321,6 +321,40 @@ def test_run_inline_normals_must_be_finite_numbers_exit_4(tmp_path, capsys, conf
     assert not out.exists()
 
 
+def _box1_offset_point(point):
+    problem = catalog()["box1"].problem.to_json()
+    problem["moving_set"]["offsets"][0]["points"][0] = point
+    return {"problem": problem}
+
+
+def _box1_offset_period(value):
+    problem = catalog()["box1"].problem.to_json()
+    for signal in problem["moving_set"]["offsets"]:
+        signal["period"] = value
+    return {"problem": problem}
+
+
+def _crawler2_mu_plus_value(value):
+    gait = catalog()["crawler2"].gait.to_json()
+    gait["mu_plus"][0]["points"][0][1] = value
+    return {"gait": gait}
+
+
+@pytest.mark.parametrize("config,section", [
+    pytest.param(_box1_offset_point(["0", True]), "problem", id="offset-point-string-bool"),
+    pytest.param(_crawler2_mu_plus_value("1"), "gait", id="mu-plus-value-string"),
+    pytest.param(_box1_offset_period(True), "problem", id="offset-period-bool"),
+])
+def test_run_inline_signal_numbers_must_be_numbers_exit_4(tmp_path, capsys, config, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--periods", "3", "--steps", "100", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert f"configuration error: invalid {section}" in err and "must be JSON numbers" in err
+    assert not out.exists()
+
+
 def test_run_config_accepts_every_key(tmp_path):
     # scenario, gait and problem exclude each other; the three configs share the rest.
     cat = catalog()

@@ -19,6 +19,7 @@ from helpers import (
     perturbed_peristaltic_gait,
     random_gait,
     random_gait_with_margin,
+    reference_chain_minimizers,
     reference_margin_at,
     reference_oracle,
     uniform_signal,
@@ -713,6 +714,118 @@ def test_oracle_steps_are_kkt_points_on_large_crawlers(N):
     run = incremental_oracle(gait, _rest_start(gait), 0.0, 2, M)
     assert np.all(np.any(run.patterns != 0, axis=0))   # every block slips
     assert np.max(oracle_kkt_violations(gait, run.motion.positions, 0.0, M)) <= 10 * TOL
+
+
+def _step_data(g, t):
+    """Rest lengths and friction thresholds of g at time t, as lists of floats."""
+    return [[eval_signal(s, t) for s in sigs] for sigs in (g.rest_lengths, g.mu_plus, g.mu_minus)]
+
+
+def _assert_chain_minimizers_bit_equal(x, ell, mup, mum, k):
+    fast = sweeplab.crawler._chain_minimizers(x.tolist(), ell, mup, mum, k)
+    ref = reference_chain_minimizers(x, np.array(ell), np.array(mup), np.array(mum), k)
+    assert [np.array(y).tobytes() for y in fast] == [y.tobytes() for y in ref]
+    return len(fast)
+
+
+def test_chain_minimizers_bit_equal_to_numpy_reference_on_random_gaits():
+    rng = np.random.default_rng(17)
+    for N in [*range(2, 13), 20, 33, 50]:
+        for _ in range(4):
+            g = random_gait(rng, N, signal=uniform_signal)
+            ell, mup, mum = _step_data(g, float(rng.uniform(0.0, 2.0)))
+            x = np.cumsum(np.array([0.0, *ell]) + rng.normal(scale=0.5, size=N))
+            _assert_chain_minimizers_bit_equal(x, ell, mup, mum, float(rng.uniform(0.5, 3.0)))
+
+
+def test_chain_minimizers_bit_equal_on_lattice_gaits_with_segments_and_vertex_starts(monkeypatch):
+    # Lattice gaits at phases where their margin vanishes, and starts on the
+    # 0.25 lattice: the stages' vertices are lattice points, so starts and
+    # backward-pass points land exactly on them, and G is often flat at 0, so
+    # that two segment ends come back.
+    cr = sweeplab.crawler
+    real_interp = cr._interp
+    on_vertex = []
+
+    def interp(c, xs, fs):
+        on_vertex.append(c in xs)
+        return real_interp(c, xs, fs)
+
+    monkeypatch.setattr(cr, "_interp", interp)
+    rng = np.random.default_rng(23)
+    ends = []
+    for N in (2, 3, 4, 5, 6):
+        t = None
+        while t is None or margin_at(g, t)[0] != 0:
+            g, t = random_gait(rng, N), int(rng.integers(8)) / 8
+        ell, mup, mum = _step_data(g, t)
+        for _ in range(40):
+            x = 0.25 * np.cumsum(rng.integers(-8, 9, size=N))
+            ends.append(_assert_chain_minimizers_bit_equal(x, ell, mup, mum, 1.0))
+    assert ends.count(2) >= 10 and ends.count(1) >= 10
+    assert sum(on_vertex) >= 20
+
+
+def test_interp_bit_equal_to_numpy_on_polylines_with_jumps():
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for _ in range(30):
+            xs = np.sort(rng.choice(np.round(rng.normal(size=4), 3), size=n))   # repeats are jumps
+            fs = np.sort(rng.normal(size=n)) if rng.random() < 0.5 else rng.normal(size=n)
+            mids = (xs[:-1] + xs[1:]) / 2
+            for c in [*xs, *mids, xs[0] - 1.0, xs[-1] + 1.0, *rng.normal(size=5)]:
+                fast = sweeplab.crawler._interp(float(c), xs.tolist(), fs.tolist())
+                assert np.float64(fast).tobytes() == np.interp(c, xs, fs).tobytes()
+
+
+def _grid_breakpoints(g, t0, M):
+    h = g.period / M
+    signals = (*g.rest_lengths, *g.mu_plus, *g.mu_minus)
+    return {int(round((t - t0) / h)) % M for s in signals for t in s.times}
+
+
+@pytest.mark.parametrize("gait,t0,M", [
+    (three_block_gait(), 0.0, 400),
+    (three_block_gait(), 0.0175, 400),
+    (_WORKLOADS.peristaltic_gait(_SL, 6), 0.0, 240),
+    (perturbed_peristaltic_gait(8), 0.0, 140),
+], ids=["crawler3", "crawler3-shifted", "peristaltic6", "perturbed8"])
+def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
+    # No block runs past a grid phase where a gait signal has a breakpoint; a
+    # block that no row fails runs to the next one, or to the period's end; and
+    # the positions still equal the step-by-step reference.
+    cr = sweeplab.crawler
+    real_block, real_step = cr._pattern_block, cr._oracle_step
+    calls = []
+
+    def block(x, system, b, mup, mum):
+        rows, violation = real_block(x, system, b, mup, mum)
+        calls.append((len(b), len(rows)))
+        return rows, violation
+
+    def search(*args):
+        calls.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(cr, "_pattern_block", block)
+    monkeypatch.setattr(cr, "_oracle_step", search)
+    x0 = assemble_positions(0.0, rest_length_values(gait, t0))
+    periods = 2
+    run = incremental_oracle(gait, x0, t0, periods, M)
+    breaks = _grid_breakpoints(gait, t0, M)
+    k = 0
+    for call in calls:
+        if call is None:
+            k += 1
+            continue
+        ph, (n, kept) = (k + 1) % M, call
+        last = ph + n - 1
+        assert not any(ph < q < last for q in breaks)
+        assert last in breaks or last == M - 1 or k + n == periods * M
+        k += kept
+    assert k == periods * M and sum(call is None for call in calls) > 0
+    positions, _ = reference_oracle(gait, x0, t0, periods, M)
+    assert run.motion.positions.tobytes() == positions.tobytes()
 
 
 def _first_search_sticks(monkeypatch):

@@ -108,6 +108,18 @@ def test_json_round_trip():
     np.testing.assert_array_equal(back.values, s.values)
 
 
+@pytest.mark.parametrize("bad", ["1", True], ids=["string", "bool"])
+def test_from_json_rejects_non_number_periods_and_breakpoints(bad):
+    for slot in ("period", 0, 1):   # the period, a time, a value
+        obj = PeriodicSignal(1.5, [(0.0, 1.0), (0.25, -2.0)]).to_json()
+        if slot == "period":
+            obj["period"] = bad
+        else:
+            obj["points"][0][slot] = bad
+        with pytest.raises(TypeError, match="^a signal's period and breakpoints must be JSON numbers"):
+            PeriodicSignal.from_json(obj)
+
+
 @pytest.mark.parametrize(
     "period,points,kind",
     [
