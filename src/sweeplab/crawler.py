@@ -6,8 +6,9 @@ each block subject to time-dependent dry friction with thresholds mu_i^+(t)
 the shape variable w = -k * pi_Z(x), to a sweeping process on a moving
 polyhedron K(t) in R^{N-1}; the mean position y = pi_Y(x) is recovered from
 the projection multipliers. An independent full-space incremental-minimization
-solver (an exact dynamic program along the chain, judged by the slip-pattern
-KKT test) cross-checks the reduced pipeline.
+solver cross-checks the reduced pipeline: one kernel solves a slip pattern over
+a block of steps and judges each step by the KKT test, and where a step fails,
+an exact dynamic program along the chain proposes the patterns to try.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     PatternSearchError,
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal
+from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal, shares_period
 from .sweeping import SweepingProblem, Trajectory, _check_alignment, _grid_step, _phase_table, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
@@ -57,11 +58,20 @@ class Gait:
         for s in (*self.rest_lengths, *self.mu_plus, *self.mu_minus):
             if s.kind != PIECEWISE_LINEAR:
                 raise ValueError("gait signals must be piecewise-linear")
-            if abs(s.period - self.period) > 1e-12 * max(1.0, self.period):
+            if not shares_period(s, self.period):
                 raise ValueError("all gait signals must share the gait period")
         for s in (*self.mu_plus, *self.mu_minus):
             if np.min(s.values) <= 0:
                 raise ValueError("friction thresholds must be strictly positive")
+        # K(t)'s offsets are mu_i(t) -+ k (L_{i-1}(t) - L_i(t)) (build_moving_set), so
+        # |offset| <= max mu + 2 k max|L|; Python floats overflow to inf without a warning.
+        length = max(float(np.max(np.abs(s.values))) for s in self.rest_lengths)
+        mu = max(float(np.max(s.values)) for s in (*self.mu_plus, *self.mu_minus))
+        if not np.isfinite(mu + 2 * float(self.stiffness) * length):
+            raise ValueError(
+                f"stiffness {self.stiffness} times rest lengths up to {length} overflows: "
+                "the offsets of K(t) cannot be finite"
+            )
         object.__setattr__(self, "rest_lengths", tuple(self.rest_lengths))
         object.__setattr__(self, "mu_plus", tuple(self.mu_plus))
         object.__setattr__(self, "mu_minus", tuple(self.mu_minus))
@@ -416,7 +426,7 @@ class OracleRun:
 
 
 class _PatternSystem:
-    """Index sets and matrix blocks of one slip pattern.
+    """Index sets, signs and matrix blocks of one slip pattern.
 
     Sticking blocks T keep their positions; slipping blocks S solve
     A_SS x_S = b_S - target_S - A_ST x_T, with target mu^+ for forward and
@@ -424,14 +434,11 @@ class _PatternSystem:
     """
 
     def __init__(self, A: np.ndarray, negA: np.ndarray, pat: tuple):
-        N = len(pat)
         self.negA = negA
-        self.slips = np.array([i for i in range(N) if pat[i] != 0], dtype=np.intp)
-        self.sticks = np.array([i for i in range(N) if pat[i] == 0], dtype=np.intp)
-        self.forward = np.array(pat)[self.slips] > 0
-        self.ahead = [i for i in range(N) if pat[i] > 0]
-        self.back = [i for i in range(N) if pat[i] < 0]
-        self.still = self.sticks.tolist()
+        self.sign = np.array(pat, dtype=float)
+        self.slips = np.flatnonzero(self.sign)
+        self.sticks = np.flatnonzero(self.sign == 0)
+        self.forward = self.sign[self.slips] > 0
         if len(self.slips):
             self.A_SS = A[np.ix_(self.slips, self.slips)]
             self.A_ST = A[np.ix_(self.slips, self.sticks)]
@@ -463,18 +470,20 @@ def incremental_oracle(
     least one sticking block: sticking blocks are pinned, slipping blocks
     satisfy the linear force balance at their saturated threshold, and the
     pattern is accepted when its solution passes the sign and bound checks
-    (``_try_pattern``, the KKT test).
+    (the KKT test).
 
-    Every step starts in a block (``_pattern_block``): the current pattern,
-    all-stick at step 0, is solved over the steps up to the next grid phase
-    where a gait signal has a breakpoint, or to the end of the period, and
-    cut at the first step where it fails. A block that no step fails is
-    followed by another with the same pattern. Only at a cut does a search
-    run (``_oracle_step``): a dynamic program along the chain minimizes the
-    step, and the slip pattern read off its displacement is judged by the
-    KKT test, with the block's miss as the nearest miss. The pattern it
-    accepts starts the next block. There is no cap on the number of
-    blocks: a search costs O(N^2) operations on Python floats.
+    One kernel, ``_try_pattern``, solves and judges a pattern over a block
+    of steps: the steps up to the next grid phase where a gait signal has a
+    breakpoint, or to the end of the period. It keeps the steps before the
+    first one the pattern fails. A block that no step fails is followed by
+    another with the same pattern, all-stick at step 0. Where a step fails,
+    a search (``_oracle_step``) runs: a dynamic program along the chain
+    minimizes the step, and each slip pattern read off its displacement is
+    tried through the kernel over the block from that step, with the miss
+    that stopped the last block as the nearest miss. The first pattern that
+    passes the step is accepted with the steps of its block that it passes.
+    There is no cap on the number of blocks: a search costs O(N^2)
+    operations on Python floats.
 
     The run's ``patterns`` are the signs of each step's displacement, 0 where
     |dx| <= DEFAULT_TOL, not the accepted patterns: at a zero-speed slip both
@@ -512,110 +521,96 @@ def incremental_oracle(
 
     K = periods * M
     xs = np.empty((K + 1, N))
-    xs[0] = x0
-    x = x0.copy()
-    hint = (0,) * N   # all-stick: every step starts in a block
+    xs[0] = x = x0
+    hint, miss = (0,) * N, None   # all-stick: step 0 starts in a block
     k = 0
     while k < K:
         ph = (k + 1) % M
         end = ph + min(block_end[ph] - ph, K - k)
-        rows, violation = _pattern_block(
-            x, table[hint], b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end]
-        )
-        n = len(rows)
-        if n:
-            xs[k + 1 : k + 1 + n] = rows
-            x = rows[-1]
-            k += n
-        if violation is None:
-            continue
-        # The block stopped at step k: search there, with the block's
-        # pattern as the nearest miss.
-        ph = (k + 1) % M
-        try:
-            x, hint = _oracle_step(
-                x, b_phase[ph], ell_phase[ph], mup_phase[ph], mum_phase[ph], g.stiffness, table,
-                (violation, hint),
-            )
-        except PatternSearchError as exc:
-            raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
-        xs[k + 1] = x
-        k += 1
+        b, mup, mum = b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end]
+        if miss is None:
+            rows, n, miss = _try_pattern(x, b, mup, mum, table[hint])
+        else:
+            try:
+                rows, n, miss, hint = _oracle_step(
+                    x, b, ell_phase[ph], mup, mum, g.stiffness, table, (miss, hint)
+                )
+            except PatternSearchError as exc:
+                raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
+        xs[k + 1 : k + 1 + n] = rows[:n]
+        k += n
+        x = xs[k]
     times = t0 + h * np.arange(K + 1)
     motion = Motion(times, xs, M, g.period)
     return OracleRun(g, motion, _signs(np.diff(xs, axis=0)))
 
 
-def _pattern_block(x, system, b, mup, mum):
-    """Run one slip pattern over consecutive steps, cut at the first step it fails.
+def _try_pattern(x, b, mup, mum, system):
+    """Run one slip pattern from x over consecutive steps: the oracle's KKT test.
 
     b, mup and mum hold one row per step. Sticking blocks keep x, so every
-    slipping row is solved at once; each row must then pass ``_try_pattern``'s
-    own tests: slipping blocks move in their direction from the previous row,
-    sticking forces stay within the friction bounds. The stacked solve and
-    matrix-vector products make the same LAPACK/BLAS call per row as the
-    single-step path, so the rows are bit-equal to it. Returns the rows that
-    pass and the pattern's violation at the first failing row (None if every
-    row passes).
+    slipping row is solved in one stacked solve. A step passes when no term
+    exceeds DEFAULT_TOL: a slipping block gives sign * (previous row - row),
+    so it must move in its direction, and a sticking block gives
+    max(force - mu^+, -mu^- - force), so its force stays within the bounds.
+    The signs are +-1, so the terms are exact differences. Returns every
+    solved row, the number n of leading steps that pass and the worst term
+    at step n (None if every step passes). A NaN term never counts as a
+    violation.
     """
-    S, T = system.slips, system.sticks
+    S = system.slips
     rows = np.repeat(x[None, :], len(b), axis=0)
     if len(S):
         target = np.where(system.forward, mup[:, S], -mum[:, S])
-        rhs = b[:, S] - target - system.A_ST @ x[T]
+        rhs = b[:, S] - target - system.A_ST @ x[system.sticks]
         rows[:, S] = np.linalg.solve(system.A_SS, rhs[..., None])[..., 0]
     force = (system.negA @ rows[..., None])[..., 0] + b
     prev = np.concatenate((x[None, :], rows[:-1]))
-    terms = np.concatenate(
-        (
-            prev[:, system.ahead] - rows[:, system.ahead],
-            rows[:, system.back] - prev[:, system.back],
-            force[:, T] - mup[:, T],
-            -mum[:, T] - force[:, T],
-        ),
-        axis=1,
-    )
-    # As in _try_pattern's running max, a NaN term never counts as a violation.
+    sign = system.sign
+    terms = np.where(sign != 0, sign * (prev - rows), np.maximum(force - mup, -mum - force))
     failing = np.flatnonzero((terms > DEFAULT_TOL).any(axis=1))
     if not len(failing):
-        return rows, None
-    cut = failing[0]
-    return rows[:cut], float(np.nanmax(terms[cut]))
+        return rows, len(rows), None
+    n = int(failing[0])
+    return rows, n, float(np.nanmax(terms[n]))
 
 
 def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
-    """The step's slip pattern at a block cut, judged by its KKT violation, with its solution.
+    """The slip pattern of a search at a failed step, with its block from that step.
 
-    The candidates are the canonical patterns (the signs of the displacement,
-    0 where |dx| <= DEFAULT_TOL) of the minimizers that ``_chain_minimizers``
-    returns, without the all-slip ones, fewest slips first, then in tuple
-    order. Each is re-solved by ``_try_pattern``, so the positions are the
-    block kernel's, and the first whose violation is within DEFAULT_TOL is
-    accepted. If none is, every sticking block of the first candidate whose
-    force breaks a bound slips in that bound's direction, and that pattern is
-    tried once. nearest is the closest miss already seen, as (violation,
-    pattern).
+    b, mup and mum hold one row per step of the block, as for
+    ``_try_pattern``; ell holds the first step's rest lengths. The
+    candidates are the canonical patterns (the signs of the displacement, 0
+    where |dx| <= DEFAULT_TOL) of the minimizers that ``_chain_minimizers``
+    returns for the first step, without the all-slip ones, fewest slips
+    first, then in tuple order. Each is tried through ``_try_pattern`` over
+    the block, so the positions are the kernel's, and the first that passes
+    the first step is accepted. If none is, every sticking block of the
+    first candidate whose force breaks a bound slips in that bound's
+    direction, and that pattern is tried once. nearest is the closest miss
+    already seen, as (violation, pattern). Returns the accepted try's rows,
+    passing steps and miss, and its pattern.
     """
     N = len(x)
     start = x.tolist()
     pats = {
         tuple((yi - xi > DEFAULT_TOL) - (yi - xi < -DEFAULT_TOL) for yi, xi in zip(y, start))
-        for y in _chain_minimizers(start, ell.tolist(), mup.tolist(), mum.tolist(), k)
+        for y in _chain_minimizers(start, ell.tolist(), mup[0].tolist(), mum[0].tolist(), k)
     }
     pats = sorted((p for p in pats if 0 in p), key=lambda p: (N - p.count(0), p))
     for i, pat in enumerate(pats):   # the flipped pattern, appended below, is tried last
         system = table[pat]
-        x_new, violation = _try_pattern(x, b, mup, mum, system)
-        if violation <= DEFAULT_TOL:
-            return x_new, pat
-        if violation < nearest[0]:
-            nearest = (violation, pat)
+        rows, n, miss = _try_pattern(x, b, mup, mum, system)
+        if n:
+            return rows, n, miss, pat
+        if miss < nearest[0]:
+            nearest = (miss, pat)
         if i == 0:
-            force = system.negA @ x_new + b
+            force = system.negA @ rows[0] + b[0]
             flipped = np.array(pat)
             stuck = flipped == 0
-            flipped[stuck & (force - mup > DEFAULT_TOL)] = 1
-            flipped[stuck & (-mum - force > DEFAULT_TOL)] = -1
+            flipped[stuck & (force - mup[0] > DEFAULT_TOL)] = 1
+            flipped[stuck & (-mum[0] - force > DEFAULT_TOL)] = -1
             flipped = tuple(flipped.tolist())
             if 0 in flipped and flipped not in pats:
                 pats.append(flipped)
@@ -689,24 +684,3 @@ def _interp(c, xs, fs):
     if j == len(xs) - 1 or xs[j] == c:
         return fs[j]
     return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (c - xs[j]) + fs[j]
-
-
-def _try_pattern(x, b, mup, mum, system):
-    """Solve a slip pattern and return (candidate, worst KKT violation)."""
-    S = system.slips
-    x_new = x.copy()
-    if len(S):
-        target = np.where(system.forward, mup[S], -mum[S])
-        rhs = b[S] - target - system.A_ST @ x[system.sticks]
-        x_new[S] = np.linalg.solve(system.A_SS, rhs)
-    force = (system.negA @ x_new + b).tolist()
-    old, new = x.tolist(), x_new.tolist()
-    hi, lo = mup.tolist(), mum.tolist()
-    violation = 0.0
-    for i in system.ahead:
-        violation = max(violation, old[i] - new[i])          # must move forward
-    for i in system.back:
-        violation = max(violation, new[i] - old[i])          # must move backward
-    for i in system.still:
-        violation = max(violation, force[i] - hi[i], -lo[i] - force[i])
-    return x_new, violation

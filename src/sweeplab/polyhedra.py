@@ -40,7 +40,7 @@ from .errors import (
     MembershipError,
     NormalConeError,
 )
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal
+from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal, shares_period
 
 DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign test
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
@@ -105,7 +105,7 @@ class MovingPolyhedron:
                 raise TypeError("offsets must be PeriodicSignal instances")
             if s.kind != PIECEWISE_LINEAR:
                 raise ValueError("polyhedron offsets must be piecewise-linear signals")
-            if abs(s.period - period) > 1e-12 * max(1.0, period):
+            if not shares_period(s, period):
                 raise ValueError("offset signals must share one period")
         B.setflags(write=False)
         object.__setattr__(self, "normals", B)

@@ -39,8 +39,12 @@ class PeriodicSignal:
             raise ValueError("a signal needs at least one breakpoint")
         times = np.array([t for t, _ in pts], dtype=float)
         values = np.array([v for _, v in pts], dtype=float)
-        if not (period > 0 and np.isfinite([period, *times, *values]).all()):
-            raise ValueError(f"need a finite period > 0 and finite breakpoints, got period {period}")
+        if not (period > 0 and np.isfinite(period)):
+            raise ValueError(f"need a finite period > 0, got period {period}")
+        bad = ~(np.isfinite(times) & np.isfinite(values))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"breakpoints must be finite, got ({times[i]}, {values[i]})")
         if times[0] < 0 or times[-1] >= period:
             raise ValueError("breakpoint times must lie in [0, period)")
         if np.any(np.diff(times) <= 0):
@@ -112,6 +116,11 @@ def lipschitz_constant(s: PeriodicSignal) -> float:
     return float(np.max(np.abs(slopes)))
 
 
+def shares_period(s: PeriodicSignal, period: float) -> bool:
+    """True iff s's period equals period to within 1e-12 * max(1, period)."""
+    return abs(s.period - period) <= 1e-12 * max(1.0, period)
+
+
 def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
     """Exact linear combination sum_i coeffs[i]*signals[i] + constant.
 
@@ -125,7 +134,7 @@ def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
     for s in signals:
         if s.kind != PIECEWISE_LINEAR:
             raise ValueError("combine supports piecewise-linear signals only")
-        if abs(s.period - period) > 1e-12 * max(1.0, period):
+        if not shares_period(s, period):
             raise ValueError("signals must share one period")
     merged = np.unique(np.concatenate([s.times for s in signals]))
     # Collapse breakpoints closer than the dedupe tolerance.

@@ -25,7 +25,7 @@ from .polyhedra import (
     _subset_table,
     project,
 )
-from .signals import PeriodicSignal, eval_many
+from .signals import PeriodicSignal, eval_many, shares_period
 
 FLOAT_FMT = "%.17g"
 FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
@@ -47,7 +47,7 @@ class SweepingProblem:
             if len(drift) != self.moving_set.dim:
                 raise ValueError("drift needs one signal per coordinate")
             for s in drift:
-                if abs(s.period - self.period) > 1e-12 * max(1.0, self.period):
+                if not shares_period(s, self.period):
                     raise ValueError("drift signals must share the moving-set period")
             object.__setattr__(self, "drift", drift)
 

@@ -299,6 +299,21 @@ def test_run_non_finite_or_mistyped_inline_number_exit_4(tmp_path, capsys, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "check-gait"])
+def test_gait_whose_moving_set_overflows_exit_4_writes_nothing(tmp_path, capsys, command):
+    # k = 1e308 times crawler2's rest length of up to 4 overflows the offsets
+    # of K(t). The gait is rejected when it is built: no overflow warning (a
+    # warning fails the suite) and nothing written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_crawler2_gait(k=1e308)))
+    out = tmp_path / "x"
+    flags = [] if command == "check-gait" else ["--out", str(out)]
+    assert run_cli(command, "--config", str(cfg), *flags) == 4
+    err = capsys.readouterr().err
+    assert "configuration error: invalid gait" in err and "offsets of K(t) cannot be finite" in err
+    assert not out.exists()
+
+
 def _box1_normal(value):
     problem = catalog()["box1"].problem.to_json()
     problem["moving_set"]["normals"][0][0] = value

@@ -480,22 +480,23 @@ def test_oracle_four_blocks_matches_reduced():
 
 
 def test_oracle_error_names_step_and_time(monkeypatch):
-    # At rest, step 0 starts in the all-stick block. The first block is cut
-    # after steps 0, 1 and 2 with a violation of 1, and every scalar try
-    # fails by 2, so step 3 (landing at t = 4h) is the first to fail and the
-    # block's pattern, with the block's violation, is the nearest miss.
-    real_block = sweeplab.crawler._pattern_block
+    # At rest, step 0 starts in the all-stick block. The kernel's first call
+    # keeps steps 0, 1 and 2 and misses by 1 at step 3, and every try of the
+    # search there fails its first step by 2, so step 3 (landing at t = 4h) is
+    # the first to fail and the block's pattern, with the block's miss, is the
+    # nearest miss.
+    real_try = sweeplab.crawler._try_pattern
+    calls = []
 
-    def failing_try_pattern(x, *args):
-        return x, 2.0
+    def try_pattern(*args):
+        rows, n, miss = real_try(*args)
+        calls.append(None)
+        if len(calls) == 1:
+            assert n > 3 and miss is None
+            return rows, 3, 1.0
+        return rows, 0, 2.0
 
-    def short_block(*args):
-        rows, violation = real_block(*args)
-        assert len(rows) > 3 and violation is None
-        return rows[:3], 1.0
-
-    monkeypatch.setattr(sweeplab.crawler, "_try_pattern", failing_try_pattern)
-    monkeypatch.setattr(sweeplab.crawler, "_pattern_block", short_block)
+    monkeypatch.setattr(sweeplab.crawler, "_try_pattern", try_pattern)
     with pytest.raises(
         PatternSearchError,
         match=r"^step 3, t=0\.040000000000000001: no consistent slip pattern; "
@@ -597,10 +598,10 @@ def test_canonical_patterns_are_kkt_patterns_shared_by_both_solvers(case):
         b = gait.stiffness * ell @ PZ
         table = cr._PatternTable(gait.stiffness * (PZ.T @ PZ))
         for k, pat in enumerate(pats.tolist()):
-            ph = (k + 1) % M
-            x_new, violation = cr._try_pattern(xs[k], b[ph], mup[ph], mum[ph], table[tuple(pat)])
-            assert violation <= TOL
-            assert np.max(np.abs(x_new - xs[k + 1])) <= 1e-14
+            step = slice((k + 1) % M, (k + 1) % M + 1)
+            rows, n, miss = cr._try_pattern(xs[k], b[step], mup[step], mum[step], table[tuple(pat)])
+            assert n == 1 and miss is None
+            assert np.max(np.abs(rows[0] - xs[k + 1])) <= 1e-14
 
 
 def test_oracle_rejects_breakpoints_off_its_grid():
@@ -613,8 +614,8 @@ def test_oracle_rejects_breakpoints_off_its_grid():
 @pytest.mark.parametrize("gait,M", [(three_block_gait(), 400), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],
                          ids=["crawler3", "peristaltic7"])
 def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
-    # Each block row is bit-equal to the single-step solution from the row
-    # before it, and the violation at the cut is the one _try_pattern reports.
+    # Each passing row of a block is bit-equal to the one-step solution from
+    # the row before it, and the block's miss is the one-step miss there.
     cr = sweeplab.crawler
     N = gait.num_blocks
     positions, patterns = reference_oracle(gait, _rest_start(gait), 0.0, 2, M)
@@ -630,42 +631,45 @@ def test_pattern_block_rows_and_cut_match_single_steps(gait, M):
         x = positions[k]
         for pat in dict.fromkeys([tuple(int(s) for s in patterns[k]), *fixed]):
             system = table[pat]
-            rows, violation = cr._pattern_block(x, system, b[ph:], mup[ph:], mum[ph:])
+            rows, n, miss = cr._try_pattern(x, b[ph:], mup[ph:], mum[ph:], system)
             prev = x
-            for r, row in enumerate(rows):
-                single, v = cr._try_pattern(prev, b[ph + r], mup[ph + r], mum[ph + r], system)
-                assert single.tobytes() == row.tobytes() and v <= TOL
+            for r, row in enumerate(rows[:n]):
+                step = slice(ph + r, ph + r + 1)
+                single, one, v = cr._try_pattern(prev, b[step], mup[step], mum[step], system)
+                assert single[0].tobytes() == row.tobytes() and one == 1 and v is None
                 prev = row
-            slip_rows += len(rows) if len(system.slips) else 0
-            if violation is not None:
+            slip_rows += n if len(system.slips) else 0
+            if miss is not None:
                 cuts += 1
-                r = ph + len(rows)
-                assert cr._try_pattern(prev, b[r], mup[r], mum[r], system)[1] == violation > TOL
+                step = slice(ph + n, ph + n + 1)
+                assert cr._try_pattern(prev, b[step], mup[step], mum[step], system)[1:] == (0, miss)
+                assert miss > TOL
     assert slip_rows > 20 and cuts > 0
 
 
 def test_oracle_searches_only_at_block_cuts(monkeypatch):
-    # Step 0 starts in a block, and every search follows a block that was cut.
+    # Step 0 starts in a block, and every search follows a kernel call that
+    # reported a miss.
     cr = sweeplab.crawler
-    real_block, real_step = cr._pattern_block, cr._oracle_step
+    real_try, real_step = cr._try_pattern, cr._oracle_step
     calls = []
 
-    def block(*args):
-        rows, violation = real_block(*args)
-        calls.append(("block", violation is not None))
-        return rows, violation
+    def kernel(*args):
+        rows, n, miss = real_try(*args)
+        calls.append(("kernel", miss is not None))
+        return rows, n, miss
 
     def search(*args):
         calls.append(("search", None))
         return real_step(*args)
 
-    monkeypatch.setattr(cr, "_pattern_block", block)
+    monkeypatch.setattr(cr, "_try_pattern", kernel)
     monkeypatch.setattr(cr, "_oracle_step", search)
     gait = three_block_gait()
     incremental_oracle(gait, _rest_start(gait), 0.0, 2, 200)
-    assert calls[0][0] == "block"
+    assert calls[0][0] == "kernel"
     searches = [i for i, (kind, _) in enumerate(calls) if kind == "search"]
-    assert searches and all(calls[i - 1] == ("block", True) for i in searches)
+    assert searches and all(calls[i - 1] == ("kernel", True) for i in searches)
 
 
 # Random lattice gaits whose uniqueness margin vanishes on the 200-step grid.
@@ -791,23 +795,23 @@ def _grid_breakpoints(g, t0, M):
     (perturbed_peristaltic_gait(8), 0.0, 140),
 ], ids=["crawler3", "crawler3-shifted", "peristaltic6", "perturbed8"])
 def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
-    # No block runs past a grid phase where a gait signal has a breakpoint; a
-    # block that no row fails runs to the next one, or to the period's end; and
-    # the positions still equal the step-by-step reference.
+    # No kernel call, in a block or in a search, runs past a grid phase where
+    # a gait signal has a breakpoint; each runs to the next one, or to the
+    # period's end; and the positions still equal the step-by-step reference.
     cr = sweeplab.crawler
-    real_block, real_step = cr._pattern_block, cr._oracle_step
+    real_try, real_step = cr._try_pattern, cr._oracle_step
     calls = []
 
-    def block(x, system, b, mup, mum):
-        rows, violation = real_block(x, system, b, mup, mum)
-        calls.append((len(b), len(rows)))
-        return rows, violation
+    def kernel(x, b, mup, mum, system):
+        rows, n, miss = real_try(x, b, mup, mum, system)
+        calls.append((len(b), n))
+        return rows, n, miss
 
     def search(*args):
         calls.append(None)
         return real_step(*args)
 
-    monkeypatch.setattr(cr, "_pattern_block", block)
+    monkeypatch.setattr(cr, "_try_pattern", kernel)
     monkeypatch.setattr(cr, "_oracle_step", search)
     x0 = assemble_positions(0.0, rest_length_values(gait, t0))
     periods = 2
@@ -816,7 +820,6 @@ def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
     k = 0
     for call in calls:
         if call is None:
-            k += 1
             continue
         ph, (n, kept) = (k + 1) % M, call
         last = ph + n - 1
@@ -828,8 +831,53 @@ def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
     assert run.motion.positions.tobytes() == positions.tobytes()
 
 
+@pytest.mark.parametrize("gait,M", [(three_block_gait(), 200), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],
+                         ids=["crawler3", "peristaltic7"])
+def test_oracle_keeps_each_step_from_the_kernel_call_that_judged_it(monkeypatch, gait, M):
+    # A search's try is the start of its block: every kernel call, in a block
+    # or in a search, starts at the first step not yet kept and judges the
+    # whole block from there, and the steps it passes are kept from its rows.
+    # So the calls are the blocks not started by a search (step 0, and each
+    # block after one that every step passed) plus the candidates tried; a
+    # searched step solved apart from its block would add a call.
+    cr = sweeplab.crawler
+    real_try, real_step = cr._try_pattern, cr._oracle_step
+    searching, calls = [False], []
+
+    def try_pattern(x, b, mup, mum, system):
+        rows, n, miss = real_try(x, b, mup, mum, system)
+        calls.append((searching[0], x.tobytes(), len(b), rows.copy(), n, miss))
+        return rows, n, miss
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return real_step(*args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(cr, "_try_pattern", try_pattern)
+    monkeypatch.setattr(cr, "_oracle_step", search)
+    periods = 2
+    K = periods * M
+    xs = incremental_oracle(gait, _rest_start(gait), 0.0, periods, M).motion.positions
+    breaks = _grid_breakpoints(gait, 0.0, M)
+    k = fresh = 0
+    for in_search, x, length, rows, n, miss in calls:
+        ph = (k + 1) % M
+        last = min([q for q in breaks if q > ph] + [M - 1])
+        assert x == xs[k].tobytes() and length == min(last + 1 - ph, K - k)
+        assert xs[k + 1 : k + 1 + n].tobytes() == rows[:n].tobytes()
+        fresh += miss is None and k + n < K
+        k += n
+    assert k == K
+    candidates = sum(in_search for in_search, *_ in calls)
+    assert len(calls) == 1 + fresh + candidates
+    assert max(n for in_search, *_, n, _miss in calls if in_search) > 1
+
+
 def _first_search_sticks(monkeypatch):
-    """Make the chain search of the first block cut return the start, so that
+    """Make the chain search of the first search return the start, so that
     its canonical pattern is all-stick, the pattern the block failed with."""
     cr = sweeplab.crawler
     real = cr._chain_minimizers
@@ -853,17 +901,23 @@ def test_oracle_flips_the_violated_sticking_blocks_when_the_pattern_fails(monkey
         first_slip = int(np.flatnonzero(np.any(expected.patterns != 0, axis=1))[0])
         with monkeypatch.context() as m:
             _first_search_sticks(m)
-            tried = []
-            real_try = cr._try_pattern
+            searches = []   # the patterns tried from each search on
+            real_try, real_step = cr._try_pattern, cr._oracle_step
 
             def try_pattern(x, b, mup, mum, system):
-                tried.append(system)
+                if searches:
+                    searches[-1].append(system)
                 return real_try(x, b, mup, mum, system)
 
+            def search(*args):
+                searches.append([])
+                return real_step(*args)
+
             m.setattr(cr, "_try_pattern", try_pattern)
+            m.setattr(cr, "_oracle_step", search)
             run = incremental_oracle(gait, x0, 0.0, 2, 200)
         assert run.motion.positions.tobytes() == expected.motion.positions.tobytes()
-        stick, flipped = tried[:2]
+        stick, flipped = searches[0][:2]
         signs = expected.patterns[first_slip]
         assert len(stick.slips) == 0
         assert flipped.slips.tolist() == np.flatnonzero(signs).tolist()
@@ -871,21 +925,26 @@ def test_oracle_flips_the_violated_sticking_blocks_when_the_pattern_fails(monkey
 
 
 def test_oracle_error_names_the_nearest_miss_after_the_flip(monkeypatch):
-    # Every pattern the search tries misses by at least 2e-9; the flipped
-    # pattern misses by exactly that, less than the block's miss.
+    # Every pattern the search tries misses its first step by at least 2e-9;
+    # the flipped pattern misses by exactly that, less than the block's miss.
     cr = sweeplab.crawler
     gait = two_block_gait()
     x0 = _rest_start(gait)
     patterns = incremental_oracle(gait, x0, 0.0, 2, 200).patterns
     k = int(np.flatnonzero(np.any(patterns != 0, axis=1))[0])
     _first_search_sticks(monkeypatch)
-    real_try = cr._try_pattern
+    real_try, real_step = cr._try_pattern, cr._oracle_step
 
     def failing_try_pattern(*args):
-        x_new, violation = real_try(*args)
-        return x_new, max(violation, 2e-9)
+        rows, n, miss = real_try(*args)
+        return rows, 0, 2e-9 if n else max(miss, 2e-9)
 
-    monkeypatch.setattr(cr, "_try_pattern", failing_try_pattern)
+    def search(*args):
+        with monkeypatch.context() as m:
+            m.setattr(cr, "_try_pattern", failing_try_pattern)
+            return real_step(*args)
+
+    monkeypatch.setattr(cr, "_oracle_step", search)
     pattern = tuple(patterns[k].tolist())
     with pytest.raises(
         PatternSearchError,
@@ -966,6 +1025,18 @@ def test_gait_validation_errors():
     pc = (PeriodicSignal(T, [(0.0, 1.0)], kind="pc"), PeriodicSignal.constant(1.0, T))
     with pytest.raises(ValueError):
         Gait(2, T, 1.0, (PeriodicSignal.constant(0.0, T),), pc, mu)
+
+
+def test_gait_rejects_a_stiffness_whose_moving_set_offsets_overflow():
+    # crawler2's rest length reaches 4, so k = 1e308 puts k*L beyond the
+    # largest float; k = 1e300 still gives finite offsets.
+    gait = catalog()["crawler2"].gait.to_json()
+    gait["k"] = 1e308
+    with pytest.raises(ValueError, match="offsets of K\\(t\\) cannot be finite"):
+        Gait.from_json(gait)
+    gait["k"] = 1e300
+    offsets = build_moving_set(Gait.from_json(gait)).offsets
+    assert all(np.isfinite(s.values).all() for s in offsets)
 
 
 @pytest.mark.parametrize("period,stiffness", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,13 +138,14 @@ def test_constructor_validation(period, points, kind):
         PeriodicSignal(period, points, kind)
 
 
-@pytest.mark.parametrize("period,points", [
-    (float("nan"), [(0.0, 1.0)]),
-    (float("inf"), [(0.0, 1.0)]),
-    (1.0, [(0.0, float("nan"))]),
-    (1.0, [(0.0, 1.0), (0.5, float("-inf"))]),
-    (1.0, [(float("nan"), 1.0)]),
+@pytest.mark.parametrize("period,points,message", [
+    (float("nan"), [(0.0, 1.0)], "need a finite period > 0, got period nan"),
+    (float("inf"), [(0.0, 1.0)], "need a finite period > 0, got period inf"),
+    (1.0, [(0.0, float("nan"))], "breakpoints must be finite, got (0.0, nan)"),
+    (1.0, [(0.0, 1.0), (0.5, float("-inf"))], "breakpoints must be finite, got (0.5, -inf)"),
+    (1.0, [(float("nan"), 1.0)], "breakpoints must be finite, got (nan, 1.0)"),
 ], ids=["period-nan", "period-infinite", "value-nan", "value-infinite", "time-nan"])
-def test_constructor_rejects_non_finite_numbers(period, points):
-    with pytest.raises(ValueError, match="finite"):
+def test_constructor_rejects_non_finite_numbers(period, points, message):
+    # The message names the number that is not finite.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PeriodicSignal(period, points)
