@@ -113,14 +113,11 @@ def _finite(value) -> float:
 
 
 def _starts(value):
-    """A nonempty list of states, or {"random": k} parsed to the count k."""
+    """A nonempty list of states of finite numbers, or {"random": k} parsed to the count k."""
     if isinstance(value, dict) and list(value) == ["random"]:
         return _integer(value["random"], 1)
     if isinstance(value, list) and value:
-        states = [np.asarray(s, dtype=float) for s in value]
-        if not all(np.isfinite(s).all() for s in states):
-            raise ValueError(f"expected finite states, got {value!r}")
-        return states
+        return [np.array([_finite(v) for v in s]) for s in value]
     raise ValueError(f'expected a nonempty list of states or {{"random": k}}, got {value!r}')
 
 
@@ -250,20 +247,16 @@ def _initial_states(cfg: RunConfig, sc: Scenario | None, gait, problem, rng) -> 
 # Motion CSV (gait runs)
 
 def write_motion_csv(path: Path, run) -> None:
-    """t, block positions x, mean position y, gaps z and shape w; lines end in \\n."""
+    """t and the block positions x1..xN; lines end in \\n.
+
+    Nothing derived is repeated: the mean and the gaps are the mean and the
+    differences of the x columns, and the shape w is trajectory.csv's state.
+    """
     motion = run.motion
     N = motion.positions.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(N)]
-        + ["y"]
-        + [f"z{i + 1}" for i in range(N - 1)]
-        + [f"w{i + 1}" for i in range(N - 1)]
-    )
-    table = np.column_stack(
-        [motion.times, motion.positions, motion.mean_positions, motion.gaps, run.reduced.states]
-    )
-    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (3 * N)), "\n")
+    header = ["t"] + [f"x{i + 1}" for i in range(N)]
+    table = np.column_stack([motion.times, motion.positions])
+    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (N + 1)), "\n")
 
 
 # ---------------------------------------------------------------------------

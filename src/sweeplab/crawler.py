@@ -170,6 +170,18 @@ def admissible(g: Gait, t: float, x) -> bool:
     return bool(np.all(force <= mup + DEFAULT_TOL) and np.all(force >= -mum - DEFAULT_TOL))
 
 
+def _checked_start(g: Gait, t0: float, x0) -> np.ndarray:
+    """x0 as a float array, checked for shape, finiteness and admissibility at t0."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (g.num_blocks,):
+        raise ValueError(f"x0 must have {g.num_blocks} entries")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"initial state {x0} is not finite")
+    if not admissible(g, t0, x0):
+        raise InadmissibleStateError("initial configuration violates the force bounds")
+    return x0
+
+
 # ---------------------------------------------------------------------------
 # Polyhedra of the model
 
@@ -290,7 +302,7 @@ def _margin_gate(g: Gait, times) -> MarginReport:
 
 @dataclass(frozen=True)
 class Motion:
-    """Block positions over a run, with the shape/mean split precomputed."""
+    """Block positions over a run; the mean position is computed on each access."""
 
     times: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)   # (K+1, N)
@@ -300,10 +312,6 @@ class Motion:
     @property
     def mean_positions(self) -> np.ndarray:
         return self.positions.mean(axis=1)
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.positions, axis=1)
 
     @property
     def periods(self) -> int:
@@ -340,13 +348,7 @@ def simulate_reduced(
 ) -> CrawlerRun:
     """Integrate the reduced sweeping process and recover the full motion."""
     h = _grid_step(g.period, t0, periods, steps_per_period)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (g.num_blocks,):
-        raise ValueError(f"x0 must have {g.num_blocks} entries")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"initial state {x0} is not finite")
-    if not admissible(g, t0, x0):
-        raise InadmissibleStateError("initial configuration violates the force bounds")
+    x0 = _checked_start(g, t0, x0)
     grid = t0 + h * np.arange(steps_per_period)
     margin = _margin_gate(g, grid)
 
@@ -501,13 +503,7 @@ def incremental_oracle(
     ends = np.unique(breaks % M) + 1
     block_end = np.append(ends, M)[np.searchsorted(ends, np.arange(M) + 1, "right")].tolist()
     N = g.num_blocks
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (N,):
-        raise ValueError(f"x0 must have {N} entries")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"initial state {x0} is not finite")
-    if not admissible(g, t0, x0):
-        raise InadmissibleStateError("initial configuration violates the force bounds")
+    x0 = _checked_start(g, t0, x0)
 
     ell_phase = _phase_table(g.rest_lengths, t0, h, M)
     mup_phase = _phase_table(g.mu_plus, t0, h, M)

@@ -88,7 +88,7 @@ def test_run_output_number_format(tmp_path):
     raw = (tmp_path / "g" / "motion.csv").read_bytes()
     assert b"\r" not in raw and raw.count(b"\n") == len(run.motion.times) + 1
     m = run.motion
-    table = np.column_stack([m.times, m.positions, m.mean_positions, m.gaps, run.reduced.states])
+    table = np.column_stack([m.times, m.positions])
     rows = [line.split(",") for line in raw.decode().split("\n")[1:-1]]
     assert rows == [[FLOAT_FMT % x for x in row] for row in table]
 
@@ -96,6 +96,29 @@ def test_run_output_number_format(tmp_path):
     listed = "[" + ", ".join(FLOAT_FMT % x for x in d_sup) + "]"
     assert dump_json(d_sup) == listed
     assert f'"d_sup": {listed}' in (tmp_path / "w" / "convergence.json").read_text()
+
+
+def test_motion_csv_holds_what_the_dropped_columns_are_derived_from(tmp_path):
+    # motion.csv is t,x1..xN. The mean and the gaps come from its x columns
+    # bit for bit, its t column is trajectory.csv's, and the shape w = -k diff(x)
+    # is trajectory.csv's state up to rounding.
+    crawler3 = catalog()["crawler3"]
+    assert run_cli("run", "--scenario", "crawler3", "--out", str(tmp_path),
+                   "--periods", "3", "--steps", "300") == 0
+    run = simulate_reduced(crawler3.gait, crawler3.initial_state, 0.0, 3, 300)
+    def fields(name, newline):
+        return [line.split(",") for line in (tmp_path / name).read_bytes().decode().split(newline)[:-1]]
+
+    motion, traj = fields("motion.csv", "\n"), fields("trajectory.csv", "\r\n")
+    N = crawler3.gait.num_blocks
+    assert motion[0] == ["t"] + [f"x{i + 1}" for i in range(N)]
+    assert [r[0] for r in motion] == [r[0] for r in traj]
+
+    x = np.array([[float(v) for v in r[1:]] for r in motion[1:]])
+    assert np.array_equal(np.mean(x, axis=1), run.motion.mean_positions)
+    assert np.array_equal(np.diff(x, axis=1), np.diff(run.motion.positions, axis=1))
+    w = np.array([[float(v) for v in r[1:N]] for r in traj[1:]])
+    assert np.all(np.abs(-crawler3.gait.stiffness * np.diff(x, axis=1) - w) <= 1e-12 * (1 + np.abs(w)))
 
 
 def test_run_gait_velocity_and_spread(tmp_path):
@@ -219,6 +242,8 @@ def _gait_and_problem():
     pytest.param({"scenario": "wedge", "initial_states": [[0.1, 0, 0]]}, [], id="state-too-long"),
     pytest.param({"scenario": "crawler2", "initial_states": [[0.0]]}, [], id="state-too-short"),
     pytest.param({"scenario": "crawler2", "initial_states": [[0.0, "a"]]}, [], id="state-not-numeric"),
+    pytest.param({"scenario": "crawler2", "initial_states": [[0.0, "0.5"]]}, [], id="state-numeric-string"),
+    pytest.param({"scenario": "box1", "initial_states": [[True]]}, [], id="state-bool"),
     pytest.param({"scenario": "crawler2", "initial_states": {"random": "a"}}, [], id="starts-not-numeric"),
     pytest.param({"scenario": "box1", "initial_states": [[float("nan")]]}, [], id="state-nan-plain"),
     pytest.param({"scenario": "crawler2", "initial_states": [[0.0, float("nan")]]}, [], id="state-nan-gait"),

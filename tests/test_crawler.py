@@ -387,7 +387,7 @@ def test_single_block_slip_advances_mean_by_half_gap_change():
     run = simulate_reduced(g, np.array([0.0, 0.0]), 0.0, 2, 200)
     eta = run.reduced.multipliers
     y = run.motion.mean_positions
-    z = run.motion.gaps[:, 0]
+    z = np.diff(run.motion.positions, axis=1)[:, 0]
     hits = 0
     for k in range(len(eta)):
         support = np.flatnonzero(eta[k] > 1e-12)
