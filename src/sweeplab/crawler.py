@@ -491,7 +491,7 @@ def incremental_oracle(
     |dx| <= DEFAULT_TOL, not the accepted patterns: at a zero-speed slip both
     slip and stick pass, and which one is accepted depends on the search.
     """
-    M = int(steps_per_period)
+    M = steps_per_period
     h = _grid_step(g.period, t0, periods, M)
     breaks = np.concatenate([
         _check_alignment(g.rest_lengths, t0, h, "rest_lengths"),

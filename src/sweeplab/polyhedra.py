@@ -193,6 +193,12 @@ _TABLES: dict = {}
 def _subset_table(B: np.ndarray):
     """All index subsets with linearly independent normals, sizes 1..n.
 
+    Built hereditarily: a subfamily of an independent family has sigma_min no
+    smaller and sigma_max no larger, so it is independent too. A size-s
+    candidate is a kept size-(s-1) set plus a larger index, for s >= 3 one
+    that forms a kept pair with every member, and _independent decides as it
+    would over all combinations.
+
     Returns (entries, index, stacks). Entries are (indices, B_S, G_S) with
     G_S = B_S B_S^T, ordered by size then lexicographically; index maps each
     index tuple to its entry number. stacks[s - 1] holds the size-s entries as
@@ -210,9 +216,18 @@ def _subset_table(B: np.ndarray):
         raise EnumerationCapError("candidate subset enumeration too large")
     entries = []
     stacks = []
+    # allowed[i, j]: j may extend a set holding i; from size 3 on, only when
+    # (i, j) is a kept pair.
+    allowed = np.triu(np.ones((m, m), dtype=bool), 1)
+    idx = np.arange(m).reshape(-1, 1)
     for size in range(1, n + 1):
-        idx = np.array(list(itertools.combinations(range(m), size)), dtype=int).reshape(-1, size)
+        if size > 1:
+            rows, j = np.nonzero(allowed[idx].all(axis=1))
+            idx = np.column_stack([idx[rows], j])
         idx = idx[_independent(B[idx])]
+        if size == 2:
+            allowed = np.zeros((m, m), dtype=bool)
+            allowed[idx[:, 0], idx[:, 1]] = True
         BS = B[idx]
         stack = (idx, BS, BS @ BS.transpose(0, 2, 1))
         for a in stack:

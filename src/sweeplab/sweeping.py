@@ -10,6 +10,7 @@ be tested at tolerances near machine precision instead of O(h).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,11 +112,16 @@ def _phase_table(signals, t0: float, h: float, M: int):
 def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
     """The step h = T/M of a run of `periods` periods of M steps from t0.
 
-    Raises ValueError unless periods and M are positive, and
+    Raises ValueError unless periods and M are positive integers, and
     GridAlignmentError when floats near |t0| + T lie more than 1e-6*h apart
     (the relative tolerance of _check_alignment): the clock t0 + k*h could
     not resolve the steps.
     """
+    for name, count in (("periods", periods), ("steps_per_period", M)):
+        try:
+            operator.index(count)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {count!r}") from None
     if periods < 1 or M < 1:
         raise ValueError("periods and steps_per_period must be positive")
     h = T / M
@@ -229,8 +235,15 @@ def simulate(
     step that would not accept that subset, which goes back to the scalar
     projection, a full search in the fixed candidate order. The block is the
     only warm start.
+
+    A period of the loop is a pure function of the state it starts from: the
+    phase tables, the subset table and the face maps are fixed for the run,
+    and blocks never cross a period boundary. So once a period starts from
+    the state, bit for bit, that the period before started from, the run is
+    on an exact periodic orbit, and the remaining periods are copies of the
+    last one.
     """
-    M = int(steps_per_period)
+    M = steps_per_period
     h = _grid_step(problem.period, t0, periods, M)
     P = problem.moving_set
     _check_alignment(P.offsets, t0, h, "offset")
@@ -271,6 +284,11 @@ def simulate(
     k = 0
     while k < K:
         ph = k % M
+        if ph == 0 and k >= M and states[k].tobytes() == states[k - M].tobytes():
+            states[k + 1 :].reshape(-1, M, n)[:] = states[k - M + 1 : k + 1]
+            multipliers[k:].reshape(-1, M, m)[:] = multipliers[k - M : k]
+            masks[k + 1 :].reshape(-1, M)[:] = masks[k - M + 1 : k + 1]
+            break
         p = z if dz is None else z + dz[ph]
         try:
             z, lam, subset = _project_raw(B, c_next[ph], table, p)
@@ -517,16 +535,43 @@ def validate_trajectory(traj: Trajectory) -> None:
 
 def _write_csv(path, header, table: np.ndarray, row_fmt: str, newline: str) -> None:
     """Header, then the table's rows; one `%` formats a block of rows at a time."""
-    line = row_fmt + newline
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
-        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[lo : lo + _CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        _write_rows(fh, table, row_fmt + newline)
+
+
+def _write_rows(fh, table: np.ndarray, line: str) -> None:
+    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[lo : lo + _CSV_BLOCK_ROWS]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _rows_to_format(table: np.ndarray, M: int) -> int:
+    """The rows of a trajectory table through the end of the first period
+    that every later period repeats bit for bit, t aside.
+
+    Period q is rows qM+1..(q+1)M. All rows when the last period differs
+    from the one before, or when the rows do not fill whole periods.
+    """
+    K = len(table) - 1
+    if K % M:
+        return len(table)
+    bits = table[:, 1:].view(np.int64)
+    q = K // M - 1
+    while q > 0 and np.array_equal(bits[q * M + 1 : (q + 1) * M + 1],
+                                   bits[(q - 1) * M + 1 : q * M + 1]):
+        q -= 1
+    return (q + 1) * M + 1
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Rows t, z, the multipliers of the step landing at z, active bitmask; \\r\\n line ends."""
+    """Rows t, z, the multipliers of the step landing at z, active bitmask; \\r\\n line ends.
+
+    Rows are formatted through the end of the first period that every later
+    period repeats bit for bit, t aside (on an exact periodic orbit, see
+    simulate). Each later row is its own t plus the text of the matching row
+    of that period. The file is the same as formatting every row.
+    """
     n = traj.problem.dim
     m = traj.problem.moving_set.num_constraints
     header = (
@@ -537,7 +582,22 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     )
     eta = np.vstack([np.zeros(m), traj.multipliers])
     table = np.column_stack([traj.times, traj.states, eta, traj.active_masks])
-    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (1 + n + m) + ["%d"]), "\r\n")
+    M = traj.steps_per_period
+    end = _rows_to_format(table, M)
+    rest_fmt = ",".join([FLOAT_FMT] * (n + m) + ["%d"])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, table[:end], f"{FLOAT_FMT},{rest_fmt}\r\n")
+        if end == len(table):
+            return
+        # Row end + i repeats row end - M + i % M but for t. Its line is a
+        # template holding that row's text (digits, signs, '.', 'e': no '%'),
+        # so one `%` per block fills in the block's t values.
+        period = table[end - M : end, 1:].tolist()
+        lines = [f"{FLOAT_FMT},{rest_fmt % tuple(row)}\r\n" for row in period]
+        for lo in range(end, len(table), _CSV_BLOCK_ROWS):
+            t = table[lo : lo + _CSV_BLOCK_ROWS, 0].tolist()
+            fh.write("".join(lines[(lo - end + i) % M] for i in range(len(t))) % tuple(t))
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:

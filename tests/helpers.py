@@ -470,6 +470,26 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
     return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)
 
 
+def reference_periods(problem, z0, t0: float, periods: int, steps_per_period: int):
+    """simulate one period at a time: a chain of one-period runs, each from t0
+    (the discrete map is exactly T-periodic) and the last state of the one
+    before. A one-period run has no earlier period to copy, so every step is
+    computed.
+
+    Returns (states, multipliers, active_masks) laid out like a Trajectory.
+    """
+    from sweeplab.sweeping import simulate
+
+    runs = [simulate(problem, z0, t0, 1, steps_per_period)]
+    for _ in range(periods - 1):
+        runs.append(simulate(problem, runs[-1].states[-1], t0, 1, steps_per_period))
+    return (
+        np.concatenate([runs[0].states[:1]] + [r.states[1:] for r in runs]),
+        np.concatenate([r.multipliers for r in runs]),
+        np.concatenate([runs[0].active_masks[:1]] + [r.active_masks[1:] for r in runs]),
+    )
+
+
 def canonical_patterns(positions: np.ndarray, tol: float = TOL) -> np.ndarray:
     """The sign of each block's displacement at each step, 0 where |dx| <= tol."""
     dx = np.diff(positions, axis=0)

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,6 +311,54 @@ def test_subset_table_equals_combination_loop_on_peristaltic_gaits(N):
                          polyhedra=sweeplab.polyhedra)
     g = load_perfbench("workloads").peristaltic_gait(sl, N)
     _assert_table_equal(build_moving_set(g).normals)
+
+
+def _with_row(n, row):
+    """The n-d box normals, then one more row."""
+    return np.vstack([np.eye(n), -np.eye(n), [row]])
+
+
+PLANTED = {
+    # name: (normals, a dependent family, its subfamilies that must be kept)
+    "dependent-triple": (_with_row(4, [1, 1, 0, 0]), (0, 1, 8), [(0, 1), (0, 8), (1, 8)]),
+    "dependent-quadruple": (_with_row(4, [1, 1, 1, 0]), (0, 1, 2, 8),
+                            [(0, 1, 2), (0, 1, 8), (0, 2, 8), (1, 2, 8)]),
+    "parallel-pair": (_with_row(3, [0, 0, 1]), (2, 6), [(2,), (6,)]),
+    "antiparallel-pair": (np.array([[1, 2, 0], [0, 1, 1], [1, 0, -1], [-1, -2, 0]], dtype=float),
+                          (0, 3), [(0,), (3,)]),
+    "scaled-duplicate": (_with_row(3, [0, 2.5, 0]), (1, 6), [(1,), (6,), (0, 1, 2), (0, 2, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_subset_table_drops_planted_dependent_families(name):
+    B, dependent, kept = PLANTED[name]
+    _assert_table_equal(B)
+    index = _subset_table(B)[1]
+    assert dependent not in index and all(sub in index for sub in kept)
+    # No kept family holds the dependent one.
+    assert not any(set(dependent) <= set(idx) for idx in index)
+
+
+@pytest.mark.parametrize("N", [7, 9])
+def test_subset_table_tests_only_families_whose_pairs_are_kept(monkeypatch, N):
+    # Sizes 1 and 2 test every row and pair; from size 3 on a family is tested
+    # only when all its pairs are kept, which on K(t) leaves few to reject.
+    tested = []
+    independent = sweeplab.polyhedra._independent
+
+    def counted(BS):
+        tested.append(len(BS))
+        return independent(BS)
+
+    sl = SimpleNamespace(signals=sweeplab.signals, crawler=sweeplab.crawler,
+                         polyhedra=sweeplab.polyhedra)
+    B = build_moving_set(load_perfbench("workloads").peristaltic_gait(sl, N)).normals
+    monkeypatch.setattr(sweeplab.polyhedra, "_TABLES", {})
+    monkeypatch.setattr(sweeplab.polyhedra, "_independent", counted)
+    stacks = _subset_table(B)[2]
+    m = len(B)
+    assert sum(tested) <= m + math.comb(m, 2) + sum(len(s[0]) for s in stacks[2:])
 
 
 def test_subset_table_half_plane_has_empty_stacks():

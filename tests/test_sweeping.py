@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_drift, random_moving_polyhedron, reference_simulate
+from helpers import random_drift, random_moving_polyhedron, reference_periods, reference_simulate
+from sweeplab import sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
@@ -26,6 +27,7 @@ from sweeplab.sweeping import (
     read_trajectory_csv,
     simulate,
     step,
+    _write_csv,
     validate_trajectory,
     write_trajectory_csv,
 )
@@ -118,6 +120,23 @@ def test_runs_reject_an_empty_grid(periods, M):
     for run in _grid_runs(0.0, periods, M):
         with pytest.raises(ValueError, match="must be positive"):
             run()
+
+
+@pytest.mark.parametrize("periods,M,name,value", [
+    (2, 200.5, "steps_per_period", "200.5"),
+    (2.0, 200, "periods", "2.0"),
+    (2, np.float64(200.0), "steps_per_period", "200.0"),
+])
+def test_runs_reject_a_count_that_is_not_an_integer(periods, M, name, value):
+    # Truncating would run int(M) steps of T/M, and a margin gate on M + 1 phases.
+    for run in _grid_runs(0.0, periods, M):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got .*{value}"):
+            run()
+
+
+def test_runs_accept_numpy_integer_counts():
+    for run in _grid_runs(0.0, np.int64(2), np.int32(100)):
+        run()
 
 
 @pytest.mark.parametrize("t0", [1e17, -1e17, 1e300])
@@ -281,6 +300,72 @@ def test_segment_kernel_interior_runs_are_bitwise(with_drift):
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, multipliers)
     np.testing.assert_array_equal(traj.active_masks, masks)
+
+
+# ---------------------------------------------------------------------------
+# exact periodic orbits: simulate copies the periods that repeat
+
+def _period_starts_repeat(states, M):
+    """Entry q: does period q + 1 (or the end state) start where period q started?
+    The first True is the period from which the run repeats."""
+    starts = states[::M]
+    return [starts[q + 1].tobytes() == starts[q].tobytes() for q in range(len(starts) - 1)]
+
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,cycle_from", [
+    ("box1", 1), ("box3", 1), ("crawler2", 1), ("crawler3", 2), ("wedge", None),
+])
+def test_simulate_equals_one_period_runs(name, cycle_from):
+    problem, z0, periods, M = segment_case(name)
+    periods = min(periods, 6)
+    traj = simulate(problem, z0, 0.0, periods, M)
+    repeats = _period_starts_repeat(traj.states, M)
+    assert repeats.index(True) == cycle_from if cycle_from else not any(repeats)
+    for got, want in zip((traj.states, traj.multipliers, traj.active_masks),
+                         reference_periods(problem, z0, 0.0, periods, M), strict=True):
+        _assert_bitwise(got, want)
+
+
+def _crawler3_run(periods, start_on_orbit=False):
+    """crawler3 at 300 steps per period, on its orbit from period 2 on; or
+    started from its state at t = 2T, on its orbit from period 0 on."""
+    problem, z0, _, M = segment_case("crawler3")
+    if start_on_orbit:
+        z0 = simulate(problem, z0, 0.0, 3, M).states[2 * M]
+    return simulate(problem, z0, 0.0, periods, M)
+
+
+def test_simulate_from_a_state_on_its_orbit_copies_after_period_0():
+    traj = _crawler3_run(4, start_on_orbit=True)
+    M = traj.steps_per_period
+    assert _period_starts_repeat(traj.states, M) == [True] * 4
+    for got, want in zip((traj.states, traj.multipliers, traj.active_masks),
+                         reference_periods(traj.problem, traj.states[0], 0.0, 4, M), strict=True):
+        _assert_bitwise(got, want)
+
+
+def test_simulate_stops_projecting_once_on_its_orbit(monkeypatch):
+    # crawler3 at 300 steps per period is on its orbit from period 2 on, so
+    # periods 3 to 9 are copied: 10 periods cost as many projections as 3.
+    problem, z0, _, M = segment_case("crawler3")
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return project_raw(*args)
+
+    project_raw = sweeping._project_raw
+    monkeypatch.setattr(sweeping, "_project_raw", counted)
+    counts = []
+    for periods in (3, 10):
+        calls.clear()
+        simulate(problem, z0, 0.0, periods, M)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,3 +665,62 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.multipliers, traj.multipliers)
     np.testing.assert_array_equal(back.active_masks, traj.active_masks)
     validate_trajectory(back)
+
+
+# ---------------------------------------------------------------------------
+# CSV rows of repeated periods: formatted once, the same bytes
+
+def _csv_formatting_every_row(traj, path):
+    """write_trajectory_csv as one `%` per block of rows over the whole table."""
+    n, m = traj.problem.dim, traj.problem.moving_set.num_constraints
+    header = ["t"] + [f"z{i + 1}" for i in range(n)] + [f"eta_{i + 1}" for i in range(m)]
+    table = np.column_stack([
+        traj.times, traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks,
+    ])
+    _write_csv(path, header + ["active_bitmask"], table, ",".join(["%.17g"] * (1 + n + m) + ["%d"]),
+               "\r\n")
+
+
+def _broken_multiplier(traj, q):
+    """A copy with one interior multiplier of period q changed (no longer a solution)."""
+    multipliers = traj.multipliers.copy()
+    multipliers[q * traj.steps_per_period + traj.steps_per_period // 2, 0] += 1e-3
+    return dataclasses.replace(traj, multipliers=multipliers)
+
+
+def _signed_zero(traj, q):
+    """A copy whose period-q zero multipliers are -0.0: equal as numbers, not as bits."""
+    multipliers = traj.multipliers.copy()
+    M = traj.steps_per_period
+    block = multipliers[q * M : (q + 1) * M]
+    block[block == 0] = -0.0
+    return dataclasses.replace(traj, multipliers=multipliers)
+
+
+CSV_CASES = {
+    "cycling": lambda: _crawler3_run(10),
+    "box1-cycling": lambda: simulate(catalog()["box1"].problem, catalog()["box1"].initial_state,
+                                     0.0, 12, 50),
+    "not-cycling": lambda: simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 100),
+    "last-period-differs": lambda: _broken_multiplier(_crawler3_run(6), 5),
+    "middle-period-differs": lambda: _broken_multiplier(_crawler3_run(8), 4),
+    "signed-zero": lambda: _signed_zero(_crawler3_run(6), 5),
+    "on-orbit-from-the-start": lambda: _crawler3_run(5, start_on_orbit=True),
+    "partial-last-period-differs": lambda: _broken_multiplier(_truncated(_crawler3_run(6), 7), 5),
+}
+
+
+def _truncated(traj, rows):
+    """A copy without its last rows, so its rows no longer fill whole periods."""
+    return dataclasses.replace(traj, states=traj.states[:-rows], multipliers=traj.multipliers[:-rows],
+                               active_masks=traj.active_masks[:-rows])
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_trajectory_csv_equals_formatting_every_row(tmp_path, name):
+    traj = CSV_CASES[name]()
+    if name == "cycling":
+        assert _period_starts_repeat(traj.states, traj.steps_per_period)[-1]
+    write_trajectory_csv(traj, tmp_path / "reused.csv")
+    _csv_formatting_every_row(traj, tmp_path / "full.csv")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
