@@ -2,8 +2,9 @@
 
 Outputs are deterministic: floats are printed with 17 significant digits,
 JSON keys are sorted, and random initial states come from a seeded generator
-recorded in the summary. Exit codes: 0 success, 2 rejected gait (vanishing
-uniqueness margin), 3 inadmissible initial state, 4 configuration error.
+recorded in the summary. Exit codes: 0 success, 1 numerical failure, 2
+rejected gait (vanishing uniqueness margin), 3 inadmissible initial state, 4
+configuration error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     DegenerateGaitError,
     GridAlignmentError,
     InadmissibleStateError,
+    InfeasibleSetError,
     SweepLabError,
 )
 from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
@@ -178,15 +180,17 @@ class RunConfig:
                 raise ConfigError(f"unknown config key {key!r}; the keys are {', '.join(CONFIG_KEYS)}")
             try:
                 setattr(cfg, key, CONFIG_KEYS[key](value))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, InfeasibleSetError) as exc:
                 raise ConfigError(f"invalid {key}: {type(exc).__name__}: {exc}") from exc
         return cfg
 
     def resolve(self):
         """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps).
 
-        Also rejects a compare on a run without a gait. The reports are
-        `run`'s alone, so `cmd_run` fills in their default and checks them.
+        Also rejects a compare on a run without a gait, run counts whose
+        arrays numpy cannot hold, and numbers that the working tolerance
+        cannot resolve. The reports are `run`'s alone, so `cmd_run` fills in
+        their default and checks them.
         """
         if [self.scenario, self.gait, self.problem].count(None) != 2:
             raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
@@ -206,7 +210,40 @@ class RunConfig:
             steps = sc.recommended_steps if sc else 1000
         if gait is None and self.compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
+        moving = problem.moving_set if gait is None else build_moving_set(gait)
+        _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints)
+        drift = (problem.drift or ()) if gait is None else ()
+        _check_resolvable([moving.normals.ravel()]
+                          + [s.values for s in moving.offsets]
+                          + [moving.period / steps * s.values for s in drift])
         return sc, gait, problem, periods, steps
+
+
+def _check_counts(periods: int, steps: int, width: int) -> None:
+    """Refuse counts whose (periods * steps + 1, width) arrays, the size of a
+    run's trajectory table, numpy refuses to build, before the run builds any."""
+    try:
+        np.empty((periods * steps + 1, width))
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigError(
+            f"{periods:.6g} periods of {steps:.6g} steps are more than an array can hold: {exc}"
+        ) from None
+
+
+def _check_resolvable(values) -> None:
+    """Refuse numbers too large for the absolute working tolerance.
+
+    Every membership and sign test of a run compares with DEFAULT_TOL, so the
+    normals, offsets and drift increments must lie where floats are at most
+    DEFAULT_TOL apart (below 2^23 in magnitude). The bound also keeps the
+    run's arithmetic finite.
+    """
+    largest = max(float(np.max(np.abs(v), initial=0.0)) for v in values)
+    if math.ulp(largest) > DEFAULT_TOL:
+        raise ConfigError(
+            f"numbers up to {largest!r} are too large for the working tolerance "
+            f"{DEFAULT_TOL}: floats near them are {math.ulp(largest):.3e} apart"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +452,17 @@ def _add_common(p: argparse.ArgumentParser, with_run_flags: bool = True) -> None
         p.add_argument("--starts", type=int, help="number of random initial states")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags are configuration errors (exit 4) with argparse's message;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sweeplab",
         description="Periodic polyhedral sweeping processes and crawler gaits",
     )
@@ -441,10 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. numpy's floating-point errors raise, so a number that
+    overflows the arithmetic is a configuration error, not a warning."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except DegenerateGaitError as exc:
         print(f"rejected gait: {exc}", file=sys.stderr)
         return 2
@@ -453,6 +501,9 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, GridAlignmentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 4
+    except FloatingPointError as exc:
+        print(f"configuration error: numbers overflow the run's arithmetic: {exc}", file=sys.stderr)
         return 4
     except SweepLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

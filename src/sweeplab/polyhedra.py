@@ -254,9 +254,10 @@ def _solve_multipliers(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Membership and active sets
 
-def _mask_bits(m: int) -> np.ndarray:
-    """Bit i of an active-set mask stands for constraint i (exact: m <= 24)."""
-    return np.left_shift(1, np.arange(m, dtype=np.int64))
+def _active_mask(B, C, Z) -> np.ndarray:
+    """The active-set bitmask of each row of Z against the matching (broadcast)
+    row of C: bit i is set when c_i - <b_i, z> <= DEFAULT_TOL (exact: m <= 24)."""
+    return (C - Z @ B.T <= DEFAULT_TOL) @ np.left_shift(1, np.arange(B.shape[0], dtype=np.int64))
 
 
 def contains(F: FrozenPolyhedron, z) -> bool:
@@ -286,7 +287,13 @@ class ProjectionResult:
 
 
 def _project_raw(B, c, table, p):
-    """Core projection onto {B z <= c}; returns (z*, lambda, subset)."""
+    """Core projection onto {B z <= c}; returns (z*, lambda, subset).
+
+    Where no candidate passes from the normal equations, whose rounding grows
+    with cond(B_S)^2, the candidates are tried again in table order, with the
+    same two tests, from a QR factorization B_S^T = Q R: y = R^-T (B_S p - c_S),
+    lam = R^-1 y and z = p - Q y.
+    """
     resid = c - B @ p
     if np.all(resid >= -DEFAULT_TOL):
         return p.copy(), np.zeros(B.shape[0]), ()
@@ -302,11 +309,25 @@ def _project_raw(B, c, table, p):
         feasible = (B @ Z <= bound).all(axis=(1, 2))
         first = feasible.argmax()
         if feasible[first]:
-            j = rows[first]
-            lam = np.zeros(B.shape[0])
-            lam[idx[j]] = np.maximum(lam_s[j, :, 0], 0.0)
-            return Z[first, :, 0].copy(), lam, tuple(int(i) for i in idx[j])
+            return _candidate(B, idx[rows[first]], lam_s[rows[first]], Z[first])
+    for idx, BS, _G in table[2]:
+        Q, R = np.linalg.qr(BS.transpose(0, 2, 1))
+        y = np.linalg.solve(R.transpose(0, 2, 1), (BS @ p - c[idx])[..., None])
+        lam_s = np.linalg.solve(R, y)
+        Z = p[:, None] - Q @ y
+        ok = ~(lam_s < -DEFAULT_TOL).any(axis=(1, 2)) & (B @ Z <= bound).all(axis=(1, 2))
+        if ok.any():
+            j = ok.argmax()
+            return _candidate(B, idx[j], lam_s[j], Z[j])
     raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
+
+
+def _candidate(B, subset, lam_s, z):
+    """_project_raw's result for an accepted candidate: z and lam_s are (n, 1)
+    and (s, 1) columns; lam is zero off the subset and clipped at zero on it."""
+    lam = np.zeros(B.shape[0])
+    lam[subset] = np.maximum(lam_s[:, 0], 0.0)
+    return z[:, 0].copy(), lam, tuple(int(i) for i in subset)
 
 
 def project(F: FrozenPolyhedron, p) -> ProjectionResult:
@@ -369,12 +390,11 @@ def vertices(F: FrozenPolyhedron) -> np.ndarray:
     B, c = F.normals, F.offsets
     idx, BS, _G = _subset_table(B)[2][F.dim - 1]
     Z = np.linalg.solve(BS, c[idx][..., None])
-    BZ = B @ Z
-    feasible = np.all(BZ <= (c + DEFAULT_TOL)[:, None], axis=(1, 2))
+    feasible = np.all(B @ Z <= (c + DEFAULT_TOL)[:, None], axis=(1, 2))
     if not feasible.any():
         raise InfeasibleSetError("no vertex found: the set is empty (or not compact)")
-    masks = (c - BZ[feasible, :, 0] <= DEFAULT_TOL) @ _mask_bits(len(c))
-    return Z[feasible, :, 0][np.sort(np.unique(masks, return_index=True)[1])]
+    Z = Z[feasible, :, 0]
+    return Z[np.sort(np.unique(_active_mask(B, c, Z), return_index=True)[1])]
 
 
 @dataclass(frozen=True)

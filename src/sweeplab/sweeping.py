@@ -20,8 +20,8 @@ from .polyhedra import (
     DEFAULT_TOL,
     FrozenPolyhedron,
     MovingPolyhedron,
+    _active_mask,
     _independent,
-    _mask_bits,
     _project_raw,
     _subset_table,
     project,
@@ -112,14 +112,16 @@ def _phase_table(signals, t0: float, h: float, M: int):
 def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
     """The step h = T/M of a run of `periods` periods of M steps from t0.
 
-    Raises ValueError unless periods and M are positive integers, and
-    GridAlignmentError when floats near |t0| + T lie more than 1e-6*h apart
-    (the relative tolerance of _check_alignment): the clock t0 + k*h could
-    not resolve the steps.
+    Raises ValueError unless periods and M are positive integers (a bool is
+    not one), and GridAlignmentError when floats near |t0| + T lie more than
+    1e-6*h apart (the relative tolerance of _check_alignment): the clock
+    t0 + k*h could not resolve the steps.
     """
     for name, count in (("periods", periods), ("steps_per_period", M)):
         try:
             operator.index(count)
+            if isinstance(count, bool):
+                raise TypeError
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {count!r}") from None
     if periods < 1 or M < 1:
@@ -152,10 +154,6 @@ def _check_alignment(signals, t0: float, h: float, label: str) -> np.ndarray:
     return np.concatenate(steps).astype(np.int64)
 
 
-def _active_mask(B, c, z) -> int:
-    return int((c - B @ z <= DEFAULT_TOL) @ _mask_bits(len(c)))
-
-
 def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
     """One catching-up step: project z + h*drift onto the next frozen set."""
     z = np.asarray(z, dtype=float)
@@ -184,7 +182,7 @@ def _segment(B, c, dz, z, face):
     steps. Every step must pass the tests _project_raw applies to each
     candidate, in the same order: p not interior, multipliers >= -DEFAULT_TOL,
     the new state feasible. Returns (accepted steps, states, multipliers on
-    the subset, residuals c - B z), the arrays covering the whole block.
+    the subset), the arrays covering the whole block.
     """
     L = len(c)
     # Running sum of the drift increments, added in the same order as the
@@ -192,8 +190,7 @@ def _segment(B, c, dz, z, face):
     q = z if dz is None else np.cumsum(np.vstack([z, dz]), axis=0)[1:]
     if face is None:
         Z = np.broadcast_to(q, (L, len(z)))
-        resid = c - Z @ B.T
-        return _accepted(np.all(resid >= -DEFAULT_TOL, axis=1)), Z, None, resid
+        return _accepted(np.all(c - Z @ B.T >= -DEFAULT_TOL, axis=1)), Z, None
     idx, BS, Ginv, Pi, R = face
     cS = c[:, idx]
     # With S fixed, z_{j+1} = Pi_S (z_k + h sum d) + R_S c_S(j), since Pi_S R_S = 0.
@@ -202,13 +199,12 @@ def _segment(B, c, dz, z, face):
     if dz is not None:
         P += dz
     lam = (P @ BS.T - cS) @ Ginv.T
-    BZ = Z @ B.T
     ok = (
         ~np.all(c - P @ B.T >= -DEFAULT_TOL, axis=1)
         & np.all(lam >= -DEFAULT_TOL, axis=1)
-        & np.all(BZ <= c + DEFAULT_TOL, axis=1)
+        & np.all(Z @ B.T <= c + DEFAULT_TOL, axis=1)
     )
-    return _accepted(ok), Z, lam, c - BZ
+    return _accepted(ok), Z, lam
 
 
 def _accepted(ok) -> int:
@@ -269,15 +265,12 @@ def simulate(
     K = periods * M
     states = np.empty((K + 1, n))
     multipliers = np.zeros((K, m))
-    masks = np.zeros(K + 1, dtype=np.int64)
     states[0] = z0
-    masks[0] = _active_mask(B, offsets_phase[0], z0)
 
     # Row ph holds what step k with k % M == ph uses: the offsets frozen at
     # its end and its drift increment.
     c_next = np.roll(offsets_phase, -1, axis=0)
     dz = None if drift_phase is None else h * drift_phase
-    bits = _mask_bits(m)
     faces = {}
 
     z = z0.copy()
@@ -287,7 +280,6 @@ def simulate(
         if ph == 0 and k >= M and states[k].tobytes() == states[k - M].tobytes():
             states[k + 1 :].reshape(-1, M, n)[:] = states[k - M + 1 : k + 1]
             multipliers[k:].reshape(-1, M, m)[:] = multipliers[k - M : k]
-            masks[k + 1 :].reshape(-1, M)[:] = masks[k - M + 1 : k + 1]
             break
         p = z if dz is None else z + dz[ph]
         try:
@@ -296,23 +288,26 @@ def simulate(
             raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
         multipliers[k] = lam
-        masks[k + 1] = _active_mask(B, c_next[ph], z)
         k += 1
         # Blocks never cross a period boundary, so every period starts with a
         # scalar step and the discrete map stays exactly T-periodic.
         if k % M:
             rows = slice(k % M, M)
             face = _face_maps(B, subset, faces) if subset else None
-            used, Z, lam, resid = _segment(
+            used, Z, lam = _segment(
                 B, c_next[rows], None if dz is None else dz[rows], z, face
             )
             states[k + 1 : k + 1 + used] = Z[:used]
             if face is not None:
                 multipliers[k : k + used, face[0]] = np.maximum(lam[:used], 0.0)
-            masks[k + 1 : k + 1 + used] = (resid[:used] <= DEFAULT_TOL) @ bits
             k += used
             z = states[k]
 
+    # One product per period, so a copied period's masks are its source's.
+    masks = np.concatenate([
+        _active_mask(B, offsets_phase[0], states[:1]),
+        _active_mask(B, c_next, states[1:].reshape(periods, M, n)).ravel(),
+    ])
     states.setflags(write=False)
     multipliers.setflags(write=False)
     masks.setflags(write=False)

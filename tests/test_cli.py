@@ -395,6 +395,92 @@ def test_run_inline_signal_numbers_must_be_numbers_exit_4(tmp_path, capsys, conf
     assert not out.exists()
 
 
+def _exported(name, edit):
+    config = catalog()[name].export_json()
+    config.update(periods=3, steps_per_period=120)
+    edit(config)
+    return config
+
+
+def _set(path, value):
+    def edit(config):
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+_OFFSETS = ("problem", "moving_set", "offsets")
+
+
+@pytest.mark.parametrize("config,message", [
+    # numpy refuses these arrays at once (more than 2^48 bytes); none is allocated.
+    pytest.param(_exported("wedge", _set(("periods",), 1e308)), "1e+308 periods of 120 steps are more than",
+                 id="periods-1e308"),
+    pytest.param(_exported("wedge", _set(("periods",), 1e15)), "1e+15 periods of 120 steps are more than",
+                 id="periods-1e15"),
+    pytest.param(_exported("crawler3", _set(("steps_per_period",), 2**70)), "steps are more than an array",
+                 id="steps-2^70"),
+    # box1 asks z <= 0 and z >= 2 at its breakpoint t = 0.5: the set is empty there.
+    pytest.param(_exported("box1", _set(_OFFSETS + (0, "points", 1, 1), 0)),
+                 "invalid problem: InfeasibleSetError: no vertex found", id="empty-at-breakpoint"),
+    pytest.param(_exported("box1", _set(("problem", "moving_set", "normals", 0, 0), 2.0**70)),
+                 "invalid problem: InfeasibleSetError", id="normal-2^70"),
+    pytest.param(_exported("box1", _set(("problem", "moving_set", "normals", 0, 0), 1e308)),
+                 "numbers overflow the run's arithmetic: overflow", id="normal-1e308"),
+    pytest.param(_exported("wedge", _set(_OFFSETS + (0, "points", 0, 1), 1e308)),
+                 "numbers up to 1e+308 are too large for the working tolerance", id="offset-1e308"),
+    pytest.param(_exported("wedge", _set(_OFFSETS + (0, "points", 0, 1), 2.0**70)),
+                 "too large for the working tolerance", id="offset-2^70"),
+    pytest.param(_exported("triangle", _set(("problem", "drift", 0, "points", 0, 1), 1e308)),
+                 "too large for the working tolerance", id="drift-1e308"),
+    pytest.param(_exported("crawler3", _set(("gait", "mu_plus", 0, "points", 0, 1), 1e308)),
+                 "too large for the working tolerance", id="mu-plus-1e308"),
+    pytest.param(_exported("crawler2-mirror", _set(("gait", "L", 0, "points", 0, 1), 2.0**70)),
+                 "too large for the working tolerance", id="rest-length-2^70"),
+])
+def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+def test_run_accepts_numbers_just_inside_the_working_tolerance(tmp_path):
+    # Floats below 2^23 lie at most 2^-30 < 1e-9 apart, so box1's lower offset
+    # may start at the last of them, but not at 2^23.
+    config = _exported("box1", _set(_OFFSETS + (1, "points", 0, 1), 2.0**23 * (1 - 2**-53)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+    config["problem"]["moving_set"]["offsets"][1]["points"][0][1] = 2.0**23
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "b")) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["run", "--scenario", "wedge", "--periods", "abc"],
+    ["run", "--scenario", "wedge", "--starts", "1e15"],
+    ["check-gait", "--scenario", "crawler2", "--periods", "3"],
+    [],
+], ids=["periods-not-int", "starts-not-int", "unknown-flag", "no-command"])
+def test_flags_that_argparse_rejects_are_configuration_errors(tmp_path, capsys, flags):
+    assert run_cli(*flags) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sweeplab") and "configuration error: sweeplab" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    assert "--periods" in capsys.readouterr().out
+
+
 def test_run_config_accepts_every_key(tmp_path):
     # scenario, gait and problem exclude each other; the three configs share the rest.
     cat = catalog()

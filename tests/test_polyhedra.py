@@ -224,6 +224,24 @@ def test_project_bit_equal_on_the_gait_wide_searches(monkeypatch):
         assert subset == subset_ref
 
 
+def test_project_retries_ill_conditioned_candidates_by_qr():
+    # The normal equations of every passing candidate miss the 1e-9 band here
+    # (cond(B_S) is about 5.6e3), so the stacked search finds nothing although
+    # 0 lies in the set; the QR retry accepts a candidate that satisfies KKT.
+    B = np.random.default_rng(542).normal(size=(12, 5))
+    F = FrozenPolyhedron(B, np.zeros(12))
+    p = -np.eye(5)[3]
+    assert contains(F, np.zeros(5))
+    with pytest.raises(InfeasibleSetError):
+        reference_project_raw(B, F.offsets, _subset_table(B), p)
+    res = project(F, p)
+    assert res.subset == (1, 4, 5, 6, 9)
+    assert np.all(B @ res.point <= TOL)
+    assert np.all(res.multipliers >= 0)
+    np.testing.assert_allclose(p - res.point, B.T @ res.multipliers, rtol=0, atol=1e-10)
+    assert np.all(-B[res.multipliers > 0] @ res.point <= 10 * TOL)
+
+
 @pytest.mark.parametrize("normals,offsets", [
     ([[1.0], [-1.0]], [-1.0, -2.0]),
     ([[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, -1.0]),

@@ -126,6 +126,8 @@ def test_runs_reject_an_empty_grid(periods, M):
     (2, 200.5, "steps_per_period", "200.5"),
     (2.0, 200, "periods", "2.0"),
     (2, np.float64(200.0), "steps_per_period", "200.0"),
+    (True, 50, "periods", "True"),
+    (2, True, "steps_per_period", "True"),
 ])
 def test_runs_reject_a_count_that_is_not_an_integer(periods, M, name, value):
     # Truncating would run int(M) steps of T/M, and a margin gate on M + 1 phases.
