@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
     InfeasibleSetError,
     SweepLabError,
 )
-from .polyhedra import DEFAULT_TOL, bounding_box, contains, freeze
+from .polyhedra import DEFAULT_TOL, MovingPolyhedron, bounding_box, contains, freeze
 from .scenarios import Scenario, catalog, scenario
 from .sweeping import (
     FLOAT_FMT,
@@ -144,23 +144,32 @@ CONFIG_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    scenario: str | None = None
-    gait: Gait | None = None
-    problem: SweepingProblem | None = None
-    t0: float = 0.0
-    periods: int | None = None
-    steps_per_period: int | None = None
-    seed: int = 0
-    initial_states: list | int | None = None   # states, a random-start count, or None (scenario default)
-    reports: tuple | None = None   # None: REPORTS for a gait, PLAIN_REPORTS otherwise
-    compare: bool = False
-    out: Path = field(default_factory=lambda: Path("."))
+    """A command's run, resolved from its config and flags; every field is final."""
+
+    scenario: Scenario | None
+    gait: Gait | None
+    problem: SweepingProblem | None
+    moving_set: MovingPolyhedron   # the set the run projects onto: K(t) for a gait
+    t0: float
+    periods: int
+    steps: int
+    seed: int
+    starts: list | int | None   # states, a random-start count, or None (scenario default)
+    reports: tuple
+    compare: bool
+    out: Path
 
     @staticmethod
     def load(args) -> "RunConfig":
-        """Parse the config file, and the flags that override its keys, through CONFIG_KEYS."""
+        """Parse the config file, and the flags that override its keys, through
+        CONFIG_KEYS, and resolve the run they ask for.
+
+        Also rejects a compare on a run without a gait, run counts whose
+        arrays numpy cannot hold, and numbers that the working tolerance
+        cannot resolve. The reports are `run`'s alone, so `cmd_run` checks them.
+        """
         raw = {}
         if args.config:
             try:
@@ -174,41 +183,28 @@ class RunConfig:
                 raw[key] = getattr(args, key)
         if getattr(args, "starts", None) is not None:
             raw["initial_states"] = {"random": args.starts}
-        cfg = RunConfig(compare=getattr(args, "compare", False), out=Path(getattr(args, "out", None) or "."))
+        cfg = {}
         for key, value in raw.items():
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}; the keys are {', '.join(CONFIG_KEYS)}")
             try:
-                setattr(cfg, key, CONFIG_KEYS[key](value))
+                cfg[key] = CONFIG_KEYS[key](value)
             except (AttributeError, KeyError, TypeError, ValueError, InfeasibleSetError) as exc:
                 raise ConfigError(f"invalid {key}: {type(exc).__name__}: {exc}") from exc
-        return cfg
-
-    def resolve(self):
-        """Return (scenario-or-None, gait-or-None, problem-or-None, periods, steps).
-
-        Also rejects a compare on a run without a gait, run counts whose
-        arrays numpy cannot hold, and numbers that the working tolerance
-        cannot resolve. The reports are `run`'s alone, so `cmd_run` fills in
-        their default and checks them.
-        """
-        if [self.scenario, self.gait, self.problem].count(None) != 2:
+        if sum(key in cfg for key in ("scenario", "gait", "problem")) != 1:
             raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
         sc = None
-        gait, problem = self.gait, self.problem
-        if self.scenario is not None:
+        gait, problem = cfg.get("gait"), cfg.get("problem")
+        if "scenario" in cfg:
             try:
-                sc = scenario(self.scenario)
+                sc = scenario(cfg["scenario"])
             except KeyError:
-                raise ConfigError(f"unknown scenario {self.scenario!r}") from None
+                raise ConfigError(f"unknown scenario {cfg['scenario']!r}") from None
             gait, problem = sc.gait, sc.problem
-        periods = self.periods
-        if periods is None:
-            periods = sc.recommended_periods if sc else 10
-        steps = self.steps_per_period
-        if steps is None:
-            steps = sc.recommended_steps if sc else 1000
-        if gait is None and self.compare:
+        periods = cfg.get("periods", sc.recommended_periods if sc else 10)
+        steps = cfg.get("steps_per_period", sc.recommended_steps if sc else 1000)
+        compare = getattr(args, "compare", False)
+        if gait is None and compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
         moving = problem.moving_set if gait is None else build_moving_set(gait)
         _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints)
@@ -216,7 +212,11 @@ class RunConfig:
         _check_resolvable([moving.normals.ravel()]
                           + [s.values for s in moving.offsets]
                           + [moving.period / steps * s.values for s in drift])
-        return sc, gait, problem, periods, steps
+        return RunConfig(
+            sc, gait, problem, moving, cfg.get("t0", 0.0), periods, steps, cfg.get("seed", 0),
+            cfg.get("initial_states"), cfg.get("reports", REPORTS if gait is not None else PLAIN_REPORTS),
+            compare, Path(getattr(args, "out", None) or "."),
+        )
 
 
 def _check_counts(periods: int, steps: int, width: int) -> None:
@@ -263,21 +263,19 @@ def _random_states_in(F, count: int, rng) -> list:
     return out
 
 
-def _initial_states(cfg: RunConfig, sc: Scenario | None, gait, problem, rng) -> list:
-    requested = cfg.initial_states
+def _initial_states(cfg: RunConfig, rng) -> list:
+    requested, gait = cfg.starts, cfg.gait
     if isinstance(requested, list):
-        dim = gait.num_blocks if gait is not None else problem.dim
+        dim = gait.num_blocks if gait is not None else cfg.problem.dim
         if any(s.shape != (dim,) for s in requested):
             raise ConfigError(f"initial_states must be a nonempty list of states with {dim} entries")
         return requested
-    if requested is None and sc is not None:
-        return [np.asarray(sc.initial_state, dtype=float)]
-    count = 1 if requested is None else requested
-    if gait is not None:
-        K0 = freeze(build_moving_set(gait), cfg.t0)
-        ws = _random_states_in(K0, count, rng)
-        return [assemble_positions(0.0, -w / gait.stiffness) for w in ws]
-    return _random_states_in(freeze(problem.moving_set, cfg.t0), count, rng)
+    if requested is None and cfg.scenario is not None:
+        return [np.asarray(cfg.scenario.initial_state, dtype=float)]
+    ws = _random_states_in(freeze(cfg.moving_set, cfg.t0), 1 if requested is None else requested, rng)
+    if gait is None:
+        return ws
+    return [assemble_positions(0.0, -w / gait.stiffness) for w in ws]
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +307,16 @@ def _output_dir(path: Path) -> Path:
 
 def cmd_run(args) -> int:
     cfg = RunConfig.load(args)
-    sc, gait, problem, periods, steps = cfg.resolve()
-    reports = cfg.reports
-    if reports is None:
-        reports = REPORTS if gait is not None else PLAIN_REPORTS
-    elif gait is None and "velocity" in reports:
+    gait, periods, steps, reports = cfg.gait, cfg.periods, cfg.steps, cfg.reports
+    if gait is None and "velocity" in reports:
         raise ConfigError("velocity reports need a gait scenario or an inline gait")
     for name, least in (("velocity", 3), ("convergence", 2)):
         if name in reports and periods < least:
             raise ConfigError(f"{name} reports need at least {least} periods")
     out = _output_dir(cfg.out)
-    rng = np.random.default_rng(cfg.seed)
-    starts = _initial_states(cfg, sc, gait, problem, rng)
+    starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
     summary = [
-        f"scenario: {sc.name if sc else 'inline'}",
+        f"scenario: {cfg.scenario.name if cfg.scenario else 'inline'}",
         f"kind: {'gait' if gait is not None else 'sweeping'}",
         f"t0: {_fmt_float(cfg.t0)}",
         f"periods: {periods}",
@@ -338,7 +332,7 @@ def cmd_run(args) -> int:
         trajs = [run.reduced for run in runs]
     else:
         runs = []
-        trajs = [simulate(problem, z0, cfg.t0, periods, steps) for z0 in starts]
+        trajs = [simulate(cfg.problem, z0, cfg.t0, periods, steps) for z0 in starts]
     gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
@@ -393,15 +387,13 @@ def _solver_gap(run, x0, t0, periods, steps) -> dict:
 
 def cmd_compare(args) -> int:
     cfg = RunConfig.load(args)
-    sc, gait, problem, periods, steps = cfg.resolve()
-    rng = np.random.default_rng(cfg.seed)
-    starts = _initial_states(cfg, sc, gait, problem, rng)
+    starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
     if len(starts) > 1:
         raise ConfigError(
             f"compare takes one start, got {len(starts)}; run --compare checks the first of several"
         )
-    run = simulate_reduced(gait, starts[0], cfg.t0, periods, steps)
-    gap = _solver_gap(run, starts[0], cfg.t0, periods, steps)
+    run = simulate_reduced(cfg.gait, starts[0], cfg.t0, cfg.periods, cfg.steps)
+    gap = _solver_gap(run, starts[0], cfg.t0, cfg.periods, cfg.steps)
     if args.out:
         write_json(_output_dir(cfg.out) / "compare.json", gap)
     print(f"sup distance between reduced and oracle trajectories: {_fmt_float(gap['sup_distance'])}")
@@ -409,8 +401,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_gait(args) -> int:
-    cfg = RunConfig.load(args)
-    _, gait, _, _, _ = cfg.resolve()
+    gait = RunConfig.load(args).gait
     if gait is None:
         raise ConfigError("check-gait needs a gait scenario or an inline gait")
     bps = np.unique(np.concatenate([s.times for s in gait.mu_plus + gait.mu_minus]))
