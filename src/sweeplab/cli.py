@@ -4,7 +4,7 @@ Outputs are deterministic: floats are printed with 17 significant digits,
 JSON keys are sorted, and random initial states come from a seeded generator
 recorded in the summary. Exit codes: 0 success, 1 numerical failure, 2
 rejected gait (vanishing uniqueness margin), 3 inadmissible initial state, 4
-configuration error.
+configuration error (a config beyond an enumeration cap included).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .crawler import (
 from .errors import (
     ConfigError,
     DegenerateGaitError,
+    EnumerationCapError,
     GridAlignmentError,
     InadmissibleStateError,
     InfeasibleSetError,
@@ -132,8 +133,7 @@ def _reports(value) -> tuple:
 # Every key a config may set, with the parser of its value; any other key is an error.
 CONFIG_KEYS = {
     "scenario": lambda v: _expect(v, str),
-    "gait": lambda v: Gait.from_json(
-        {**v, "N": _integer(v["N"], 2), "T": _finite(v["T"]), "k": _finite(v["k"])}),
+    "gait": Gait.from_json,
     "problem": SweepingProblem.from_json,
     "t0": _finite,
     "periods": lambda v: _integer(v, 1),
@@ -189,7 +189,8 @@ class RunConfig:
                 raise ConfigError(f"unknown config key {key!r}; the keys are {', '.join(CONFIG_KEYS)}")
             try:
                 cfg[key] = CONFIG_KEYS[key](value)
-            except (AttributeError, KeyError, TypeError, ValueError, InfeasibleSetError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, InfeasibleSetError,
+                    EnumerationCapError) as exc:
                 raise ConfigError(f"invalid {key}: {type(exc).__name__}: {exc}") from exc
         if sum(key in cfg for key in ("scenario", "gait", "problem")) != 1:
             raise ConfigError("config needs exactly one of a scenario name, a gait and a problem")
@@ -490,7 +491,7 @@ def main(argv=None) -> int:
     except InadmissibleStateError as exc:
         print(f"inadmissible initial state: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GridAlignmentError) as exc:
+    except (ConfigError, EnumerationCapError, GridAlignmentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
     except FloatingPointError as exc:

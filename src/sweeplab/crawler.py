@@ -26,7 +26,16 @@ from .errors import (
     PatternSearchError,
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, combine, eval_many, eval_signal, shares_period
+from .signals import (
+    PIECEWISE_LINEAR,
+    PeriodicSignal,
+    combine,
+    eval_many,
+    eval_signal,
+    is_json_number,
+    lipschitz_constant,
+    shares_period,
+)
 from .sweeping import SweepingProblem, Trajectory, _check_alignment, _grid_step, _phase_table, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
@@ -64,14 +73,20 @@ class Gait:
             if np.min(s.values) <= 0:
                 raise ValueError("friction thresholds must be strictly positive")
         # K(t)'s offsets are mu_i(t) -+ k (L_{i-1}(t) - L_i(t)) (build_moving_set), so
-        # |offset| <= max mu + 2 k max|L|; Python floats overflow to inf without a warning.
-        length = max(float(np.max(np.abs(s.values))) for s in self.rest_lengths)
-        mu = max(float(np.max(s.values)) for s in (*self.mu_plus, *self.mu_minus))
-        if not np.isfinite(mu + 2 * float(self.stiffness) * length):
-            raise ValueError(
-                f"stiffness {self.stiffness} times rest lengths up to {length} overflows: "
-                "the offsets of K(t) cannot be finite"
-            )
+        # |offset| <= max mu + 2 k max|L|, and their slopes are bounded alike (a
+        # signal's slopes must be finite); Python floats overflow to inf without a warning.
+        mus = (*self.mu_plus, *self.mu_minus)
+        for name, mu, length in (
+            ("rest lengths", max(float(np.max(s.values)) for s in mus),
+             max(float(np.max(np.abs(s.values))) for s in self.rest_lengths)),
+            ("rest-length slopes", max(map(lipschitz_constant, mus)),
+             max(map(lipschitz_constant, self.rest_lengths))),
+        ):
+            if not np.isfinite(mu + 2 * float(self.stiffness) * length):
+                raise ValueError(
+                    f"stiffness {self.stiffness} times {name} up to {length} overflows: "
+                    "the offsets of K(t) cannot be finite"
+                )
         object.__setattr__(self, "rest_lengths", tuple(self.rest_lengths))
         object.__setattr__(self, "mu_plus", tuple(self.mu_plus))
         object.__setattr__(self, "mu_minus", tuple(self.mu_minus))
@@ -88,6 +103,11 @@ class Gait:
 
     @staticmethod
     def from_json(obj: dict) -> "Gait":
+        numbers = {key: obj[key] for key in ("N", "T", "k")}
+        if not all(map(is_json_number, numbers.values())):
+            raise TypeError(f"a gait's N, T and k must be JSON numbers, got {numbers!r}")
+        if type(obj["N"]) is float and not obj["N"].is_integer():
+            raise ValueError(f"a gait's N must be an integer, got {obj['N']!r}")
         return Gait(
             int(obj["N"]),
             float(obj["T"]),

@@ -40,7 +40,7 @@ from .errors import (
     MembershipError,
     NormalConeError,
 )
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal, shares_period
+from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal, is_json_number, shares_period
 
 DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign test
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
@@ -148,7 +148,7 @@ class MovingPolyhedron:
     @staticmethod
     def from_json(obj: dict) -> "MovingPolyhedron":
         normals = obj["normals"]
-        if any(type(x) not in (int, float) for row in normals for x in row):
+        if not all(is_json_number(x) for row in normals for x in row):
             raise TypeError(f"normals must be JSON numbers, got {normals!r}")
         return MovingPolyhedron(
             np.array(normals, dtype=float),

@@ -9,6 +9,7 @@ and are admitted only as integrator drift, never as polyhedron offsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,10 @@ PIECEWISE_CONSTANT = "pc"
 class PeriodicSignal:
     """A T-periodic scalar function given by breakpoints in [0, period).
 
-    Breakpoint times must be strictly increasing and live in [0, period).
-    Time is reduced modulo the period with the floor convention, so negative
-    arguments are fine.
+    Breakpoint times must be strictly increasing and live in [0, period), and
+    a piecewise-linear signal's slopes (lipschitz_constant's, wrap-around
+    included) must be finite. Time is reduced modulo the period with the floor
+    convention, so negative arguments are fine.
     """
 
     period: float
@@ -49,6 +51,13 @@ class PeriodicSignal:
             raise ValueError("breakpoint times must lie in [0, period)")
         if np.any(np.diff(times) <= 0):
             raise ValueError("breakpoint times must be strictly increasing")
+        if kind == PIECEWISE_LINEAR:
+            # np.interp would form an overflowing slope and evaluate the signal as +-inf.
+            for i, slope in enumerate(_slopes(pts, float(period))):
+                if not math.isfinite(slope):
+                    raise ValueError(
+                        f"the slope between breakpoints {pts[i]} and {pts[(i + 1) % len(pts)]} is not finite"
+                    )
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "period", float(period))
@@ -73,9 +82,14 @@ class PeriodicSignal:
     @staticmethod
     def from_json(obj: dict) -> "PeriodicSignal":
         numbers = [obj["period"], *(x for point in obj["points"] for x in point)]
-        if any(type(x) not in (int, float) for x in numbers):
+        if not all(map(is_json_number, numbers)):
             raise TypeError(f"a signal's period and breakpoints must be JSON numbers, got {obj!r}")
         return PeriodicSignal(obj["period"], obj["points"], obj["kind"])
+
+
+def is_json_number(x) -> bool:
+    """True for a number as json.loads returns one: an int or a float, not a bool or a str."""
+    return type(x) in (int, float)
 
 
 def eval_signal(s: PeriodicSignal, t: float) -> float:
@@ -108,12 +122,14 @@ def lipschitz_constant(s: PeriodicSignal) -> float:
         if np.ptp(s.values) > 0:
             raise ValueError("piecewise-constant signal with jumps has no Lipschitz constant")
         return 0.0
-    if len(s.times) == 1:
-        return 0.0
-    ts = np.concatenate((s.times, [s.times[0] + s.period]))
-    vs = np.concatenate((s.values, [s.values[0]]))
-    slopes = np.diff(vs) / np.diff(ts)
-    return float(np.max(np.abs(slopes)))
+    return max(abs(slope) for slope in _slopes(list(zip(s.times.tolist(), s.values.tolist())), s.period))
+
+
+def _slopes(pts, period: float) -> list:
+    """The slope of each segment between the (t, v) breakpoints pts, the
+    wrap-around segment last, on Python floats: an overflow is inf, with no warning."""
+    ends = pts[1:] + [(pts[0][0] + period, pts[0][1])]
+    return [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, ends)]
 
 
 def shares_period(s: PeriodicSignal, period: float) -> bool:

@@ -13,6 +13,7 @@ from sweeplab.cli import CONFIG_KEYS, dump_json, main
 from sweeplab.crawler import simulate_reduced
 from sweeplab.polyhedra import contains, freeze
 from sweeplab.scenarios import catalog
+from sweeplab.signals import PeriodicSignal
 from sweeplab.sweeping import (
     FLOAT_FMT,
     convergence_report,
@@ -414,6 +415,14 @@ def _set(path, value):
 _OFFSETS = ("problem", "moving_set", "offsets")
 
 
+def _repeat_first_row(times):
+    def edit(config):
+        ms = config["problem"]["moving_set"]
+        ms["normals"] += [ms["normals"][0]] * times
+        ms["offsets"] += [ms["offsets"][0]] * times
+    return edit
+
+
 @pytest.mark.parametrize("config,message", [
     # numpy refuses these arrays at once (more than 2^48 bytes); none is allocated.
     pytest.param(_exported("wedge", _set(("periods",), 1e308)), "1e+308 periods of 120 steps are more than",
@@ -431,6 +440,11 @@ _OFFSETS = ("problem", "moving_set", "offsets")
                  "numbers overflow the run's arithmetic: overflow", id="normal-1e308"),
     pytest.param(_exported("wedge", _set(_OFFSETS + (0, "points", 0, 1), 1e308)),
                  "numbers up to 1e+308 are too large for the working tolerance", id="offset-1e308"),
+    # box3's offset falls from 1e308 to 3 in half a period: its slope overflows.
+    pytest.param(_exported("box3", _set(_OFFSETS + (0, "points", 0, 1), 1e308)),
+                 "slope between breakpoints (0.0, 1e+308) and (0.5, 3.0) is not finite", id="offset-slope-1e308"),
+    pytest.param(_exported("box1", _repeat_first_row(23)),
+                 "25 constraints exceed the enumeration cap 24", id="constraints-25"),
     pytest.param(_exported("wedge", _set(_OFFSETS + (0, "points", 0, 1), 2.0**70)),
                  "too large for the working tolerance", id="offset-2^70"),
     pytest.param(_exported("triangle", _set(("problem", "drift", 0, "points", 0, 1), 1e308)),
@@ -448,6 +462,36 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert not out.exists()
+
+
+def _wide_crawler3(num_blocks):
+    # crawler3's two rest lengths alternating along the chain; mu+ = 1 < mu- = 1.3
+    # keeps the uniqueness margin positive.
+    gait = catalog()["crawler3"].gait.to_json()
+    T = gait["T"]
+    gait.update(
+        N=num_blocks,
+        L=[gait["L"][i % 2] for i in range(num_blocks - 1)],
+        mu_plus=[PeriodicSignal.constant(1.0, T).to_json()] * num_blocks,
+        mu_minus=[PeriodicSignal.constant(1.3, T).to_json()] * num_blocks,
+    )
+    return {"gait": gait, "periods": 3, "steps_per_period": 100}
+
+
+@pytest.mark.parametrize("command,num_blocks,message", [
+    ("run", 10, "candidate subset enumeration too large"),
+    ("compare", 10, "candidate subset enumeration too large"),
+    ("check-gait", 17, "margin enumeration supports at most 16 blocks"),
+    ("run", 17, "34 constraints exceed the enumeration cap 24"),
+])
+def test_a_gait_beyond_an_enumeration_cap_exit_4_writes_no_file(tmp_path, capsys, command, num_blocks, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_wide_crawler3(num_blocks)))
+    out = tmp_path / "x"
+    flags = [] if command == "check-gait" else ["--out", str(out)]
+    assert run_cli(command, "--config", str(cfg), *flags) == 4
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
 
 
 def test_run_accepts_numbers_just_inside_the_working_tolerance(tmp_path):

@@ -1012,6 +1012,33 @@ def test_gait_json_round_trip():
         np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("key,value,error", [
+    ("N", 2.7, ValueError),
+    ("N", "2", TypeError),
+    ("N", True, TypeError),
+    ("T", "1", TypeError),
+    ("k", True, TypeError),
+], ids=["N-fractional", "N-string", "N-bool", "T-string", "k-bool"])
+def test_gait_from_json_reads_n_t_and_k_as_json_numbers(key, value, error):
+    # The rule of PeriodicSignal.from_json: an int or a float, not a bool or a
+    # str; and N is integral.
+    gait = two_block_gait().to_json()
+    with pytest.raises(error, match="a gait's N"):
+        Gait.from_json({**gait, key: value})
+    assert Gait.from_json({**gait, "N": 2.0}).num_blocks == 2
+
+
+def test_gait_rejects_a_stiffness_whose_moving_set_slopes_overflow():
+    # crawler3's offsets of K(t) reach 1 + 3k, finite at k = 1.6e307, but
+    # their slopes reach 12k, which is not: K(t) could not be built.
+    gait = three_block_gait().to_json()
+    gait["k"] = 1.6e307
+    with pytest.raises(ValueError, match="rest-length slopes up to 12.0 overflows"):
+        Gait.from_json(gait)
+    gait["k"] = 1e300
+    assert build_moving_set(Gait.from_json(gait)).num_constraints == 6
+
+
 def test_gait_validation_errors():
     T = 1.0
     mu = (PeriodicSignal.constant(1.0, T),) * 2

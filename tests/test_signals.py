@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_lipschitz_constant_values():
     assert lipschitz_constant(PeriodicSignal.constant(3.0, 5.0)) == 0.0
     tri = triangle_wave(1.0, 2.0)
     assert lipschitz_constant(tri) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("points,pair", [
+    ([(0.0, 1e308), (0.5, 3.0)], "(0.0, 1e+308) and (0.5, 3.0)"),
+    ([(0.0, 3.0), (0.9, -1e308)], "(0.9, -1e+308) and (0.0, 3.0)"),   # only the wrap-around slope
+], ids=["inner", "wrap-around"])
+def test_a_signal_whose_slope_overflows_is_refused_without_a_warning(points, pair):
+    # (3 - 1e308) / 0.5 overflows, so np.interp would evaluate the signal
+    # as -inf at t = 0.25, where it is about 5e307.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"slope between breakpoints {pair} is not finite")):
+            PeriodicSignal(1.0, points)
+    big = PeriodicSignal(1.0, [(0.0, 1e9), (0.5, -1e9)])
+    assert lipschitz_constant(big) == 4e9
+    assert eval_signal(big, 0.25) == 0.0
 
 
 def test_lipschitz_rejects_stepped_pc():
