@@ -38,6 +38,7 @@ from .errors import (
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron, bounding_box, contains, freeze
 from .scenarios import Scenario, catalog, scenario
+from .signals import is_json_number
 from .sweeping import (
     FLOAT_FMT,
     SweepingProblem,
@@ -100,16 +101,23 @@ def _expect(value, *types):
     return value
 
 
+def _number(value):
+    """value, if it is a JSON number that a float can hold (signals.is_json_number)."""
+    if not is_json_number(value):
+        raise TypeError(f"expected a JSON number that a float can hold, got {value!r}")
+    return value
+
+
 def _integer(value, least: int) -> int:
-    """A JSON integer (5 or 5.0; not 2.7, "5" or true) that is at least `least`."""
-    if (type(_expect(value, int, float)) is float and not value.is_integer()) or value < least:
+    """A JSON integer (5 or 5.0; not 2.7, "5", true or 10**400) that is at least `least`."""
+    if (type(_number(value)) is float and not value.is_integer()) or value < least:
         raise ValueError(f"expected an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def _finite(value) -> float:
     """A JSON number (not a string or true) that is neither infinite nor NaN."""
-    value = float(_expect(value, int, float))
+    value = float(_number(value))
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return value
@@ -174,7 +182,7 @@ class RunConfig:
         if args.config:
             try:
                 raw = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:   # JSON, UTF-8 or an int of too many digits
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {args.config} is not a JSON object")
@@ -291,8 +299,7 @@ def write_motion_csv(path: Path, run) -> None:
     motion = run.motion
     N = motion.positions.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(N)]
-    table = np.column_stack([motion.times, motion.positions])
-    _write_csv(path, header, table, ",".join([FLOAT_FMT] * (N + 1)), "\n")
+    _write_csv(path, header, motion.times, motion.positions, ",".join([FLOAT_FMT] * N), "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,9 @@ class Gait:
     def from_json(obj: dict) -> "Gait":
         numbers = {key: obj[key] for key in ("N", "T", "k")}
         if not all(map(is_json_number, numbers.values())):
-            raise TypeError(f"a gait's N, T and k must be JSON numbers, got {numbers!r}")
+            raise TypeError(
+                f"a gait's N, T and k must be JSON numbers that a float can hold, got {numbers!r}"
+            )
         if type(obj["N"]) is float and not obj["N"].is_integer():
             raise ValueError(f"a gait's N must be an integer, got {obj['N']!r}")
         return Gait(

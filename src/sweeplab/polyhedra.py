@@ -149,7 +149,7 @@ class MovingPolyhedron:
     def from_json(obj: dict) -> "MovingPolyhedron":
         normals = obj["normals"]
         if not all(is_json_number(x) for row in normals for x in row):
-            raise TypeError(f"normals must be JSON numbers, got {normals!r}")
+            raise TypeError(f"normals must be JSON numbers that a float can hold, got {normals!r}")
         return MovingPolyhedron(
             np.array(normals, dtype=float),
             [PeriodicSignal.from_json(s) for s in obj["offsets"]],

@@ -10,6 +10,7 @@ and are admitted only as integrator drift, never as polyhedron offsets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +84,16 @@ class PeriodicSignal:
     def from_json(obj: dict) -> "PeriodicSignal":
         numbers = [obj["period"], *(x for point in obj["points"] for x in point)]
         if not all(map(is_json_number, numbers)):
-            raise TypeError(f"a signal's period and breakpoints must be JSON numbers, got {obj!r}")
+            raise TypeError(
+                f"a signal's period and breakpoints must be JSON numbers that a float can hold, got {obj!r}"
+            )
         return PeriodicSignal(obj["period"], obj["points"], obj["kind"])
 
 
 def is_json_number(x) -> bool:
-    """True for a number as json.loads returns one: an int or a float, not a bool or a str."""
-    return type(x) in (int, float)
+    """True for a number as json.loads returns one that a float can hold: an
+    int or a float, not a bool or a str, and no int beyond the largest float."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def eval_signal(s: PeriodicSignal, t: float) -> float:

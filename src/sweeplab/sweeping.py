@@ -528,44 +528,52 @@ def validate_trajectory(traj: Trajectory) -> None:
             raise ValueError(f"multiplier support not active at step {k}")
 
 
-def _write_csv(path, header, table: np.ndarray, row_fmt: str, newline: str) -> None:
-    """Header, then the table's rows; one `%` formats a block of rows at a time."""
+def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str) -> None:
+    """Header, then one line per row: its t, then the text of its body row.
+
+    Each distinct body (by its bits, so -0.0 and 0.0 differ) is formatted
+    once, by one `%` in the first block of _CSV_BLOCK_ROWS lines that uses it,
+    into a line template; a second `%` over the block's joined templates fills
+    in its t values. Body text holds no '%': %.17g and %d print only digits,
+    signs, '.', 'e', 'nan' and 'inf'. The file is the same as formatting every row.
+    """
+    ids, firsts = _distinct_rows(body)
+    line = FLOAT_FMT.replace("%", "%%") + "," + body_fmt + newline
+    templates = []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
-        _write_rows(fh, table, row_fmt + newline)
+        for lo in range(0, len(t), _CSV_BLOCK_ROWS):
+            block = ids[lo : lo + _CSV_BLOCK_ROWS].tolist()
+            new = body[firsts[len(templates) : max(block) + 1]]
+            templates += (line * len(new) % tuple(new.ravel().tolist())).split(newline)[:-1]
+            text = newline.join([templates[i] for i in block]) + newline
+            fh.write(text % tuple(t[lo : lo + _CSV_BLOCK_ROWS].tolist()))
 
 
-def _write_rows(fh, table: np.ndarray, line: str) -> None:
-    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[lo : lo + _CSV_BLOCK_ROWS]
-        fh.write(line * len(block) % tuple(block.ravel().tolist()))
-
-
-def _rows_to_format(table: np.ndarray, M: int) -> int:
-    """The rows of a trajectory table through the end of the first period
-    that every later period repeats bit for bit, t aside.
-
-    Period q is rows qM+1..(q+1)M. All rows when the last period differs
-    from the one before, or when the rows do not fill whole periods.
-    """
-    K = len(table) - 1
-    if K % M:
-        return len(table)
-    bits = table[:, 1:].view(np.int64)
-    q = K // M - 1
-    while q > 0 and np.array_equal(bits[q * M + 1 : (q + 1) * M + 1],
-                                   bits[(q - 1) * M + 1 : q * M + 1]):
-        q -= 1
-    return (q + 1) * M + 1
+def _distinct_rows(table: np.ndarray):
+    """(ids, firsts): each row's number among the table's distinct rows by
+    bits, numbered in order of first appearance, and the row where each first appears."""
+    bits = np.ascontiguousarray(table).view(np.int64)
+    order = np.lexsort(bits.T[::-1])   # stable: equal rows keep their order
+    starts = np.zeros(len(order), dtype=bool)   # where a run of equal sorted rows starts
+    starts[:1] = True
+    for col in bits.T:                 # a column at a time: no sorted copy of the table
+        col = col[order]
+        starts[1:] |= col[1:] != col[:-1]
+    firsts = order[starts]             # each distinct row's first, in sorted order
+    rank = np.argsort(firsts)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(len(rank))
+    ids = np.empty_like(order)
+    ids[order] = number[np.cumsum(starts) - 1]
+    return ids, firsts[rank]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Rows t, z, the multipliers of the step landing at z, active bitmask; \\r\\n line ends.
 
-    Rows are formatted through the end of the first period that every later
-    period repeats bit for bit, t aside (on an exact periodic orbit, see
-    simulate). Each later row is its own t plus the text of the matching row
-    of that period. The file is the same as formatting every row.
+    The rows of a state at rest, and the periods of an exact orbit (see
+    simulate), repeat one another but for t: _write_csv formats each once.
     """
     n = traj.problem.dim
     m = traj.problem.moving_set.num_constraints
@@ -575,24 +583,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + [f"eta_{i + 1}" for i in range(m)]
         + ["active_bitmask"]
     )
-    eta = np.vstack([np.zeros(m), traj.multipliers])
-    table = np.column_stack([traj.times, traj.states, eta, traj.active_masks])
-    M = traj.steps_per_period
-    end = _rows_to_format(table, M)
-    rest_fmt = ",".join([FLOAT_FMT] * (n + m) + ["%d"])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, table[:end], f"{FLOAT_FMT},{rest_fmt}\r\n")
-        if end == len(table):
-            return
-        # Row end + i repeats row end - M + i % M but for t. Its line is a
-        # template holding that row's text (digits, signs, '.', 'e': no '%'),
-        # so one `%` per block fills in the block's t values.
-        period = table[end - M : end, 1:].tolist()
-        lines = [f"{FLOAT_FMT},{rest_fmt % tuple(row)}\r\n" for row in period]
-        for lo in range(end, len(table), _CSV_BLOCK_ROWS):
-            t = table[lo : lo + _CSV_BLOCK_ROWS, 0].tolist()
-            fh.write("".join(lines[(lo - end + i) % M] for i in range(len(t))) % tuple(t))
+    body = np.column_stack([traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks])
+    _write_csv(path, header, traj.times, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n")
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:

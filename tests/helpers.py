@@ -611,3 +611,26 @@ def reference_chain_minimizers(x, ell, mup, mum, k: float, tol: float = TOL):
             y[j] = y[j + 1] - np.interp(y[j + 1], Y, G) / k - ell[j]
         minimizers.append(y)
     return minimizers
+
+
+def reference_csv(header, table: np.ndarray, row_fmt: str, newline: str) -> bytes:
+    """A CSV file's bytes: the header, then one `%` per row over the whole table."""
+    lines = [",".join(header)] + [row_fmt % tuple(row) for row in table.tolist()]
+    return (newline.join(lines) + newline).encode()
+
+
+def reference_trajectory_csv(traj) -> bytes:
+    """write_trajectory_csv's bytes, every row formatted on its own."""
+    n, m = traj.problem.dim, traj.problem.moving_set.num_constraints
+    header = ["t"] + [f"z{i + 1}" for i in range(n)] + [f"eta_{i + 1}" for i in range(m)] + ["active_bitmask"]
+    table = np.column_stack([
+        traj.times, traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks,
+    ])
+    return reference_csv(header, table, ",".join(["%.17g"] * (1 + n + m) + ["%d"]), "\r\n")
+
+
+def reference_motion_csv(motion) -> bytes:
+    """write_motion_csv's bytes, every row formatted on its own."""
+    N = motion.positions.shape[1]
+    table = np.column_stack([motion.times, motion.positions])
+    return reference_csv(["t"] + [f"x{i + 1}" for i in range(N)], table, ",".join(["%.17g"] * (1 + N)), "\n")

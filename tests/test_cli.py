@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sweeplab.cli import CONFIG_KEYS, dump_json, main
+from helpers import reference_motion_csv, reference_trajectory_csv
+from sweeplab.cli import CONFIG_KEYS, RunConfig, _initial_states, build_parser, dump_json, main
 from sweeplab.crawler import simulate_reduced
 from sweeplab.polyhedra import contains, freeze
 from sweeplab.scenarios import catalog
@@ -97,6 +98,19 @@ def test_run_output_number_format(tmp_path):
     listed = "[" + ", ".join(FLOAT_FMT % x for x in d_sup) + "]"
     assert dump_json(d_sup) == listed
     assert f'"d_sup": {listed}' in (tmp_path / "w" / "convergence.json").read_text()
+
+
+def test_csvs_of_a_two_start_run_equal_formatting_every_row(tmp_path):
+    # The starts are drawn as cmd_run draws them; each start's motion.csv and
+    # trajectory.csv equal one `%` per row over its tables.
+    argv = ["run", "--scenario", "crawler2", "--starts", "2", "--seed", "5",
+            "--periods", "4", "--steps", "300", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    cfg = RunConfig.load(build_parser().parse_args(argv))
+    for i, x0 in enumerate(_initial_states(cfg, np.random.default_rng(cfg.seed))):
+        run = simulate_reduced(cfg.gait, x0, cfg.t0, cfg.periods, cfg.steps)
+        assert (tmp_path / f"motion_s{i}.csv").read_bytes() == reference_motion_csv(run.motion)
+        assert (tmp_path / f"trajectory_s{i}.csv").read_bytes() == reference_trajectory_csv(run.reduced)
 
 
 def test_motion_csv_holds_what_the_dropped_columns_are_derived_from(tmp_path):
@@ -453,6 +467,17 @@ def _repeat_first_row(times):
                  "too large for the working tolerance", id="mu-plus-1e308"),
     pytest.param(_exported("crawler2-mirror", _set(("gait", "L", 0, "points", 0, 1), 2.0**70)),
                  "too large for the working tolerance", id="rest-length-2^70"),
+    # JSON integers too large for a float: no number a run can use.
+    pytest.param(_exported("wedge", _set(("t0",), 10**400)),
+                 "invalid t0: TypeError: expected a JSON number that a float can hold", id="huge-int-t0"),
+    pytest.param(_exported("crawler2", _set(("gait", "T"), 10**400)),
+                 "invalid gait: TypeError: a gait's N, T and k must be JSON numbers that a float can hold",
+                 id="huge-int-gait-period"),
+    pytest.param(_exported("box1", _set(_OFFSETS + (0, "points", 0, 1), 10**400)),
+                 "invalid problem: TypeError: a signal's period and breakpoints must be JSON numbers that a float",
+                 id="huge-int-point"),
+    pytest.param(_exported("wedge", _set(("periods",), 10**400)),
+                 "invalid periods: TypeError: expected a JSON number that a float can hold", id="huge-int-periods"),
 ])
 def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -461,6 +486,21 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
     assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 4
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # More digits than Python's int conversion allows (json.loads refuses it), or,
+    # where no limit is set, a t0 that no float can hold.
+    ('{"scenario": "wedge", "t0": 1' + "0" * 5000 + "}").encode(),
+    b'{"scenario": "wedge\xff"}',
+], ids=["int-of-5001-digits", "not-utf-8"])
+def test_run_config_that_json_cannot_read_exit_4(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "x"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
 
 

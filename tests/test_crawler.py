@@ -1076,3 +1076,14 @@ def test_gait_rejects_non_finite_period_or_stiffness(period, stiffness):
     mu = (PeriodicSignal.constant(1.0, 1.0),) * 2
     with pytest.raises(ValueError, match="must be finite and positive"):
         Gait(2, period, stiffness, (PeriodicSignal.constant(0.0, 1.0),), mu, mu)
+
+
+@pytest.mark.parametrize("key", ["N", "T", "k"])
+def test_gait_from_json_rejects_an_int_that_no_float_can_hold(key):
+    gait = catalog()["crawler2"].gait.to_json()
+    gait[key] = 10**400
+    with pytest.raises(TypeError, match="^a gait's N, T and k must be JSON numbers that a float can hold"):
+        Gait.from_json(gait)
+    gait[key] = -(10**400)
+    with pytest.raises(TypeError, match="^a gait's N, T and k must be JSON numbers that a float can hold"):
+        Gait.from_json(gait)

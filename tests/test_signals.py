@@ -9,6 +9,7 @@ from sweeplab.signals import (
     combine,
     eval_many,
     eval_signal,
+    is_json_number,
     lipschitz_constant,
     triangle_wave,
 )
@@ -137,6 +138,23 @@ def test_from_json_rejects_non_number_periods_and_breakpoints(bad):
             obj["points"][0][slot] = bad
         with pytest.raises(TypeError, match="^a signal's period and breakpoints must be JSON numbers"):
             PeriodicSignal.from_json(obj)
+
+
+def test_json_numbers_are_ints_and_floats_that_a_float_can_hold():
+    largest = 1.7976931348623157e308
+    assert all(map(is_json_number, [0, -3, 2**1023, int(largest), -int(largest), 0.5, largest, float("nan")]))
+    assert not any(map(is_json_number, [10**400, -(10**400), int(largest) + 2**970, True, "1", None, [1]]))
+
+
+@pytest.mark.parametrize("slot", ["period", 0, 1], ids=["period", "time", "value"])
+def test_from_json_rejects_an_int_that_no_float_can_hold(slot):
+    obj = PeriodicSignal(1.5, [(0.0, 1.0), (0.25, -2.0)]).to_json()
+    if slot == "period":
+        obj["period"] = 10**400
+    else:
+        obj["points"][1][slot] = 10**400
+    with pytest.raises(TypeError, match="^a signal's period and breakpoints must be JSON numbers that a float"):
+        PeriodicSignal.from_json(obj)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_drift, random_moving_polyhedron, reference_periods, reference_simulate
+from helpers import (
+    random_drift,
+    random_moving_polyhedron,
+    reference_csv,
+    reference_periods,
+    reference_simulate,
+    reference_trajectory_csv,
+)
 from sweeplab import sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
@@ -27,6 +34,8 @@ from sweeplab.sweeping import (
     read_trajectory_csv,
     simulate,
     step,
+    _CSV_BLOCK_ROWS,
+    _distinct_rows,
     _write_csv,
     validate_trajectory,
     write_trajectory_csv,
@@ -670,18 +679,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CSV rows of repeated periods: formatted once, the same bytes
-
-def _csv_formatting_every_row(traj, path):
-    """write_trajectory_csv as one `%` per block of rows over the whole table."""
-    n, m = traj.problem.dim, traj.problem.moving_set.num_constraints
-    header = ["t"] + [f"z{i + 1}" for i in range(n)] + [f"eta_{i + 1}" for i in range(m)]
-    table = np.column_stack([
-        traj.times, traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks,
-    ])
-    _write_csv(path, header + ["active_bitmask"], table, ",".join(["%.17g"] * (1 + n + m) + ["%d"]),
-               "\r\n")
-
+# CSV rows: each distinct row but for t is formatted once, the same bytes
 
 def _broken_multiplier(traj, q):
     """A copy with one interior multiplier of period q changed (no longer a solution)."""
@@ -723,6 +721,46 @@ def test_trajectory_csv_equals_formatting_every_row(tmp_path, name):
     traj = CSV_CASES[name]()
     if name == "cycling":
         assert _period_starts_repeat(traj.states, traj.steps_per_period)[-1]
-    write_trajectory_csv(traj, tmp_path / "reused.csv")
-    _csv_formatting_every_row(traj, tmp_path / "full.csv")
-    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == reference_trajectory_csv(traj)
+
+
+def _later_block_table():
+    # Bodies from four values per column, all in the first block; one body is
+    # first used in the second block and again in the third, and one only in the last.
+    B = _CSV_BLOCK_ROWS
+    body = np.random.default_rng(3).integers(0, 4, size=(2 * B + 100, 2)).astype(float)
+    body[B + 10] = body[2 * B + 50] = [7.5, -2.25]
+    body[2 * B + 60] = [1e300, np.nan]
+    return body
+
+
+WRITE_CSV_CASES = {
+    "signed-zeros-adjacent": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]),
+    "body-reappears": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf], [1.0, 2.0], [5.0, np.inf], [3.0, 4.0]]),
+    "first-used-in-a-later-block": _later_block_table(),
+    "one-row": np.array([[0.5, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", WRITE_CSV_CASES)
+@pytest.mark.parametrize("body_fmt,newline", [("%.17g,%.17g", "\n"), ("%.17g,%d", "\r\n")])
+def test_write_csv_equals_formatting_every_row(tmp_path, name, body_fmt, newline):
+    body = WRITE_CSV_CASES[name]
+    if body_fmt.endswith("%d"):
+        body = np.where(np.isfinite(body), body, 1.0)   # %d takes finite numbers only
+    t = np.arange(len(body)) * -0.1   # from -0.0
+    _write_csv(tmp_path / "out.csv", ["t", "a", "b"], t, body, body_fmt, newline)
+    expected = reference_csv(["t", "a", "b"], np.column_stack([t, body]), "%.17g," + body_fmt, newline)
+    assert (tmp_path / "out.csv").read_bytes() == expected
+
+
+def test_distinct_rows_by_bits_in_order_of_first_appearance():
+    ids, firsts = _distinct_rows(WRITE_CSV_CASES["signed-zeros-adjacent"])
+    assert ids.tolist() == [0, 1, 0, 2, 3] and firsts.tolist() == [0, 1, 3, 4]
+    ids, firsts = _distinct_rows(WRITE_CSV_CASES["body-reappears"])
+    assert ids.tolist() == [0, 1, 2, 0, 2, 1] and firsts.tolist() == [0, 1, 2]
+    ids, firsts = _distinct_rows(WRITE_CSV_CASES["first-used-in-a-later-block"])
+    B = _CSV_BLOCK_ROWS
+    assert firsts[-2:].tolist() == [B + 10, 2 * B + 60] and ids[B + 10] == ids[2 * B + 50]
+    assert np.max(ids[:B]) < len(firsts) - 2 and len(firsts) == 18
