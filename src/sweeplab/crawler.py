@@ -36,7 +36,7 @@ from .signals import (
     lipschitz_constant,
     shares_period,
 )
-from .sweeping import SweepingProblem, Trajectory, _check_alignment, _grid_step, _phase_table, simulate
+from .sweeping import SweepingProblem, Trajectory, _grid, simulate
 
 MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
@@ -369,7 +369,7 @@ def simulate_reduced(
     steps_per_period: int,
 ) -> CrawlerRun:
     """Integrate the reduced sweeping process and recover the full motion."""
-    h = _grid_step(g.period, t0, periods, steps_per_period)
+    h = _grid(g.period, t0, periods, steps_per_period)[0]
     x0 = _checked_start(g, t0, x0)
     grid = t0 + h * np.arange(steps_per_period)
     margin = _margin_gate(g, grid)
@@ -514,22 +514,16 @@ def incremental_oracle(
     slip and stick pass, and which one is accepted depends on the search.
     """
     M = steps_per_period
-    h = _grid_step(g.period, t0, periods, M)
-    breaks = np.concatenate([
-        _check_alignment(g.rest_lengths, t0, h, "rest_lengths"),
-        _check_alignment(g.mu_plus, t0, h, "mu_plus"),
-        _check_alignment(g.mu_minus, t0, h, "mu_minus"),
-    ])
+    h, breaks, ell_phase, mup_phase, mum_phase = _grid(
+        g.period, t0, periods, M,
+        rest_lengths=g.rest_lengths, mu_plus=g.mu_plus, mu_minus=g.mu_minus,
+    )
     # A block from phase ph ends just after the first breakpoint phase beyond ph,
     # or at the period's end.
     ends = np.unique(breaks % M) + 1
     block_end = np.append(ends, M)[np.searchsorted(ends, np.arange(M) + 1, "right")].tolist()
     N = g.num_blocks
     x0 = _checked_start(g, t0, x0)
-
-    ell_phase = _phase_table(g.rest_lengths, t0, h, M)
-    mup_phase = _phase_table(g.mu_plus, t0, h, M)
-    mum_phase = _phase_table(g.mu_minus, t0, h, M)
 
     PZ = shape_matrix(N)
     A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell

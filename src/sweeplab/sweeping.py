@@ -101,21 +101,19 @@ class Trajectory:
         return self.t0 + np.arange(len(self.states)) * self.h
 
 
-def _phase_table(signals, t0: float, h: float, M: int):
-    """(M x len(signals)) values at the grid phases t0 + k*h, or None when signals is None."""
-    if signals is None:
-        return None
-    phases = t0 + np.arange(M) * h
-    return np.column_stack([eval_many(s, phases) for s in signals])
+def _grid(T: float, t0: float, periods: int, M: int, **signals):
+    """The grid of a run of `periods` periods of M steps from t0:
+    (h, breaks, *tables), one table per named signal list.
 
-
-def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
-    """The step h = T/M of a run of `periods` periods of M steps from t0.
+    h = T/M. breaks holds the int64 grid indices i of the breakpoints
+    t0 + i*h of every list that is not None, in the order named (empty when
+    none is). A table holds a list's (M x len) values at the phases t0 + k*h,
+    k < M, or is None for a list that is None.
 
     Raises ValueError unless periods and M are positive integers (a bool is
-    not one), and GridAlignmentError when floats near |t0| + T lie more than
-    1e-6*h apart (the relative tolerance of _check_alignment): the clock
-    t0 + k*h could not resolve the steps.
+    not one); GridAlignmentError when floats near |t0| + T lie more than
+    1e-6*h apart, so the clock t0 + k*h could not resolve the steps, or when
+    a breakpoint lies more than 1e-6*h off the grid, named by its keyword.
     """
     for name, count in (("periods", periods), ("steps_per_period", M)):
         try:
@@ -132,26 +130,21 @@ def _grid_step(T: float, t0: float, periods: int, M: int) -> float:
         raise GridAlignmentError(
             f"t0={t0} is too large for the step h={h}: floats near it are {spacing:.3e} apart"
         )
-    return h
-
-
-def _check_alignment(signals, t0: float, h: float, label: str) -> np.ndarray:
-    """Grid indices i of the breakpoints t0 + i*h of all signals.
-
-    Raises GridAlignmentError if a breakpoint lies off the grid.
-    """
-    steps = []
-    for i, s in enumerate(signals):
-        r = (s.times - t0) / h
-        step = np.round(r)
-        off = np.abs(r - step)
-        if np.any(off > 1e-6):
-            bad = s.times[int(np.argmax(off))]
-            raise GridAlignmentError(
-                f"{label}[{i}] breakpoint t={bad} is not on the grid (t0={t0}, h={h})"
-            )
-        steps.append(step)
-    return np.concatenate(steps).astype(np.int64)
+    breaks = [np.empty(0)]
+    for label, sigs in signals.items():
+        for i, s in enumerate(sigs or ()):
+            r = (s.times - t0) / h
+            breaks.append(np.round(r))
+            off = np.abs(r - breaks[-1])
+            if np.any(off > 1e-6):
+                bad = s.times[int(np.argmax(off))]
+                raise GridAlignmentError(
+                    f"{label}[{i}] breakpoint t={bad} is not on the grid (t0={t0}, h={h})"
+                )
+    phases = t0 + np.arange(M) * h
+    tables = [None if sigs is None else np.column_stack([eval_many(s, phases) for s in sigs])
+              for sigs in signals.values()]
+    return (h, np.concatenate(breaks).astype(np.int64), *tables)
 
 
 def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
@@ -240,11 +233,10 @@ def simulate(
     last one.
     """
     M = steps_per_period
-    h = _grid_step(problem.period, t0, periods, M)
     P = problem.moving_set
-    _check_alignment(P.offsets, t0, h, "offset")
-    if problem.drift is not None:
-        _check_alignment(problem.drift, t0, h, "drift")
+    h, _, offsets_phase, drift_phase = _grid(
+        problem.period, t0, periods, M, offset=P.offsets, drift=problem.drift
+    )
 
     B = P.normals
     m, n = B.shape
@@ -253,9 +245,6 @@ def simulate(
         raise ValueError(f"initial state has shape {z0.shape}, expected ({n},)")
     if not np.isfinite(z0).all():
         raise ValueError(f"initial state {z0} is not finite")
-
-    offsets_phase = _phase_table(P.offsets, t0, h, M)
-    drift_phase = _phase_table(problem.drift, t0, h, M)
 
     if np.any(B @ z0 > offsets_phase[0] + DEFAULT_TOL):
         worst = float(np.max(B @ z0 - offsets_phase[0]))
@@ -507,10 +496,10 @@ def validate_trajectory(traj: Trajectory) -> None:
     P = traj.problem.moving_set
     B = P.normals
     M = traj.steps_per_period
-    h = traj.h
     K = len(traj.states) - 1
-    offsets_phase = _phase_table(P.offsets, traj.t0, h, M)
-    drift_phase = _phase_table(traj.problem.drift, traj.t0, h, M)
+    h, _, offsets_phase, drift_phase = _grid(
+        P.period, traj.t0, traj.periods, M, offset=P.offsets, drift=traj.problem.drift
+    )
     for k in range(K):
         z_next = traj.states[k + 1]
         c_next = offsets_phase[(k + 1) % M]
