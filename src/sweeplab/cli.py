@@ -258,17 +258,26 @@ def _check_resolvable(values) -> None:
 # ---------------------------------------------------------------------------
 # Initial states
 
+_MAX_REJECTIONS = 100_000   # rejected draws after which random starts are refused
+
+
 def _random_states_in(F, count: int, rng) -> list:
+    """count uniform draws from F's bounding box that F contains, in draw order.
+
+    Only rejected draws count against _MAX_REJECTIONS, so any count of
+    starts can be drawn from a set that fills enough of its box.
+    """
     lo, hi = bounding_box(F)
     out = []
-    guard = 0
+    rejected = 0
     while len(out) < count:
-        guard += 1
-        if guard > 100000:
-            raise ConfigError("rejection sampling failed to find admissible states")
         z = rng.uniform(lo, hi)
         if contains(F, z):
             out.append(z)
+        else:
+            rejected += 1
+            if rejected == _MAX_REJECTIONS:
+                raise ConfigError("rejection sampling failed to find admissible states")
     return out
 
 

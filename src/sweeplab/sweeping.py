@@ -407,14 +407,19 @@ def lambda_series(traj: Trajectory) -> np.ndarray:
     return traj.multipliers / traj.h
 
 
-def _visited_licq(traj: Trajectory, masks) -> None:
+def _visited_licq(traj: Trajectory, lo: int, hi: int) -> None:
+    """Raise LicqError naming the first of the active sets at steps lo..hi-1,
+    in order of first visit, with dependent normals, with its step and time."""
     B = traj.problem.moving_set.normals
-    for mask in set(int(x) for x in masks):
-        idx = [i for i in range(B.shape[0]) if mask >> i & 1]
-        if len(idx) <= 1:
-            continue
-        if not _independent(B[idx]):
-            raise LicqError(f"visited active set {tuple(idx)} has dependent normals")
+    masks = traj.active_masks[lo:hi]
+    for j in np.sort(np.unique(masks, return_index=True)[1]).tolist():
+        idx = [i for i in range(B.shape[0]) if int(masks[j]) >> i & 1]
+        if len(idx) > 1 and not _independent(B[idx]):
+            k = lo + j
+            raise LicqError(
+                f"step {k}, t={traj.t0 + k * traj.h:.17g}: "
+                f"visited active set {tuple(idx)} has dependent normals"
+            )
 
 
 def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
@@ -426,7 +431,7 @@ def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
     lam = lambda_series(traj)
     a = lam[q * M : (q + 1) * M]
     b = lam[(q + 1) * M : (q + 2) * M]
-    _visited_licq(traj, traj.active_masks[q * M + 1 : (q + 2) * M + 1])
+    _visited_licq(traj, q * M + 1, (q + 2) * M + 1)
     return np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
 
 
@@ -492,7 +497,11 @@ def convergence_report(traj: Trajectory) -> ConvergenceReport:
 # Trajectory validation and CSV round trip
 
 def validate_trajectory(traj: Trajectory) -> None:
-    """Check the discrete-solution invariants; raise ValueError on violation."""
+    """Check the discrete-solution invariants; raise ValueError on violation.
+
+    The record's grid is checked first, by _grid over its whole periods, so
+    a record shorter than one period is refused.
+    """
     P = traj.problem.moving_set
     B = P.normals
     M = traj.steps_per_period

@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 
 from helpers import reference_motion_csv, reference_trajectory_csv
-from sweeplab.cli import CONFIG_KEYS, RunConfig, _initial_states, build_parser, dump_json, main
+from sweeplab.cli import (
+    CONFIG_KEYS,
+    RunConfig,
+    _initial_states,
+    _random_states_in,
+    build_parser,
+    dump_json,
+    main,
+)
 from sweeplab.crawler import simulate_reduced
+from sweeplab.errors import ConfigError
 from sweeplab.polyhedra import contains, freeze
 from sweeplab.scenarios import catalog
 from sweeplab.signals import PeriodicSignal
@@ -174,6 +183,25 @@ def test_run_random_starts_on_plain_problem(tmp_path):
     assert all(contains(freeze(problem.moving_set, 0.0), z0) for z0 in starts)
     assert len({z0.tobytes() for z0 in starts}) == 3
     assert read_bytes_map(out2) == files
+
+
+def test_random_starts_count_only_rejected_draws(monkeypatch):
+    # box1 is its own bounding box, so no draw is rejected and any count of
+    # starts is drawn, more than the rejection cap included.
+    monkeypatch.setattr("sweeplab.cli._MAX_REJECTIONS", 10)
+    F = freeze(catalog()["box1"].problem.moving_set, 0.0)
+    starts = _random_states_in(F, 11, np.random.default_rng(0))
+    assert len(starts) == 11 and all(contains(F, z) for z in starts)
+
+
+def test_random_starts_give_up_after_the_rejection_cap(monkeypatch):
+    monkeypatch.setattr("sweeplab.cli._MAX_REJECTIONS", 10)
+    draws = []
+    monkeypatch.setattr("sweeplab.cli.contains", lambda F, z: draws.append(z) and False)
+    F = freeze(catalog()["box1"].problem.moving_set, 0.0)
+    with pytest.raises(ConfigError, match="^rejection sampling failed to find admissible states$"):
+        _random_states_in(F, 1, np.random.default_rng(0))
+    assert len(draws) == 10
 
 
 def test_run_degenerate_gait_exit_2(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -609,6 +610,19 @@ def test_oracle_rejects_breakpoints_off_its_grid():
     for run in (simulate_reduced, incremental_oracle):
         with pytest.raises(GridAlignmentError, match="is not on the grid"):
             run(sc.gait, sc.initial_state, 0.0005, 3, 100)
+
+
+@pytest.mark.parametrize("field,i", [("rest_lengths", 0), ("mu_plus", 1), ("mu_minus", 0)])
+def test_oracle_names_the_list_of_an_off_grid_breakpoint(field, i):
+    # One signal of one list gets a breakpoint at T/3, off the grid of 100 steps.
+    sc = catalog()["crawler2"]
+    g = sc.gait
+    sigs = list(getattr(g, field))
+    value = float(sigs[i].values[0])
+    sigs[i] = PeriodicSignal(g.period, [(0.0, value), (g.period / 3, value)])
+    gait = dataclasses.replace(g, **{field: tuple(sigs)})
+    with pytest.raises(GridAlignmentError, match=rf"^{field}\[{i}\] breakpoint t=\S+ is not on the grid"):
+        incremental_oracle(gait, sc.initial_state, 0.0, 3, 100)
 
 
 @pytest.mark.parametrize("gait,M", [(three_block_gait(), 400), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],

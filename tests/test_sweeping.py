@@ -16,7 +16,7 @@ from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulat
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
 from sweeplab.scenarios import catalog, wedge_poincare, wedge_scenario
-from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, triangle_wave
+from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, eval_many, triangle_wave
 from sweeplab.sweeping import (
     SweepingProblem,
     Trajectory,
@@ -111,6 +111,51 @@ def test_simulate_rejects_misaligned_breakpoints():
     problem = SweepingProblem(P)
     with pytest.raises(GridAlignmentError):
         simulate(problem, np.array([0.0]), 0.0, 2, 100)  # 1/3 not on the h=0.01 grid
+
+
+def test_simulate_names_an_off_grid_drift_breakpoint():
+    drift = (triangle_wave(T1, 1.0, peak_fraction=1.0 / 3.0),)
+    problem = SweepingProblem(constant_interval(), drift)
+    with pytest.raises(GridAlignmentError, match=r"^drift\[0\] breakpoint t=0\.333"):
+        simulate(problem, np.array([0.5]), 0.0, 2, 100)
+
+
+def _named_signal_lists(sc):
+    if sc.gait is not None:
+        g = sc.gait
+        return g.period, {"rest_lengths": g.rest_lengths, "mu_plus": g.mu_plus, "mu_minus": g.mu_minus}
+    return sc.problem.period, {"offset": sc.problem.moving_set.offsets, "drift": sc.problem.drift}
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_grid_matches_eval_many_on_bundled_scenarios(name):
+    # Each table is eval_many at t0 + k*h, bit for bit, and the breakpoints
+    # are the rounded grid indices, list by list in the order named.
+    sc = catalog()[name]
+    T, lists = _named_signal_lists(sc)
+    M = sc.recommended_steps
+    for t0 in (0.0, -T):
+        h, breaks, *tables = sweeping._grid(T, t0, 1, M, **lists)
+        assert h == T / M
+        phases = np.array([t0 + k * h for k in range(M)])
+        signals = [sigs for sigs in lists.values() if sigs is not None]
+        expected = [np.round((s.times - t0) / h) for sigs in signals for s in sigs]
+        assert breaks.dtype == np.int64
+        np.testing.assert_array_equal(breaks, np.concatenate(expected))
+        assert len(tables) == len(lists)
+        for sigs, table in zip(lists.values(), tables):
+            if sigs is None:
+                assert table is None
+                continue
+            expected = np.column_stack([eval_many(s, phases) for s in sigs])
+            assert table.shape == (M, len(sigs))
+            assert table.tobytes() == expected.tobytes()
+
+
+def test_grid_without_lists_is_the_step_and_no_breakpoints():
+    h, breaks = sweeping._grid(2.0, 0.5, 3, 8)
+    assert h == 0.25
+    assert breaks.dtype == np.int64 and breaks.shape == (0,)
 
 
 def _grid_runs(t0, periods, M):
@@ -242,6 +287,15 @@ def test_validate_trajectory_adds_the_drift():
     undriven = dataclasses.replace(traj, problem=SweepingProblem(sc.problem.moving_set))
     with pytest.raises(ValueError, match="^multiplier reconstruction fails at step 0$"):
         validate_trajectory(undriven)
+
+
+def test_validate_trajectory_refuses_a_record_shorter_than_one_period():
+    traj = simulate(box_problem(), np.array([0.0]), 0.0, 2, 100)
+    short = dataclasses.replace(
+        traj, states=traj.states[:51], multipliers=traj.multipliers[:50], active_masks=traj.active_masks[:51]
+    )
+    with pytest.raises(ValueError, match="^periods and steps_per_period must be positive$"):
+        validate_trajectory(short)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +630,22 @@ def test_lambda_convergence_flags_degenerate_faces():
     P = MovingPolyhedron([[1.0], [-1.0], [-1.0]], (up, neg, neg))
     traj = simulate(SweepingProblem(P), np.array([0.0]), 0.0, 3, 100)
     with pytest.raises(LicqError):
+        lambda_convergence(traj, 0)
+
+
+def test_lambda_convergence_names_the_first_visited_dependent_set():
+    # Twin upper faces (rows 0, 1: mask 3) and twin lower faces (rows 2, 3:
+    # mask 12). The rising lower bound reaches the state first, the falling
+    # upper bound later; the error names the lower pair and its step.
+    lo = PeriodicSignal(T1, [(0.0, -1.0), (0.25, 0.2), (0.5, -1.0)])
+    up = PeriodicSignal(T1, [(0.0, 1.0), (0.5, 1.0), (0.75, -0.2)])
+    neg = combine([lo], [-1.0])
+    P = MovingPolyhedron([[1.0], [1.0], [-1.0], [-1.0]], (up, up, neg, neg))
+    traj = simulate(SweepingProblem(P), np.array([0.0]), 0.0, 3, 100)
+    masks = traj.active_masks.tolist()
+    assert masks.index(12) == 21 and 21 < masks.index(3) <= 200
+    message = r"^step 21, t=0\.20999999999999999: visited active set \(2, 3\) has dependent normals$"
+    with pytest.raises(LicqError, match=message):
         lambda_convergence(traj, 0)
 
 
