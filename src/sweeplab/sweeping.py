@@ -408,12 +408,13 @@ def lambda_series(traj: Trajectory) -> np.ndarray:
 
 
 def _visited_licq(traj: Trajectory, lo: int, hi: int) -> None:
-    """Raise LicqError naming the first of the active sets at steps lo..hi-1,
-    in order of first visit, with dependent normals, with its step and time."""
+    """Raise LicqError for the first active set visited at steps lo..hi-1
+    whose normals are dependent, naming the step of that first visit and its time."""
     B = traj.problem.moving_set.normals
     masks = traj.active_masks[lo:hi]
     for j in np.sort(np.unique(masks, return_index=True)[1]).tolist():
-        idx = [i for i in range(B.shape[0]) if int(masks[j]) >> i & 1]
+        mask = int(masks[j])
+        idx = [i for i in range(B.shape[0]) if mask >> i & 1]
         if len(idx) > 1 and not _independent(B[idx]):
             k = lo + j
             raise LicqError(
