@@ -444,28 +444,16 @@ def _dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
 def enumerate_faces(F: FrozenPolyhedron) -> set:
     """All active sets realized by some point of F, as a set of index tuples.
 
-    A subset S is realizable exactly when its closure A(S) = {i active on all
-    of face(S)} equals S; every face contains a vertex, so candidate subsets
-    are drawn from vertex active sets and closed by intersecting the vertex
-    active sets that contain them.
+    Every face of a compact polytope contains a vertex, and the active set of
+    a face's relative interior is the intersection of its vertices' active
+    sets; every such intersection is realized. So the faces are the vertex
+    active sets closed under intersection, built one vertex at a time.
     """
-    vertex_active = [frozenset(act.tolist()) for act in _vertex_active_sets(F)]
-    all_active = frozenset.intersection(*vertex_active)  # constraints active on all of F
-    faces = {tuple(sorted(all_active))}
-    seen = set()
-    for ja in vertex_active:
-        extra = sorted(ja - all_active)
-        for size in range(1, len(extra) + 1):
-            for sub in itertools.combinations(extra, size):
-                s = frozenset(sub) | all_active
-                if s in seen:
-                    continue
-                seen.add(s)
-                closure = frozenset.intersection(
-                    *[jb for jb in vertex_active if s <= jb]
-                )
-                faces.add(tuple(sorted(closure)))
-    return faces
+    faces = set()
+    for act in _vertex_active_sets(F):
+        a = frozenset(act.tolist())
+        faces |= {a} | {a & f for f in faces}
+    return {tuple(sorted(f)) for f in faces}
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,30 @@ def reference_dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
     return tuple(act.tolist())
 
 
+def reference_enumerate_faces(F: FrozenPolyhedron) -> set:
+    """polyhedra.enumerate_faces as it was built one subset at a time: every
+    subset of each vertex's active set, beyond the constraints active on all
+    of F, closed by intersecting the vertex active sets that contain it.
+    Exponential in a vertex's degree; the reference for the closure."""
+    from sweeplab.polyhedra import _vertex_active_sets
+
+    vertex_active = [frozenset(act.tolist()) for act in _vertex_active_sets(F)]
+    all_active = frozenset.intersection(*vertex_active)  # constraints active on all of F
+    faces = {tuple(sorted(all_active))}
+    seen = set()
+    for ja in vertex_active:
+        extra = sorted(ja - all_active)
+        for size in range(1, len(extra) + 1):
+            for sub in itertools.combinations(extra, size):
+                s = frozenset(sub) | all_active
+                if s in seen:
+                    continue
+                seen.add(s)
+                closure = frozenset.intersection(*[jb for jb in vertex_active if s <= jb])
+                faces.add(tuple(sorted(closure)))
+    return faces
+
+
 def reference_project_raw(B, c, table, p, tol: float = TOL):
     """The projection's candidate loop, one candidate at a time: the first
     subset in table order whose refined multipliers are >= -tol and whose

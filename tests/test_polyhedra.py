@@ -17,6 +17,7 @@ from helpers import (
     random_point_outside,
     random_polyhedron,
     reference_dependent_witness,
+    reference_enumerate_faces,
     reference_gamma,
     reference_positively_spanning,
     reference_project_raw,
@@ -632,6 +633,46 @@ def test_enumerate_faces_box_count(n):
     eye = np.eye(n)
     F = FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(2 * n))
     assert len(enumerate_faces(F)) == 3**n
+
+
+def pyramid(k):
+    """The pyramid in R^3 over the regular k-gon of circumradius 1, apex (0, 0, 1):
+    constraint j < k holds the j-th edge of the base and the apex, constraint k is z >= 0."""
+    theta = 2 * np.pi * np.arange(k) / k
+    r = np.cos(np.pi / k)
+    sides = np.column_stack([np.cos(theta), np.sin(theta), np.full(k, r)])
+    return FrozenPolyhedron(np.vstack([sides, [0, 0, -1]]), np.append(np.full(k, r), 0.0))
+
+
+def _face_cases():
+    for _, F in _random_draws(30):
+        yield "random", F
+    for n in range(1, 7):
+        eye = np.eye(n)
+        yield f"box{n}", FrozenPolyhedron(np.vstack([eye, -eye]), np.ones(2 * n))
+    yield "segment", FrozenPolyhedron([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 1, 0])
+    yield "flat-square", FrozenPolyhedron(np.vstack([np.eye(3), -np.eye(3)]), [1, 1, 0, 0, 0, 0])
+    yield "duplicated", FrozenPolyhedron([[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 0, 0])
+    yield "triplicated", FrozenPolyhedron(
+        [[1, 0], [1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1, 0, 0])
+    for k in range(3, 13):
+        yield f"pyramid{k}", pyramid(k)
+
+
+def test_enumerate_faces_equals_the_subset_loop():
+    for name, F in _face_cases():
+        assert enumerate_faces(F) == reference_enumerate_faces(F), name
+
+
+def test_enumerate_faces_pyramid_over_a_20_gon():
+    # k + 1 vertices, 2k edges, k + 1 facets and the interior: 4k + 3 faces.
+    # The apex has degree 20, so the subset loop would try 2^20 subsets there.
+    k = 20
+    faces = enumerate_faces(pyramid(k))
+    assert len(faces) == 4 * k + 3
+    sizes = sorted(len(f) for f in faces)
+    assert sizes == [0] + [1] * (k + 1) + [2] * (2 * k) + [3] * k + [k]
+    assert tuple(range(k)) in faces
 
 
 # ---------------------------------------------------------------------------
