@@ -20,9 +20,9 @@ import numpy as np
 
 from .crawler import (
     Gait,
+    _period_margin,
     assemble_positions,
     build_moving_set,
-    check_gait_uniqueness,
     estimate_velocity,
     incremental_oracle,
     simulate_reduced,
@@ -170,12 +170,13 @@ class RunConfig:
     out: Path
 
     @staticmethod
-    def load(args) -> "RunConfig":
+    def load(args, draws_starts: bool = True) -> "RunConfig":
         """Parse the config file, and the flags that override its keys, through
         CONFIG_KEYS, and resolve the run they ask for.
 
         Also rejects a compare on a run without a gait, run counts whose
-        arrays numpy cannot hold, and numbers that the working tolerance
+        arrays numpy cannot hold (for a command that draws starts, the arrays
+        of every start's run together), and numbers that the working tolerance
         cannot resolve. The reports are `run`'s alone, so `cmd_run` checks them.
         """
         raw = {}
@@ -216,26 +217,32 @@ class RunConfig:
         if gait is None and compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
         moving = problem.moving_set if gait is None else build_moving_set(gait)
-        _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints)
+        starts = cfg.get("initial_states")
+        runs = 1
+        if draws_starts:   # cmd_run keeps every start's run until all are simulated
+            runs = len(starts) if isinstance(starts, list) else starts or 1
+        _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints, runs)
         drift = (problem.drift or ()) if gait is None else ()
         _check_resolvable([moving.normals.ravel()]
                           + [s.values for s in moving.offsets]
                           + [moving.period / steps * s.values for s in drift])
         return RunConfig(
             sc, gait, problem, moving, cfg.get("t0", 0.0), periods, steps, cfg.get("seed", 0),
-            cfg.get("initial_states"), cfg.get("reports", REPORTS if gait is not None else PLAIN_REPORTS),
+            starts, cfg.get("reports", REPORTS if gait is not None else PLAIN_REPORTS),
             compare, Path(getattr(args, "out", None) or "."),
         )
 
 
-def _check_counts(periods: int, steps: int, width: int) -> None:
-    """Refuse counts whose (periods * steps + 1, width) arrays, the size of a
-    run's trajectory table, numpy refuses to build, before the run builds any."""
+def _check_counts(periods: int, steps: int, width: int, runs: int) -> None:
+    """Refuse counts whose (runs, periods * steps + 1, width) array, the size
+    of the runs' trajectory tables, numpy refuses to build, before any run is
+    built. The trial array is never written, so none of its pages is touched."""
     try:
-        np.empty((periods * steps + 1, width))
+        np.empty((runs, periods * steps + 1, width))
     except (MemoryError, OverflowError, ValueError) as exc:
+        starts = f"{runs} starts of " if runs > 1 else ""
         raise ConfigError(
-            f"{periods:.6g} periods of {steps:.6g} steps are more than an array can hold: {exc}"
+            f"{starts}{periods:.6g} periods of {steps:.6g} steps are more than an array can hold: {exc}"
         ) from None
 
 
@@ -418,12 +425,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_gait(args) -> int:
-    gait = RunConfig.load(args).gait
+    gait = RunConfig.load(args, draws_starts=False).gait
     if gait is None:
         raise ConfigError("check-gait needs a gait scenario or an inline gait")
-    bps = np.unique(np.concatenate([s.times for s in gait.mu_plus + gait.mu_minus]))
-    grid = np.unique(np.concatenate([bps, np.linspace(0.0, gait.period, 101)]))
-    report = check_gait_uniqueness(gait, grid)
+    report = _period_margin(gait)
     print(f"uniqueness margin: {_fmt_float(report.min_margin)}")
     print(f"worst time: {_fmt_float(report.worst_time)}")
     print(f"worst forward-slip subset (0-based blocks): {list(report.worst_subset)}")

@@ -268,35 +268,75 @@ def margin_at(g: Gait, t: float):
 def _margin_scan(g: Gait, times):
     """Margins at each time and the report on their first minimum.
 
-    Column bits of the subset-sum table holds the sum of mu_i^+ + mu_i^- over the
-    blocks i set in bits, added in ascending block order; argmin keeps the first
-    minimum in bitmask order, then in time. Blocks of rows bound the memory.
+    Argmin keeps the first minimum in bitmask order, then in time.
+    """
+    times = np.asarray(times, dtype=float)
+    margins = np.empty(len(times))
+    best = np.empty(len(times), dtype=np.int64)
+    for block, sums in _signed_sums(g, times):
+        np.abs(sums, out=sums)
+        best[block] = sums.argmin(axis=1)
+        margins[block] = sums.min(axis=1)
+    i = int(np.argmin(margins))
+    return MarginReport(float(margins[i]), float(times[i]), _blocks_in(best[i], g.num_blocks)), margins
+
+
+def _signed_sums(g: Gait, times, overlap: int = 0):
+    """Yield (block, sums) for slices block of times; consecutive blocks share
+    `overlap` times.
+
+    Column bits of sums holds sum_J mu^+ - sum_{J^c} mu^- for the blocks J set
+    in bits: the sum of mu_i^+ + mu_i^- over J, added in ascending block order,
+    less sum mu^-. Blocks of rows bound the memory.
     """
     N = g.num_blocks
     if N > 16:
         raise EnumerationCapError("margin enumeration supports at most 16 blocks")
-    times = np.asarray(times, dtype=float)
     # (times x N) tables: each row of mum sums in the same order as a 1-d array.
     mup = np.column_stack([eval_many(s, times) for s in g.mu_plus])
     mum = np.column_stack([eval_many(s, times) for s in g.mu_minus])
     both = mup + mum
     total_minus = mum.sum(axis=1)
-    margins = np.empty(len(times))
-    best = np.empty(len(times), dtype=np.int64)
-    rows = max(1, _MARGIN_BLOCK_SUMS >> N)
-    for lo in range(0, len(times), rows):
+    rows = max(1 + overlap, _MARGIN_BLOCK_SUMS >> N)
+    for lo in range(0, len(times) - overlap, rows - overlap):
         block = slice(lo, lo + rows)
-        sums = np.zeros((len(margins[block]), 1 << N))
+        sums = np.zeros((len(total_minus[block]), 1 << N))
         for i in range(N):
             np.add(sums[:, : 1 << i], both[block, i, None], out=sums[:, 1 << i : 2 << i])
         sums -= total_minus[block, None]
-        np.abs(sums, out=sums)
-        best[block] = sums.argmin(axis=1)
-        margins[block] = sums.min(axis=1)
-    i = int(np.argmin(margins))
-    bits = int(best[i])
-    subset = tuple(j for j in range(N) if bits >> j & 1)
-    return MarginReport(float(margins[i]), float(times[i]), subset), margins
+        yield block, sums
+
+
+def _blocks_in(bits, N: int) -> tuple:
+    """The blocks set in the bitmask bits, in ascending order."""
+    return tuple(j for j in range(N) if int(bits) >> j & 1)
+
+
+def _period_margin(g: Gait) -> MarginReport:
+    """The least uniqueness margin over a whole period, exact for
+    piecewise-linear thresholds.
+
+    Between consecutive times of t = 0 and the breakpoints of mu^+-, every
+    signed sum is affine. Its absolute value is least at an end of the piece,
+    where the scan looks, unless it changes sign inside, where the margin is
+    0: then the report is margin 0 at the earliest sign change, unless the
+    scan found margin 0 earlier. The piece that wraps around from the last
+    time to the period needs no look: a sign change there means that the sum
+    changes sign, or vanishes, between t = 0 and the last time too.
+    """
+    times = np.unique(np.concatenate([[0.0], *(s.times for s in g.mu_plus + g.mu_minus)]))
+    report = _margin_scan(g, times)[0]
+    for block, sums in _signed_sums(g, times, overlap=1):
+        piece, bits = np.nonzero(np.sign(sums[:-1]) * np.sign(sums[1:]) < 0)
+        if len(piece):
+            s0, s1 = sums[piece, bits], sums[piece + 1, bits]
+            t0, t1 = times[block][piece], times[block][piece + 1]
+            zeros = t0 + (t1 - t0) * (s0 / (s0 - s1))
+            i = int(np.argmin(zeros))
+            if report.min_margin > 0 or zeros[i] < report.worst_time:
+                report = MarginReport(0.0, float(zeros[i]), _blocks_in(bits[i], g.num_blocks))
+            break
+    return report
 
 
 def check_gait_uniqueness(g: Gait, times) -> MarginReport:

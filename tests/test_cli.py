@@ -517,6 +517,17 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,name", [("run", "box1"), ("compare", "crawler2")])
+def test_starts_whose_runs_together_no_array_can_hold_exit_4_before_any_output(tmp_path, capsys, command, name):
+    # One run's table is small; 2^40 of them, all kept until written, are not.
+    out = tmp_path / "x"
+    assert run_cli(command, "--scenario", name, "--periods", "3", "--steps", "10",
+                   "--starts", str(2**40), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {2**40} starts of 3 periods of 10 steps are more than an array can hold")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     # More digits than Python's int conversion allows (json.loads refuses it), or,
     # where no limit is set, a t0 that no float can hold.
@@ -761,6 +772,31 @@ def test_check_gait_good_and_degenerate(capsys):
     assert run_cli("check-gait", "--scenario", "crawler2") == 0
     assert "uniqueness margin" in capsys.readouterr().out
     assert run_cli("check-gait", "--scenario", "crawler2-degenerate") == 2
+
+
+def test_check_gait_reports_a_margin_that_vanishes_between_samples(tmp_path, capsys):
+    # crawler2 but for mu1^+ (1 at t = 0, 3 at t = 0.5) and mu2^- = 2.0123:
+    # mu1^+ - mu2^- vanishes at t = 0.253075, between the grid times 0.25 and 0.26.
+    gait = catalog()["crawler2"].gait.to_json()
+    gait["mu_plus"] = [PeriodicSignal(1.0, [(0.0, 1.0), (0.5, 3.0)]).to_json(),
+                       PeriodicSignal.constant(5.0, 1.0).to_json()]
+    gait["mu_minus"] = [PeriodicSignal.constant(3.0, 1.0).to_json(),
+                        PeriodicSignal.constant(2.0123, 1.0).to_json()]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gait": gait}))
+    assert run_cli("check-gait", "--config", str(cfg)) == 2
+    out = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(out["uniqueness margin"]) <= 1e-9
+    assert abs(float(out["worst time"]) - 0.253075) <= 1e-12
+    assert out["worst forward-slip subset (0-based blocks)"] == "[0]"
+
+
+def test_check_gait_sizes_no_starts(tmp_path, capsys):
+    # check-gait draws no starts, so a config's huge random count does not matter.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "crawler2", "initial_states": {"random": 2**40}}))
+    assert run_cli("check-gait", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.startswith("uniqueness margin: 1\n")
 
 
 def test_check_gait_requires_gait():

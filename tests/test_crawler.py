@@ -46,6 +46,7 @@ from sweeplab.crawler import (
     rest_length_values,
     running_periodic_decomposition,
     simulate_reduced,
+    _period_margin,
 )
 from sweeplab.errors import (
     DegenerateGaitError,
@@ -268,6 +269,50 @@ def test_margin_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_period_margin_equals_the_eighth_point_floor():
+    # Lattice thresholds on the period/8 grid sum exactly, so the exact
+    # margin over the period equals gait_margin_floor's, zeros included.
+    rng = np.random.default_rng(29)
+    zero = 0
+    for N in range(2, 7):
+        for _ in range(6):
+            g = random_gait(rng, N)
+            report = _period_margin(g)
+            assert report.min_margin == gait_margin_floor(g), N
+            assert margin_at(g, report.worst_time)[0] <= TOL + report.min_margin
+            zero += report.min_margin == 0
+    assert zero > 0, "no draw has a vanishing margin (test vacuous)"
+
+
+def test_period_margin_finds_a_zero_between_breakpoints():
+    # mu1^+ - mu2^- is 1 + 4t - 2.0123 on [0, 0.5]: zero at 0.253075, while
+    # the scan at t = 0 and t = 0.5 sees margins 1.0123 and 0.9877 only.
+    report = _period_margin(_sign_change_gait([(0.0, 1.0), (0.5, 3.0)]))
+    assert report == MarginReport(0.0, report.worst_time, (0,))
+    assert report.worst_time == pytest.approx(0.253075, abs=1e-12)
+    # t = 0 is no breakpoint: mu1^+ is 2.0 there, on its way from 1 at 0.75
+    # to 3 at 1.25, so the first zero is at 0.25 * 0.0123 / 1.0.
+    report = _period_margin(_sign_change_gait([(0.25, 3.0), (0.75, 1.0)]))
+    assert report == MarginReport(0.0, report.worst_time, (0,))
+    assert report.worst_time == pytest.approx(0.003075, abs=1e-12)
+
+
+def test_period_margin_keeps_an_earlier_zero_at_a_breakpoint():
+    # mu1^+ - mu2^- is exactly 0 at the breakpoint 0.25, before it changes
+    # sign inside (0.5, 0.75): the scan's report stands.
+    report = _period_margin(_sign_change_gait([(0.25, 2.0123), (0.5, 1.0), (0.75, 3.0)]))
+    assert report == MarginReport(0.0, 0.25, (0,))
+
+
+def _sign_change_gait(mu1_plus):
+    T = 1.0
+    return dataclasses.replace(
+        two_block_gait(),
+        mu_plus=(PeriodicSignal(T, mu1_plus), PeriodicSignal.constant(5.0, T)),
+        mu_minus=(PeriodicSignal.constant(3.0, T), PeriodicSignal.constant(2.0123, T)),
+    )
 
 
 def test_margin_enumeration_cap():
