@@ -20,6 +20,7 @@ import numpy as np
 
 from .crawler import (
     Gait,
+    _margin_gate,
     _period_margin,
     assemble_positions,
     build_moving_set,
@@ -174,7 +175,8 @@ class RunConfig:
         """Parse the config file, and the flags that override its keys, through
         CONFIG_KEYS, and resolve the run they ask for.
 
-        Also rejects a compare on a run without a gait, run counts whose
+        Also rejects a compare on a run without a gait, the compare command
+        on more than one start (before any start is drawn), run counts whose
         arrays numpy cannot hold (for a command that draws starts, the arrays
         of every start's run together), and numbers that the working tolerance
         cannot resolve. The reports are `run`'s alone, so `cmd_run` checks them.
@@ -218,9 +220,12 @@ class RunConfig:
             raise ConfigError("compare needs a gait scenario or an inline gait")
         moving = problem.moving_set if gait is None else build_moving_set(gait)
         starts = cfg.get("initial_states")
-        runs = 1
-        if draws_starts:   # cmd_run keeps every start's run until all are simulated
-            runs = len(starts) if isinstance(starts, list) else starts or 1
+        count = len(starts) if isinstance(starts, list) else starts or 1
+        if count > 1 and getattr(args, "command", None) == "compare":
+            raise ConfigError(
+                f"compare takes one start, got {count}; run --compare checks the first of several"
+            )
+        runs = count if draws_starts else 1   # cmd_run keeps every start's run until all are simulated
         _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints, runs)
         drift = (problem.drift or ()) if gait is None else ()
         _check_resolvable([moving.normals.ravel()]
@@ -412,10 +417,6 @@ def _solver_gap(run, x0, t0, periods, steps) -> dict:
 def cmd_compare(args) -> int:
     cfg = RunConfig.load(args)
     starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
-    if len(starts) > 1:
-        raise ConfigError(
-            f"compare takes one start, got {len(starts)}; run --compare checks the first of several"
-        )
     run = simulate_reduced(cfg.gait, starts[0], cfg.t0, cfg.periods, cfg.steps)
     gap = _solver_gap(run, starts[0], cfg.t0, cfg.periods, cfg.steps)
     if args.out:
@@ -432,9 +433,7 @@ def cmd_check_gait(args) -> int:
     print(f"uniqueness margin: {_fmt_float(report.min_margin)}")
     print(f"worst time: {_fmt_float(report.worst_time)}")
     print(f"worst forward-slip subset (0-based blocks): {list(report.worst_subset)}")
-    if report.min_margin <= DEFAULT_TOL:
-        print("gait rejected: margin vanishes", file=sys.stderr)
-        return 2
+    _margin_gate(report)
     return 0
 
 

@@ -38,7 +38,6 @@ from .signals import (
 )
 from .sweeping import SweepingProblem, Trajectory, _grid, simulate
 
-MARGIN_REJECT_FRACTION = 1e-3  # grid fraction of zero-margin times that rejects a gait
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
 VELOCITY_TOL = 1e-6            # spread of the last per-period displacements for a converged v0
 
@@ -261,12 +260,12 @@ class MarginReport:
 
 def margin_at(g: Gait, t: float):
     """min over subsets J of |sum_J mu^+ - sum_{J^c} mu^-| at time t."""
-    report = _margin_scan(g, [t])[0]
+    report = check_gait_uniqueness(g, [t])
     return report.min_margin, report.worst_subset
 
 
-def _margin_scan(g: Gait, times):
-    """Margins at each time and the report on their first minimum.
+def check_gait_uniqueness(g: Gait, times) -> MarginReport:
+    """The report on the least margin at the given times.
 
     Argmin keeps the first minimum in bitmask order, then in time.
     """
@@ -278,7 +277,7 @@ def _margin_scan(g: Gait, times):
         best[block] = sums.argmin(axis=1)
         margins[block] = sums.min(axis=1)
     i = int(np.argmin(margins))
-    return MarginReport(float(margins[i]), float(times[i]), _blocks_in(best[i], g.num_blocks)), margins
+    return MarginReport(float(margins[i]), float(times[i]), _blocks_in(best[i], g.num_blocks))
 
 
 def _signed_sums(g: Gait, times, overlap: int = 0):
@@ -325,7 +324,7 @@ def _period_margin(g: Gait) -> MarginReport:
     changes sign, or vanishes, between t = 0 and the last time too.
     """
     times = np.unique(np.concatenate([[0.0], *(s.times for s in g.mu_plus + g.mu_minus)]))
-    report = _margin_scan(g, times)[0]
+    report = check_gait_uniqueness(g, times)
     for block, sums in _signed_sums(g, times, overlap=1):
         piece, bits = np.nonzero(np.sign(sums[:-1]) * np.sign(sums[1:]) < 0)
         if len(piece):
@@ -339,22 +338,13 @@ def _period_margin(g: Gait) -> MarginReport:
     return report
 
 
-def check_gait_uniqueness(g: Gait, times) -> MarginReport:
-    return _margin_scan(g, times)[0]
-
-
-def _margin_gate(g: Gait, times) -> MarginReport:
-    report, margins = _margin_scan(g, times)
-    frac = float(np.mean(margins <= DEFAULT_TOL))
-    if frac > MARGIN_REJECT_FRACTION:
+def _margin_gate(report: MarginReport) -> MarginReport:
+    """The `_period_margin` report of a gait, unless the margin vanishes
+    somewhere in the period (at most DEFAULT_TOL): then the gait is rejected."""
+    if report.min_margin <= DEFAULT_TOL:
         raise DegenerateGaitError(
-            f"uniqueness margin vanishes on {frac:.1%} of the grid "
-            f"(worst {report.min_margin:.3e} at t={report.worst_time})"
-        )
-    if frac > 0:
-        warnings.warn(
-            f"uniqueness margin vanishes on {frac:.1%} of the grid; results may be fragile",
-            stacklevel=2,
+            f"uniqueness margin vanishes at t={report.worst_time:.6g}: {report.min_margin:.3e} "
+            f"for the forward-slip subset (0-based blocks) {list(report.worst_subset)}"
         )
     return report
 
@@ -408,11 +398,12 @@ def simulate_reduced(
     periods: int,
     steps_per_period: int,
 ) -> CrawlerRun:
-    """Integrate the reduced sweeping process and recover the full motion."""
-    h = _grid(g.period, t0, periods, steps_per_period)[0]
+    """Integrate the reduced sweeping process and recover the full motion.
+
+    Raises DegenerateGaitError, before any step, if the gait's uniqueness
+    margin vanishes anywhere in the period."""
     x0 = _checked_start(g, t0, x0)
-    grid = t0 + h * np.arange(steps_per_period)
-    margin = _margin_gate(g, grid)
+    margin = _margin_gate(_period_margin(g))
 
     K = build_moving_set(g)
     problem = SweepingProblem(K)

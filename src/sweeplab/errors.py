@@ -30,7 +30,7 @@ class InadmissibleStateError(SweepLabError):
 
 
 class DegenerateGaitError(SweepLabError):
-    """A gait fails the uniqueness margin condition on too large a set of times."""
+    """A gait's uniqueness margin vanishes at some time of its period."""
 
 
 class PatternSearchError(SweepLabError):

@@ -517,9 +517,11 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,name", [("run", "box1"), ("compare", "crawler2")])
+@pytest.mark.parametrize("command,name", [("run", "box1"), ("run", "crawler2")])
 def test_starts_whose_runs_together_no_array_can_hold_exit_4_before_any_output(tmp_path, capsys, command, name):
     # One run's table is small; 2^40 of them, all kept until written, are not.
+    # (compare refuses a second start before it sizes anything: see
+    # test_compare_several_starts_exit_4_writes_nothing.)
     out = tmp_path / "x"
     assert run_cli(command, "--scenario", name, "--periods", "3", "--steps", "10",
                    "--starts", str(2**40), "--out", str(out)) == 4
@@ -745,9 +747,15 @@ def test_run_with_compare_flag(tmp_path):
 @pytest.mark.parametrize("flags,config", [
     (["--starts", "3", "--seed", "4"], None),
     ([], {"scenario": "crawler2", "initial_states": [[0.0, 0.0], [0.0, 0.5]]}),
-], ids=["starts-flag", "states-config"])
-def test_compare_several_starts_exit_4_writes_nothing(tmp_path, capsys, flags, config):
+    ([], {"scenario": "crawler2", "initial_states": {"random": 2**40}}),
+], ids=["starts-flag", "states-config", "random-2**40"])
+def test_compare_several_starts_exit_4_writes_nothing(tmp_path, capsys, monkeypatch, flags, config):
     # compare cross-checks one start; run --compare checks the first of several.
+    # The count is refused before any start is drawn or any table is sized.
+    def no_draws(*args):
+        raise AssertionError("compare drew starts")
+
+    monkeypatch.setattr("sweeplab.cli._random_states_in", no_draws)
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -789,6 +797,31 @@ def test_check_gait_reports_a_margin_that_vanishes_between_samples(tmp_path, cap
     assert float(out["uniqueness margin"]) <= 1e-9
     assert abs(float(out["worst time"]) - 0.253075) <= 1e-12
     assert out["worst forward-slip subset (0-based blocks)"] == "[0]"
+    # run judges the margin by the same rule, so no grid hides the zero.
+    for steps in ("200", "4000"):
+        run_out = tmp_path / f"run-{steps}"
+        argv = ["run", "--config", str(cfg), "--periods", "3", "--steps", steps, "--out", str(run_out)]
+        assert run_cli(*argv) == 2
+        assert "t=0.253075:" in capsys.readouterr().err
+        assert not any(run_out.iterdir())
+
+
+GAITS = sorted(name for name, sc in catalog().items() if sc.gait is not None)
+
+
+@pytest.mark.parametrize("name", GAITS)
+def test_run_and_check_gait_report_one_margin(tmp_path, capsys, name):
+    # Both commands judge the exact period margin: the margin in run's
+    # velocity.json is the one check-gait prints, and both reject the same gaits.
+    code = run_cli("check-gait", "--scenario", name)
+    assert code == (2 if name == "crawler2-degenerate" else 0)
+    margin = float(dict(line.split(": ") for line in capsys.readouterr().out.splitlines())["uniqueness margin"])
+    out = tmp_path / name
+    assert run_cli("run", "--scenario", name, "--periods", "3", "--steps", "300", "--out", str(out)) == code
+    if code:
+        assert not any(out.iterdir())
+    else:
+        assert json.loads((out / "velocity.json").read_text())["margin"] == margin
 
 
 def test_check_gait_sizes_no_starts(tmp_path, capsys):

@@ -381,9 +381,11 @@ def test_reduced_rejects_degenerate_gait():
         simulate_reduced(g, x0, 0.0, 3, 100)
 
 
-def test_reduced_warns_on_isolated_margin_zeros():
-    # mu_1^+ crosses mu_2^- at exactly two grid instants: 2/2000 of the grid
-    # is degenerate, below the rejection fraction, so the run warns and goes on
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+@pytest.mark.parametrize("M", [200, 2000])
+def test_reduced_rejects_isolated_margin_zeros(M, t0):
+    # mu_1^+ crosses mu_2^- at t = 0.25 and 0.75 only: any zero of the margin
+    # rejects the gait, whatever the grid and wherever it starts
     T = 1.0
     mu1p = PeriodicSignal(T, [(0.0, 1.0), (0.5, 3.0)])
     g = Gait(
@@ -392,9 +394,8 @@ def test_reduced_warns_on_isolated_margin_zeros():
         (mu1p, PeriodicSignal.constant(1.0, T)),
         (PeriodicSignal.constant(2.0, T), PeriodicSignal.constant(2.0, T)),
     )
-    with pytest.warns(UserWarning, match="margin vanishes"):
-        run = simulate_reduced(g, np.array([0.0, 0.0]), 0.0, 3, 2000)
-    assert len(run.reduced.states) == 3 * 2000 + 1
+    with pytest.raises(DegenerateGaitError, match=r"t=0\.25: .* \[0\]"):
+        simulate_reduced(g, np.array([0.0, 0.0]), t0, 3, M)
 
 
 def test_two_block_velocity_reference():

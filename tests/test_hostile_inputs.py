@@ -4,7 +4,7 @@ Each case takes a bundled scenario's exported config at 3 periods of 120
 steps and replaces one JSON node by one hostile value, or deletes it. Every
 case must exit 0, 2, 3 or 4; say why on stderr when it exits nonzero; leave
 no file behind on a nonzero exit (an empty directory may remain); and raise
-no RuntimeWarning (the margin gate's UserWarning is allowed).
+no RuntimeWarning.
 
 Tier-1 runs a fixed, seeded sample of the cases. Run this file as a script
 to sweep every case:
