@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+# K(t) comes from Gait.moving_set, built once per gait; build_moving_set stays
+# imported because the benchmark's tracer (perfbench/spans.py) wraps it by name here.
 from .crawler import (
     Gait,
     _margin_gate,
-    _period_margin,
     assemble_positions,
     build_moving_set,
     estimate_velocity,
@@ -218,7 +219,7 @@ class RunConfig:
         compare = getattr(args, "compare", False)
         if gait is None and compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
-        moving = problem.moving_set if gait is None else build_moving_set(gait)
+        moving = problem.moving_set if gait is None else gait.moving_set
         starts = cfg.get("initial_states")
         count = len(starts) if isinstance(starts, list) else starts or 1
         if count > 1 and getattr(args, "command", None) == "compare":
@@ -429,7 +430,7 @@ def cmd_check_gait(args) -> int:
     gait = RunConfig.load(args, draws_starts=False).gait
     if gait is None:
         raise ConfigError("check-gait needs a gait scenario or an inline gait")
-    report = _period_margin(gait)
+    report = gait.period_margin
     print(f"uniqueness margin: {_fmt_float(report.min_margin)}")
     print(f"worst time: {_fmt_float(report.worst_time)}")
     print(f"worst forward-slip subset (0-based blocks): {list(report.worst_subset)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,13 @@ VELOCITY_TOL = 1e-6            # spread of the last per-period displacements for
 
 @dataclass(frozen=True)
 class Gait:
-    """Periodic actuation lengths and friction thresholds for an N-block crawler."""
+    """Periodic actuation lengths and friction thresholds for an N-block crawler.
+
+    A gait and its signals are read-only, so what depends on the gait alone
+    is computed on first use and kept with it: K(t) (``moving_set``), the
+    period-margin report (``period_margin``) and the oracle's pattern systems
+    (``_pattern_table``). Every run of the gait shares them.
+    """
 
     num_blocks: int
     period: float
@@ -89,6 +96,22 @@ class Gait:
         object.__setattr__(self, "rest_lengths", tuple(self.rest_lengths))
         object.__setattr__(self, "mu_plus", tuple(self.mu_plus))
         object.__setattr__(self, "mu_minus", tuple(self.mu_minus))
+
+    @cached_property
+    def moving_set(self) -> MovingPolyhedron:
+        """K(t), from build_moving_set."""
+        return build_moving_set(self)
+
+    @cached_property
+    def period_margin(self) -> "MarginReport":
+        """The least uniqueness margin over a period, from _period_margin."""
+        return _period_margin(self)
+
+    @cached_property
+    def _pattern_table(self) -> "_PatternTable":
+        """The oracle's pattern systems for A = k PZ^T PZ, filled as runs use them."""
+        PZ = shape_matrix(self.num_blocks)
+        return _PatternTable(self.stiffness * (PZ.T @ PZ))
 
     def to_json(self) -> dict:
         return {
@@ -267,9 +290,16 @@ def margin_at(g: Gait, t: float):
 def check_gait_uniqueness(g: Gait, times) -> MarginReport:
     """The report on the least margin at the given times.
 
-    Argmin keeps the first minimum in bitmask order, then in time.
+    Argmin keeps the first minimum in bitmask order, then in time. Raises
+    ValueError, before any sum is built, unless times is a nonempty 1-d
+    sequence of finite numbers.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times):
+        raise ValueError(f"need a nonempty 1-d sequence of times, got shape {times.shape}")
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise ValueError(f"time {times[int(np.argmax(bad))]} is not finite")
     margins = np.empty(len(times))
     best = np.empty(len(times), dtype=np.int64)
     for block, sums in _signed_sums(g, times):
@@ -403,10 +433,9 @@ def simulate_reduced(
     Raises DegenerateGaitError, before any step, if the gait's uniqueness
     margin vanishes anywhere in the period."""
     x0 = _checked_start(g, t0, x0)
-    margin = _margin_gate(_period_margin(g))
+    margin = _margin_gate(g.period_margin)
 
-    K = build_moving_set(g)
-    problem = SweepingProblem(K)
+    problem = SweepingProblem(g.moving_set)
     w0 = -g.stiffness * pi_z(x0)
     traj = simulate(problem, w0, t0, periods, steps_per_period)
 
@@ -494,18 +523,28 @@ class _PatternSystem:
         self.slips = np.flatnonzero(self.sign)
         self.sticks = np.flatnonzero(self.sign == 0)
         self.forward = self.sign[self.slips] > 0
+        blocks = [self.sign, self.slips, self.sticks, self.forward]
         if len(self.slips):
             self.A_SS = A[np.ix_(self.slips, self.slips)]
             self.A_ST = A[np.ix_(self.slips, self.sticks)]
+            blocks += [self.A_SS, self.A_ST]
+        for a in blocks:
+            a.setflags(write=False)
 
 
 class _PatternTable(dict):
-    """Per-run cache of pattern systems, filled on first use."""
+    """Cache of the pattern systems of one matrix A, filled on first use.
+
+    A gait keeps one (Gait._pattern_table), so every oracle run of the gait
+    shares its systems; they are read-only, and A is a read-only copy.
+    """
 
     def __init__(self, A: np.ndarray):
         super().__init__()
-        self.A = A
-        self.negA = -A
+        self.A = np.array(A, dtype=float)
+        self.negA = -self.A
+        self.A.setflags(write=False)
+        self.negA.setflags(write=False)
 
     def __missing__(self, pat):
         system = self[pat] = _PatternSystem(self.A, self.negA, pat)
@@ -557,10 +596,10 @@ def incremental_oracle(
     x0 = _checked_start(g, t0, x0)
 
     PZ = shape_matrix(N)
-    A = g.stiffness * (PZ.T @ PZ)   # force(x) = -A x + k PZ^T ell
+    # force(x) = -A x + k PZ^T ell, with A = k PZ^T PZ held by the gait's pattern table.
     # One stacked matrix-vector product per phase, bit-equal to PZ.T @ ell per row.
     b_phase = g.stiffness * (PZ.T @ ell_phase[..., None])[..., 0]
-    table = _PatternTable(A)
+    table = g._pattern_table
 
     K = periods * M
     xs = np.empty((K + 1, N))

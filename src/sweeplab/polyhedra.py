@@ -199,11 +199,13 @@ def _subset_table(B: np.ndarray):
     that forms a kept pair with every member, and _independent decides as it
     would over all combinations.
 
-    Returns (entries, index, stacks). Entries are (indices, B_S, G_S) with
-    G_S = B_S B_S^T, ordered by size then lexicographically; index maps each
-    index tuple to its entry number. stacks[s - 1] holds the size-s entries as
-    read-only arrays (K_s, s), (K_s, s, n) and (K_s, s, s) in table order, and
-    the entries are views into them. Cached per distinct normals matrix.
+    Returns (entries, index, stacks, faces). Entries are (indices, B_S, G_S)
+    with G_S = B_S B_S^T, ordered by size then lexicographically; index maps
+    each index tuple to its entry number. stacks[s - 1] holds the size-s
+    entries as read-only arrays (K_s, s), (K_s, s, n) and (K_s, s, s) in table
+    order, and the entries are views into them. faces starts empty: it holds
+    the face maps that sweeping._face_maps builds for B, by subset. Cached
+    per distinct normals matrix, so every run on B shares them.
     """
     key = (B.tobytes(), B.shape)
     table = _TABLES.get(key)
@@ -235,7 +237,7 @@ def _subset_table(B: np.ndarray):
         stacks.append(stack)
         entries.extend(zip(*stack))
     # Only the benchmark's tracer (perfbench/spans.py, on_project) reads the index.
-    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks)
+    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {})
     if len(_TABLES) > 512:
         _TABLES.clear()
     _TABLES[key] = table

@@ -156,7 +156,8 @@ def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
 
 
 def _face_maps(B, subset, faces):
-    """(idx, B_S, G_S^-1, Pi_S, R_S) for an accepted subset, built on first use."""
+    """(idx, B_S, G_S^-1, Pi_S, R_S) for an accepted subset, read-only, built
+    on first use into faces, the face-map dict of B's subset table."""
     face = faces.get(subset)
     if face is None:
         idx = np.array(subset)
@@ -164,6 +165,8 @@ def _face_maps(B, subset, faces):
         Ginv = np.linalg.inv(BS @ BS.T)
         R = BS.T @ Ginv
         face = faces[subset] = (idx, BS, Ginv, np.eye(B.shape[1]) - R @ BS, R)
+        for a in face:
+            a.setflags(write=False)
     return face
 
 
@@ -226,7 +229,7 @@ def simulate(
     only warm start.
 
     A period of the loop is a pure function of the state it starts from: the
-    phase tables, the subset table and the face maps are fixed for the run,
+    phase tables, the subset table and its face maps are fixed for the run,
     and blocks never cross a period boundary. So once a period starts from
     the state, bit for bit, that the period before started from, the run is
     on an exact periodic orbit, and the remaining periods are copies of the
@@ -260,7 +263,6 @@ def simulate(
     # its end and its drift increment.
     c_next = np.roll(offsets_phase, -1, axis=0)
     dz = None if drift_phase is None else h * drift_phase
-    faces = {}
 
     z = z0.copy()
     k = 0
@@ -282,7 +284,7 @@ def simulate(
         # scalar step and the discrete map stays exactly T-periodic.
         if k % M:
             rows = slice(k % M, M)
-            face = _face_maps(B, subset, faces) if subset else None
+            face = _face_maps(B, subset, table[3]) if subset else None
             used, Z, lam = _segment(
                 B, c_next[rows], None if dz is None else dz[rows], z, face
             )

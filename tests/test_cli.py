@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sweeplab.crawler
 from helpers import reference_motion_csv, reference_trajectory_csv
 from sweeplab.cli import (
     CONFIG_KEYS,
@@ -168,6 +169,27 @@ def test_run_is_deterministic(tmp_path):
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
     assert read_bytes_map(out1) == read_bytes_map(out2)
+
+
+def test_commands_build_k_and_the_margin_once_each(tmp_path, monkeypatch):
+    # A command's gait keeps K(t) and its margin report: RunConfig.load,
+    # every start's run, the oracle and check-gait share them.
+    calls = {"build_moving_set": [], "_period_margin": []}
+    for name, log in calls.items():
+        real = getattr(sweeplab.crawler, name)
+
+        def counted(g, real=real, log=log):
+            log.append(g)
+            return real(g)
+
+        monkeypatch.setattr(sweeplab.crawler, name, counted)
+    args = ("run", "--scenario", "crawler3", "--starts", "3", "--seed", "5", "--compare",
+            "--periods", "3", "--steps", "300")
+    for out in ("a", "b"):
+        assert run_cli(*args, "--out", str(tmp_path / out)) == 0
+    assert run_cli("check-gait", "--scenario", "crawler3") == 0
+    for log in calls.values():
+        assert len(log) == 3 and len({id(g) for g in log}) == 3   # once per command, each its own gait
 
 
 def test_run_random_starts_on_plain_problem(tmp_path):

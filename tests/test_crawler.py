@@ -322,6 +322,33 @@ def test_margin_enumeration_cap():
         margin_at(g, 0.0)
 
 
+def _no_sums(monkeypatch):
+    def signed_sums(*args, **kwargs):
+        raise AssertionError("a sum was built")
+
+    monkeypatch.setattr(sweeplab.crawler, "_signed_sums", signed_sums)
+
+
+def test_margin_scan_refuses_empty_times(monkeypatch):
+    _no_sums(monkeypatch)
+    with pytest.raises(ValueError, match=r"^need a nonempty 1-d sequence of times, got shape \(0,\)$"):
+        check_gait_uniqueness(two_block_gait(), [])
+
+
+def test_margin_at_refuses_a_nan_time(monkeypatch):
+    _no_sums(monkeypatch)
+    with pytest.raises(ValueError, match="^time nan is not finite$"):
+        margin_at(two_block_gait(), float("nan"))
+
+
+def test_margin_scan_names_the_first_non_finite_time(monkeypatch):
+    # Without the check, inf % T warned "invalid value encountered in
+    # remainder" (an error under this suite's filters) and still gave a report.
+    _no_sums(monkeypatch)
+    with pytest.raises(ValueError, match="^time inf is not finite$"):
+        check_gait_uniqueness(two_block_gait(), [0.1, float("inf"), float("nan")])
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -1012,6 +1039,123 @@ def test_oracle_error_names_the_nearest_miss_after_the_flip(monkeypatch):
                         f"nearest miss {pattern} violates by 2.000e-09") + "$",
     ):
         incremental_oracle(gait, x0, 0.0, 2, 200)
+
+
+# ---------------------------------------------------------------------------
+# values kept on the gait: K(t), the period margin, the pattern systems
+
+def _counting(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends its first argument to calls."""
+    real = getattr(owner, name)
+
+    def wrapper(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_reduced_runs_of_one_gait_build_k_and_the_margin_once(monkeypatch):
+    cr = sweeplab.crawler
+    builds, margins, gates = [], [], []
+    _counting(monkeypatch, cr, "build_moving_set", builds)
+    _counting(monkeypatch, cr, "_period_margin", margins)
+    _counting(monkeypatch, cr, "_margin_gate", gates)
+    g = three_block_gait()
+    x0 = _rest_start(g)
+    for shift in (0.0, 0.1, -0.2):
+        simulate_reduced(g, x0 + shift, 0.0, 3, 200)
+    assert builds == [g] and margins == [g]
+    assert len(gates) == 3   # the gate still judges every run
+
+
+def test_oracle_runs_of_one_gait_build_each_pattern_system_once(monkeypatch):
+    cr = sweeplab.crawler
+    real = cr._PatternSystem
+    patterns = []
+
+    def pattern_system(A, negA, pat):
+        patterns.append(pat)
+        return real(A, negA, pat)
+
+    monkeypatch.setattr(cr, "_PatternSystem", pattern_system)
+    g = three_block_gait()
+    x0 = _rest_start(g)
+    first = incremental_oracle(g, x0, 0.0, 2, 200)
+    count = len(patterns)
+    second = incremental_oracle(g, x0, 0.0, 2, 200)
+    assert count > 1 and len(patterns) == count == len(set(patterns))
+    assert second.motion.positions.tobytes() == first.motion.positions.tobytes()
+
+
+def _run_bytes(g, x0):
+    red = simulate_reduced(g, x0, 0.0, 3, 200)
+    orc = incremental_oracle(g, x0, 0.0, 3, 200)
+    return (red.reduced.states.tobytes(), red.reduced.multipliers.tobytes(),
+            red.reduced.active_masks.tobytes(), red.motion.positions.tobytes(), red.margin,
+            orc.motion.positions.tobytes(), orc.patterns.tobytes())
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["tables-cleared", "tables-warm"])
+def test_gait_caches_do_not_leak_between_gaits(monkeypatch, cold):
+    # A twin equal by value, and a gait that differs in one mu value (so has
+    # the same normals and shares the subset table and face maps), each run
+    # as a freshly built copy of itself runs.
+    tables = {}
+    monkeypatch.setattr(sweeplab.polyhedra, "_TABLES", tables)
+
+    def runs(g):
+        if cold:
+            tables.clear()
+        return _run_bytes(g, _rest_start(g))
+
+    g = three_block_gait()
+    original = runs(g)
+    twin = dataclasses.replace(g)
+    assert twin == g and twin is not g
+    assert runs(twin) == original
+    mu = list(g.mu_plus)
+    mu[1] = PeriodicSignal.constant(1.2, g.period)
+    changed = dataclasses.replace(g, mu_plus=tuple(mu))
+    got = runs(changed)
+    tables.clear()
+    expected = _run_bytes(Gait.from_json(changed.to_json()), _rest_start(changed))
+    assert got == expected and got != original
+    assert changed.moving_set is not g.moving_set
+    assert changed._pattern_table is not g._pattern_table
+
+
+def _frozen_arrays(*arrays):
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_values_kept_on_the_gait_refuse_writes():
+    g = three_block_gait()
+    x0 = _rest_start(g)
+    simulate_reduced(g, x0, 0.0, 2, 200)
+    incremental_oracle(g, x0, 0.0, 2, 200)
+    table = g._pattern_table
+    assert len(table) > 1
+    _frozen_arrays(table.A, table.negA, g.moving_set.normals)
+    for system in table.values():
+        blocks = [system.negA, system.sign, system.slips, system.sticks, system.forward]
+        if len(system.slips):
+            blocks += [system.A_SS, system.A_ST]
+        _frozen_arrays(*blocks)
+    faces = sweeplab.polyhedra._subset_table(g.moving_set.normals)[3]
+    assert faces
+    for face in faces.values():
+        _frozen_arrays(*face)
+
+
+def test_pattern_table_keeps_a_read_only_copy_of_a():
+    A = np.eye(2)
+    table = sweeplab.crawler._PatternTable(A)
+    assert A.flags.writeable and table.A is not A
+    np.testing.assert_array_equal(table.A, A)
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def _table_inputs():
 
 
 def _assert_table_equal(B):
-    entries, index, stacks = _subset_table(B)
+    entries, index, stacks, _faces = _subset_table(B)
     ref_entries, ref_index, ref_stacks = reference_subset_table(B)
     assert index == ref_index
     for stack, ref in zip(stacks, ref_stacks, strict=True):
@@ -382,13 +382,13 @@ def test_subset_table_tests_only_families_whose_pairs_are_kept(monkeypatch, N):
 
 def test_subset_table_half_plane_has_empty_stacks():
     sweeplab.polyhedra._TABLES.clear()
-    _, index, stacks = _subset_table(np.array([[1.0, 0.0]]))
+    _, index, stacks, _ = _subset_table(np.array([[1.0, 0.0]]))
     assert list(index) == [(0,)]
     assert [a.shape for a in stacks[1]] == [(0, 2), (0, 2, 2), (0, 2, 2)]
 
 
 def test_subset_table_drops_a_pair_with_a_singular_gram_matrix():
-    _, index, _ = _subset_table(nearly_parallel_pair().normals)
+    _, index, _, _ = _subset_table(nearly_parallel_pair().normals)
     assert (0, 1) not in index and (0, 3) in index
 
 

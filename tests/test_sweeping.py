@@ -11,7 +11,7 @@ from helpers import (
     reference_simulate,
     reference_trajectory_csv,
 )
-from sweeplab import sweeping
+from sweeplab import polyhedra, sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
@@ -431,6 +431,47 @@ def test_simulate_stops_projecting_once_on_its_orbit(monkeypatch):
         simulate(problem, z0, 0.0, periods, M)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_problems_with_the_same_normals_share_face_maps(monkeypatch):
+    # box3 and a copy with every offset raised by 0.25 have one normals
+    # matrix, so one subset table and one set of face maps; run one after
+    # the other, each matches its run from empty caches bit for bit.
+    sc = catalog()["box3"]
+    P = sc.problem.moving_set
+    wider = MovingPolyhedron(P.normals, [combine([s], [1.0], constant=0.25) for s in P.offsets])
+    problems = [sc.problem, SweepingProblem(wider)]
+    tables = {}
+    monkeypatch.setattr(polyhedra, "_TABLES", tables)
+
+    def run(problem):
+        traj = simulate(problem, sc.initial_state, 0.0, 4, 200)
+        return traj.states.tobytes(), traj.multipliers.tobytes(), traj.active_masks.tobytes()
+
+    cold = []
+    for problem in problems:
+        tables.clear()
+        cold.append(run(problem))
+    tables.clear()
+    used, built = [], []
+    face_maps = sweeping._face_maps
+
+    def recording(B, subset, faces):
+        used[-1].add(subset)
+        if subset not in faces:
+            built[-1].add(subset)
+        return face_maps(B, subset, faces)
+
+    monkeypatch.setattr(sweeping, "_face_maps", recording)
+    warm = []
+    for problem in problems:
+        used.append(set())
+        built.append(set())
+        warm.append(run(problem))
+    assert warm == cold and cold[0] != cold[1]
+    assert len(tables) == 1
+    assert used[1] & built[0], "the second problem used no face of the first (test vacuous)"
+    assert len(next(iter(tables.values()))[3]) == len(built[0]) + len(built[1])
 
 
 # ---------------------------------------------------------------------------
