@@ -514,7 +514,8 @@ class _PatternSystem:
 
     Sticking blocks T keep their positions; slipping blocks S solve
     A_SS x_S = b_S - target_S - A_ST x_T, with target mu^+ for forward and
-    -mu^- for backward slip.
+    -mu^- for backward slip. A pattern with a sticking block pins the chain,
+    so its A_SS is positive definite and is inverted once, as A_SS_inv.
     """
 
     def __init__(self, A: np.ndarray, negA: np.ndarray, pat: tuple):
@@ -525,9 +526,9 @@ class _PatternSystem:
         self.forward = self.sign[self.slips] > 0
         blocks = [self.sign, self.slips, self.sticks, self.forward]
         if len(self.slips):
-            self.A_SS = A[np.ix_(self.slips, self.slips)]
+            self.A_SS_inv = np.linalg.inv(A[np.ix_(self.slips, self.slips)])
             self.A_ST = A[np.ix_(self.slips, self.sticks)]
-            blocks += [self.A_SS, self.A_ST]
+            blocks += [self.A_SS_inv, self.A_ST]
         for a in blocks:
             a.setflags(write=False)
 
@@ -631,7 +632,9 @@ def _try_pattern(x, b, mup, mum, system):
     """Run one slip pattern from x over consecutive steps: the oracle's KKT test.
 
     b, mup and mum hold one row per step. Sticking blocks keep x, so every
-    slipping row is solved in one stacked solve. A step passes when no term
+    slipping row is one product with A_SS^-1, stacked per row: a 2-D product
+    would let the BLAS change a row's bits with the row count, and the
+    stacked one keeps them those of a one-row block. A step passes when no term
     exceeds DEFAULT_TOL: a slipping block gives sign * (previous row - row),
     so it must move in its direction, and a sticking block gives
     max(force - mu^+, -mu^- - force), so its force stays within the bounds.
@@ -645,7 +648,7 @@ def _try_pattern(x, b, mup, mum, system):
     if len(S):
         target = np.where(system.forward, mup[:, S], -mum[:, S])
         rhs = b[:, S] - target - system.A_ST @ x[system.sticks]
-        rows[:, S] = np.linalg.solve(system.A_SS, rhs[..., None])[..., 0]
+        rows[:, S] = (system.A_SS_inv @ rhs[..., None])[..., 0]
     force = (system.negA @ rows[..., None])[..., 0] + b
     prev = np.concatenate((x[None, :], rows[:-1]))
     sign = system.sign

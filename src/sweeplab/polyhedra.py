@@ -11,11 +11,14 @@ order, that is primal feasible with nonnegative multipliers. Problems here
 are small (n <= ~8, m <= 24), so the enumeration is exact and cheap, and its
 multipliers feed the sweeping-process integrator directly.
 
-All candidates of one size are tested together: one stacked solve for their
-multipliers, one stacked product for their points, and the first passing row
-in table order wins. Stacked LAPACK/BLAS calls run the same routine per item
-as one-at-a-time calls, so the result is bit-equal to trying the candidates in
-a loop; tests/helpers.py:reference_project_raw is that loop and pins it.
+All candidates of one size are tested together: their multipliers are the
+stacked product of the size's Gram inverses G_S^-1 with the residuals, refined
+once, their points one more stacked product, and the first passing row in
+table order wins. Each G_S^-1 depends only on the normals, so the subset table
+inverts a size's Gram matrices once, when a search first reaches that size.
+A stacked product runs the same BLAS routine per item as a one-at-a-time
+product, so the result is bit-equal to trying the candidates in a loop;
+tests/helpers.py:reference_project_raw is that loop and pins it.
 
 One rule, _independent, decides linear independence everywhere: s <= n rows
 and sigma_min > sqrt(eps) * sigma_max with the rows scaled to unit length, so
@@ -63,6 +66,8 @@ class FrozenPolyhedron:
             raise ValueError("offsets must have one entry per normal")
         if not np.isfinite(B).all():
             raise ValueError("normals must be finite")
+        if not np.isfinite(c).all():
+            raise ValueError("offsets must be finite")
         if np.any(np.linalg.norm(B, axis=1) == 0):
             raise ValueError("zero normal vector")
         B.setflags(write=False)
@@ -199,13 +204,15 @@ def _subset_table(B: np.ndarray):
     that forms a kept pair with every member, and _independent decides as it
     would over all combinations.
 
-    Returns (entries, index, stacks, faces). Entries are (indices, B_S, G_S)
-    with G_S = B_S B_S^T, ordered by size then lexicographically; index maps
-    each index tuple to its entry number. stacks[s - 1] holds the size-s
-    entries as read-only arrays (K_s, s), (K_s, s, n) and (K_s, s, s) in table
-    order, and the entries are views into them. faces starts empty: it holds
-    the face maps that sweeping._face_maps builds for B, by subset. Cached
-    per distinct normals matrix, so every run on B shares them.
+    Returns (entries, index, stacks, faces, inverses). Entries are
+    (indices, B_S, G_S) with G_S = B_S B_S^T, ordered by size then
+    lexicographically; index maps each index tuple to its entry number.
+    stacks[s - 1] holds the size-s entries as read-only arrays (K_s, s),
+    (K_s, s, n) and (K_s, s, s) in table order, and the entries are views into
+    them. faces starts empty: it holds the face maps that sweeping._face_maps
+    builds for B, by subset. inverses[s - 1] is None until _gram_inverses
+    first asks for size s, and then the read-only (K_s, s, s) stack of G_S^-1.
+    Cached per distinct normals matrix, so every run on B shares them.
     """
     key = (B.tobytes(), B.shape)
     table = _TABLES.get(key)
@@ -237,20 +244,23 @@ def _subset_table(B: np.ndarray):
         stacks.append(stack)
         entries.extend(zip(*stack))
     # Only the benchmark's tracer (perfbench/spans.py, on_project) reads the index.
-    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {})
+    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {}, [None] * n)
     if len(_TABLES) > 512:
         _TABLES.clear()
     _TABLES[key] = table
     return table
 
 
-def _solve_multipliers(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G lam = rhs, for one system (rhs (s,)) or a stack (rhs (K, s, 1))."""
-    lam = np.linalg.solve(G, rhs)
-    # One step of iterative refinement keeps equality residuals near machine eps
-    # even for moderately ill-conditioned active sets.
-    lam += np.linalg.solve(G, rhs - G @ lam)
-    return lam
+def _gram_inverses(table, size: int) -> np.ndarray:
+    """The read-only (K_s, s, s) stack of G_S^-1 over the table's size-s
+    entries, inverted on first use. _independent keeps only families whose
+    Gram matrix is invertible in floats."""
+    inverses = table[4]
+    Ginv = inverses[size - 1]
+    if Ginv is None:
+        Ginv = inverses[size - 1] = np.linalg.inv(table[2][size - 1][2])
+        Ginv.setflags(write=False)
+    return Ginv
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +272,25 @@ def _active_mask(B, C, Z) -> np.ndarray:
     return (C - Z @ B.T <= DEFAULT_TOL) @ np.left_shift(1, np.arange(B.shape[0], dtype=np.int64))
 
 
+def _checked_vector(F: FrozenPolyhedron, x, name: str) -> np.ndarray:
+    """x as a float array of F's dimension; ValueError, naming it, when it is
+    not one or is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (F.dim,):
+        raise ValueError(f"{name} has dimension {x.shape}, expected ({F.dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} {x} is not finite")
+    return x
+
+
 def contains(F: FrozenPolyhedron, z) -> bool:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (F.dim,):
-        raise ValueError(f"point has dimension {z.shape}, expected ({F.dim},)")
+    z = _checked_vector(F, z, "point")
     return bool(np.all(F.normals @ z <= F.offsets + DEFAULT_TOL))
 
 
 def active_set(F: FrozenPolyhedron, z) -> np.ndarray:
     """Indices of constraints active at z (empty for interior points)."""
-    z = np.asarray(z, dtype=float)
+    z = _checked_vector(F, z, "point")
     resid = F.offsets - F.normals @ z
     if np.any(resid < -DEFAULT_TOL):
         raise MembershipError(f"point violates constraints by {-resid.min():.3e} > tol")
@@ -300,10 +319,15 @@ def _project_raw(B, c, table, p):
     if np.all(resid >= -DEFAULT_TOL):
         return p.copy(), np.zeros(B.shape[0]), ()
     bound = (c + DEFAULT_TOL)[:, None]
-    for idx, BS, G in table[2]:
+    for size, (idx, BS, G) in enumerate(table[2], 1):
         # Per row: multipliers >= -tol, then the point feasible; the first
         # row passing both wins, as in a loop over the candidates.
-        lam_s = _solve_multipliers(G, (BS @ p - c[idx])[..., None])
+        Ginv = _gram_inverses(table, size)
+        r = (BS @ p - c[idx])[..., None]
+        lam_s = Ginv @ r
+        # One step of iterative refinement keeps equality residuals near
+        # machine eps even for moderately ill-conditioned active sets.
+        lam_s += Ginv @ (r - G @ lam_s)
         rows = np.flatnonzero(~(lam_s < -DEFAULT_TOL).any(axis=(1, 2)))
         if not len(rows):
             continue
@@ -340,9 +364,7 @@ def project(F: FrozenPolyhedron, p) -> ProjectionResult:
     Subsets are tried in size-then-lexicographic order, which makes the
     reported multipliers deterministic.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (F.dim,):
-        raise ValueError(f"point has dimension {p.shape}, expected ({F.dim},)")
+    p = _checked_vector(F, p, "point")
     table = _subset_table(F.normals)
     z, lam, subset = _project_raw(F.normals, F.offsets, table, p)
     return ProjectionResult(z, lam, subset)
@@ -357,7 +379,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
     Requires the active normals at z to be linearly independent; the
     coefficients then depend only on v and the face, not on the base point.
     """
-    v = np.asarray(v, dtype=float)
+    v = _checked_vector(F, v, "vector")
     act = active_set(F, z)
     lam = np.zeros(F.num_constraints)
     vnorm = np.linalg.norm(v)
@@ -369,7 +391,9 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
     if not _independent(BS):
         raise LicqError(f"active normals {tuple(act.tolist())} are linearly dependent")
     G = BS @ BS.T
-    lam_s = _solve_multipliers(G, BS @ v)
+    rhs = BS @ v
+    lam_s = np.linalg.solve(G, rhs)
+    lam_s += np.linalg.solve(G, rhs - G @ lam_s)   # one refinement step
     if np.any(lam_s < -DEFAULT_TOL):
         raise NormalConeError(f"negative coefficient {lam_s.min():.3e}: v not in the normal cone")
     lam_s = np.maximum(lam_s, 0.0)

@@ -10,6 +10,7 @@ be tested at tolerances near machine precision instead of O(h).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .polyhedra import (
     FrozenPolyhedron,
     MovingPolyhedron,
     _active_mask,
+    _gram_inverses,
     _independent,
     _project_raw,
     _subset_table,
@@ -155,16 +157,19 @@ def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
     return res.point, res.multipliers
 
 
-def _face_maps(B, subset, faces):
+def _face_maps(subset, table):
     """(idx, B_S, G_S^-1, Pi_S, R_S) for an accepted subset, read-only, built
-    on first use into faces, the face-map dict of B's subset table."""
+    on first use into the face-map dict of the normals' subset table. G_S^-1
+    is the table's own inverse of the subset's Gram matrix."""
+    faces = table[3]
     face = faces.get(subset)
     if face is None:
-        idx = np.array(subset)
-        BS = B[idx]
-        Ginv = np.linalg.inv(BS @ BS.T)
+        size = len(subset)
+        row = table[1][subset] - sum(len(st[0]) for st in table[2][: size - 1])
+        idx, BS = (a[row] for a in table[2][size - 1][:2])
+        Ginv = _gram_inverses(table, size)[row]
         R = BS.T @ Ginv
-        face = faces[subset] = (idx, BS, Ginv, np.eye(B.shape[1]) - R @ BS, R)
+        face = faces[subset] = (idx, BS, Ginv, np.eye(BS.shape[1]) - R @ BS, R)
         for a in face:
             a.setflags(write=False)
     return face
@@ -284,7 +289,7 @@ def simulate(
         # scalar step and the discrete map stays exactly T-periodic.
         if k % M:
             rows = slice(k % M, M)
-            face = _face_maps(B, subset, table[3]) if subset else None
+            face = _face_maps(subset, table) if subset else None
             used, Z, lam = _segment(
                 B, c_next[rows], None if dz is None else dz[rows], z, face
             )
@@ -589,7 +594,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
-    """Rebuild a Trajectory from a CSV written by write_trajectory_csv."""
+    """Rebuild a Trajectory from a CSV written by write_trajectory_csv.
+
+    Raises ValueError when the file holds fewer than two data rows, which
+    could not fix the step."""
+    with open(path) as f:
+        next(f, None)
+        rows = len(list(itertools.islice((line for line in f if line.strip()), 2)))
+    if rows < 2:
+        raise ValueError(f"{path} holds {rows} data rows; a trajectory needs at least 2")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n = problem.dim
     m = problem.moving_set.num_constraints

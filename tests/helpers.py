@@ -150,10 +150,25 @@ def reference_enumerate_faces(F: FrozenPolyhedron) -> set:
     return faces
 
 
-def reference_project_raw(B, c, table, p, tol: float = TOL):
+def inverse_product(G: np.ndarray):
+    """r -> G^-1 r as the library applies it: one matrix-vector product with
+    G's explicit inverse, computed here from G alone."""
+    Ginv = np.linalg.inv(G)
+    return lambda r: (Ginv @ r[:, None])[:, 0]
+
+
+def lu_solve(G: np.ndarray):
+    """r -> G^-1 r by an LU solve, with no explicit inverse: the independent
+    reference for inverse_product."""
+    return lambda r: np.linalg.solve(G, r)
+
+
+def reference_project_raw(B, c, table, p, tol: float = TOL, solver=inverse_product):
     """The projection's candidate loop, one candidate at a time: the first
     subset in table order whose refined multipliers are >= -tol and whose
-    point is feasible. The bit-equal reference for polyhedra._project_raw.
+    point is feasible. With the default solver, the bit-equal reference for
+    polyhedra._project_raw; with lu_solve, the loop as it was before the
+    library inverted each Gram matrix once.
     """
     from sweeplab.errors import InfeasibleSetError
 
@@ -162,8 +177,9 @@ def reference_project_raw(B, c, table, p, tol: float = TOL):
         return p.copy(), np.zeros(B.shape[0]), ()
     for idx, BS, G in table[0]:
         rhs = BS @ p - c[idx]
-        lam_s = np.linalg.solve(G, rhs)
-        lam_s += np.linalg.solve(G, rhs - G @ lam_s)
+        solve = solver(G)
+        lam_s = solve(rhs)
+        lam_s += solve(rhs - G @ lam_s)
         if np.any(lam_s < -tol):
             continue
         z = p - BS.T @ lam_s
@@ -521,11 +537,12 @@ def canonical_patterns(positions: np.ndarray, tol: float = TOL) -> np.ndarray:
 
 
 def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,
-                     tol: float = TOL):
+                     tol: float = TOL, solver=inverse_product):
     """Step-by-step slip-pattern enumeration: at every step, the previous
     step's pattern first, then all 3^N patterns with fewer slipping blocks
-    first, each solved from scratch. The reference for
-    crawler.incremental_oracle.
+    first, each solved from scratch by solver(A_SS). The reference for
+    crawler.incremental_oracle: bit-equal with the default solver, and
+    independent of any explicit inverse with lu_solve.
 
     Returns (positions, patterns) laid out like an OracleRun's motion
     positions and patterns.
@@ -557,7 +574,7 @@ def reference_oracle(g, x0, t0: float, periods: int, steps_per_period: int,
             if len(slips) < N:
                 sticks = np.array([i for i in range(N) if pat[i] == 0])
                 rhs = rhs - A[np.ix_(idx, sticks)] @ x[sticks]
-                x_new[idx] = np.linalg.solve(A[np.ix_(idx, idx)], rhs)
+                x_new[idx] = solver(A[np.ix_(idx, idx)])(rhs)
             else:
                 sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
                 if np.linalg.norm(A @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):

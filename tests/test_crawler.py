@@ -13,6 +13,7 @@ from helpers import (
     canonical_patterns,
     central_difference_gradient,
     load_perfbench,
+    lu_solve,
     gait_margin_floor,
     gait_slips_from_rest,
     oracle_kkt_violations,
@@ -794,6 +795,17 @@ def test_oracle_bit_equal_to_reference_at_eight_blocks():
     _assert_patterns_match_reference(run, positions, patterns)
 
 
+def test_oracle_matches_lu_solve_reference_at_eight_blocks():
+    # The oracle applies each A_SS^-1 as an explicit inverse; the reference
+    # that solves A_SS by LU takes the same patterns, with positions this close.
+    gait = perturbed_peristaltic_gait(8)
+    x0 = _rest_start(gait)
+    run = incremental_oracle(gait, x0, 0.0, 2, 140)
+    positions, patterns = reference_oracle(gait, x0, 0.0, 2, 140, solver=lu_solve)
+    np.testing.assert_allclose(run.motion.positions, positions, rtol=0, atol=1e-13)
+    _assert_patterns_match_reference(run, positions, patterns)
+
+
 @pytest.mark.parametrize("N", [12, 20])
 def test_oracle_steps_are_kkt_points_on_large_crawlers(N):
     # No block cap: every step of a 12- and a 20-block run, in which every
@@ -1143,12 +1155,13 @@ def test_values_kept_on_the_gait_refuse_writes():
     for system in table.values():
         blocks = [system.negA, system.sign, system.slips, system.sticks, system.forward]
         if len(system.slips):
-            blocks += [system.A_SS, system.A_ST]
+            blocks += [system.A_SS_inv, system.A_ST]
         _frozen_arrays(*blocks)
-    faces = sweeplab.polyhedra._subset_table(g.moving_set.normals)[3]
+    faces, inverses = sweeplab.polyhedra._subset_table(g.moving_set.normals)[3:]
     assert faces
     for face in faces.values():
         _frozen_arrays(*face)
+    _frozen_arrays(*(Ginv for Ginv in inverses if Ginv is not None))
 
 
 def test_pattern_table_keeps_a_read_only_copy_of_a():

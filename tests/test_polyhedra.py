@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ import sweeplab.sweeping
 from helpers import (
     brute_force_cone_coefficients,
     load_perfbench,
+    lu_solve,
     peristaltic_starts,
     random_gait,
     random_moving_polyhedron,
@@ -47,6 +49,7 @@ from sweeplab.polyhedra import (
     project,
     vertices,
     _dependent_witness,
+    _gram_inverses,
     _independent,
     _project_raw,
     _subset_table,
@@ -205,7 +208,9 @@ def test_project_tie_goes_to_the_first_passing_candidate(normals, offsets, p, su
     assert np.all(lam >= 0) and np.all(B @ (p - B[S].T @ lam) <= c + TOL)
 
 
-def test_project_bit_equal_on_the_gait_wide_searches(monkeypatch):
+def _gait_wide_full_searches(monkeypatch):
+    """(B, c, table, p, result) of every projection of seed 101's gait_wide
+    runs that accepted a nonempty subset."""
     calls = []
 
     def recording(B, c, table, p):
@@ -219,24 +224,73 @@ def test_project_bit_equal_on_the_gait_wide_searches(monkeypatch):
         simulate_reduced(g, x0, 0.0, wide.PERIODS, wide.STEPS)
     full = [call for call in calls if call[4][2]]
     assert len(full) > 100
-    for B, c, table, p, (z, lam, subset) in full:
+    return full
+
+
+def test_project_bit_equal_on_the_gait_wide_searches(monkeypatch):
+    for B, c, table, p, (z, lam, subset) in _gait_wide_full_searches(monkeypatch):
         z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p)
         assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
         assert subset == subset_ref
 
 
+# The projection applies each G_S^-1 as an explicit inverse; the loop that
+# solves G_S by LU accepts the same subset, with values this close.
+LU_ATOL = 1e-13
+
+
+def _assert_projection_near_lu_loop(B, c, table, p, result):
+    z, lam, subset = result
+    z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p, solver=lu_solve)
+    assert subset == subset_ref
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=LU_ATOL)
+    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=LU_ATOL)
+
+
+def test_project_matches_lu_solve_loop_on_random_polyhedra():
+    for rng, F in _random_draws(50):
+        table = _subset_table(F.normals)
+        for _ in range(4):
+            p = random_point_outside(rng, F)
+            result = _project_raw(F.normals, F.offsets, table, p)
+            _assert_projection_near_lu_loop(F.normals, F.offsets, table, p, result)
+
+
+def test_project_matches_lu_solve_loop_on_the_gait_wide_searches(monkeypatch):
+    for B, c, table, p, result in _gait_wide_full_searches(monkeypatch):
+        _assert_projection_near_lu_loop(B, c, table, p, result)
+
+
+def test_gram_inverses_are_built_for_the_sizes_a_search_reaches(monkeypatch):
+    # A point beyond one facet of the 3-d box is accepted at size 1, so only
+    # size 1 is inverted; a point beyond a corner reaches size 3 and inverts
+    # every size on the way.
+    monkeypatch.setattr(sweeplab.polyhedra, "_TABLES", {})
+    B = np.vstack([np.eye(3), -np.eye(3)])
+    c = np.ones(6)
+    table = _subset_table(B)
+    assert table[4] == [None, None, None]
+    assert _project_raw(B, c, table, np.array([2.0, 0.0, 0.0]))[2] == (0,)
+    assert table[4][0] is not None and table[4][1:] == [None, None]
+    assert _project_raw(B, c, table, np.full(3, 2.0))[2] == (0, 1, 2)
+    for size, (Ginv, (_idx, _BS, G)) in enumerate(zip(table[4], table[2]), 1):
+        assert _gram_inverses(table, size) is Ginv
+        assert not Ginv.flags.writeable
+        np.testing.assert_allclose(Ginv @ G, np.broadcast_to(np.eye(size), G.shape), rtol=0, atol=1e-14)
+
+
 def test_project_retries_ill_conditioned_candidates_by_qr():
     # The normal equations of every passing candidate miss the 1e-9 band here
-    # (cond(B_S) is about 5.6e3), so the stacked search finds nothing although
+    # (cond(B_S) is about 3.2e3), so the stacked search finds nothing although
     # 0 lies in the set; the QR retry accepts a candidate that satisfies KKT.
-    B = np.random.default_rng(542).normal(size=(12, 5))
+    B = np.random.default_rng(663).normal(size=(12, 5))
     F = FrozenPolyhedron(B, np.zeros(12))
-    p = -np.eye(5)[3]
+    p = np.eye(5)[1]
     assert contains(F, np.zeros(5))
     with pytest.raises(InfeasibleSetError):
         reference_project_raw(B, F.offsets, _subset_table(B), p)
     res = project(F, p)
-    assert res.subset == (1, 4, 5, 6, 9)
+    assert res.subset == (5, 7, 8, 9, 10)
     assert np.all(B @ res.point <= TOL)
     assert np.all(res.multipliers >= 0)
     np.testing.assert_allclose(p - res.point, B.T @ res.multipliers, rtol=0, atol=1e-10)
@@ -306,7 +360,7 @@ def _table_inputs():
 
 
 def _assert_table_equal(B):
-    entries, index, stacks, _faces = _subset_table(B)
+    entries, index, stacks = _subset_table(B)[:3]
     ref_entries, ref_index, ref_stacks = reference_subset_table(B)
     assert index == ref_index
     for stack, ref in zip(stacks, ref_stacks, strict=True):
@@ -382,13 +436,13 @@ def test_subset_table_tests_only_families_whose_pairs_are_kept(monkeypatch, N):
 
 def test_subset_table_half_plane_has_empty_stacks():
     sweeplab.polyhedra._TABLES.clear()
-    _, index, stacks, _ = _subset_table(np.array([[1.0, 0.0]]))
+    _, index, stacks = _subset_table(np.array([[1.0, 0.0]]))[:3]
     assert list(index) == [(0,)]
     assert [a.shape for a in stacks[1]] == [(0, 2), (0, 2, 2), (0, 2, 2)]
 
 
 def test_subset_table_drops_a_pair_with_a_singular_gram_matrix():
-    _, index, _, _ = _subset_table(nearly_parallel_pair().normals)
+    index = _subset_table(nearly_parallel_pair().normals)[1]
     assert (0, 1) not in index and (0, 3) in index
 
 
@@ -951,6 +1005,28 @@ def test_polyhedra_reject_non_finite_normals(bad):
         FrozenPolyhedron([[bad], [-1.0]], [1.0, 1.0])
     with pytest.raises(ValueError, match="^normals must be finite$"):
         MovingPolyhedron([[bad], [-1.0]], offsets)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_frozen_polyhedron_rejects_non_finite_offsets(bad):
+    with pytest.raises(ValueError, match="^offsets must be finite$"):
+        FrozenPolyhedron([[1.0], [-1.0]], [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_point_operations_reject_a_non_finite_point_or_vector(bad):
+    # Each is refused before any arithmetic: no RuntimeWarning, no empty-set
+    # error, no empty active set, no NaN coefficients.
+    F = unit_square()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (project, contains, active_set):
+            with pytest.raises(ValueError, match=r"^point \[.*\] is not finite$"):
+                call(F, [bad, 0.0])
+        with pytest.raises(ValueError, match=r"^vector \[.*\] is not finite$"):
+            decompose_normal(F, [1.0, 0.5], [bad, 0.0])
+        with pytest.raises(ValueError, match=r"^point \[.*\] is not finite$"):
+            decompose_normal(F, [bad, 0.5], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", ["1", True], ids=["string", "bool"])

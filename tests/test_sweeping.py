@@ -456,11 +456,11 @@ def test_problems_with_the_same_normals_share_face_maps(monkeypatch):
     used, built = [], []
     face_maps = sweeping._face_maps
 
-    def recording(B, subset, faces):
+    def recording(subset, table):
         used[-1].add(subset)
-        if subset not in faces:
+        if subset not in table[3]:
             built[-1].add(subset)
-        return face_maps(B, subset, faces)
+        return face_maps(subset, table)
 
     monkeypatch.setattr(sweeping, "_face_maps", recording)
     warm = []
@@ -472,6 +472,21 @@ def test_problems_with_the_same_normals_share_face_maps(monkeypatch):
     assert len(tables) == 1
     assert used[1] & built[0], "the second problem used no face of the first (test vacuous)"
     assert len(next(iter(tables.values()))[3]) == len(built[0]) + len(built[1])
+
+
+def test_face_maps_reuse_the_tables_gram_inverses():
+    # Each face's G_S^-1 is a row of its table's read-only stack, bit-equal
+    # to inverting the subset's Gram matrix on its own.
+    sc = catalog()["box3"]
+    B = sc.problem.moving_set.normals
+    simulate(sc.problem, sc.initial_state, 0.0, 4, 200)
+    table = polyhedra._subset_table(B)
+    assert table[3]
+    for subset, (idx, BS, Ginv, _Pi, _R) in table[3].items():
+        stack = table[4][len(subset) - 1]
+        assert not stack.flags.writeable and np.shares_memory(Ginv, stack)
+        assert tuple(idx.tolist()) == subset and BS.tobytes() == B[list(subset)].tobytes()
+        assert Ginv.tobytes() == np.linalg.inv(BS @ BS.T).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +802,19 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.multipliers, traj.multipliers)
     np.testing.assert_array_equal(back.active_masks, traj.active_masks)
     validate_trajectory(back)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_trajectory_csv_with_fewer_than_two_rows_is_refused(tmp_path, rows):
+    # One row cannot fix the step, and a header alone holds no trajectory.
+    sc = wedge_scenario()
+    traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 1, 10)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[: 1 + rows]) + b"\r\n")
+    with pytest.raises(ValueError, match=f"holds {rows} data rows; a trajectory needs at least 2$"):
+        read_trajectory_csv(path, sc.problem)
 
 
 # ---------------------------------------------------------------------------
