@@ -268,8 +268,10 @@ def _gram_inverses(table, size: int) -> np.ndarray:
 
 def _active_mask(B, C, Z) -> np.ndarray:
     """The active-set bitmask of each row of Z against the matching (broadcast)
-    row of C: bit i is set when c_i - <b_i, z> <= DEFAULT_TOL (exact: m <= 24)."""
-    return (C - Z @ B.T <= DEFAULT_TOL) @ np.left_shift(1, np.arange(B.shape[0], dtype=np.int64))
+    row of C: bit i is set when c_i - <b_i, z> <= DEFAULT_TOL. The bits are
+    summed as floats, exact for m <= ENUMERATION_CAP: each partial sum is an
+    integer below 2**m."""
+    return ((C - Z @ B.T <= DEFAULT_TOL) @ 2.0 ** np.arange(B.shape[0])).astype(np.int64)
 
 
 def _checked_vector(F: FrozenPolyhedron, x, name: str) -> np.ndarray:

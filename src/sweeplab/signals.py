@@ -102,8 +102,12 @@ def eval_signal(s: PeriodicSignal, t: float) -> float:
 
 
 def eval_many(s: PeriodicSignal, ts) -> np.ndarray:
-    """Vectorized evaluation on an array of times."""
+    """Vectorized evaluation on an array of times. Raises ValueError, naming
+    the first time that is not finite, when one is not."""
     ts = np.asarray(ts, dtype=float)
+    bad = ~np.isfinite(ts)
+    if bad.any():
+        raise ValueError(f"time {ts[bad][0]} is not finite")
     tau = ts % s.period
     tau[tau >= s.period] -= s.period  # a remainder can round up to the period
     if s.kind == PIECEWISE_CONSTANT:

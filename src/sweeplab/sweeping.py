@@ -11,6 +11,7 @@ be tested at tolerances near machine precision instead of O(h).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -113,9 +114,10 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     k < M, or is None for a list that is None.
 
     Raises ValueError unless periods and M are positive integers (a bool is
-    not one); GridAlignmentError when floats near |t0| + T lie more than
-    1e-6*h apart, so the clock t0 + k*h could not resolve the steps, or when
-    a breakpoint lies more than 1e-6*h off the grid, named by its keyword.
+    not one) and t0 is finite; GridAlignmentError when floats near |t0| + T
+    lie more than 1e-6*h apart, so the clock t0 + k*h could not resolve the
+    steps, or when a breakpoint lies more than 1e-6*h off the grid, named by
+    its keyword.
     """
     for name, count in (("periods", periods), ("steps_per_period", M)):
         try:
@@ -126,6 +128,8 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
             raise ValueError(f"{name} must be an integer, got {count!r}") from None
     if periods < 1 or M < 1:
         raise ValueError("periods and steps_per_period must be positive")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0={t0} is not finite")
     h = T / M
     spacing = float(np.spacing(abs(t0) + T))
     if spacing > 1e-6 * h:
@@ -181,9 +185,9 @@ def _segment(B, c, dz, z, face):
     c holds the offsets each step projects onto and dz its drift increments
     (None without drift); face is _face_maps's tuple, or None for interior
     steps. Every step must pass the tests _project_raw applies to each
-    candidate, in the same order: p not interior, multipliers >= -DEFAULT_TOL,
-    the new state feasible. Returns (accepted steps, states, multipliers on
-    the subset), the arrays covering the whole block.
+    candidate: p not interior, multipliers >= -DEFAULT_TOL, the new state
+    feasible. Returns (accepted steps, states, multipliers on the subset),
+    the arrays covering the whole block.
     """
     L = len(c)
     # Running sum of the drift increments, added in the same order as the
@@ -191,7 +195,7 @@ def _segment(B, c, dz, z, face):
     q = z if dz is None else np.cumsum(np.vstack([z, dz]), axis=0)[1:]
     if face is None:
         Z = np.broadcast_to(q, (L, len(z)))
-        return _accepted(np.all(c - Z @ B.T >= -DEFAULT_TOL, axis=1)), Z, None
+        return _rows_passing(c - Z @ B.T >= -DEFAULT_TOL), Z, None
     idx, BS, Ginv, Pi, R = face
     cS = c[:, idx]
     # With S fixed, z_{j+1} = Pi_S (z_k + h sum d) + R_S c_S(j), since Pi_S R_S = 0.
@@ -200,17 +204,29 @@ def _segment(B, c, dz, z, face):
     if dz is not None:
         P += dz
     lam = (P @ BS.T - cS) @ Ginv.T
-    ok = (
-        ~np.all(c - P @ B.T >= -DEFAULT_TOL, axis=1)
-        & np.all(lam >= -DEFAULT_TOL, axis=1)
-        & np.all(Z @ B.T <= c + DEFAULT_TOL, axis=1)
-    )
-    return _accepted(ok), Z, lam
+    return _face_steps(c, P @ B.T, lam, Z @ B.T), Z, lam
 
 
-def _accepted(ok) -> int:
-    """Length of the leading run of True in ok."""
-    return len(ok) if ok.all() else int(np.argmin(ok))
+def _face_steps(c, PB, lam, ZB) -> int:
+    """The leading rows of a face block that pass its three tests, from the
+    block's products PB = P B^T and ZB = Z B^T and its multipliers lam.
+
+    The rows before the first multiplier below -DEFAULT_TOL or the first
+    bound that the new state breaks by more than DEFAULT_TOL are found by
+    scans; "p is not interior" needs whole rows, so it is tested only on
+    the rows before that cut.
+    """
+    used = min(_rows_passing(lam >= -DEFAULT_TOL), _rows_passing(ZB <= c + DEFAULT_TOL))
+    interior = np.all(c[:used] - PB[:used] >= -DEFAULT_TOL, axis=1)
+    return int(np.argmax(interior)) if interior.any() else used
+
+
+def _rows_passing(table) -> int:
+    """The number of leading rows of the 2-D bool table that hold no False:
+    one argmin over the flattened row-major table, which stops at the first False."""
+    flat = table.ravel()
+    i = int(np.argmin(flat))
+    return len(table) if flat[i] else i // table.shape[1]
 
 
 def simulate(

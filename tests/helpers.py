@@ -510,6 +510,21 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
     return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)
 
 
+def reference_segment_steps(inside, lam_ok=None, feasible=None) -> int:
+    """The steps a segment block accepts, by row-by-row reductions of its
+    (L, m) test tables: the leading run of rows that pass.
+
+    An interior block (lam_ok None) passes a row when all of inside holds. A
+    face block passes a row when not all of inside holds (p is not
+    interior), all of lam_ok holds and all of feasible holds.
+    """
+    if lam_ok is None:
+        ok = np.all(inside, axis=1)
+    else:
+        ok = ~np.all(inside, axis=1) & np.all(lam_ok, axis=1) & np.all(feasible, axis=1)
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
 def reference_periods(problem, z0, t0: float, periods: int, steps_per_period: int):
     """simulate one period at a time: a chain of one-period runs, each from t0
     (the discrete map is exactly T-periodic) and the last state of the one

@@ -53,6 +53,7 @@ from sweeplab.polyhedra import (
     _independent,
     _project_raw,
     _subset_table,
+    _active_mask,
     _vertex_active_sets,
 )
 from sweeplab.scenarios import catalog
@@ -99,6 +100,26 @@ def test_active_set_square():
 
 def test_active_set_wedge_vertex():
     assert list(active_set(wedge(), [0.0, 0.0])) == [0, 1]
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_active_mask_packs_the_bits_of_the_residual_test(m):
+    # The rows of Z[-1] are active on random subsets within TOL, the last on
+    # every constraint, so bit m - 1 (bit 23 at m = 24) is set; those of Z[0]
+    # where their random residuals are below TOL.
+    rng = np.random.default_rng(m)
+    B = rng.normal(size=(m, 3))
+    Z = rng.normal(size=(2, 5, 3))
+    active = rng.random((5, m)) < 0.5
+    active[-1] = True
+    C = Z[-1] @ B.T + np.where(active, rng.choice([-TOL, 0.0, 0.5 * TOL], (5, m)), 1.0)
+    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
+    for c, z in ((C, Z), (C[0], Z[0]), (C[-1], Z[:, -1])):
+        got = _active_mask(B, c, z)
+        want = (c - z @ B.T <= TOL) @ bits
+        assert got.dtype == np.int64 and got.shape == z.shape[:-1]
+        np.testing.assert_array_equal(got, want)
+    assert _active_mask(B, C[-1], Z[-1, -1:])[0] == (1 << m) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1048,14 @@ def test_point_operations_reject_a_non_finite_point_or_vector(bad):
             decompose_normal(F, [1.0, 0.5], [bad, 0.0])
         with pytest.raises(ValueError, match=r"^point \[.*\] is not finite$"):
             decompose_normal(F, [bad, 0.5], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_freeze_refuses_a_time_that_is_not_finite(t):
+    # Without the check, inf % T warns "invalid value encountered in remainder".
+    P = MovingPolyhedron([[1.0], [-1.0]], (triangle_wave(1.0, 1.0, base=1.0),) * 2)
+    with pytest.raises(ValueError, match=f"^time {t} is not finite$"):
+        freeze(P, t)
 
 
 @pytest.mark.parametrize("bad", ["1", True], ids=["string", "bool"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sweeplab.signals import (
+    PIECEWISE_CONSTANT,
+    PIECEWISE_LINEAR,
     PeriodicSignal,
     combine,
     eval_many,
@@ -100,6 +102,20 @@ def test_eval_many_matches_scalar():
     ts = np.linspace(-3, 5, 41)
     np.testing.assert_allclose(eval_many(s, ts), [eval_signal(s, t) for t in ts], atol=1e-14)
 
+
+
+@pytest.mark.parametrize("kind", [PIECEWISE_LINEAR, PIECEWISE_CONSTANT])
+def test_evaluation_refuses_a_time_that_is_not_finite(kind):
+    # Without the check, eval_signal returns nan at nan, and eval_many warns at inf.
+    s = PeriodicSignal(2.0, [(0.0, 1.0), (0.7, 1.0)], kind)
+    with pytest.raises(ValueError, match="^time nan is not finite$"):
+        eval_signal(s, float("nan"))
+    with pytest.raises(ValueError, match="^time -inf is not finite$"):
+        s(-float("inf"))
+    with pytest.raises(ValueError, match="^time inf is not finite$"):
+        eval_many(s, [0.5, float("inf"), float("nan")])
+    with pytest.raises(ValueError, match="^time nan is not finite$"):
+        eval_many(s, np.array([[0.5], [float("nan")]]))
 
 def test_combine_linear_combination():
     a = triangle_wave(2.0, 3.0)

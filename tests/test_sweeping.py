@@ -8,6 +8,7 @@ from helpers import (
     random_moving_polyhedron,
     reference_csv,
     reference_periods,
+    reference_segment_steps,
     reference_simulate,
     reference_trajectory_csv,
 )
@@ -42,6 +43,7 @@ from sweeplab.sweeping import (
 )
 
 T1 = 1.0
+TOL = 1e-9
 
 
 def constant_interval(lo=0.0, hi=1.0, period=T1):
@@ -201,6 +203,21 @@ def test_runs_reject_a_clock_that_cannot_resolve_the_step(t0):
     for run in _grid_runs(t0, 3, 100):
         with pytest.raises(GridAlignmentError, match="too large for the step"):
             run()
+
+
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_runs_refuse_a_t0_that_is_not_finite(t0):
+    # Without the check, simulate warns "invalid value encountered in cast" and
+    # then finds the set empty, and the crawler runs find the start outside the
+    # force bounds. simulate_reduced checks the start at t0 first, by
+    # evaluating the gait there.
+    simulate_run, reduced_run, oracle_run = _grid_runs(t0, 2, 100)
+    for run, message in ((simulate_run, f"t0={t0}"), (reduced_run, f"time {t0}"), (oracle_run, f"t0={t0}")):
+        with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+            run()
+    traj = simulate(box_problem(), np.array([0.0]), 0.0, 2, 100)
+    with pytest.raises(ValueError, match=f"^t0={t0} is not finite$"):
+        validate_trajectory(dataclasses.replace(traj, t0=t0))
 
 
 def test_runs_accept_a_large_clock_that_resolves_the_step():
@@ -365,6 +382,124 @@ def test_segment_kernel_interior_runs_are_bitwise(with_drift):
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.multipliers, multipliers)
     np.testing.assert_array_equal(traj.active_masks, masks)
+
+
+def _recorded_segments(monkeypatch, problem, z0, periods, M):
+    """(B, c, dz, z, face, accepted, Z, lam) of every _segment call of one simulate run."""
+    calls = []
+    segment = sweeping._segment
+
+    def record(*args):
+        out = segment(*args)
+        calls.append(args + out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeping, "_segment", record)
+        simulate(problem, z0, 0.0, periods, M)
+    return calls
+
+
+def _segment_tables(B, c, dz, z, face, Z, lam):
+    """A block's test tables, from the products the kernel forms: an interior
+    block's (c - Z B^T >= -TOL,); a face block's p-inside, multiplier and
+    feasibility tables."""
+    if face is None:
+        return (c - Z @ B.T >= -TOL,)
+    P = np.vstack([z, Z[:-1]])
+    if dz is not None:
+        P += dz
+    return c - P @ B.T >= -TOL, lam >= -TOL, Z @ B.T <= c + TOL
+
+
+@pytest.mark.parametrize("name", SEGMENT_CASES + ["wedge-recommended", "triangle-recommended"])
+def test_segment_scan_accepts_the_rows_of_the_row_by_row_rule(monkeypatch, name):
+    # The recommended grids give the longest blocks: up to a period of 2000
+    # (wedge) or 3000 (triangle) rows.
+    if name.endswith("-recommended"):
+        sc = catalog()[name.split("-")[0]]
+        problem, z0, periods, M = sc.problem, sc.initial_state, sc.recommended_periods, sc.recommended_steps
+    else:
+        problem, z0, periods, M = segment_case(name)
+    calls = _recorded_segments(monkeypatch, problem, z0, periods, M)
+    assert calls, f"{name}: no block ran"
+    stopped = 0
+    for B, c, dz, z, face, accepted, Z, lam in calls:
+        assert accepted == reference_segment_steps(*_segment_tables(B, c, dz, z, face, Z, lam))
+        stopped += accepted < len(c)
+    assert stopped, f"{name}: no block stopped early (test vacuous)"
+
+
+_JUST_BELOW_MINUS_TOL = np.nextafter(-TOL, -np.inf)
+_JUST_ABOVE_TOL = np.nextafter(TOL, np.inf)
+
+
+SCAN_KINDS = ("random", "nan", "at-tol", "last-column", "all-pass", "row-0-fails")
+
+
+def _scan_tables(rng, kind):
+    """The pass patterns of one random face block of L <= 39 rows, m <= 7
+    bounds and k <= m multipliers: (p inside each bound, multipliers
+    passing, new-state bounds passing)."""
+    L, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+    k = int(rng.integers(1, m + 1))
+    inside = rng.random((L, m)) < 0.6
+    lam_ok = rng.random((L, k)) < 0.97
+    feasible = rng.random((L, m)) < 0.97
+    if kind in ("last-column", "all-pass"):
+        # p is outside its last bound only, on every row up to a random one
+        # (all rows for all-pass); the other tests pass everywhere.
+        lam_ok[:], feasible[:], inside[:] = True, True, True
+        last = L if kind == "all-pass" else int(rng.integers(0, L))
+        inside[:last, -1] = False
+        if kind == "last-column":
+            # ... or the one False of a later row is the last column of a test.
+            (lam_ok, feasible)[rng.integers(2)][rng.integers(L), -1] = False
+    if kind == "row-0-fails":
+        (lam_ok, feasible)[rng.integers(2)][0, rng.integers(k)] = False
+    return inside, lam_ok, feasible
+
+
+def _table_values(rng, passing, ok, bad):
+    """Floats that pass where passing is True: drawn from ok there, from bad elsewhere."""
+    return np.where(passing, rng.choice(ok, passing.shape), rng.choice(bad, passing.shape))
+
+
+@pytest.mark.parametrize("kind", SCAN_KINDS)
+def test_segment_scan_equals_the_row_by_row_rule_on_random_tables(kind):
+    # With c = 0 every test compares a drawn value with +-TOL exactly: p is
+    # inside bound i when PB_i <= TOL, and the new state when ZB_i <= TOL.
+    # at-tol draws only the values at and just beyond the thresholds; nan
+    # makes every failing value NaN.
+    rng = np.random.default_rng(SCAN_KINDS.index(kind))
+    below, above = [TOL, 0.0, -2.0], [_JUST_ABOVE_TOL, np.nan, 2.0]
+    lam_good, lam_bad = [-TOL, 0.0, 2.0], [_JUST_BELOW_MINUS_TOL, np.nan, -2.0]
+    if kind == "at-tol":
+        below, above, lam_good, lam_bad = below[:1], above[:1], lam_good[:1], lam_bad[:1]
+    if kind == "nan":
+        above, lam_bad = [np.nan], [np.nan]
+    for _ in range(200):
+        inside, lam_ok, feasible = _scan_tables(rng, kind)
+        c = np.zeros(inside.shape)
+        PB = _table_values(rng, inside, below, above)
+        lam = _table_values(rng, lam_ok, lam_good, lam_bad)
+        ZB = _table_values(rng, feasible, below, above)
+        tables = (c - PB >= -TOL, lam >= -TOL, ZB <= c + TOL)
+        for got, want in zip(tables, (inside, lam_ok, feasible)):
+            np.testing.assert_array_equal(got, want)
+        assert sweeping._face_steps(c, PB, lam, ZB) == reference_segment_steps(*tables)
+        assert sweeping._rows_passing(tables[0]) == reference_segment_steps(tables[0])
+        if kind == "all-pass":
+            assert sweeping._face_steps(c, PB, lam, ZB) == len(c)
+        if kind == "row-0-fails":
+            assert sweeping._face_steps(c, PB, lam, ZB) == 0
+        if kind == "last-column":
+            # An interior block whose one False is the last column of a row.
+            row = int(rng.integers(len(c)))
+            one = np.ones_like(inside)
+            one[row, -1] = False
+            assert sweeping._rows_passing(one) == row == reference_segment_steps(one)
+            assert sweeping._rows_passing(np.ones_like(inside)) == len(c)
 
 
 # ---------------------------------------------------------------------------
