@@ -35,18 +35,13 @@ from .sweeping import (
     Trajectory,
     classify_convergence,
     convergence_report,
-    estimate_limit_cycle,
     hypomonotone_check,
     lambda_convergence,
     lambda_series,
-    period_distance_sup,
-    period_distance_w12,
     period_distances_sup,
     period_distances_w12,
-    poincare_samples,
     read_trajectory_csv,
     simulate,
-    step,
     validate_trajectory,
     write_trajectory_csv,
 )
@@ -75,7 +70,6 @@ from .scenarios import (
     catalog,
     edge_map,
     ncell_scenario,
-    reference_gaits,
     triangle_scenario,
     wedge_poincare,
     wedge_scenario,

@@ -298,10 +298,6 @@ def degenerate_gait() -> Gait:
     )
 
 
-def reference_gaits():
-    return [two_block_gait(), two_block_gait(mirrored=True), three_block_gait(), degenerate_gait()]
-
-
 def _gait_scenario(name: str, g: Gait, v0_ref: float | None) -> Scenario:
     x0 = assemble_positions(0.0, rest_length_values(g, 0.0))
     reference = {"margin": {"source": "derived"}}

@@ -20,14 +20,12 @@ import numpy as np
 from .errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
 from .polyhedra import (
     DEFAULT_TOL,
-    FrozenPolyhedron,
     MovingPolyhedron,
     _active_mask,
     _gram_inverses,
     _independent,
     _project_raw,
     _subset_table,
-    project,
 )
 from .signals import PeriodicSignal, eval_many, shares_period
 
@@ -151,14 +149,6 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     tables = [None if sigs is None else np.column_stack([eval_many(s, phases) for s in sigs])
               for sigs in signals.values()]
     return (h, np.concatenate(breaks).astype(np.int64), *tables)
-
-
-def step(F_next: FrozenPolyhedron, z, drift_value, h: float):
-    """One catching-up step: project z + h*drift onto the next frozen set."""
-    z = np.asarray(z, dtype=float)
-    p = z if drift_value is None else z + h * np.asarray(drift_value, dtype=float)
-    res = project(F_next, p)
-    return res.point, res.multipliers
 
 
 def _face_maps(subset, table):
@@ -329,11 +319,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Per-period distances and classification
 
-def poincare_samples(traj: Trajectory) -> np.ndarray:
-    """States at t0, t0+T, ..., t0+QT read off the grid."""
-    return traj.states[:: traj.steps_per_period]
-
-
 def _period_deltas(traj: Trajectory) -> np.ndarray:
     """z(t_k + qT) - z(t_k + (q+1)T) over grid points qM..(q+1)M of every window q,
     as a contiguous (Q-1, M+1, n) array, so that per-window sums keep their order."""
@@ -343,14 +328,8 @@ def _period_deltas(traj: Trajectory) -> np.ndarray:
     return np.concatenate([delta[:-1].reshape(-1, M, s.shape[1]), delta[M::M, None]], axis=1)
 
 
-def period_distance_sup(traj: Trajectory, q: int) -> float:
-    """max_k |z(t_k + qT) - z(t_k + (q+1)T)| over one period window."""
-    if q < 0 or q + 2 > traj.periods:
-        raise IndexError(f"window {q} out of range for {traj.periods} periods")
-    return float(period_distances_sup(traj)[q])
-
-
 def period_distances_sup(traj: Trajectory) -> np.ndarray:
+    """max_k |z(t_k + qT) - z(t_k + (q+1)T)| over each period window q."""
     return _sup_distances(_period_deltas(traj))
 
 
@@ -358,18 +337,12 @@ def _sup_distances(delta: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.norm(delta, axis=2), axis=1)
 
 
-def period_distance_w12(traj: Trajectory, q: int) -> float:
+def period_distances_w12(traj: Trajectory) -> np.ndarray:
     """Discrete W^{1,2} distance between consecutive period windows.
 
     Uses forward divided differences; the last grid point of the window
     reuses the previous difference.
     """
-    if q < 0 or q + 2 > traj.periods:
-        raise IndexError(f"window {q} out of range for {traj.periods} periods")
-    return float(period_distances_w12(traj)[q])
-
-
-def period_distances_w12(traj: Trajectory) -> np.ndarray:
     return _w12_distances(_period_deltas(traj), traj.h)
 
 
@@ -476,23 +449,11 @@ def hypomonotone_check(traj1: Trajectory, traj2: Trajectory) -> bool:
     return bool(np.all(np.diff(d) <= _MONOTONE_SLACK))
 
 
-def estimate_limit_cycle(traj: Trajectory):
-    """Last full period window and its residual sup-distance to the window before."""
-    return _limit_cycle(traj, period_distances_sup(traj))
-
-
-def _limit_cycle(traj: Trajectory, d_sup: np.ndarray):
-    if traj.periods < 2:
-        raise ValueError("need at least 2 periods to estimate a limit cycle")
-    return traj.states[-(traj.steps_per_period + 1) :], float(d_sup[-1])
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     d_sup: np.ndarray
     d_w12: np.ndarray
     classification: Classification
-    cycle: np.ndarray = field(repr=False)
     residual: float
 
     def to_json(self) -> dict:
@@ -507,13 +468,11 @@ class ConvergenceReport:
 def convergence_report(traj: Trajectory) -> ConvergenceReport:
     delta = _period_deltas(traj)
     d_sup = _sup_distances(delta)
-    cycle, residual = _limit_cycle(traj, d_sup)
     return ConvergenceReport(
         d_sup=d_sup,
         d_w12=_w12_distances(delta, traj.h),
         classification=_classify(d_sup),
-        cycle=cycle,
-        residual=residual,
+        residual=float(d_sup[-1]),
     )
 
 

@@ -9,11 +9,13 @@ from sweeplab.scenarios import (
     acute_corner_note,
     bottom_edge_coordinate,
     catalog,
+    degenerate_gait,
     edge_map,
     ncell_scenario,
-    reference_gaits,
     scenario,
+    three_block_gait,
     triangle_scenario,
+    two_block_gait,
     wedge_poincare,
     wedge_scenario,
 )
@@ -21,7 +23,6 @@ from sweeplab.signals import PeriodicSignal, eval_many, triangle_wave
 from sweeplab.sweeping import (
     classify_convergence,
     period_distances_sup,
-    poincare_samples,
     simulate,
 )
 
@@ -66,7 +67,7 @@ def test_wedge_simulation_follows_map():
     M = 500
     h = sc.problem.period / M
     traj = simulate(sc.problem, np.array([0.1, 0.0]), 0.0, 10, M)
-    z1 = poincare_samples(traj)[:, 0]
+    z1 = traj.states[:: traj.steps_per_period, 0]
     for q in range(len(z1) - 1):
         assert abs(z1[q + 1] - wedge_poincare(1.0, 2.0, z1[q])) <= 5 * h
 
@@ -274,7 +275,7 @@ def test_acute_corner_rejects_3d():
 # reference gaits and catalog
 
 def test_reference_gait_margins():
-    gaits = reference_gaits()
+    gaits = [two_block_gait(), two_block_gait(mirrored=True), three_block_gait(), degenerate_gait()]
     grid = np.linspace(0, 1, 21)
     margins = [check_gait_uniqueness(g, grid).min_margin for g in gaits]
     assert margins[0] == pytest.approx(1.0)
@@ -284,7 +285,7 @@ def test_reference_gait_margins():
 
 
 def test_reference_gaits_signals_piecewise_linear():
-    for g in reference_gaits():
+    for g in [two_block_gait(), two_block_gait(mirrored=True), three_block_gait(), degenerate_gait()]:
         for s in (*g.rest_lengths, *g.mu_plus, *g.mu_minus):
             assert s.kind == "pl"
 

@@ -15,7 +15,7 @@ from helpers import (
 from sweeplab import polyhedra, sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
 from sweeplab.errors import GridAlignmentError, InadmissibleStateError, InfeasibleSetError, LicqError
-from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron
+from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, project
 from sweeplab.scenarios import catalog, wedge_poincare, wedge_scenario
 from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, eval_many, triangle_wave
 from sweeplab.sweeping import (
@@ -23,18 +23,13 @@ from sweeplab.sweeping import (
     Trajectory,
     classify_convergence,
     convergence_report,
-    estimate_limit_cycle,
     hypomonotone_check,
     lambda_convergence,
     lambda_series,
-    period_distance_sup,
-    period_distance_w12,
     period_distances_sup,
     period_distances_w12,
-    poincare_samples,
     read_trajectory_csv,
     simulate,
-    step,
     _CSV_BLOCK_ROWS,
     _distinct_rows,
     _write_csv,
@@ -58,28 +53,28 @@ def moving_interval(lower_signal, upper_signal):
 
 
 # ---------------------------------------------------------------------------
-# single step
+# single step: project z + h*drift onto the set frozen at the end of the step
 
 def test_step_interior_is_identity():
     F = FrozenPolyhedron([[1.0], [-1.0]], [1.0, 0.0])
-    z_next, eta = step(F, np.array([0.5]), None, 0.1)
-    assert z_next[0] == 0.5
-    assert np.all(eta == 0)
+    res = project(F, np.array([0.5]))
+    assert res.point[0] == 0.5
+    assert np.all(res.multipliers == 0)
 
 
 def test_step_drift_clips_at_upper_bound():
     F = FrozenPolyhedron([[1.0], [-1.0]], [1.0, 0.0])
-    z_next, eta = step(F, np.array([0.5]), np.array([2.0]), 0.5)
-    assert z_next[0] == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(eta, [0.5, 0.0], atol=1e-14)
+    res = project(F, np.array([0.5]) + 0.5 * np.array([2.0]))
+    assert res.point[0] == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(res.multipliers, [0.5, 0.0], atol=1e-14)
 
 
 def test_step_translating_interval_catches_state():
     a = 0.7
     F = FrozenPolyhedron([[1.0], [-1.0]], [a + 1.0, -a])
-    z_next, eta = step(F, np.array([0.2]), None, 0.1)
-    assert z_next[0] == pytest.approx(a, abs=1e-14)
-    assert eta[1] == pytest.approx(a - 0.2, abs=1e-14)
+    res = project(F, np.array([0.2]))
+    assert res.point[0] == pytest.approx(a, abs=1e-14)
+    assert res.multipliers[1] == pytest.approx(a - 0.2, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +636,7 @@ def test_wedge_one_period_matches_map():
 def test_wedge_poincare_sequence_increasing_to_fixed_point():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.0, 0.0]), 0.0, 12, 400)
-    z1 = poincare_samples(traj)[:, 0]
+    z1 = traj.states[:: traj.steps_per_period, 0]
     assert np.all(np.diff(z1) > 0)
     assert z1[-1] < 1.0 and z1[-1] > 0.99
 
@@ -669,10 +664,11 @@ def test_w12_dominates_value_part():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 6, 200)
     M = traj.steps_per_period
+    d12 = period_distances_w12(traj)
     for q in range(4):
         delta = traj.states[q * M : (q + 1) * M + 1] - traj.states[(q + 1) * M : (q + 2) * M + 1]
         l2_value = np.sqrt(traj.h * np.sum(delta**2))
-        assert period_distance_w12(traj, q) >= l2_value - 1e-14
+        assert d12[q] >= l2_value - 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +688,8 @@ def test_box_finite_time_and_poincare_constant():
     assert np.all(d[1:] <= 1e-9)
     cls = classify_convergence(traj)
     assert cls.kind == "finite-time" and cls.period == 1
-    samples = poincare_samples(traj)
+    samples = traj.states[:: traj.steps_per_period]
     assert np.all(np.abs(np.diff(samples[1:], axis=0)) <= 1e-12)
-
-
-def test_period_distance_out_of_range():
-    traj = simulate(box_problem(), np.array([0.0]), 0.0, 3, 50)
-    with pytest.raises(IndexError):
-        period_distance_sup(traj, 2)
-    with pytest.raises(IndexError):
-        period_distance_w12(traj, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -891,13 +879,14 @@ def test_periodic_solutions_differ_by_constant():
 def test_estimate_limit_cycle():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 40, 500)
-    cycle, residual = estimate_limit_cycle(traj)
+    cycle = traj.states[-(traj.steps_per_period + 1) :]
+    residual = convergence_report(traj).residual
     assert residual < 1e-6
     # the wedge limit cycle is the constant state at the rest corner (gamma, 0)
     np.testing.assert_allclose(cycle, np.tile([1.0, 0.0], (len(cycle), 1)), atol=1e-4)
 
     const = simulate(SweepingProblem(constant_interval()), np.array([0.3]), 0.0, 3, 50)
-    _, res0 = estimate_limit_cycle(const)
+    res0 = convergence_report(const).residual
     assert res0 == 0.0
 
 
