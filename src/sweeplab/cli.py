@@ -172,15 +172,15 @@ class RunConfig:
     out: Path
 
     @staticmethod
-    def load(args, draws_starts: bool = True) -> "RunConfig":
+    def load(args) -> "RunConfig":
         """Parse the config file, and the flags that override its keys, through
         CONFIG_KEYS, and resolve the run they ask for.
 
         Also rejects a compare on a run without a gait, the compare command
         on more than one start (before any start is drawn), run counts whose
-        arrays numpy cannot hold (for a command that draws starts, the arrays
-        of every start's run together), and numbers that the working tolerance
-        cannot resolve. The reports are `run`'s alone, so `cmd_run` checks them.
+        arrays numpy cannot hold (for `run`, the arrays of every start's run
+        together), and numbers that the working tolerance cannot resolve.
+        The reports are `run`'s alone, so `cmd_run` checks them.
         """
         raw = {}
         if args.config:
@@ -222,11 +222,12 @@ class RunConfig:
         moving = problem.moving_set if gait is None else gait.moving_set
         starts = cfg.get("initial_states")
         count = len(starts) if isinstance(starts, list) else starts or 1
-        if count > 1 and getattr(args, "command", None) == "compare":
+        command = getattr(args, "command", None)
+        if count > 1 and command == "compare":
             raise ConfigError(
                 f"compare takes one start, got {count}; run --compare checks the first of several"
             )
-        runs = count if draws_starts else 1   # cmd_run keeps every start's run until all are simulated
+        runs = count if command == "run" else 1   # cmd_run keeps every start's run until all are simulated
         _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints, runs)
         drift = (problem.drift or ()) if gait is None else ()
         _check_resolvable([moving.normals.ravel()]
@@ -427,7 +428,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_gait(args) -> int:
-    gait = RunConfig.load(args, draws_starts=False).gait
+    gait = RunConfig.load(args).gait
     if gait is None:
         raise ConfigError("check-gait needs a gait scenario or an inline gait")
     report = gait.period_margin

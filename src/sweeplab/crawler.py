@@ -432,6 +432,7 @@ def simulate_reduced(
 
     Raises DegenerateGaitError, before any step, if the gait's uniqueness
     margin vanishes anywhere in the period."""
+    _grid(g.period, t0, periods, steps_per_period)   # t0 and the counts first, as in every run
     x0 = _checked_start(g, t0, x0)
     margin = _margin_gate(g.period_margin)
 

@@ -243,7 +243,8 @@ def _subset_table(B: np.ndarray):
             a.setflags(write=False)
         stacks.append(stack)
         entries.extend(zip(*stack))
-    # Only the benchmark's tracer (perfbench/spans.py, on_project) reads the index.
+    # sweeping._face_maps reads the index to find a subset's row in its size's
+    # stack; the benchmark's tracer (perfbench/spans.py, on_project) reads it too.
     table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {}, [None] * n)
     if len(_TABLES) > 512:
         _TABLES.clear()

@@ -151,7 +151,11 @@ def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
     Only piecewise-linear signals sharing one period are supported; the result
     is piecewise-linear on the merged breakpoint set.
     """
-    signals = list(signals)
+    signals, coeffs = list(signals), list(coeffs)
+    if len(signals) != len(coeffs):
+        raise ValueError(
+            f"need one coefficient per signal, got {len(signals)} signals and {len(coeffs)} coefficients"
+        )
     if not signals:
         raise ValueError("need at least one signal")
     period = signals[0].period

@@ -545,6 +545,25 @@ def reference_periods(problem, z0, t0: float, periods: int, steps_per_period: in
     )
 
 
+def reference_period_distances(states: np.ndarray, M: int, h: float):
+    """(sup, w12): the distances between consecutive period windows of a
+    record of whole periods of M steps, one window at a time.
+
+    delta_k = z(t_k + qT) - z(t_k + (q+1)T) for k = 0..M; sup is max_k |delta_k|,
+    and w12 is sqrt(h sum |delta_k|^2 + h sum |delta'_k|^2) with forward
+    differences delta'_k = (delta_{k+1} - delta_k) / h, the last grid point
+    reusing the previous difference.
+    """
+    sup, w12 = [], []
+    for q in range((len(states) - 1) // M - 1):
+        delta = [states[q * M + k] - states[(q + 1) * M + k] for k in range(M + 1)]
+        slope = [(delta[k + 1] - delta[k]) / h for k in range(M)]
+        slope.append(slope[-1])
+        sup.append(max(float(np.linalg.norm(d)) for d in delta))
+        w12.append(np.sqrt(h * sum(float(d @ d) for d in delta) + h * sum(float(s @ s) for s in slope)))
+    return np.array(sup), np.array(w12)
+
+
 def canonical_patterns(positions: np.ndarray, tol: float = TOL) -> np.ndarray:
     """The sign of each block's displacement at each step, 0 where |dx| <= tol."""
     dx = np.diff(positions, axis=0)

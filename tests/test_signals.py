@@ -136,6 +136,15 @@ def test_combine_rejects_mixed_kinds_and_periods():
         combine([a, b], [1.0, 1.0])
 
 
+def test_combine_refuses_a_coefficient_count_that_does_not_match():
+    # zip would drop the unmatched terms: the triangle wave alone, or an ignored 2.0.
+    a = triangle_wave(1.0, 2.0)
+    for signals, coeffs in (([a, PeriodicSignal.constant(5.0, 1.0)], [1.0]), ([a], [1.0, 2.0])):
+        message = f"got {len(signals)} signals and {len(coeffs)} coefficients"
+        with pytest.raises(ValueError, match=f"^need one coefficient per signal, {message}$"):
+            combine(signals, coeffs)
+
+
 def test_json_round_trip():
     s = PeriodicSignal(1.5, [(0.0, 1.0), (0.25, -2.0)], kind="pl")
     back = PeriodicSignal.from_json(s.to_json())

@@ -7,6 +7,7 @@ from helpers import (
     random_drift,
     random_moving_polyhedron,
     reference_csv,
+    reference_period_distances,
     reference_periods,
     reference_segment_steps,
     reference_simulate,
@@ -204,11 +205,9 @@ def test_runs_reject_a_clock_that_cannot_resolve_the_step(t0):
 def test_runs_refuse_a_t0_that_is_not_finite(t0):
     # Without the check, simulate warns "invalid value encountered in cast" and
     # then finds the set empty, and the crawler runs find the start outside the
-    # force bounds. simulate_reduced checks the start at t0 first, by
-    # evaluating the gait there.
-    simulate_run, reduced_run, oracle_run = _grid_runs(t0, 2, 100)
-    for run, message in ((simulate_run, f"t0={t0}"), (reduced_run, f"time {t0}"), (oracle_run, f"t0={t0}")):
-        with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+    # force bounds. Every run checks its grid before its start.
+    for run in _grid_runs(t0, 2, 100):
+        with pytest.raises(ValueError, match=f"^t0={t0} is not finite$"):
             run()
     traj = simulate(box_problem(), np.array([0.0]), 0.0, 2, 100)
     with pytest.raises(ValueError, match=f"^t0={t0} is not finite$"):
@@ -690,6 +689,28 @@ def test_box_finite_time_and_poincare_constant():
     assert cls.kind == "finite-time" and cls.period == 1
     samples = traj.states[:: traj.steps_per_period]
     assert np.all(np.abs(np.diff(samples[1:], axis=0)) <= 1e-12)
+
+
+@pytest.mark.parametrize("name", ["wedge", "triangle", "box3", "random-walk"])
+def test_period_distances_match_a_window_by_window_reference(name):
+    if name == "random-walk":
+        rng = np.random.default_rng(3)
+        M, K = 7, 35
+        P = random_moving_polyhedron(rng, 3, 7)[0]
+        states = np.cumsum(rng.standard_normal((K + 1, 3)), axis=0)
+        traj = Trajectory(SweepingProblem(P), 0.0, T1 / M, M, states,
+                          np.zeros((K, 7)), np.zeros(K + 1, dtype=np.int64))
+    else:
+        sc = catalog()[name]
+        traj = simulate(sc.problem, sc.initial_state, 0.0, 4, 48)
+    sup, w12 = reference_period_distances(traj.states, traj.steps_per_period, traj.h)
+    report = convergence_report(traj)
+    for d, ref in ((period_distances_sup(traj), sup), (report.d_sup, sup),
+                   (period_distances_w12(traj), w12), (report.d_w12, w12)):
+        # one window per pair of consecutive periods, no more
+        assert d.shape == (traj.periods - 1,)
+        np.testing.assert_allclose(d, ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(report.residual, sup[-1], rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
