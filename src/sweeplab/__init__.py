@@ -35,7 +35,6 @@ from .sweeping import (
     Trajectory,
     classify_convergence,
     convergence_report,
-    hypomonotone_check,
     lambda_convergence,
     lambda_series,
     period_distances_sup,
@@ -50,11 +49,7 @@ from .crawler import (
     Motion,
     admissible,
     assemble_positions,
-    build_force_polyhedron,
     build_moving_set,
-    check_gait_uniqueness,
-    dissipation,
-    energy,
     energy_gradient,
     estimate_velocity,
     incremental_oracle,
@@ -66,7 +61,6 @@ from .crawler import (
 )
 from .scenarios import (
     Scenario,
-    acute_corner_note,
     catalog,
     edge_map,
     ncell_scenario,

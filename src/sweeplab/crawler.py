@@ -176,7 +176,7 @@ def assemble_positions(y, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Energy, dissipation, admissibility
+# Forces and admissibility
 
 def rest_length_values(g: Gait, t: float) -> np.ndarray:
     return np.array([eval_signal(s, t) for s in g.rest_lengths])
@@ -188,23 +188,11 @@ def friction_values(g: Gait, t: float):
     return mup, mum
 
 
-def energy(g: Gait, t: float, x) -> float:
-    z = pi_z(x)
-    ell = rest_length_values(g, t)
-    return float(0.5 * g.stiffness * np.sum((z - ell) ** 2))
-
-
 def energy_gradient(g: Gait, t: float, x) -> np.ndarray:
     z = pi_z(x)
     ell = rest_length_values(g, t)
     PZ = shape_matrix(g.num_blocks)
     return PZ.T @ (g.stiffness * (z - ell))
-
-
-def dissipation(g: Gait, t: float, v) -> float:
-    v = np.asarray(v, dtype=float)
-    mup, mum = friction_values(g, t)
-    return float(np.sum(mup * np.maximum(v, 0.0) + mum * np.maximum(-v, 0.0)))
 
 
 def admissible(g: Gait, t: float, x) -> bool:
@@ -227,20 +215,7 @@ def _checked_start(g: Gait, t0: float, x0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Polyhedra of the model
-
-def build_force_polyhedron(g: Gait) -> MovingPolyhedron:
-    """Admissible-force set {xi : -mu_i^-(t) <= xi_i <= mu_i^+(t)} in R^N.
-
-    Constraint i < N is the block-i forward bound (+mu^+), constraint N+i the
-    block-i backward bound.
-    """
-    N = g.num_blocks
-    eye = np.eye(N)
-    normals = np.vstack([eye, -eye])
-    offsets = tuple(g.mu_plus) + tuple(g.mu_minus)
-    return MovingPolyhedron(normals, offsets)
-
+# The reduced moving set
 
 def build_moving_set(g: Gait) -> MovingPolyhedron:
     """Moving set K(t) of the reduced shape sweeping process in R^{N-1}.
@@ -282,41 +257,26 @@ class MarginReport:
 
 
 def margin_at(g: Gait, t: float):
-    """min over subsets J of |sum_J mu^+ - sum_{J^c} mu^-| at time t."""
-    report = check_gait_uniqueness(g, [t])
-    return report.min_margin, report.worst_subset
+    """min over subsets J of |sum_J mu^+ - sum_{J^c} mu^-| at time t, with the
+    first minimizing subset in bitmask order.
 
-
-def check_gait_uniqueness(g: Gait, times) -> MarginReport:
-    """The report on the least margin at the given times.
-
-    Argmin keeps the first minimum in bitmask order, then in time. Raises
-    ValueError, before any sum is built, unless times is a nonempty 1-d
-    sequence of finite numbers.
+    Raises ValueError, before any sum is built, unless t is finite.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not len(times):
-        raise ValueError(f"need a nonempty 1-d sequence of times, got shape {times.shape}")
-    bad = ~np.isfinite(times)
-    if bad.any():
-        raise ValueError(f"time {times[int(np.argmax(bad))]} is not finite")
-    margins = np.empty(len(times))
-    best = np.empty(len(times), dtype=np.int64)
-    for block, sums in _signed_sums(g, times):
-        np.abs(sums, out=sums)
-        best[block] = sums.argmin(axis=1)
-        margins[block] = sums.min(axis=1)
-    i = int(np.argmin(margins))
-    return MarginReport(float(margins[i]), float(times[i]), _blocks_in(best[i], g.num_blocks))
+    if not np.isfinite(t):
+        raise ValueError(f"time {t} is not finite")
+    ((_, sums),) = _signed_sums(g, [t])
+    np.abs(sums, out=sums)
+    bits = int(sums[0].argmin())
+    return float(sums[0, bits]), _blocks_in(bits, g.num_blocks)
 
 
-def _signed_sums(g: Gait, times, overlap: int = 0):
+def _signed_sums(g: Gait, times):
     """Yield (block, sums) for slices block of times; consecutive blocks share
-    `overlap` times.
+    one time.
 
     Column bits of sums holds sum_J mu^+ - sum_{J^c} mu^- for the blocks J set
     in bits: the sum of mu_i^+ + mu_i^- over J, added in ascending block order,
-    less sum mu^-. Blocks of rows bound the memory.
+    less sum mu^-. Blocks of rows (at least 16, as N <= 16) bound the memory.
     """
     N = g.num_blocks
     if N > 16:
@@ -326,8 +286,8 @@ def _signed_sums(g: Gait, times, overlap: int = 0):
     mum = np.column_stack([eval_many(s, times) for s in g.mu_minus])
     both = mup + mum
     total_minus = mum.sum(axis=1)
-    rows = max(1 + overlap, _MARGIN_BLOCK_SUMS >> N)
-    for lo in range(0, len(times) - overlap, rows - overlap):
+    rows = _MARGIN_BLOCK_SUMS >> N
+    for lo in range(0, max(len(times) - 1, 1), rows - 1):
         block = slice(lo, lo + rows)
         sums = np.zeros((len(total_minus[block]), 1 << N))
         for i in range(N):
@@ -348,23 +308,34 @@ def _period_margin(g: Gait) -> MarginReport:
     Between consecutive times of t = 0 and the breakpoints of mu^+-, every
     signed sum is affine. Its absolute value is least at an end of the piece,
     where the scan looks, unless it changes sign inside, where the margin is
-    0: then the report is margin 0 at the earliest sign change, unless the
-    scan found margin 0 earlier. The piece that wraps around from the last
-    time to the period needs no look: a sign change there means that the sum
-    changes sign, or vanishes, between t = 0 and the last time too.
+    0. One pass over the sums finds both: the least |sum| at each time, the
+    first minimum in bitmask order, then in time; and, until one is found,
+    the earliest sign change. The report is margin 0 at that sign change,
+    unless the scan found margin 0 earlier. The piece that wraps around from
+    the last time to the period needs no look: a sign change there means that
+    the sum changes sign, or vanishes, between t = 0 and the last time too.
     """
+    N = g.num_blocks
     times = np.unique(np.concatenate([[0.0], *(s.times for s in g.mu_plus + g.mu_minus)]))
-    report = check_gait_uniqueness(g, times)
-    for block, sums in _signed_sums(g, times, overlap=1):
-        piece, bits = np.nonzero(np.sign(sums[:-1]) * np.sign(sums[1:]) < 0)
-        if len(piece):
-            s0, s1 = sums[piece, bits], sums[piece + 1, bits]
-            t0, t1 = times[block][piece], times[block][piece + 1]
-            zeros = t0 + (t1 - t0) * (s0 / (s0 - s1))
-            i = int(np.argmin(zeros))
-            if report.min_margin > 0 or zeros[i] < report.worst_time:
-                report = MarginReport(0.0, float(zeros[i]), _blocks_in(bits[i], g.num_blocks))
-            break
+    report = zero = None
+    for block, sums in _signed_sums(g, times):
+        ts = times[block]
+        if zero is None:
+            neg, pos = sums < 0, sums > 0
+            piece, bits = np.nonzero(neg[:-1] & pos[1:] | pos[:-1] & neg[1:])
+            if len(piece):
+                s0, s1 = sums[piece, bits], sums[piece + 1, bits]
+                zeros = ts[piece] + (ts[piece + 1] - ts[piece]) * (s0 / (s0 - s1))
+                i = int(np.argmin(zeros))
+                zero = MarginReport(0.0, float(zeros[i]), _blocks_in(bits[i], N))
+        np.abs(sums, out=sums)
+        best = sums.argmin(axis=1)
+        margins = sums.min(axis=1)
+        i = int(np.argmin(margins))
+        if report is None or margins[i] < report.min_margin:
+            report = MarginReport(float(margins[i]), float(ts[i]), _blocks_in(best[i], N))
+    if zero is not None and (report.min_margin > 0 or zero.worst_time < report.worst_time):
+        report = zero
     return report
 
 

@@ -102,6 +102,8 @@ class MovingPolyhedron:
             raise ValueError("need one offset signal per normal")
         if not np.isfinite(B).all():
             raise ValueError("normals must be finite")
+        if not offs:
+            raise ValueError("need at least one constraint")
         if np.any(np.linalg.norm(B, axis=1) == 0):
             raise ValueError("zero normal vector")
         period = offs[0].period
@@ -442,15 +444,9 @@ def check_licq(F: FrozenPolyhedron) -> LicqReport:
     return _licq_report(F.normals, _vertex_active_sets(F))
 
 
-def _vertex_activity(F: FrozenPolyhedron):
-    """The vertices of F and their (k, m) activity matrix, from one stacked residual test."""
-    vs = vertices(F)
-    return vs, F.offsets - vs @ F.normals.T <= DEFAULT_TOL
-
-
 def _vertex_active_sets(F: FrozenPolyhedron) -> list:
-    """The active set of each vertex of F, in vertices' order."""
-    return [np.flatnonzero(act) for act in _vertex_activity(F)[1]]
+    """The active set of each vertex of F, in vertices' order, from one stacked residual test."""
+    return [np.flatnonzero(act) for act in F.offsets - vertices(F) @ F.normals.T <= DEFAULT_TOL]
 
 
 def _licq_report(B: np.ndarray, vertex_active: list) -> LicqReport:

@@ -10,14 +10,13 @@ values obtained by independent hand analysis or oracle computation, and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crawler import Gait, assemble_positions, rest_length_values
 from .errors import SweepLabError
-from .polyhedra import DEFAULT_TOL, FrozenPolyhedron, MovingPolyhedron, _independent, _vertex_activity
+from .polyhedra import MovingPolyhedron
 from .signals import PeriodicSignal, combine, eval_many, eval_signal, triangle_wave
 from .sweeping import SweepingProblem
 
@@ -147,14 +146,6 @@ def triangle_geometry(side: float):
     return (P, Q, R), (nu1, nu2, nu3)
 
 
-def bottom_edge_coordinate(state, side: float, tol: float = 1e-6) -> float:
-    """Unit coordinate along P->Q for a state on the bottom edge."""
-    state = np.asarray(state, dtype=float)
-    if abs(state[1]) > tol:
-        raise ValueError(f"state {state} is not on the bottom edge")
-    return float(state[0] / side)
-
-
 def triangle_scenario(alpha: float = 2.0, period: float = 3.0, side: float = 1.0) -> Scenario:
     """Fixed equilateral triangle driven by a rotating piecewise-constant push.
 
@@ -216,32 +207,6 @@ def triangle_scenario(alpha: float = 2.0, period: float = 3.0, side: float = 1.0
             "sample_phase_fraction": 1.0 / 3.0,   # states are on PQ at t = qT + T/3
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Acute-corner diagnostic
-
-def acute_corner_note(F: FrozenPolyhedron):
-    """Flag 2-d vertices whose interior angle is strictly acute.
-
-    The edges at a vertex are its active constraints that are also active at
-    another vertex; a constraint that only touches the vertex is not one. The
-    interior angle between two independent edges a, b is pi minus the angle
-    between their outward normals, so the corner is acute iff the unit normals
-    have u_a . u_b < -DEFAULT_TOL. Returns (vertex, (a, b)) in vertex order,
-    then ascending pairs.
-    """
-    if F.dim != 2:
-        raise ValueError("acute-corner analysis is for 2-d sets only")
-    vs, active = _vertex_activity(F)
-    edges = active & (active.sum(axis=0) >= 2)
-    U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
-    flagged = []
-    for v, at in zip(vs, edges):
-        for a, b in itertools.combinations(np.flatnonzero(at).tolist(), 2):
-            if _independent(F.normals[[a, b]]) and U[a] @ U[b] < -DEFAULT_TOL:
-                flagged.append((v.copy(), (a, b)))
-    return flagged
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .signals import PeriodicSignal, eval_many, shares_period
 FLOAT_FMT = "%.17g"
 FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
 _RATIO_SPREAD = 0.2      # relative spread below which per-period ratios count as geometric
-_MONOTONE_SLACK = 1e-12  # rounding allowance per step of hypomonotone_check
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -432,23 +431,6 @@ def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
     return np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
 
 
-def hypomonotone_check(traj1: Trajectory, traj2: Trajectory) -> bool:
-    """True iff |z1_k - z2_k| is nonincreasing (same problem, same grid).
-
-    Discrete projections onto a common convex set are jointly nonexpansive,
-    so for zero-drift problems this holds exactly up to rounding.
-    """
-    if (
-        traj1.steps_per_period != traj2.steps_per_period
-        or len(traj1.states) != len(traj2.states)
-        or abs(traj1.t0 - traj2.t0) > 1e-12
-        or abs(traj1.h - traj2.h) > 1e-15
-    ):
-        raise ValueError("trajectories live on different grids")
-    d = np.linalg.norm(traj1.states - traj2.states, axis=1)
-    return bool(np.all(np.diff(d) <= _MONOTONE_SLACK))
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     d_sup: np.ndarray
@@ -572,7 +554,10 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     """Rebuild a Trajectory from a CSV written by write_trajectory_csv.
 
     Raises ValueError when the file holds fewer than two data rows, which
-    could not fix the step."""
+    could not fix the step, or when its rows are not whole periods of the
+    problem's grid: with h the file's step and M = round(T/h), unless
+    |T - M*h| <= 1e-6*h (the slack _grid allows a breakpoint) and the rows
+    after the first are a positive multiple of M."""
     with open(path) as f:
         next(f, None)
         rows = len(list(itertools.islice((line for line in f if line.strip()), 2)))
@@ -587,6 +572,12 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     states = data[:, 1 : 1 + n]
     etas = data[1:, 1 + n : 1 + n + m]
     masks = data[:, -1].astype(np.int64)
+    T = problem.period
     h = float(times[1] - times[0])
-    M = int(round(problem.period / h))
-    return Trajectory(problem, float(times[0]), problem.period / M, M, states, etas, masks)
+    M = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+    if M < 1 or abs(T - M * h) > 1e-6 * h or (len(times) - 1) % M:
+        raise ValueError(
+            f"{path} holds {len(times)} data rows at step {h}: not whole periods of "
+            f"the problem's period {T}"
+        )
+    return Trajectory(problem, float(times[0]), T / M, M, states, etas, masks)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import nnls
 
-from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, project
+from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, _independent, project, vertices
 from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, eval_many
 
 # The references' own working tolerance: the library's value, set here rather
@@ -228,6 +228,85 @@ def reference_acute_corners(vs: np.ndarray) -> list:
         if d1 @ d2 / (np.linalg.norm(d1) * np.linalg.norm(d2)) > 0:
             flagged.append(i)
     return [tuple(vs[i]) for i in sorted(flagged)]
+
+
+def acute_corner_note(F: FrozenPolyhedron) -> list:
+    """Flag 2-d vertices whose interior angle is strictly acute.
+
+    The edges at a vertex are its active constraints that are also active at
+    another vertex; a constraint that only touches the vertex is not one. The
+    interior angle between two independent edges a, b is pi minus the angle
+    between their outward normals, so the corner is acute iff the unit normals
+    have u_a . u_b < -TOL. Returns (vertex, (a, b)) in vertex order, then
+    ascending pairs.
+    """
+    if F.dim != 2:
+        raise ValueError("acute-corner analysis is for 2-d sets only")
+    vs = vertices(F)
+    active = F.offsets - vs @ F.normals.T <= TOL
+    edges = active & (active.sum(axis=0) >= 2)
+    U = F.normals / np.linalg.norm(F.normals, axis=1, keepdims=True)
+    flagged = []
+    for v, at in zip(vs, edges):
+        for a, b in itertools.combinations(np.flatnonzero(at).tolist(), 2):
+            if _independent(F.normals[[a, b]]) and U[a] @ U[b] < -TOL:
+                flagged.append((v.copy(), (a, b)))
+    return flagged
+
+
+def bottom_edge_coordinate(state, side: float, tol: float = 1e-6) -> float:
+    """Unit coordinate along P->Q for a triangle_scenario state on the bottom edge."""
+    state = np.asarray(state, dtype=float)
+    if abs(state[1]) > tol:
+        raise ValueError(f"state {state} is not on the bottom edge")
+    return float(state[0] / side)
+
+
+MONOTONE_SLACK = 1e-12   # rounding allowance per step of hypomonotone_check
+
+
+def hypomonotone_check(traj1, traj2) -> bool:
+    """True iff |z1_k - z2_k| is nonincreasing (same problem, same grid).
+
+    Discrete projections onto a common convex set are jointly nonexpansive,
+    so for zero-drift problems this holds exactly up to rounding.
+    """
+    if (
+        traj1.steps_per_period != traj2.steps_per_period
+        or len(traj1.states) != len(traj2.states)
+        or abs(traj1.t0 - traj2.t0) > 1e-12
+        or abs(traj1.h - traj2.h) > 1e-15
+    ):
+        raise ValueError("trajectories live on different grids")
+    d = np.linalg.norm(traj1.states - traj2.states, axis=1)
+    return bool(np.all(np.diff(d) <= MONOTONE_SLACK))
+
+
+def energy(g, t: float, x) -> float:
+    """The crawler's elastic energy k/2 |pi_Z(x) - ell(t)|^2: its central
+    differences are the reference for crawler.energy_gradient."""
+    from sweeplab.crawler import pi_z, rest_length_values
+
+    return float(0.5 * g.stiffness * np.sum((pi_z(x) - rest_length_values(g, t)) ** 2))
+
+
+def dissipation(g, t: float, v) -> float:
+    """The crawler's dissipation sum mu^+ v^+ + mu^- v^- at velocity v."""
+    from sweeplab.crawler import friction_values
+
+    v = np.asarray(v, dtype=float)
+    mup, mum = friction_values(g, t)
+    return float(np.sum(mup * np.maximum(v, 0.0) + mum * np.maximum(-v, 0.0)))
+
+
+def build_force_polyhedron(g) -> MovingPolyhedron:
+    """Admissible-force set {xi : -mu_i^-(t) <= xi_i <= mu_i^+(t)} in R^N.
+
+    Constraint i < N is the block-i forward bound (+mu^+), constraint N+i the
+    block-i backward bound.
+    """
+    eye = np.eye(g.num_blocks)
+    return MovingPolyhedron(np.vstack([eye, -eye]), tuple(g.mu_plus) + tuple(g.mu_minus))
 
 
 def central_difference_gradient(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bottom_edge_coordinate,
     brute_force_cone_coefficients,
     gait_slips_from_rest,
+    hypomonotone_check,
     random_gait,
     random_gait_with_margin,
     random_point_outside,
@@ -35,7 +37,6 @@ from sweeplab.polyhedra import (
     project,
 )
 from sweeplab.scenarios import (
-    bottom_edge_coordinate,
     catalog,
     two_block_gait,
     wedge_poincare,
@@ -43,7 +44,6 @@ from sweeplab.scenarios import (
 from sweeplab.sweeping import (
     SweepingProblem,
     classify_convergence,
-    hypomonotone_check,
     period_distances_sup,
     period_distances_w12,
     simulate,

@@ -25,8 +25,6 @@ MODULES = [
     sweeplab.cli,
 ]
 SETTINGS = {"tol", "tol_ft", "tol_v", "Q_min", "ratio_spread", "slack", "divisions"}
-# The package never calls it; the tests call it with two tolerances.
-EXEMPT = {"sweeplab.scenarios.bottom_edge_coordinate"}
 
 
 def _public_functions(module):
@@ -50,7 +48,6 @@ def test_no_public_function_takes_a_tolerance(module):
     settable = {
         name: sorted(SETTINGS & set(inspect.signature(func).parameters))
         for name, func in functions.items()
-        if name not in EXEMPT
     }
     assert {name: params for name, params in settable.items() if params} == {}
 
@@ -63,7 +60,6 @@ def test_signature_scan_sees_the_library():
         "sweeplab.polyhedra.MovingPolyhedron.from_json",
         "sweeplab.sweeping.convergence_report",
         "sweeplab.crawler.incremental_oracle",
-        "sweeplab.scenarios.acute_corner_note",
+        "sweeplab.scenarios.triangle_scenario",
         "sweeplab.cli.main",
     } <= names
-    assert EXEMPT <= names

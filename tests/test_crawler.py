@@ -10,8 +10,11 @@ import sweeplab.crawler
 import sweeplab.polyhedra
 import sweeplab.signals
 from helpers import (
+    build_force_polyhedron,
     canonical_patterns,
     central_difference_gradient,
+    dissipation,
+    energy,
     load_perfbench,
     lu_solve,
     gait_margin_floor,
@@ -31,11 +34,7 @@ from sweeplab.crawler import (
     MarginReport,
     admissible,
     assemble_positions,
-    build_force_polyhedron,
     build_moving_set,
-    check_gait_uniqueness,
-    dissipation,
-    energy,
     energy_gradient,
     estimate_velocity,
     friction_values,
@@ -212,14 +211,13 @@ def test_moving_set_nonempty_and_bounded_by_construction():
 # uniqueness margin
 
 def test_margin_two_block_reference():
-    report = check_gait_uniqueness(two_block_gait(), np.linspace(0, 1, 11))
+    report = _period_margin(two_block_gait())
     assert report.min_margin == pytest.approx(1.0)
     assert report.worst_subset in ((0,), (1,))
 
 
 def test_margin_symmetric_gait_is_zero():
-    report = check_gait_uniqueness(degenerate_gait(), [0.0, 0.5])
-    assert report.min_margin == 0.0
+    assert _period_margin(degenerate_gait()).min_margin == 0.0
 
 
 def test_margin_three_block_reference():
@@ -237,39 +235,114 @@ def test_margin_zero_iff_licq_fails():
             assert (margin <= TOL) == (not licq)
 
 
+def _threshold_breakpoints(g):
+    """The times that _period_margin scans: t = 0 and the breakpoints of mu^+-."""
+    return np.unique(np.concatenate([[0.0], *(s.times for s in g.mu_plus + g.mu_minus)]))
+
+
+def _away_from_zero(g):
+    """g with each threshold mu made 1 + mu/64 (forward) or 9/8 + mu/64
+    (backward). A signed sum over |J| = j blocks is then j - 9/8 (N - j)
+    within N/32, so for N <= 12 no sum vanishes or changes sign."""
+    mup, mum = (tuple(PeriodicSignal(g.period, zip(s.times, base + s.values / 64)) for s in mu)
+                for base, mu in ((1.0, g.mu_plus), (1.125, g.mu_minus)))
+    return dataclasses.replace(g, mu_plus=mup, mu_minus=mum)
+
+
 def test_margin_matches_subset_loop_reference():
     # Exact equality of the value and the first minimizing subset, including
     # the exact ties that lattice-valued thresholds produce; uniform thresholds
-    # at N >= 8 show any change in the order of summation. Over the times, the
-    # scan reports the first minimum, also when several times tie.
+    # at N >= 8 show any change in the order of summation. Where no signed sum
+    # vanishes or changes sign, the period scan reports the first minimum over
+    # its breakpoints, also when several breakpoints tie.
     rng = np.random.default_rng(17)
     gaits = [random_gait(rng, N) for N in range(2, 9) for _ in range(3)] + [degenerate_gait()]
     gaits += [random_gait(rng, N, signal=uniform_signal) for N in (8, 9, 12)]
     tied = 0
     for g in gaits:
-        times = np.concatenate([np.arange(8) / 8.0, rng.uniform(0, 1, size=8)])
+        for t in np.concatenate([np.arange(8) / 8.0, rng.uniform(0, 1, size=8)]):
+            assert margin_at(g, float(t)) == reference_margin_at(g, float(t)), (g.num_blocks, t)
+        g = _away_from_zero(g)
+        times = _threshold_breakpoints(g)
         refs = [reference_margin_at(g, float(t)) for t in times]
-        for t, ref in zip(times, refs):
-            assert margin_at(g, float(t)) == ref, (g.num_blocks, t)
         first = min(range(len(times)), key=lambda i: refs[i][0])
         expected = MarginReport(refs[first][0], float(times[first]), refs[first][1])
-        assert check_gait_uniqueness(g, times) == expected, g.num_blocks
+        assert _period_margin(g) == expected, g.num_blocks
         tied += sum(val == refs[first][0] for val, _ in refs) > 1
+    assert gait_margin_floor(g) > 0   # the N = 12 gait: no sum changes sign
     assert tied > 0, "no gait has tied minima over time (test vacuous)"
 
 
+def test_period_margin_keeps_the_first_minimum_in_bitmask_order_then_in_time():
+    # mu^- = 3 and mu_1^+ = mu_2^+ fall from 4 to 3.5 at t = 0.25 and 0.75:
+    # the margin 0.5 is reached there by the subsets {0} and {1} alike.
+    T = 1.0
+    mu = PeriodicSignal(T, [(0.0, 4.0), (0.25, 3.5), (0.5, 4.0), (0.75, 3.5)])
+    g = dataclasses.replace(
+        two_block_gait(), mu_plus=(mu, mu), mu_minus=(PeriodicSignal.constant(3.0, T),) * 2
+    )
+    assert [margin_at(g, t) for t in (0.25, 0.75)] == [(0.5, (0,))] * 2
+    assert _period_margin(g) == MarginReport(0.5, 0.25, (0,))
+
+
+def _many_breakpoint_gait(shifts, which):
+    """A 12-block gait whose thresholds at breakpoint k of K = len(which) are
+    vectors[which[k]]: two random vectors near mu^+ = 1, mu^- = 1.5, then
+    vector 0 with mu^+ raised and mu^- lowered by each of shifts.
+
+    Near the base, a signed sum over |J| = j blocks is j - 1.5 (12 - j)
+    within 0.12: none vanishes, and those with j = 7 are the least, near
+    -0.5. A shift s moves them by 12 s toward 0 and beyond.
+    """
+    N, K, T = 12, len(which), 1.0
+    rng = np.random.default_rng(23)
+    vectors = np.repeat([1.0, 1.5], N) + rng.uniform(-0.01, 0.01, size=(2, 2 * N))
+    vectors = np.vstack([vectors, *(vectors[0] + np.repeat([s, -s], N) for s in shifts)])
+    times = np.arange(K) * (T / K)
+    mu = [PeriodicSignal(T, zip(times, vectors[which, j])) for j in range(2 * N)]
+    g = Gait(N, T, 1.0, (PeriodicSignal.constant(1.0, T),) * (N - 1), tuple(mu[:N]), tuple(mu[N:]))
+    assert np.array_equal(_threshold_breakpoints(g), times)
+    assert K > sweeplab.crawler._MARGIN_BLOCK_SUMS >> N   # several blocks
+    return g, times
+
+
 def test_margin_scan_memory_is_bounded():
-    # The subset-sum table is built in blocks: an N=12 scan over 2000 times
-    # would need 64 MiB for one unblocked table.
-    g = random_gait(np.random.default_rng(23), 12, signal=uniform_signal)
-    times = np.linspace(0.0, 1.0, 2000)
+    # An N=12 table over 2000 breakpoints would take 64 MiB unblocked; the scan
+    # builds blocks of 256 times that share one time. Vector 2 brings every
+    # j = 7 sum 0.24 nearer 0, and no sum changes sign: the least margin, first
+    # reached at breakpoint 1001, in the fourth block, and again in later ones.
+    K = 2000
+    which = [k % 2 if k < K // 2 else k % 3 for k in range(K)]
+    g, times = _many_breakpoint_gait([0.02], which)
     tracemalloc.start()
     try:
-        check_gait_uniqueness(g, times)
+        report = _period_margin(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # The loop over the breakpoints runs the reference once per vector, at its
+    # first breakpoint, as the thresholds repeat there exactly.
+    refs = {}
+    for k, t in enumerate(times):
+        if which[k] not in refs:
+            refs[which[k]] = reference_margin_at(g, float(t))
+    first = min(range(K), key=lambda k: refs[which[k]][0])
+    assert first == K // 2 + 1 and refs[2][0] > 0
+    assert report == MarginReport(refs[2][0], float(times[first]), refs[2][1])
+    assert margin_at(g, float(times[-2])) == refs[which[-2]]
+
+
+def test_period_margin_reports_the_first_sign_change_across_blocks():
+    # Vector 2 turns every j = 7 sum positive, at breakpoints 256 and 1500.
+    # The pieces on either side of each change sign. The first, from 255 to
+    # 256, begins at the last time of the first block of 256 times, so only
+    # the time that blocks share puts it in one block.
+    which = [2 if k in (256, 1500) else k % 2 for k in range(2000)]
+    g, times = _many_breakpoint_gait([0.1], which)
+    report = _period_margin(g)
+    assert report.min_margin == 0.0 and times[255] < report.worst_time < times[256]
+    assert len(report.worst_subset) == 7
 
 
 def test_period_margin_equals_the_eighth_point_floor():
@@ -307,6 +380,14 @@ def test_period_margin_keeps_an_earlier_zero_at_a_breakpoint():
     assert report == MarginReport(0.0, 0.25, (0,))
 
 
+def test_period_margin_finds_a_zero_where_a_sum_falls():
+    # mu1^+ - mu2^- is 0.9877 - 4t on [0, 0.5]: it falls through 0 at
+    # 0.246925, and rises back only on the piece that wraps around.
+    report = _period_margin(_sign_change_gait([(0.0, 3.0), (0.5, 1.0)]))
+    assert report == MarginReport(0.0, report.worst_time, (0,))
+    assert report.worst_time == pytest.approx(0.246925, abs=1e-12)
+
+
 def _sign_change_gait(mu1_plus):
     T = 1.0
     return dataclasses.replace(
@@ -330,24 +411,18 @@ def _no_sums(monkeypatch):
     monkeypatch.setattr(sweeplab.crawler, "_signed_sums", signed_sums)
 
 
-def test_margin_scan_refuses_empty_times(monkeypatch):
-    _no_sums(monkeypatch)
-    with pytest.raises(ValueError, match=r"^need a nonempty 1-d sequence of times, got shape \(0,\)$"):
-        check_gait_uniqueness(two_block_gait(), [])
-
-
 def test_margin_at_refuses_a_nan_time(monkeypatch):
     _no_sums(monkeypatch)
     with pytest.raises(ValueError, match="^time nan is not finite$"):
         margin_at(two_block_gait(), float("nan"))
 
 
-def test_margin_scan_names_the_first_non_finite_time(monkeypatch):
+def test_margin_at_refuses_an_infinite_time(monkeypatch):
     # Without the check, inf % T warned "invalid value encountered in
-    # remainder" (an error under this suite's filters) and still gave a report.
+    # remainder" (an error under this suite's filters) and still gave a margin.
     _no_sums(monkeypatch)
     with pytest.raises(ValueError, match="^time inf is not finite$"):
-        check_gait_uniqueness(two_block_gait(), [0.1, float("inf"), float("nan")])
+        margin_at(two_block_gait(), float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +861,7 @@ def test_oracle_bit_equal_to_reference_where_margin_vanishes(gait, periods, M):
 def test_oracle_bit_equal_to_reference_at_eight_blocks():
     gait = perturbed_peristaltic_gait(8)
     M = 140   # a multiple of the 2(N-1) breakpoint grid
-    assert check_gait_uniqueness(gait, np.arange(M) / M).min_margin > 0
+    assert _period_margin(gait).min_margin > 0
     x0 = _rest_start(gait)
     run = incremental_oracle(gait, x0, 0.0, 2, M)
     positions, patterns = reference_oracle(gait, x0, 0.0, 2, M)
@@ -813,7 +888,7 @@ def test_oracle_steps_are_kkt_points_on_large_crawlers(N):
     gait = perturbed_peristaltic_gait(N)
     M = 20 * (N - 1)
     if N == 12:
-        assert check_gait_uniqueness(gait, np.arange(M) / M).min_margin > 0
+        assert _period_margin(gait).min_margin > 0
     run = incremental_oracle(gait, _rest_start(gait), 0.0, 2, M)
     assert np.all(np.any(run.patterns != 0, axis=0))   # every block slips
     assert np.max(oracle_kkt_violations(gait, run.motion.positions, 0.0, M)) <= 10 * TOL

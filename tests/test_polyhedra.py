@@ -609,7 +609,7 @@ _S60, _C60 = np.sin(np.pi / 3), np.cos(np.pi / 3)
     ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], 1e-5, [1000, 1000]),
 ], ids=["triangle-30-60-90", "wedge", "square-at-1000"])
 def test_vertex_rule_is_scale_and_translation_invariant(normals, offsets, scale, shift):
-    from sweeplab.scenarios import acute_corner_note
+    from helpers import acute_corner_note
 
     unit = FrozenPolyhedron(normals, offsets)
     B, shift = unit.normals, np.array(shift, dtype=float)
@@ -1026,6 +1026,12 @@ def test_polyhedra_reject_non_finite_normals(bad):
         FrozenPolyhedron([[bad], [-1.0]], [1.0, 1.0])
     with pytest.raises(ValueError, match="^normals must be finite$"):
         MovingPolyhedron([[bad], [-1.0]], offsets)
+
+
+def test_moving_polyhedron_refuses_an_empty_constraint_list():
+    # The period is read from the first offset, so there must be one.
+    with pytest.raises(ValueError, match="^need at least one constraint$"):
+        MovingPolyhedron(np.zeros((0, 2)), [])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])

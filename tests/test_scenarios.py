@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_polyhedron, reference_acute_corners
-from sweeplab.crawler import check_gait_uniqueness
+from helpers import acute_corner_note, bottom_edge_coordinate, random_polyhedron, reference_acute_corners
 from sweeplab.errors import SweepLabError
 from sweeplab.polyhedra import FrozenPolyhedron, freeze, vertices
 from sweeplab.scenarios import (
-    acute_corner_note,
-    bottom_edge_coordinate,
     catalog,
     degenerate_gait,
     edge_map,
@@ -202,6 +199,22 @@ def test_triangle_drift_and_moving_forms_agree():
     assert gap <= 10 * h
 
 
+@pytest.mark.parametrize("name,periods,fine,grids,bound", [
+    ("wedge", 20, 4000, (4, 500, 2000), 2.0**-53),   # 1.1e-16, half an ulp of 1
+    ("triangle", 12, 3000, (6, 12, 600), 3.0e-14),
+    ("box3", 6, 1000, (4, 100), 0.0),
+    ("box1", 6, 4000, (2, 4), 0.0),
+])
+def test_bundled_maps_do_not_depend_on_the_grid(name, periods, fine, grids, bound):
+    # At the grid points that a coarse grid shares with the fine one, the
+    # states agree to the bound: down to one step per linear piece.
+    sc = scenario(name)
+    ref = simulate(sc.problem, sc.initial_state, 0.0, periods, fine).states
+    for M in grids:
+        states = simulate(sc.problem, sc.initial_state, 0.0, periods, M).states
+        assert np.max(np.abs(states - ref[:: fine // M])) <= bound, M
+
+
 # ---------------------------------------------------------------------------
 # acute corners
 
@@ -276,8 +289,7 @@ def test_acute_corner_rejects_3d():
 
 def test_reference_gait_margins():
     gaits = [two_block_gait(), two_block_gait(mirrored=True), three_block_gait(), degenerate_gait()]
-    grid = np.linspace(0, 1, 21)
-    margins = [check_gait_uniqueness(g, grid).min_margin for g in gaits]
+    margins = [g.period_margin.min_margin for g in gaits]
     assert margins[0] == pytest.approx(1.0)
     assert margins[1] == pytest.approx(1.0)
     assert margins[2] == pytest.approx(0.5)

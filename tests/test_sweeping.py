@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    hypomonotone_check,
     random_drift,
     random_moving_polyhedron,
     reference_csv,
@@ -24,7 +25,6 @@ from sweeplab.sweeping import (
     Trajectory,
     classify_convergence,
     convergence_report,
-    hypomonotone_check,
     lambda_convergence,
     lambda_series,
     period_distances_sup,
@@ -960,6 +960,20 @@ def test_trajectory_csv_with_fewer_than_two_rows_is_refused(tmp_path, rows):
     path.write_bytes(b"\r\n".join(lines[: 1 + rows]) + b"\r\n")
     with pytest.raises(ValueError, match=f"holds {rows} data rows; a trajectory needs at least 2$"):
         read_trajectory_csv(path, sc.problem)
+
+
+@pytest.mark.parametrize("period,rows", [(2.01, 301), (2.0, 294)], ids=["off-step", "part-period"])
+def test_trajectory_csv_that_is_not_whole_periods_is_refused(tmp_path, period, rows):
+    # Period 2.01 would read the file's step 0.02 as 100 steps of 0.0201 and
+    # give other distances; 294 rows are 2 periods of 100 steps and 93 more,
+    # which convergence_report would drop.
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 100)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[: 1 + rows]) + b"\r\n")
+    with pytest.raises(ValueError, match=f"traj.csv holds {rows} data rows at step 0.02"):
+        read_trajectory_csv(path, wedge_scenario(period=period).problem)
 
 
 # ---------------------------------------------------------------------------
