@@ -344,7 +344,6 @@ def cmd_run(args) -> int:
     for name, least in (("velocity", 3), ("convergence", 2)):
         if name in reports and periods < least:
             raise ConfigError(f"{name} reports need at least {least} periods")
-    out = _output_dir(cfg.out)
     starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
     summary = [
         f"scenario: {cfg.scenario.name if cfg.scenario else 'inline'}",
@@ -356,8 +355,8 @@ def cmd_run(args) -> int:
         f"starts: {len(starts)}",
     ]
 
-    # Every start, and the oracle cross-check, is simulated before any file is
-    # written, so a failing run leaves no partial outputs.
+    # Every start, and the oracle cross-check, is simulated before the output
+    # directory is made, so a failing run writes nothing.
     if gait is not None:
         runs = [simulate_reduced(gait, x0, cfg.t0, periods, steps) for x0 in starts]
         trajs = [run.reduced for run in runs]
@@ -365,6 +364,7 @@ def cmd_run(args) -> int:
         runs = []
         trajs = [simulate(cfg.problem, z0, cfg.t0, periods, steps) for z0 in starts]
     gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
+    out = _output_dir(cfg.out)
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
         if "trajectory" in reports:

@@ -26,7 +26,7 @@ from .errors import (
     InadmissibleStateError,
     PatternSearchError,
 )
-from .polyhedra import DEFAULT_TOL, MovingPolyhedron
+from .polyhedra import DEFAULT_TOL, MovingPolyhedron, _checked_vector
 from .signals import (
     PIECEWISE_LINEAR,
     PeriodicSignal,
@@ -37,7 +37,7 @@ from .signals import (
     lipschitz_constant,
     shares_period,
 )
-from .sweeping import SweepingProblem, Trajectory, _grid, simulate
+from .sweeping import SweepingProblem, Trajectory, _grid, _rows_passing, simulate
 
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
 VELOCITY_TOL = 1e-6            # spread of the last per-period displacements for a converged v0
@@ -204,11 +204,7 @@ def admissible(g: Gait, t: float, x) -> bool:
 
 def _checked_start(g: Gait, t0: float, x0) -> np.ndarray:
     """x0 as a float array, checked for shape, finiteness and admissibility at t0."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (g.num_blocks,):
-        raise ValueError(f"x0 must have {g.num_blocks} entries")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"initial state {x0} is not finite")
+    x0 = _checked_vector(x0, g.num_blocks, "initial state")
     if not admissible(g, t0, x0):
         raise InadmissibleStateError("initial configuration violates the force bounds")
     return x0
@@ -490,8 +486,8 @@ class _PatternSystem:
     so its A_SS is positive definite and is inverted once, as A_SS_inv.
     """
 
-    def __init__(self, A: np.ndarray, negA: np.ndarray, pat: tuple):
-        self.negA = negA
+    def __init__(self, A: np.ndarray, pat: tuple):
+        self.A = A   # the pattern table's own read-only A
         self.sign = np.array(pat, dtype=float)
         self.slips = np.flatnonzero(self.sign)
         self.sticks = np.flatnonzero(self.sign == 0)
@@ -515,12 +511,10 @@ class _PatternTable(dict):
     def __init__(self, A: np.ndarray):
         super().__init__()
         self.A = np.array(A, dtype=float)
-        self.negA = -self.A
         self.A.setflags(write=False)
-        self.negA.setflags(write=False)
 
     def __missing__(self, pat):
-        system = self[pat] = _PatternSystem(self.A, self.negA, pat)
+        system = self[pat] = _PatternSystem(self.A, pat)
         return system
 
 
@@ -569,7 +563,7 @@ def incremental_oracle(
     x0 = _checked_start(g, t0, x0)
 
     PZ = shape_matrix(N)
-    # force(x) = -A x + k PZ^T ell, with A = k PZ^T PZ held by the gait's pattern table.
+    # force(x) = b - A x with b = k PZ^T ell, and A = k PZ^T PZ held by the gait's pattern table.
     # One stacked matrix-vector product per phase, bit-equal to PZ.T @ ell per row.
     b_phase = g.stiffness * (PZ.T @ ell_phase[..., None])[..., 0]
     table = g._pattern_table
@@ -611,9 +605,9 @@ def _try_pattern(x, b, mup, mum, system):
     so it must move in its direction, and a sticking block gives
     max(force - mu^+, -mu^- - force), so its force stays within the bounds.
     The signs are +-1, so the terms are exact differences. Returns every
-    solved row, the number n of leading steps that pass and the worst term
-    at step n (None if every step passes). A NaN term never counts as a
-    violation.
+    solved row, the number n of leading steps that pass (_rows_passing) and
+    the worst term at step n (None if every step passes). A NaN term never
+    counts as a violation.
     """
     S = system.slips
     rows = np.repeat(x[None, :], len(b), axis=0)
@@ -621,15 +615,12 @@ def _try_pattern(x, b, mup, mum, system):
         target = np.where(system.forward, mup[:, S], -mum[:, S])
         rhs = b[:, S] - target - system.A_ST @ x[system.sticks]
         rows[:, S] = (system.A_SS_inv @ rhs[..., None])[..., 0]
-    force = (system.negA @ rows[..., None])[..., 0] + b
+    force = b - (system.A @ rows[..., None])[..., 0]
     prev = np.concatenate((x[None, :], rows[:-1]))
     sign = system.sign
     terms = np.where(sign != 0, sign * (prev - rows), np.maximum(force - mup, -mum - force))
-    failing = np.flatnonzero((terms > DEFAULT_TOL).any(axis=1))
-    if not len(failing):
-        return rows, len(rows), None
-    n = int(failing[0])
-    return rows, n, float(np.nanmax(terms[n]))
+    n = _rows_passing(~(terms > DEFAULT_TOL))
+    return rows, n, None if n == len(rows) else float(np.nanmax(terms[n]))
 
 
 def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
@@ -663,7 +654,7 @@ def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
         if miss < nearest[0]:
             nearest = (miss, pat)
         if i == 0:
-            force = system.negA @ rows[0] + b[0]
+            force = b[0] - system.A @ rows[0]
             flipped = np.array(pat)
             stuck = flipped == 0
             flipped[stuck & (force - mup[0] > DEFAULT_TOL)] = 1

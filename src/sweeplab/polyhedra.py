@@ -277,25 +277,25 @@ def _active_mask(B, C, Z) -> np.ndarray:
     return ((C - Z @ B.T <= DEFAULT_TOL) @ 2.0 ** np.arange(B.shape[0])).astype(np.int64)
 
 
-def _checked_vector(F: FrozenPolyhedron, x, name: str) -> np.ndarray:
-    """x as a float array of F's dimension; ValueError, naming it, when it is
+def _checked_vector(x, dim: int, name: str) -> np.ndarray:
+    """x as a float array of shape (dim,); ValueError, naming it, when it is
     not one or is not finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (F.dim,):
-        raise ValueError(f"{name} has dimension {x.shape}, expected ({F.dim},)")
+    if x.shape != (dim,):
+        raise ValueError(f"{name} has dimension {x.shape}, expected ({dim},)")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} {x} is not finite")
     return x
 
 
 def contains(F: FrozenPolyhedron, z) -> bool:
-    z = _checked_vector(F, z, "point")
+    z = _checked_vector(z, F.dim, "point")
     return bool(np.all(F.normals @ z <= F.offsets + DEFAULT_TOL))
 
 
 def active_set(F: FrozenPolyhedron, z) -> np.ndarray:
     """Indices of constraints active at z (empty for interior points)."""
-    z = _checked_vector(F, z, "point")
+    z = _checked_vector(z, F.dim, "point")
     resid = F.offsets - F.normals @ z
     if np.any(resid < -DEFAULT_TOL):
         raise MembershipError(f"point violates constraints by {-resid.min():.3e} > tol")
@@ -369,7 +369,7 @@ def project(F: FrozenPolyhedron, p) -> ProjectionResult:
     Subsets are tried in size-then-lexicographic order, which makes the
     reported multipliers deterministic.
     """
-    p = _checked_vector(F, p, "point")
+    p = _checked_vector(p, F.dim, "point")
     table = _subset_table(F.normals)
     z, lam, subset = _project_raw(F.normals, F.offsets, table, p)
     return ProjectionResult(z, lam, subset)
@@ -384,7 +384,7 @@ def decompose_normal(F: FrozenPolyhedron, z, v) -> np.ndarray:
     Requires the active normals at z to be linearly independent; the
     coefficients then depend only on v and the face, not on the base point.
     """
-    v = _checked_vector(F, v, "vector")
+    v = _checked_vector(v, F.dim, "vector")
     act = active_set(F, z)
     lam = np.zeros(F.num_constraints)
     vnorm = np.linalg.norm(v)

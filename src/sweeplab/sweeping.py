@@ -22,6 +22,7 @@ from .polyhedra import (
     DEFAULT_TOL,
     MovingPolyhedron,
     _active_mask,
+    _checked_vector,
     _gram_inverses,
     _independent,
     _project_raw,
@@ -253,11 +254,7 @@ def simulate(
 
     B = P.normals
     m, n = B.shape
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (n,):
-        raise ValueError(f"initial state has shape {z0.shape}, expected ({n},)")
-    if not np.isfinite(z0).all():
-        raise ValueError(f"initial state {z0} is not finite")
+    z0 = _checked_vector(z0, n, "initial state")
 
     if np.any(B @ z0 > offsets_phase[0] + DEFAULT_TOL):
         worst = float(np.max(B @ z0 - offsets_phase[0]))
@@ -465,30 +462,33 @@ def validate_trajectory(traj: Trajectory) -> None:
     """Check the discrete-solution invariants; raise ValueError on violation.
 
     The record's grid is checked first, by _grid over its whole periods, so
-    a record shorter than one period is refused.
+    a record shorter than one period is refused. Step k, from p = z_k plus
+    its drift increment, must land on a feasible z_{k+1}, rebuild p - z_{k+1}
+    from its multipliers and have every positive multiplier on an active
+    bound. A test passes only where its comparisons hold, so a NaN fails it.
+    _rows_passing judges one period's steps at a time; the error names the
+    first failing step and, at it, the first failing test in that order.
     """
     P = traj.problem.moving_set
     B = P.normals
     M = traj.steps_per_period
-    K = len(traj.states) - 1
     h, _, offsets_phase, drift_phase = _grid(
         P.period, traj.t0, traj.periods, M, offset=P.offsets, drift=traj.problem.drift
     )
-    for k in range(K):
-        z_next = traj.states[k + 1]
-        c_next = offsets_phase[(k + 1) % M]
-        if np.any(B @ z_next > c_next + 10 * DEFAULT_TOL):
-            raise ValueError(f"state {k + 1} infeasible")
-        p = traj.states[k]
-        if drift_phase is not None:
-            p = p + h * drift_phase[k % M]
-        recon = p - z_next - B.T @ traj.multipliers[k]
-        if np.linalg.norm(recon) > 1e-10 * (1.0 + np.linalg.norm(p)):
-            raise ValueError(f"multiplier reconstruction fails at step {k}")
-        resid = c_next - B @ z_next
-        support = np.flatnonzero(traj.multipliers[k] > 0)
-        if np.any(resid[support] > 10 * DEFAULT_TOL):
-            raise ValueError(f"multiplier support not active at step {k}")
+    c_next = np.roll(offsets_phase, -1, axis=0)   # row k % M: the offsets step k lands on
+    dz = np.zeros((M, 1)) if drift_phase is None else h * drift_phase
+    for lo in range(0, len(traj.states) - 1, M):
+        Z = traj.states[lo + 1 : lo + 1 + M]
+        L = len(Z)
+        p, eta, C = traj.states[lo : lo + L] + dz[:L], traj.multipliers[lo : lo + L], c_next[:L]
+        ZB = Z @ B.T
+        recon = np.linalg.norm(p - Z - eta @ B, axis=1) <= 1e-10 * (1.0 + np.linalg.norm(p, axis=1))
+        firsts = [_rows_passing(ZB <= C + 10 * DEFAULT_TOL), _rows_passing(recon[:, None]),
+                  _rows_passing((eta <= 0) | (C - ZB <= 10 * DEFAULT_TOL))]
+        k = lo + min(firsts)
+        if k < lo + L:
+            raise ValueError((f"state {k + 1} infeasible", f"multiplier reconstruction fails at step {k}",
+                              f"multiplier support not active at step {k}")[firsts.index(k - lo)])
 
 
 def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str) -> None:

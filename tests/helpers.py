@@ -589,6 +589,43 @@ def reference_simulate(problem, z0, t0: float, periods: int, steps_per_period: i
     return np.array(states), np.array(multipliers), np.array(masks, dtype=np.int64)
 
 
+def reference_validate_trajectory(traj, tol: float = TOL) -> None:
+    """The KKT certificate one step at a time: at each step k, in this order,
+    z_{k+1} feasible to 10*tol, the multiplier reconstruction of p - z_{k+1}
+    within 1e-10 (1 + |p|), and every multiplier that is not <= 0 on a
+    constraint active to 10*tol. A step passes a test only where its
+    comparisons hold, so a NaN fails it. Offsets and drift come from
+    eval_many at the grid phases, not from sweeping._grid, and the record's
+    grid is not checked.
+
+    Raises sweeping.validate_trajectory's ValueError for the first failing
+    step and test.
+    """
+    P = traj.problem.moving_set
+    B = P.normals
+    M = traj.steps_per_period
+    h = P.period / M
+    phases = traj.t0 + np.arange(M) * h
+    offsets = np.column_stack([eval_many(s, phases) for s in P.offsets])
+    drift = traj.problem.drift
+    if drift is not None:
+        drift = np.column_stack([eval_many(s, phases) for s in drift])
+    for k in range(len(traj.states) - 1):
+        z_next = traj.states[k + 1]
+        c_next = offsets[(k + 1) % M]
+        if not np.all(B @ z_next <= c_next + 10 * tol):
+            raise ValueError(f"state {k + 1} infeasible")
+        p = traj.states[k]
+        if drift is not None:
+            p = p + h * drift[k % M]
+        recon = p - z_next - B.T @ traj.multipliers[k]
+        if not np.linalg.norm(recon) <= 1e-10 * (1.0 + np.linalg.norm(p)):
+            raise ValueError(f"multiplier reconstruction fails at step {k}")
+        support = ~(traj.multipliers[k] <= 0)
+        if not np.all(c_next[support] - B[support] @ z_next <= 10 * tol):
+            raise ValueError(f"multiplier support not active at step {k}")
+
+
 def reference_segment_steps(inside, lam_ok=None, feasible=None) -> int:
     """The steps a segment block accepts, by row-by-row reductions of its
     (L, m) test tables: the leading run of rows that pass.

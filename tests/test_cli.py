@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sweeplab.crawler
+import sweeplab.sweeping
 from helpers import reference_motion_csv, reference_trajectory_csv
 from sweeplab.cli import (
     CONFIG_KEYS,
@@ -21,7 +22,7 @@ from sweeplab.cli import (
     main,
 )
 from sweeplab.crawler import simulate_reduced
-from sweeplab.errors import ConfigError
+from sweeplab.errors import ConfigError, InfeasibleSetError
 from sweeplab.polyhedra import contains, freeze
 from sweeplab.scenarios import catalog
 from sweeplab.signals import PeriodicSignal
@@ -51,6 +52,14 @@ def test_dump_json_is_17_digit_and_sorted():
     assert "0.33333333333333331" in s
     parsed = json.loads(s)
     assert parsed["b"] == pytest.approx(1 / 3)
+
+
+def test_dump_json_writes_null_for_non_finite_floats_and_empty_containers():
+    obj = {"nan": float("nan"), "inf": np.inf, "-inf": -np.inf, "dict": {}, "list": [], "array": np.zeros(0)}
+    assert dump_json(obj) == (
+        '{\n  "-inf": null,\n  "array": [],\n  "dict": {},\n  "inf": null,\n'
+        '  "list": [],\n  "nan": null\n}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +261,17 @@ def test_run_inadmissible_plain_start_names_the_prefix_once(tmp_path, capsys):
     assert err.count("inadmissible initial state") == 1
 
 
+def test_run_numerical_failure_exit_1_writes_nothing(tmp_path, capsys, monkeypatch):
+    def empty_set(*args):
+        raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
+
+    monkeypatch.setattr(sweeplab.sweeping, "_project_raw", empty_set)
+    out = tmp_path / "x"
+    assert run_cli("run", "--scenario", "wedge", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: step 0, t=")
+    assert not out.exists()
+
+
 def test_run_unknown_scenario_exit_4(tmp_path):
     assert run_cli("run", "--scenario", "nope", "--out", str(tmp_path / "x")) == 4
 
@@ -350,7 +370,7 @@ def test_run_malformed_config_exit_4(tmp_path, capsys, config, flags):
     out = tmp_path / "x"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), *flags) == 4
     assert "configuration error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _crawler2_gait(**change):
@@ -678,13 +698,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     ("crawler2", [[0.0, 0.0], [0.0, 9.0]]),
 ])
 def test_run_failing_start_writes_no_outputs(tmp_path, scenario, states):
-    # Every start is simulated before any file is written.
+    # Every start is simulated before the output directory is made.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": scenario, "periods": 4, "steps_per_period": 100,
                                "initial_states": states}))
     out = tmp_path / "x"
     assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 3
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -825,7 +845,7 @@ def test_check_gait_reports_a_margin_that_vanishes_between_samples(tmp_path, cap
         argv = ["run", "--config", str(cfg), "--periods", "3", "--steps", steps, "--out", str(run_out)]
         assert run_cli(*argv) == 2
         assert "t=0.253075:" in capsys.readouterr().err
-        assert not any(run_out.iterdir())
+        assert not run_out.exists()
 
 
 GAITS = sorted(name for name, sc in catalog().items() if sc.gait is not None)
@@ -841,7 +861,7 @@ def test_run_and_check_gait_report_one_margin(tmp_path, capsys, name):
     out = tmp_path / name
     assert run_cli("run", "--scenario", name, "--periods", "3", "--steps", "300", "--out", str(out)) == code
     if code:
-        assert not any(out.iterdir())
+        assert not out.exists()
     else:
         assert json.loads((out / "velocity.json").read_text())["margin"] == margin
 

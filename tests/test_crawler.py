@@ -477,6 +477,20 @@ def test_runners_reject_a_non_finite_start(runner, x0):
         runner(two_block_gait(), np.array(x0), 0.0, 3, 100)
 
 
+@pytest.mark.parametrize("runner", [simulate_reduced, incremental_oracle],
+                         ids=["simulate_reduced", "incremental_oracle"])
+def test_runners_reject_a_start_of_the_wrong_dimension(runner):
+    with pytest.raises(ValueError, match=r"^initial state has dimension \(3,\), expected \(2,\)$"):
+        runner(two_block_gait(), np.zeros(3), 0.0, 3, 100)
+
+
+def test_estimate_velocity_needs_three_periods():
+    g = two_block_gait()
+    run = simulate_reduced(g, _rest_start(g), 0.0, 2, 100)
+    with pytest.raises(ValueError, match="^need at least 3 periods to estimate the velocity$"):
+        estimate_velocity(run.motion)
+
+
 def test_reduced_rejects_degenerate_gait():
     g = degenerate_gait()
     x0 = np.array([0.0, 0.0])
@@ -1161,9 +1175,9 @@ def test_oracle_runs_of_one_gait_build_each_pattern_system_once(monkeypatch):
     real = cr._PatternSystem
     patterns = []
 
-    def pattern_system(A, negA, pat):
+    def pattern_system(A, pat):
         patterns.append(pat)
-        return real(A, negA, pat)
+        return real(A, pat)
 
     monkeypatch.setattr(cr, "_PatternSystem", pattern_system)
     g = three_block_gait()
@@ -1226,9 +1240,10 @@ def test_values_kept_on_the_gait_refuse_writes():
     incremental_oracle(g, x0, 0.0, 2, 200)
     table = g._pattern_table
     assert len(table) > 1
-    _frozen_arrays(table.A, table.negA, g.moving_set.normals)
+    _frozen_arrays(table.A, g.moving_set.normals)
     for system in table.values():
-        blocks = [system.negA, system.sign, system.slips, system.sticks, system.forward]
+        assert system.A is table.A
+        blocks = [system.sign, system.slips, system.sticks, system.forward]
         if len(system.slips):
             blocks += [system.A_SS_inv, system.A_ST]
         _frozen_arrays(*blocks)

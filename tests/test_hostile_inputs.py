@@ -2,9 +2,8 @@
 
 Each case takes a bundled scenario's exported config at 3 periods of 120
 steps and replaces one JSON node by one hostile value, or deletes it. Every
-case must exit 0, 2, 3 or 4; say why on stderr when it exits nonzero; leave
-no file behind on a nonzero exit (an empty directory may remain); and raise
-no RuntimeWarning.
+case must exit 0, 2, 3 or 4; say why on stderr when it exits nonzero; make
+no output directory on a nonzero exit; and raise no RuntimeWarning.
 
 Tier-1 runs a fixed, seeded sample of the cases. Run this file as a script
 to sweep every case:
@@ -96,8 +95,8 @@ def run_case(config: dict, workdir: Path):
         broken.append(f"exit {code}: {err.getvalue().strip()}")
     if code != 0 and not err.getvalue().strip():
         broken.append(f"exit {code} with nothing on stderr")
-    if code != 0 and out.exists() and any(p.is_file() for p in out.rglob("*")):
-        broken.append(f"exit {code} left files {sorted(p.name for p in out.rglob('*'))}")
+    if code != 0 and out.exists():
+        broken.append(f"exit {code} made {out}: {sorted(p.name for p in out.rglob('*'))}")
     runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if runtime:
         broken.append(f"RuntimeWarning: {runtime[0].message}")

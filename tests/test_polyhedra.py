@@ -151,6 +151,24 @@ def test_project_dimension_mismatch():
         project(unit_square(), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("normals,offsets,message", [
+    ([1.0, -1.0], [1.0, 1.0], r"normals must be a 2-d array \(m, n\)"),
+    ([[1.0], [-1.0]], [1.0], "offsets must have one entry per normal"),
+    ([[1.0], [0.0]], [1.0, 1.0], "zero normal vector"),
+], ids=["1-d-normals", "offset-count", "zero-normal"])
+def test_frozen_polyhedron_names_a_malformed_array(normals, offsets, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FrozenPolyhedron(normals, offsets)
+
+
+def test_moving_polyhedron_names_an_offset_that_is_not_a_signal_of_its_period():
+    one = PeriodicSignal.constant(1.0, 1.0)
+    with pytest.raises(TypeError, match="^offsets must be PeriodicSignal instances$"):
+        MovingPolyhedron([[1.0], [-1.0]], (one, 1.0))
+    with pytest.raises(ValueError, match="^offset signals must share one period$"):
+        MovingPolyhedron([[1.0], [-1.0]], (one, PeriodicSignal.constant(1.0, 2.0)))
+
+
 def test_project_empty_set():
     F = FrozenPolyhedron([[1.0], [-1.0]], [-1.0, -2.0])  # x <= -1 and x >= 2
     with pytest.raises(InfeasibleSetError):

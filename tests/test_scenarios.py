@@ -3,7 +3,7 @@ import pytest
 
 from helpers import acute_corner_note, bottom_edge_coordinate, random_polyhedron, reference_acute_corners
 from sweeplab.errors import SweepLabError
-from sweeplab.polyhedra import FrozenPolyhedron, freeze, vertices
+from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, freeze, vertices
 from sweeplab.scenarios import (
     catalog,
     degenerate_gait,
@@ -16,8 +16,9 @@ from sweeplab.scenarios import (
     wedge_poincare,
     wedge_scenario,
 )
-from sweeplab.signals import PeriodicSignal, eval_many, triangle_wave
+from sweeplab.signals import PeriodicSignal, combine, eval_many, triangle_wave
 from sweeplab.sweeping import (
+    SweepingProblem,
     classify_convergence,
     period_distances_sup,
     simulate,
@@ -35,6 +36,14 @@ def test_wedge_poincare_values():
     assert wedge_poincare(1.0, 2.0, 1.7) == 1.7
     with pytest.raises(ValueError):
         wedge_poincare(1.0, 2.0, -0.1)
+
+
+def test_scenario_builders_name_the_rule_they_refuse():
+    # 2*beta > T*alpha holds here, so the second rule decides.
+    with pytest.raises(ValueError, match=r"^requires beta > period/\(2\*alpha\)$"):
+        wedge_scenario(alpha=0.5, beta=1.0, period=2.0)
+    with pytest.raises(ValueError, match="^need matching lower/upper signal lists$"):
+        ncell_scenario([PeriodicSignal.constant(0.0, 1.0)], [])
 
 
 def test_wedge_parameter_validation():
@@ -213,6 +222,39 @@ def test_bundled_maps_do_not_depend_on_the_grid(name, periods, fine, grids, boun
     for M in grids:
         states = simulate(sc.problem, sc.initial_state, 0.0, periods, M).states
         assert np.max(np.abs(states - ref[:: fine // M])) <= bound, M
+
+
+def _translated_box(rng):
+    """A box of half-width 0.3 about a(t), cut by 1 to 3 random unit normals r
+    with offsets r.a(t) + U(0, 0.25); a is piecewise linear with knots at the
+    quarter periods and values U(-0.8, 0.8)^n, n = 2 or 3, and T = 1.
+    Returns the problem and the start a(0)."""
+    n = int(rng.integers(2, 4))
+    a = rng.uniform(-0.8, 0.8, size=(4, n))
+    shift = [PeriodicSignal(1.0, list(zip(np.arange(4) / 4.0, a[:, i]))) for i in range(n)]
+    R = rng.normal(size=(int(rng.integers(1, 4)), n))
+    R /= np.linalg.norm(R, axis=1, keepdims=True)
+    slack = rng.uniform(0.0, 0.25, size=len(R))
+    offsets = ([combine([s], [1.0], 0.3) for s in shift] + [combine([s], [-1.0], 0.3) for s in shift]
+               + [combine(shift, list(r), c) for r, c in zip(R, slack)])
+    normals = np.vstack([np.eye(n), -np.eye(n), R])
+    return SweepingProblem(MovingPolyhedron(normals, offsets)), a[0]
+
+
+def test_translated_box_maps_do_depend_on_the_grid():
+    # The bundled maps' grid independence is a property of their geometry.
+    # Of these 16 sets, cases 4 and 11 differ from M = 4000 at period ends,
+    # by 2.5e-2 and 4.2e-2 at M = 4, 8.2e-3 and 7.2e-3 at M = 40 and 5.2e-4
+    # and 3.4e-4 at M = 400; the other 14 agree within 2.3e-16.
+    rng = np.random.default_rng(5)
+    gaps = []
+    for _ in range(16):
+        problem, z0 = _translated_box(rng)
+        ref = simulate(problem, z0, 0.0, 6, 4000).states[::4000]
+        for M in (4, 40, 400):
+            gaps.append(np.max(np.abs(simulate(problem, z0, 0.0, 6, M).states[::M] - ref)))
+    assert max(gaps) > 1e-6
+    assert sorted(gaps)[-7] <= 1e-15   # six gaps are large, the rest rounding
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,14 @@ def test_combine_rejects_mixed_kinds_and_periods():
         combine([a, b], [1.0, 1.0])
 
 
+def test_combine_and_triangle_wave_name_what_they_refuse():
+    with pytest.raises(ValueError, match="^need at least one signal$"):
+        combine([], [])
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ValueError, match="^peak_fraction must lie strictly between 0 and 1$"):
+            triangle_wave(1.0, 1.0, peak_fraction=fraction)
+
+
 def test_combine_refuses_a_coefficient_count_that_does_not_match():
     # zip would drop the unmatched terms: the triangle wave alone, or an ignored 2.0.
     a = triangle_wave(1.0, 2.0)

@@ -13,6 +13,7 @@ from helpers import (
     reference_segment_steps,
     reference_simulate,
     reference_trajectory_csv,
+    reference_validate_trajectory,
 )
 from sweeplab import polyhedra, sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
@@ -99,8 +100,17 @@ def test_simulate_rejects_inadmissible_start():
 def test_simulate_rejects_malformed_start(z0):
     # A NaN start would pass the admissibility test: B @ z0 > c + tol is False for NaN.
     problem = SweepingProblem(constant_interval())
-    with pytest.raises(ValueError, match="initial state"):
+    message = r"has dimension \(2,\), expected \(1,\)" if len(z0) == 2 else r"\[.*\] is not finite"
+    with pytest.raises(ValueError, match=f"^initial state {message}$"):
         simulate(problem, np.array(z0), 0.0, 2, 10)
+
+
+def test_sweeping_problem_refuses_a_drift_that_does_not_fit():
+    P = constant_interval()
+    with pytest.raises(ValueError, match="^drift needs one signal per coordinate$"):
+        SweepingProblem(P, (PeriodicSignal.constant(0.0, T1),) * 2)
+    with pytest.raises(ValueError, match="^drift signals must share the moving-set period$"):
+        SweepingProblem(P, (PeriodicSignal.constant(0.0, 2 * T1),))
 
 
 def test_simulate_rejects_misaligned_breakpoints():
@@ -286,8 +296,9 @@ def test_validate_trajectory_names_the_first_broken_step(faults, message):
     for fault, later in faults:
         traj = broken_copy(traj, fault, k + later)
     step = k + 1 if message.startswith("state") else k
-    with pytest.raises(ValueError, match=f"^{message.format(step)}$"):
-        validate_trajectory(traj)
+    for check in (validate_trajectory, reference_validate_trajectory):
+        with pytest.raises(ValueError, match=f"^{message.format(step)}$"):
+            check(traj)
 
 
 def test_validate_trajectory_adds_the_drift():
@@ -296,8 +307,98 @@ def test_validate_trajectory_adds_the_drift():
     validate_trajectory(traj)
     # The same record read as a drift-free run fails where the drift first moves the state.
     undriven = dataclasses.replace(traj, problem=SweepingProblem(sc.problem.moving_set))
-    with pytest.raises(ValueError, match="^multiplier reconstruction fails at step 0$"):
-        validate_trajectory(undriven)
+    for check in (validate_trajectory, reference_validate_trajectory):
+        with pytest.raises(ValueError, match="^multiplier reconstruction fails at step 0$"):
+            check(undriven)
+
+
+@pytest.mark.parametrize("field,k,message", [
+    ("states", 57, "state 57 infeasible"),
+    ("multipliers", 30, "multiplier reconstruction fails at step 30"),
+])
+def test_validate_trajectory_fails_a_nan(field, k, message):
+    # Every comparison with NaN is False, so a test that raises only where a
+    # violation compares True would accept these records.
+    sc = catalog()["wedge"]
+    traj = simulate(sc.problem, sc.initial_state, 0.0, 2, 200)
+    broken = getattr(traj, field).copy()
+    broken[k] = np.nan
+    traj = dataclasses.replace(traj, **{field: broken})
+    for check in (validate_trajectory, reference_validate_trajectory):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(traj)
+
+
+def _certified_record(name):
+    """A valid record of a bundled scenario on a small grid: the reduced run for a gait."""
+    sc = catalog()[name]
+    if sc.gait is not None:
+        return simulate_reduced(sc.gait, sc.initial_state, 0.0, 3, 200).reduced
+    return simulate(sc.problem, sc.initial_state, 0.0, 3, 300 if name == "triangle" else 200)
+
+
+def _with_random_faults(traj, rng):
+    """A copy of traj with 1 to 3 faults at seeded random steps k: z_{k+1}
+    pushed 1e3 past a constraint, 0.5 added to a multiplier, 1e-13 put on a
+    constraint inactive at z_{k+1} (the reconstruction still passes), or a
+    NaN in z_{k+1} or in the multipliers."""
+    B = traj.problem.moving_set.normals
+    states, multipliers = traj.states.copy(), traj.multipliers.copy()
+    K, m = multipliers.shape
+    for _ in range(rng.integers(1, 4)):
+        k, i = int(rng.integers(K)), int(rng.integers(m))
+        fault = rng.integers(5)
+        if fault == 0:
+            states[k + 1] += 1e3 * B[i] / (B[i] @ B[i])
+        elif fault == 1:
+            multipliers[k, i] += 0.5
+        elif fault == 2:
+            inactive = [j for j in range(m) if not traj.active_masks[k + 1] >> j & 1]
+            multipliers[k, inactive[i % len(inactive)]] = 1e-13
+        elif fault == 3:
+            states[k + 1, i % B.shape[1]] = np.nan
+        else:
+            multipliers[k, i] = np.nan
+    return dataclasses.replace(traj, states=states, multipliers=multipliers)
+
+
+def _raised(check, traj):
+    try:
+        check(traj)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["wedge", "triangle", "box3", "crawler3"])
+def test_validate_trajectory_agrees_with_the_step_loop_on_random_faults(name):
+    traj = _certified_record(name)
+    validate_trajectory(traj)
+    reference_validate_trajectory(traj)
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for _ in range(40):
+        broken = _with_random_faults(traj, rng)
+        message = _raised(validate_trajectory, broken)
+        assert message is not None and message == _raised(reference_validate_trajectory, broken)
+        kinds.add("infeasible" if message.endswith("infeasible") else message.split(" ")[1])
+    assert kinds == {"infeasible", "reconstruction", "support"}
+
+
+def test_validate_trajectory_judges_one_period_at_a_time(monkeypatch):
+    # Every table _rows_passing scans holds at most one period's steps.
+    traj = _certified_record("wedge")
+    shapes = []
+    real = sweeping._rows_passing
+
+    def counted(table):
+        shapes.append(table.shape)
+        return real(table)
+
+    monkeypatch.setattr(sweeping, "_rows_passing", counted)
+    validate_trajectory(traj)
+    assert len(shapes) == 3 * traj.periods
+    assert {rows for rows, _ in shapes} == {traj.steps_per_period}
 
 
 def test_validate_trajectory_refuses_a_record_shorter_than_one_period():
@@ -833,6 +934,14 @@ def test_lambda_convergence_flags_degenerate_faces():
         lambda_convergence(traj, 0)
 
 
+def test_lambda_convergence_refuses_a_window_outside_the_record():
+    traj = simulate(box_problem(), np.array([0.0]), 0.0, 3, 50)
+    lambda_convergence(traj, 1)
+    for q in (-1, 2):
+        with pytest.raises(IndexError, match=f"^window {q} out of range$"):
+            lambda_convergence(traj, q)
+
+
 def test_lambda_convergence_names_the_first_visited_dependent_set():
     # Twin upper faces (rows 0, 1: mask 3) and twin lower faces (rows 2, 3:
     # mask 12). The rising lower bound reaches the state first, the falling
@@ -947,6 +1056,14 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.multipliers, traj.multipliers)
     np.testing.assert_array_equal(back.active_masks, traj.active_masks)
     validate_trajectory(back)
+
+
+def test_trajectory_csv_of_another_problem_is_refused(tmp_path):
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 1, 10)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    with pytest.raises(ValueError, match="^CSV columns do not match the problem dimensions$"):
+        read_trajectory_csv(path, box_problem())
 
 
 @pytest.mark.parametrize("rows", [0, 1])
