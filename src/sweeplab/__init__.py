@@ -33,12 +33,8 @@ from .sweeping import (
     ConvergenceReport,
     SweepingProblem,
     Trajectory,
-    classify_convergence,
     convergence_report,
     lambda_convergence,
-    lambda_series,
-    period_distances_sup,
-    period_distances_w12,
     read_trajectory_csv,
     simulate,
     validate_trajectory,

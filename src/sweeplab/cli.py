@@ -386,7 +386,7 @@ def cmd_run(args) -> int:
         payload = {
             "v0": v0s[0],
             "per_period": vels[0].per_period,
-            "margin": runs[0].margin.min_margin,
+            "margin": gait.period_margin.min_margin,
             "converged": all(v.converged for v in vels),
         }
         if len(v0s) > 1:
@@ -394,7 +394,7 @@ def cmd_run(args) -> int:
             payload["v0_spread"] = max(v0s) - min(v0s)
         write_json(out / "velocity.json", payload)
         summary.append(f"v0: {_fmt_float(v0s[0])}")
-        summary.append(f"margin: {_fmt_float(runs[0].margin.min_margin)}")
+        summary.append(f"margin: {_fmt_float(gait.period_margin.min_margin)}")
     if gap is not None:
         write_json(out / "compare.json", gap)
         summary.append(f"solver_sup_distance: {_fmt_float(gap['sup_distance'])}")

@@ -28,14 +28,13 @@ from .errors import (
 )
 from .polyhedra import DEFAULT_TOL, MovingPolyhedron, _checked_vector
 from .signals import (
-    PIECEWISE_LINEAR,
     PeriodicSignal,
+    _checked_signals,
     combine,
     eval_many,
     eval_signal,
     is_json_number,
     lipschitz_constant,
-    shares_period,
 )
 from .sweeping import SweepingProblem, Trajectory, _grid, _rows_passing, simulate
 
@@ -70,11 +69,8 @@ class Gait:
             raise ValueError(f"need {N - 1} rest-length signals, got {len(self.rest_lengths)}")
         if len(self.mu_plus) != N or len(self.mu_minus) != N:
             raise ValueError(f"need {N} friction signals per direction")
-        for s in (*self.rest_lengths, *self.mu_plus, *self.mu_minus):
-            if s.kind != PIECEWISE_LINEAR:
-                raise ValueError("gait signals must be piecewise-linear")
-            if not shares_period(s, self.period):
-                raise ValueError("all gait signals must share the gait period")
+        for name in ("rest_lengths", "mu_plus", "mu_minus"):
+            object.__setattr__(self, name, _checked_signals(getattr(self, name), name, self.period))
         for s in (*self.mu_plus, *self.mu_minus):
             if np.min(s.values) <= 0:
                 raise ValueError("friction thresholds must be strictly positive")
@@ -93,9 +89,6 @@ class Gait:
                     f"stiffness {self.stiffness} times {name} up to {length} overflows: "
                     "the offsets of K(t) cannot be finite"
                 )
-        object.__setattr__(self, "rest_lengths", tuple(self.rest_lengths))
-        object.__setattr__(self, "mu_plus", tuple(self.mu_plus))
-        object.__setattr__(self, "mu_minus", tuple(self.mu_minus))
 
     @cached_property
     def moving_set(self) -> MovingPolyhedron:
@@ -372,7 +365,6 @@ class CrawlerRun:
     gait: Gait
     reduced: Trajectory
     motion: Motion
-    margin: MarginReport
 
 
 def recover_translation(eta, stiffness: float, num_blocks: int):
@@ -401,7 +393,7 @@ def simulate_reduced(
     margin vanishes anywhere in the period."""
     _grid(g.period, t0, periods, steps_per_period)   # t0 and the counts first, as in every run
     x0 = _checked_start(g, t0, x0)
-    margin = _margin_gate(g.period_margin)
+    _margin_gate(g.period_margin)
 
     problem = SweepingProblem(g.moving_set)
     w0 = -g.stiffness * pi_z(x0)
@@ -412,7 +404,7 @@ def simulate_reduced(
     z = -traj.states / g.stiffness
     positions = assemble_positions(y, z)
     motion = Motion(traj.times, positions, steps_per_period, g.period)
-    return CrawlerRun(g, traj, motion, margin)
+    return CrawlerRun(g, traj, motion)
 
 
 # ---------------------------------------------------------------------------

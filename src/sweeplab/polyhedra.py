@@ -43,7 +43,7 @@ from .errors import (
     MembershipError,
     NormalConeError,
 )
-from .signals import PIECEWISE_LINEAR, PeriodicSignal, eval_many, eval_signal, is_json_number, shares_period
+from .signals import PeriodicSignal, _checked_signals, eval_many, eval_signal, is_json_number
 
 DEFAULT_TOL = 1e-9        # the working tolerance of every membership and sign test
 ENUMERATION_CAP = 24      # max number of constraints for subset enumeration
@@ -106,14 +106,7 @@ class MovingPolyhedron:
             raise ValueError("need at least one constraint")
         if np.any(np.linalg.norm(B, axis=1) == 0):
             raise ValueError("zero normal vector")
-        period = offs[0].period
-        for s in offs:
-            if not isinstance(s, PeriodicSignal):
-                raise TypeError("offsets must be PeriodicSignal instances")
-            if s.kind != PIECEWISE_LINEAR:
-                raise ValueError("polyhedron offsets must be piecewise-linear signals")
-            if not shares_period(s, period):
-                raise ValueError("offset signals must share one period")
+        _checked_signals(offs, "offsets")
         B.setflags(write=False)
         object.__setattr__(self, "normals", B)
         object.__setattr__(self, "offsets", offs)
@@ -133,9 +126,6 @@ class MovingPolyhedron:
     @property
     def period(self) -> float:
         return self.offsets[0].period
-
-    def offsets_at(self, t: float) -> np.ndarray:
-        return np.array([eval_signal(s, t) for s in self.offsets])
 
     def validate_nonempty(self) -> None:
         """Check nonemptiness at the offset breakpoints, which decides it exactly: between
@@ -165,7 +155,7 @@ class MovingPolyhedron:
 
 def freeze(P: MovingPolyhedron, t: float) -> FrozenPolyhedron:
     """Snapshot of the moving set at time t."""
-    return FrozenPolyhedron(P.normals, P.offsets_at(t))
+    return FrozenPolyhedron(P.normals, np.array([eval_signal(s, t) for s in P.offsets]))
 
 
 def positively_spanning(normals: np.ndarray) -> bool:
@@ -457,8 +447,10 @@ def _licq_report(B: np.ndarray, vertex_active: list) -> LicqReport:
 
 
 def _dependent_witness(B: np.ndarray, act: np.ndarray) -> tuple:
-    """Smallest-prefix dependent subfamily of the active set (size <= n+1)."""
-    for size in range(2, len(act) + 1):
+    """The first dependent subfamily of the dependent active set, in
+    size-then-lexicographic order (size <= n+1): the whole set when every
+    smaller subfamily is independent."""
+    for size in range(2, len(act)):
         idx = np.array(list(itertools.combinations(act.tolist(), size)))
         dependent = np.flatnonzero(~_independent(B[idx]))
         if len(dependent):

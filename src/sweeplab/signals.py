@@ -70,9 +70,6 @@ class PeriodicSignal:
     def constant(value, period):
         return PeriodicSignal(period, [(0.0, value)], PIECEWISE_LINEAR)
 
-    def __call__(self, t):
-        return eval_signal(self, t)
-
     def to_json(self) -> dict:
         return {
             "period": self.period,
@@ -145,6 +142,23 @@ def shares_period(s: PeriodicSignal, period: float) -> bool:
     return abs(s.period - period) <= 1e-12 * max(1.0, period)
 
 
+def _checked_signals(signals, name: str, period: float | None = None, linear: bool = True) -> tuple:
+    """signals as a tuple of PeriodicSignals that share period (by default
+    the first one's) and, when linear is set, are piecewise-linear. Raises
+    TypeError for an item that is not a signal and ValueError for one of
+    another kind or period, naming it as name[i]."""
+    signals = tuple(signals)
+    for i, s in enumerate(signals):
+        if not isinstance(s, PeriodicSignal):
+            raise TypeError(f"{name}[{i}] is not a PeriodicSignal: {s!r}")
+        if linear and s.kind != PIECEWISE_LINEAR:
+            raise ValueError(f"{name}[{i}] has kind {s.kind!r}, expected {PIECEWISE_LINEAR!r}")
+        period = s.period if period is None else period
+        if not shares_period(s, period):
+            raise ValueError(f"{name}[{i}] has period {s.period}, expected {period}")
+    return signals
+
+
 def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
     """Exact linear combination sum_i coeffs[i]*signals[i] + constant.
 
@@ -158,12 +172,7 @@ def combine(signals, coeffs, constant: float = 0.0) -> PeriodicSignal:
         )
     if not signals:
         raise ValueError("need at least one signal")
-    period = signals[0].period
-    for s in signals:
-        if s.kind != PIECEWISE_LINEAR:
-            raise ValueError("combine supports piecewise-linear signals only")
-        if not shares_period(s, period):
-            raise ValueError("signals must share one period")
+    period = _checked_signals(signals, "signals")[0].period
     merged = np.unique(np.concatenate([s.times for s in signals]))
     # Collapse breakpoints closer than the dedupe tolerance.
     keep = [merged[0]]

@@ -28,7 +28,7 @@ from .polyhedra import (
     _project_raw,
     _subset_table,
 )
-from .signals import PeriodicSignal, eval_many, shares_period
+from .signals import PeriodicSignal, _checked_signals, eval_many
 
 FLOAT_FMT = "%.17g"
 FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
@@ -48,9 +48,7 @@ class SweepingProblem:
             drift = tuple(self.drift)
             if len(drift) != self.moving_set.dim:
                 raise ValueError("drift needs one signal per coordinate")
-            for s in drift:
-                if not shares_period(s, self.period):
-                    raise ValueError("drift signals must share the moving-set period")
+            _checked_signals(drift, "drift", self.period, linear=False)
             object.__setattr__(self, "drift", drift)
 
     @property
@@ -324,30 +322,6 @@ def _period_deltas(traj: Trajectory) -> np.ndarray:
     return np.concatenate([delta[:-1].reshape(-1, M, s.shape[1]), delta[M::M, None]], axis=1)
 
 
-def period_distances_sup(traj: Trajectory) -> np.ndarray:
-    """max_k |z(t_k + qT) - z(t_k + (q+1)T)| over each period window q."""
-    return _sup_distances(_period_deltas(traj))
-
-
-def _sup_distances(delta: np.ndarray) -> np.ndarray:
-    return np.max(np.linalg.norm(delta, axis=2), axis=1)
-
-
-def period_distances_w12(traj: Trajectory) -> np.ndarray:
-    """Discrete W^{1,2} distance between consecutive period windows.
-
-    Uses forward divided differences; the last grid point of the window
-    reuses the previous difference.
-    """
-    return _w12_distances(_period_deltas(traj), traj.h)
-
-
-def _w12_distances(delta: np.ndarray, h: float) -> np.ndarray:
-    dd = np.diff(delta, axis=1) / h
-    dd = np.concatenate([dd, dd[:, -1:]], axis=1)
-    return np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2)))
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str                 # "finite-time" | "geometric" | "undetermined"
@@ -358,8 +332,8 @@ class Classification:
         return {"kind": self.kind, "period": self.period, "ratio": self.ratio}
 
 
-def classify_convergence(traj: Trajectory) -> Classification:
-    """Classify the per-period sup-distance sequence of a run of at least 2 periods.
+def _classify(d: np.ndarray) -> Classification:
+    """Classify the per-period sup distances d of a run of at least 2 periods.
 
     Finite-time at q* when d_q <= FINITE_TIME_TOL for all q >= q* (q* minimal).
     Otherwise geometric with the median ratio over the largest suffix of the
@@ -368,10 +342,6 @@ def classify_convergence(traj: Trajectory) -> Classification:
     only when the full run fails the spread test); undetermined when no
     suffix with at least two ratios qualifies.
     """
-    return _classify(period_distances_sup(traj))
-
-
-def _classify(d: np.ndarray) -> Classification:
     if len(d) < 1:
         raise ValueError(f"need at least 2 periods, have {len(d) + 1}")
     if d[-1] <= FINITE_TIME_TOL:
@@ -391,13 +361,46 @@ def _classify(d: np.ndarray) -> Classification:
     return Classification("undetermined")
 
 
+@dataclass(frozen=True)
+class ConvergenceReport:
+    d_sup: np.ndarray
+    d_w12: np.ndarray
+    classification: Classification
+    residual: float
+
+    def to_json(self) -> dict:
+        return {
+            "d_sup": [float(x) for x in self.d_sup],
+            "d_w12": [float(x) for x in self.d_w12],
+            "classification": self.classification.to_json(),
+            "residual": float(self.residual),
+        }
+
+
+def convergence_report(traj: Trajectory) -> ConvergenceReport:
+    """The per-period distances of a run of at least 2 periods, their
+    classification (_classify) and the last sup distance as the residual.
+
+    d_sup[q] is max_k |z(t_k + qT) - z(t_k + (q+1)T)| over period window q.
+    d_w12[q] is the discrete W^{1,2} distance between windows q and q+1, from
+    forward divided differences; the last grid point of the window reuses the
+    previous difference.
+    """
+    h = traj.h
+    delta = _period_deltas(traj)
+    d_sup = np.max(np.linalg.norm(delta, axis=2), axis=1)
+    dd = np.diff(delta, axis=1) / h
+    dd = np.concatenate([dd, dd[:, -1:]], axis=1)
+    return ConvergenceReport(
+        d_sup=d_sup,
+        d_w12=np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2))),
+        classification=_classify(d_sup),
+        residual=float(d_sup[-1]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Multiplier diagnostics
-
-def lambda_series(traj: Trajectory) -> np.ndarray:
-    """Per-constraint rate coefficients lambda_i(t_k) = eta_{k,i} / h."""
-    return traj.multipliers / traj.h
-
 
 def _visited_licq(traj: Trajectory, lo: int, hi: int) -> None:
     """Raise LicqError for the first active set visited at steps lo..hi-1
@@ -416,43 +419,17 @@ def _visited_licq(traj: Trajectory, lo: int, hi: int) -> None:
 
 
 def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
-    """Per-constraint discrete L2 distance between the multiplier rates of
-    windows q and q+1. Raises LicqError if a visited face is degenerate."""
+    """Per-constraint discrete L2 distance between the multiplier rates
+    lambda_i(t_k) = eta_{k,i} / h of windows q and q+1. Raises LicqError if a
+    visited face is degenerate."""
     M = traj.steps_per_period
     if q < 0 or (q + 2) * M > len(traj.multipliers):
         raise IndexError(f"window {q} out of range")
-    lam = lambda_series(traj)
+    lam = traj.multipliers / traj.h
     a = lam[q * M : (q + 1) * M]
     b = lam[(q + 1) * M : (q + 2) * M]
     _visited_licq(traj, q * M + 1, (q + 2) * M + 1)
     return np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    d_sup: np.ndarray
-    d_w12: np.ndarray
-    classification: Classification
-    residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "d_sup": [float(x) for x in self.d_sup],
-            "d_w12": [float(x) for x in self.d_w12],
-            "classification": self.classification.to_json(),
-            "residual": float(self.residual),
-        }
-
-
-def convergence_report(traj: Trajectory) -> ConvergenceReport:
-    delta = _period_deltas(traj)
-    d_sup = _sup_distances(delta)
-    return ConvergenceReport(
-        d_sup=d_sup,
-        d_w12=_w12_distances(delta, traj.h),
-        classification=_classify(d_sup),
-        residual=float(d_sup[-1]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,7 @@ from sweeplab.scenarios import (
 )
 from sweeplab.sweeping import (
     SweepingProblem,
-    classify_convergence,
-    period_distances_sup,
-    period_distances_w12,
+    convergence_report,
     simulate,
 )
 from sweeplab.signals import eval_many
@@ -124,7 +122,7 @@ def test_criterion_01_wedge_poincare(wedge_runs):
         mapped = wedge_poincare(1.0, 2.0, z1)
         err = abs(traj.states[2000][0] - mapped)
         checks.append((err <= 5 * h, f"start {z1}: |z1(T) - map| = {err:.2e} > 5h"))
-        cls = classify_convergence(traj)
+        cls = convergence_report(traj).classification
         checks.append((cls.kind == "geometric", f"start {z1}: classification {cls.kind}"))
         ok_ratio = cls.ratio is not None and abs(cls.ratio - 0.5) <= 0.05
         checks.append((ok_ratio, f"start {z1}: ratio {cls.ratio}"))
@@ -141,7 +139,7 @@ def test_criterion_02_cell_finite_time():
         sc = catalog()[name]
         for z0 in _sample_states(sc.problem, 0.0, 10, rng):
             traj = simulate(sc.problem, z0, 0.0, 5, sc.recommended_steps)
-            worst = float(np.max(period_distances_sup(traj)[1:]))
+            worst = float(np.max(convergence_report(traj).d_sup[1:]))
             checks.append((worst <= 1e-9, f"{name} start {z0}: d_q = {worst:.2e} > 1e-9"))
     _report(2, "finite-time periodicity of cells", checks)
 
@@ -416,7 +414,7 @@ def test_criterion_09_w12_diagnostics(wedge_long, triangle_long, crawler_long):
         ("triangle", triangle_long),
         ("two-block gait", crawler_long.reduced),
     ):
-        d12 = period_distances_w12(traj)[:61]
+        d12 = convergence_report(traj).d_w12[:61]
         # absolute 1e-12 floor: once orbits coincide to rounding, the 5%
         # relative slack is meaningless on the zero tail
         mono = np.all(np.diff(d12) <= 0.05 * d12[:-1] + 1e-12)

@@ -5,10 +5,14 @@ sweeping.FINITE_TIME_TOL, crawler.VELOCITY_TOL and private ones), so the
 tests cover the one configuration that runs.
 """
 
+import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
+import sweeplab
 import sweeplab.cli
 import sweeplab.crawler
 import sweeplab.polyhedra
@@ -63,3 +67,48 @@ def test_signature_scan_sees_the_library():
         "sweeplab.scenarios.triangle_scenario",
         "sweeplab.cli.main",
     } <= names
+
+
+def _removed_names():
+    """(owner, name) for each name in README's removed-names table: owner is
+    the module or class before the last dot ('' for a bare name)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| removed | use |") :].split("\n\n")[0]
+    for row in table.splitlines()[2:]:
+        for code in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            owner, _, name = code.split("(")[0].rpartition(".")
+            yield owner, name
+
+
+def _owned(owner: str, name: str) -> bool:
+    """Whether the module or class named owner carries name: as an attribute
+    of the module, or of the class itself or a base other than object, or as
+    a dataclass field."""
+    for module in MODULES:
+        if module.__name__.endswith(f".{owner}"):
+            return hasattr(module, name)
+    (cls,) = {getattr(m, owner) for m in MODULES if inspect.isclass(getattr(m, owner, None))}
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return name in fields or any(name in vars(base) for base in cls.__mro__[:-1])
+
+
+def test_removed_names_stay_removed():
+    removed = set(_removed_names())
+    assert {
+        ("", "poincare_samples"),
+        ("sweeping", "period_distances_sup"),
+        ("sweeping", "period_distances_w12"),
+        ("sweeping", "classify_convergence"),
+        ("sweeping", "lambda_series"),
+        ("PeriodicSignal", "__call__"),
+        ("MovingPolyhedron", "offsets_at"),
+        ("CrawlerRun", "margin"),
+    } <= removed
+    carried = sorted(
+        f"{owner}.{name}".lstrip(".")
+        for owner, name in removed
+        if hasattr(sweeplab, name)
+        or (owner and _owned(owner, name))
+        or (not owner and any(hasattr(m, name) for m in MODULES))
+    )
+    assert carried == []

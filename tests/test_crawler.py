@@ -1193,7 +1193,8 @@ def _run_bytes(g, x0):
     red = simulate_reduced(g, x0, 0.0, 3, 200)
     orc = incremental_oracle(g, x0, 0.0, 3, 200)
     return (red.reduced.states.tobytes(), red.reduced.multipliers.tobytes(),
-            red.reduced.active_masks.tobytes(), red.motion.positions.tobytes(), red.margin,
+            red.reduced.active_masks.tobytes(), red.motion.positions.tobytes(),
+            red.gait.period_margin,
             orc.motion.positions.tobytes(), orc.patterns.tobytes())
 
 
@@ -1359,6 +1360,22 @@ def test_gait_validation_errors():
     pc = (PeriodicSignal(T, [(0.0, 1.0)], kind="pc"), PeriodicSignal.constant(1.0, T))
     with pytest.raises(ValueError):
         Gait(2, T, 1.0, (PeriodicSignal.constant(0.0, T),), pc, mu)
+
+
+def test_gait_names_a_signal_that_is_not_one_or_of_the_wrong_kind_or_period():
+    g = two_block_gait()
+    for field, index, bad, error, message in (
+        ("rest_lengths", 0, 1.0, TypeError, "is not a PeriodicSignal: 1.0"),
+        ("mu_plus", 1, 2.0, TypeError, "is not a PeriodicSignal: 2.0"),
+        ("mu_minus", 0, PeriodicSignal(g.period, [(0.0, 1.0)], kind="pc"), ValueError,
+         "has kind 'pc', expected 'pl'"),
+        ("mu_minus", 1, PeriodicSignal.constant(1.0, 2 * g.period), ValueError,
+         f"has period {2 * g.period}, expected {g.period}"),
+    ):
+        sigs = list(getattr(g, field))
+        sigs[index] = bad
+        with pytest.raises(error, match=f"^{re.escape(f'{field}[{index}] {message}')}$"):
+            dataclasses.replace(g, **{field: tuple(sigs)})
 
 
 def test_gait_rejects_a_stiffness_whose_moving_set_offsets_overflow():

@@ -12,7 +12,7 @@ from sweeplab.crawler import estimate_velocity, simulate_reduced
 from sweeplab.polyhedra import MovingPolyhedron
 from sweeplab.scenarios import scenario
 from sweeplab.signals import combine
-from sweeplab.sweeping import SweepingProblem, classify_convergence, simulate
+from sweeplab.sweeping import SweepingProblem, convergence_report, simulate
 
 EPS = np.finfo(float).eps
 PLAIN = ["wedge", "triangle", "box3"]
@@ -60,7 +60,7 @@ def test_translation_moves_the_states_by_rounding_only(name, scale):
     base = _run(sc)
     steps = len(base.states) - 1
     assert np.max(np.abs(moved.states - a - base.states)) <= np.linalg.norm(a) * EPS * steps
-    assert classify_convergence(moved).kind == classify_convergence(base).kind
+    assert convergence_report(moved).classification.kind == convergence_report(base).classification.kind
 
 
 def test_mirrored_gait_crawls_the_mirrored_way():

@@ -163,10 +163,19 @@ def test_frozen_polyhedron_names_a_malformed_array(normals, offsets, message):
 
 def test_moving_polyhedron_names_an_offset_that_is_not_a_signal_of_its_period():
     one = PeriodicSignal.constant(1.0, 1.0)
-    with pytest.raises(TypeError, match="^offsets must be PeriodicSignal instances$"):
+    with pytest.raises(TypeError, match=r"^offsets\[1\] is not a PeriodicSignal: 1.0$"):
         MovingPolyhedron([[1.0], [-1.0]], (one, 1.0))
-    with pytest.raises(ValueError, match="^offset signals must share one period$"):
+    with pytest.raises(ValueError, match=r"^offsets\[1\] has period 2.0, expected 1.0$"):
         MovingPolyhedron([[1.0], [-1.0]], (one, PeriodicSignal.constant(1.0, 2.0)))
+    pc = PeriodicSignal(1.0, [(0.0, 1.0)], kind="pc")
+    with pytest.raises(ValueError, match=r"^offsets\[1\] has kind 'pc', expected 'pl'$"):
+        MovingPolyhedron([[1.0], [-1.0]], (one, pc))
+
+
+def test_moving_polyhedron_names_a_first_offset_that_is_not_a_signal():
+    one = PeriodicSignal.constant(1.0, 1.0)
+    with pytest.raises(TypeError, match=r"^offsets\[0\] is not a PeriodicSignal: 1.0$"):
+        MovingPolyhedron([[1.0], [-1.0]], (1.0, one))
 
 
 def test_project_empty_set():
@@ -694,6 +703,16 @@ def test_dependent_witness_matches_per_item_loop():
             if margin_at(g, float(t))[0] <= TOL:
                 checked += _assert_witness_matches_per_item_loop(freeze(K, float(t)))
     assert checked > 0
+
+
+def test_check_licq_witness_is_the_whole_active_set():
+    # At the vertex (1, 1) of {x <= 1, y <= 1, x + y <= 2, -x <= 0, -y <= 0}
+    # the three active normals are dependent, but every pair is independent.
+    F = FrozenPolyhedron([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]], [1, 1, 2, 0, 0])
+    report = check_licq(F)
+    assert not report.holds
+    assert report.witness == (0, 1, 2)
+    assert _assert_witness_matches_per_item_loop(F) == 1
 
 
 def test_check_licq_flat_set():

@@ -19,8 +19,7 @@ from sweeplab.scenarios import (
 from sweeplab.signals import PeriodicSignal, combine, eval_many, triangle_wave
 from sweeplab.sweeping import (
     SweepingProblem,
-    classify_convergence,
-    period_distances_sup,
+    convergence_report,
     simulate,
 )
 
@@ -136,9 +135,9 @@ def test_ncell_finite_time_random_starts():
     for _ in range(10):
         z0 = rng.uniform(lo, hi)
         traj = simulate(sc.problem, z0, 0.0, 6, sc.recommended_steps)
-        cls = classify_convergence(traj)
+        cls = convergence_report(traj).classification
         assert cls.kind == "finite-time" and cls.period <= 1
-        assert np.all(period_distances_sup(traj)[1:] <= 1e-9)
+        assert np.all(convergence_report(traj).d_sup[1:] <= 1e-9)
 
 
 def test_ncell_constant_interval_is_stationary():
@@ -147,7 +146,7 @@ def test_ncell_constant_interval_is_stationary():
     sc = ncell_scenario([a], [b])
     traj = simulate(sc.problem, np.array([0.3]), 0.0, 6, 50)
     assert np.all(traj.states == 0.3)
-    assert classify_convergence(traj).period == 0
+    assert convergence_report(traj).classification.period == 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_triangle_contraction_ratio_and_classification():
     diffs = np.abs(np.diff(coords))
     ratios = diffs[1:5] / diffs[:4]
     assert np.all(np.abs(ratios - 0.125) < 0.02)
-    cls = classify_convergence(traj)
+    cls = convergence_report(traj).classification
     assert cls.kind == "geometric"
     assert cls.ratio == pytest.approx(0.125, abs=0.02)
 
@@ -372,7 +371,6 @@ def test_bundled_scenarios_w12_monotone():
     # discrete W12 distances decrease (5% slack, absolute floor for the
     # rounding-collapsed tail) on every bundled system
     from sweeplab.crawler import simulate_reduced
-    from sweeplab.sweeping import period_distances_w12
 
     cat = catalog()
     trajectories = []
@@ -388,7 +386,7 @@ def test_bundled_scenarios_w12_monotone():
         run = simulate_reduced(sc.gait, sc.initial_state, 0.0, 8, 400)
         trajectories.append(run.reduced)
     for traj in trajectories:
-        d12 = period_distances_w12(traj)
+        d12 = convergence_report(traj).d_w12
         assert np.all(np.diff(d12) <= 0.05 * d12[:-1] + 1e-12)
 
 

@@ -111,7 +111,7 @@ def test_evaluation_refuses_a_time_that_is_not_finite(kind):
     with pytest.raises(ValueError, match="^time nan is not finite$"):
         eval_signal(s, float("nan"))
     with pytest.raises(ValueError, match="^time -inf is not finite$"):
-        s(-float("inf"))
+        eval_signal(s, -float("inf"))
     with pytest.raises(ValueError, match="^time inf is not finite$"):
         eval_many(s, [0.5, float("inf"), float("nan")])
     with pytest.raises(ValueError, match="^time nan is not finite$"):
@@ -134,6 +134,16 @@ def test_combine_rejects_mixed_kinds_and_periods():
     b = triangle_wave(3.0, 1.0)
     with pytest.raises(ValueError):
         combine([a, b], [1.0, 1.0])
+
+
+def test_combine_names_a_signal_that_is_not_one_or_does_not_fit():
+    a = triangle_wave(2.0, 1.0)
+    with pytest.raises(TypeError, match=r"^signals\[0\] is not a PeriodicSignal: 1.0$"):
+        combine([1.0], [1.0])
+    with pytest.raises(ValueError, match=r"^signals\[1\] has kind 'pc', expected 'pl'$"):
+        combine([a, PeriodicSignal(2.0, [(0.0, 1.0)], kind="pc")], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^signals\[1\] has period 3.0, expected 2.0$"):
+        combine([a, triangle_wave(3.0, 1.0)], [1.0, 1.0])
 
 
 def test_combine_and_triangle_wave_name_what_they_refuse():

@@ -24,15 +24,12 @@ from sweeplab.signals import PIECEWISE_CONSTANT, PeriodicSignal, combine, eval_m
 from sweeplab.sweeping import (
     SweepingProblem,
     Trajectory,
-    classify_convergence,
     convergence_report,
     lambda_convergence,
-    lambda_series,
-    period_distances_sup,
-    period_distances_w12,
     read_trajectory_csv,
     simulate,
     _CSV_BLOCK_ROWS,
+    _classify,
     _distinct_rows,
     _write_csv,
     validate_trajectory,
@@ -109,8 +106,14 @@ def test_sweeping_problem_refuses_a_drift_that_does_not_fit():
     P = constant_interval()
     with pytest.raises(ValueError, match="^drift needs one signal per coordinate$"):
         SweepingProblem(P, (PeriodicSignal.constant(0.0, T1),) * 2)
-    with pytest.raises(ValueError, match="^drift signals must share the moving-set period$"):
+    with pytest.raises(ValueError, match=r"^drift\[0\] has period 2.0, expected 1.0$"):
         SweepingProblem(P, (PeriodicSignal.constant(0.0, 2 * T1),))
+
+
+def test_sweeping_problem_names_a_drift_that_is_not_a_signal():
+    P = constant_interval()
+    with pytest.raises(TypeError, match=r"^drift\[0\] is not a PeriodicSignal: 0.5$"):
+        SweepingProblem(P, (0.5,))
 
 
 def test_simulate_rejects_misaligned_breakpoints():
@@ -744,10 +747,10 @@ def test_wedge_poincare_sequence_increasing_to_fixed_point():
 def test_wedge_distance_ratio_and_classification():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 16, 500)
-    d = period_distances_sup(traj)
+    d = convergence_report(traj).d_sup
     ratios = d[1:] / d[:-1]
     assert np.all(np.abs(ratios - 0.5) < 0.05)
-    cls = classify_convergence(traj)
+    cls = convergence_report(traj).classification
     assert cls.kind == "geometric"
     assert cls.ratio == pytest.approx(0.5, abs=0.05)
 
@@ -755,7 +758,7 @@ def test_wedge_distance_ratio_and_classification():
 def test_wedge_w12_distances_decrease():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 40, 500)
-    d12 = period_distances_w12(traj)
+    d12 = convergence_report(traj).d_w12
     assert np.all(np.diff(d12) <= 0.05 * d12[:-1] + 1e-12)
     assert d12[-1] < 1e-6
 
@@ -764,7 +767,7 @@ def test_w12_dominates_value_part():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 6, 200)
     M = traj.steps_per_period
-    d12 = period_distances_w12(traj)
+    d12 = convergence_report(traj).d_w12
     for q in range(4):
         delta = traj.states[q * M : (q + 1) * M + 1] - traj.states[(q + 1) * M : (q + 2) * M + 1]
         l2_value = np.sqrt(traj.h * np.sum(delta**2))
@@ -783,10 +786,10 @@ def box_problem():
 def test_box_finite_time_and_poincare_constant():
     problem = box_problem()
     traj = simulate(problem, np.array([0.0]), 0.0, 6, 100)
-    d = period_distances_sup(traj)
+    d = convergence_report(traj).d_sup
     assert d[0] > 1e-3
     assert np.all(d[1:] <= 1e-9)
-    cls = classify_convergence(traj)
+    cls = convergence_report(traj).classification
     assert cls.kind == "finite-time" and cls.period == 1
     samples = traj.states[:: traj.steps_per_period]
     assert np.all(np.abs(np.diff(samples[1:], axis=0)) <= 1e-12)
@@ -806,8 +809,7 @@ def test_period_distances_match_a_window_by_window_reference(name):
         traj = simulate(sc.problem, sc.initial_state, 0.0, 4, 48)
     sup, w12 = reference_period_distances(traj.states, traj.steps_per_period, traj.h)
     report = convergence_report(traj)
-    for d, ref in ((period_distances_sup(traj), sup), (report.d_sup, sup),
-                   (period_distances_w12(traj), w12), (report.d_w12, w12)):
+    for d, ref in ((report.d_sup, sup), (report.d_w12, w12)):
         # one window per pair of consecutive periods, no more
         assert d.shape == (traj.periods - 1,)
         np.testing.assert_allclose(d, ref, rtol=1e-13, atol=0)
@@ -846,13 +848,13 @@ def _synthetic_trajectory(d_values, n=1):
 
 def test_classify_finite_time_from_start():
     traj = _synthetic_trajectory([0.0] * 6)
-    cls = classify_convergence(traj)
+    cls = convergence_report(traj).classification
     assert cls.kind == "finite-time" and cls.period == 0
 
 
 def test_classify_undetermined_on_wobbly_ratios():
     traj = _synthetic_trajectory([1.0, 0.5, 0.4, 0.08, 0.06, 0.008])
-    assert classify_convergence(traj).kind == "undetermined"
+    assert convergence_report(traj).classification.kind == "undetermined"
 
 
 @pytest.mark.parametrize("periods,box1,wedge", [
@@ -867,14 +869,16 @@ def test_classify_from_two_periods(periods, box1, wedge):
     for name, kind in (("box1", box1), ("wedge", wedge)):
         sc = cat[name]
         traj = simulate(sc.problem, sc.initial_state, 0.0, periods, 200)
-        assert classify_convergence(traj).kind == kind
-        assert convergence_report(traj).classification == classify_convergence(traj)
+        cls = convergence_report(traj).classification
+        assert cls.kind == kind
+        ref = _classify(reference_period_distances(traj.states, traj.steps_per_period, traj.h)[0])
+        assert (cls.kind, cls.period) == (ref.kind, ref.period)
 
 
 def test_classify_rejects_one_period():
     traj = simulate(box_problem(), np.array([0.0]), 0.0, 1, 50)
     with pytest.raises(ValueError, match="at least 2 periods"):
-        classify_convergence(traj)
+        _classify(np.empty(0))
     with pytest.raises(ValueError, match="at least 2 periods"):
         convergence_report(traj)
 
@@ -885,7 +889,7 @@ def test_classify_rejects_one_period():
 def test_lambda_series_zero_without_contact():
     problem = SweepingProblem(constant_interval())
     traj = simulate(problem, np.array([0.5]), 0.0, 4, 40)
-    assert np.all(lambda_series(traj) == 0)
+    assert np.all(traj.multipliers / traj.h == 0)
 
 
 def test_lambda_series_boundary_push_rate():
@@ -893,7 +897,7 @@ def test_lambda_series_boundary_push_rate():
     a = triangle_wave(T1, 2.0)
     b = combine([a], [1.0], constant=1.0)
     traj = simulate(SweepingProblem(moving_interval(a, b)), np.array([0.0]), 0.0, 1, 100)
-    lam = lambda_series(traj)
+    lam = traj.multipliers / traj.h
     # during the first half-period the state rides the lower bound (index 1)
     push = lam[10:45, 1]
     np.testing.assert_allclose(push, 4.0, atol=1e-9)
@@ -902,7 +906,7 @@ def test_lambda_series_boundary_push_rate():
 def test_lambda_reconstruction_identity():
     sc = wedge_scenario()
     traj = simulate(sc.problem, np.array([0.3, 0.0]), 0.0, 3, 250)
-    lam = lambda_series(traj)
+    lam = traj.multipliers / traj.h
     B = sc.problem.moving_set.normals
     dz = np.diff(traj.states, axis=0) / traj.h
     recon = dz + lam @ B
