@@ -176,8 +176,7 @@ class RunConfig:
         """Parse the config file, and the flags that override its keys, through
         CONFIG_KEYS, and resolve the run they ask for.
 
-        Also rejects a compare on a run without a gait, the compare command
-        on more than one start (before any start is drawn), run counts whose
+        Also rejects a compare on a run without a gait, run counts whose
         arrays numpy cannot hold (for `run`, the arrays of every start's run
         together), and numbers that the working tolerance cannot resolve.
         The reports are `run`'s alone, so `cmd_run` checks them.
@@ -222,12 +221,8 @@ class RunConfig:
         moving = problem.moving_set if gait is None else gait.moving_set
         starts = cfg.get("initial_states")
         count = len(starts) if isinstance(starts, list) else starts or 1
-        command = getattr(args, "command", None)
-        if count > 1 and command == "compare":
-            raise ConfigError(
-                f"compare takes one start, got {count}; run --compare checks the first of several"
-            )
-        runs = count if command == "run" else 1   # cmd_run keeps every start's run until all are simulated
+        # cmd_run keeps every start's run until all are simulated; check-gait sizes one table.
+        runs = count if getattr(args, "command", None) == "run" else 1
         _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints, runs)
         drift = (problem.drift or ()) if gait is None else ()
         _check_resolvable([moving.normals.ravel()]
@@ -363,7 +358,15 @@ def cmd_run(args) -> int:
     else:
         runs = []
         trajs = [simulate(cfg.problem, z0, cfg.t0, periods, steps) for z0 in starts]
-    gap = _solver_gap(runs[0], starts[0], cfg.t0, periods, steps) if cfg.compare else None
+    gap = None
+    if cfg.compare:   # the first start's reduced run against the oracle on the same grid
+        oracle = incremental_oracle(gait, starts[0], cfg.t0, periods, steps)
+        gap = {
+            "sup_distance": float(np.max(np.abs(runs[0].motion.positions - oracle.motion.positions))),
+            "periods": periods,
+            "steps_per_period": steps,
+            "h": gait.period / steps,
+        }
     out = _output_dir(cfg.out)
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
@@ -400,30 +403,6 @@ def cmd_run(args) -> int:
         summary.append(f"solver_sup_distance: {_fmt_float(gap['sup_distance'])}")
 
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    return 0
-
-
-def _solver_gap(run, x0, t0, periods, steps) -> dict:
-    """Sup distance between a reduced run from x0 and the oracle on the same grid."""
-    gait = run.gait
-    oracle = incremental_oracle(gait, x0, t0, periods, steps)
-    gap = float(np.max(np.abs(run.motion.positions - oracle.motion.positions)))
-    return {
-        "sup_distance": gap,
-        "periods": periods,
-        "steps_per_period": steps,
-        "h": gait.period / steps,
-    }
-
-
-def cmd_compare(args) -> int:
-    cfg = RunConfig.load(args)
-    starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
-    run = simulate_reduced(cfg.gait, starts[0], cfg.t0, cfg.periods, cfg.steps)
-    gap = _solver_gap(run, starts[0], cfg.t0, cfg.periods, cfg.steps)
-    if args.out:
-        write_json(_output_dir(cfg.out) / "compare.json", gap)
-    print(f"sup distance between reduced and oracle trajectories: {_fmt_float(gap['sup_distance'])}")
     return 0
 
 
@@ -486,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument("--compare", action="store_true", help="also cross-check gait runs against the oracle")
     p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="reduced pipeline vs slip-pattern oracle")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare, compare=True)
 
     p_chk = sub.add_parser("check-gait", help="report the uniqueness margin of a gait")
     _add_common(p_chk, with_run_flags=False)

@@ -36,7 +36,7 @@ from .signals import (
     is_json_number,
     lipschitz_constant,
 )
-from .sweeping import SweepingProblem, Trajectory, _grid, _rows_passing, simulate
+from .sweeping import SweepingProblem, Trajectory, _checked_count, _grid, _rows_passing, simulate
 
 _MARGIN_BLOCK_SUMS = 1 << 20   # subset-sum table entries per block of the margin scan
 VELOCITY_TOL = 1e-6            # spread of the last per-period displacements for a converged v0
@@ -61,6 +61,7 @@ class Gait:
 
     def __post_init__(self):
         N = self.num_blocks
+        _checked_count("num_blocks", N)
         if N < 2:
             raise ValueError("a crawler needs at least 2 blocks")
         if not all(x > 0 and np.isfinite(x) for x in (self.period, self.stiffness)):

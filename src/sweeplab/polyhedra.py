@@ -58,19 +58,12 @@ class FrozenPolyhedron:
     offsets: np.ndarray
 
     def __init__(self, normals, offsets):
-        B = np.array(normals, dtype=float)
+        B = _checked_normals(normals)
         c = np.array(offsets, dtype=float)
-        if B.ndim != 2:
-            raise ValueError("normals must be a 2-d array (m, n)")
         if c.shape != (B.shape[0],):
             raise ValueError("offsets must have one entry per normal")
-        if not np.isfinite(B).all():
-            raise ValueError("normals must be finite")
         if not np.isfinite(c).all():
             raise ValueError("offsets must be finite")
-        if np.any(np.linalg.norm(B, axis=1) == 0):
-            raise ValueError("zero normal vector")
-        B.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "normals", B)
         object.__setattr__(self, "offsets", c)
@@ -96,18 +89,13 @@ class MovingPolyhedron:
     offsets: tuple = field(repr=False)
 
     def __init__(self, normals, offsets, validate: bool = True):
-        B = np.array(normals, dtype=float)
+        B = _checked_normals(normals)
         offs = tuple(offsets)
-        if B.ndim != 2 or B.shape[0] != len(offs):
+        if B.shape[0] != len(offs):
             raise ValueError("need one offset signal per normal")
-        if not np.isfinite(B).all():
-            raise ValueError("normals must be finite")
         if not offs:
             raise ValueError("need at least one constraint")
-        if np.any(np.linalg.norm(B, axis=1) == 0):
-            raise ValueError("zero normal vector")
         _checked_signals(offs, "offsets")
-        B.setflags(write=False)
         object.__setattr__(self, "normals", B)
         object.__setattr__(self, "offsets", offs)
         if validate:
@@ -276,6 +264,21 @@ def _checked_vector(x, dim: int, name: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{name} {x} is not finite")
     return x
+
+
+def _checked_normals(normals) -> np.ndarray:
+    """normals as a read-only float array (m, n); ValueError when it is not
+    2-d, has an entry that is not finite or has a zero row. m = 0 passes: a
+    FrozenPolyhedron with no constraint is the whole space."""
+    B = np.array(normals, dtype=float)
+    if B.ndim != 2:
+        raise ValueError("normals must be a 2-d array (m, n)")
+    if not np.isfinite(B).all():
+        raise ValueError("normals must be finite")
+    if np.any(np.linalg.norm(B, axis=1) == 0):
+        raise ValueError("zero normal vector")
+    B.setflags(write=False)
+    return B
 
 
 def contains(F: FrozenPolyhedron, z) -> bool:

@@ -44,6 +44,8 @@ class SweepingProblem:
     drift: tuple | None = None
 
     def __post_init__(self):
+        if not isinstance(self.moving_set, MovingPolyhedron):
+            raise TypeError(f"moving_set is not a MovingPolyhedron: {self.moving_set!r}")
         if self.drift is not None:
             drift = tuple(self.drift)
             if len(drift) != self.moving_set.dim:
@@ -100,6 +102,17 @@ class Trajectory:
         return self.t0 + np.arange(len(self.states)) * self.h
 
 
+def _checked_count(name: str, count) -> None:
+    """ValueError, naming the count, unless operator.index accepts it and it
+    is not a bool."""
+    try:
+        operator.index(count)
+        if isinstance(count, bool):
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+
+
 def _grid(T: float, t0: float, periods: int, M: int, **signals):
     """The grid of a run of `periods` periods of M steps from t0:
     (h, breaks, *tables), one table per named signal list.
@@ -115,13 +128,8 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     steps, or when a breakpoint lies more than 1e-6*h off the grid, named by
     its keyword.
     """
-    for name, count in (("periods", periods), ("steps_per_period", M)):
-        try:
-            operator.index(count)
-            if isinstance(count, bool):
-                raise TypeError
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    _checked_count("periods", periods)
+    _checked_count("steps_per_period", M)
     if periods < 1 or M < 1:
         raise ValueError("periods and steps_per_period must be positive")
     if not math.isfinite(t0):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -409,7 +410,7 @@ def test_run_non_finite_or_mistyped_inline_number_exit_4(tmp_path, capsys, confi
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "check-gait"])
+@pytest.mark.parametrize("command", ["run", "check-gait"])
 def test_gait_whose_moving_set_overflows_exit_4_writes_nothing(tmp_path, capsys, command):
     # k = 1e308 times crawler2's rest length of up to 4 overflows the offsets
     # of K(t). The gait is rejected when it is built: no overflow warning (a
@@ -562,8 +563,7 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
 @pytest.mark.parametrize("command,name", [("run", "box1"), ("run", "crawler2")])
 def test_starts_whose_runs_together_no_array_can_hold_exit_4_before_any_output(tmp_path, capsys, command, name):
     # One run's table is small; 2^40 of them, all kept until written, are not.
-    # (compare refuses a second start before it sizes anything: see
-    # test_compare_several_starts_exit_4_writes_nothing.)
+    # (check-gait draws no starts and sizes one table.)
     out = tmp_path / "x"
     assert run_cli(command, "--scenario", name, "--periods", "3", "--steps", "10",
                    "--starts", str(2**40), "--out", str(out)) == 4
@@ -603,7 +603,6 @@ def _wide_crawler3(num_blocks):
 
 @pytest.mark.parametrize("command,num_blocks,message", [
     ("run", 10, "candidate subset enumeration too large"),
-    ("compare", 10, "candidate subset enumeration too large"),
     ("check-gait", 17, "margin enumeration supports at most 16 blocks"),
     ("run", 17, "34 constraints exceed the enumeration cap 24"),
 ])
@@ -685,7 +684,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
     lines = [line.split("#")[0].strip() for block in blocks for line in block.splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("sweeplab ")]
-    assert len(commands) == 5
+    assert len(commands) == 4
     monkeypatch.chdir(tmp_path)
     for i, argv in enumerate(commands):
         if "--out" in argv:
@@ -707,7 +706,7 @@ def test_run_failing_start_writes_no_outputs(tmp_path, scenario, states):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("command", ["run"])
 def test_output_path_is_a_file_exit_4(tmp_path, capsys, command):
     path = tmp_path / "F"
     path.write_text("kept")
@@ -736,17 +735,18 @@ def test_run_convergence_needs_two_periods(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,flags,config", [
-    ("compare", ["--scenario", "crawler2", "--periods", "2", "--steps", "100"], None),
-    ("compare", [], {"scenario": "crawler2", "periods": 2, "steps_per_period": 100,
-                     "reports": ["velocity"]}),
-    ("check-gait", [], {"scenario": "crawler2", "periods": 2}),
-], ids=["compare-flags", "compare-config", "check-gait-config"])
+    ("check-gait", [], {"scenario": "crawler2", "periods": 2, "reports": ["velocity"]}),
+    ("run", ["--compare"], {"scenario": "crawler2", "periods": 2, "steps_per_period": 100,
+                            "reports": []}),
+], ids=["check-gait-config", "run-compare-no-reports"])
 def test_report_rules_are_runs_alone(tmp_path, capsys, command, flags, config):
-    if config is not None:
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        flags = [*flags, "--config", str(path)]
-    assert run_cli(command, *flags) == 0
+    # check-gait ignores the reports, and a run that asks for none meets no
+    # report rule: run --compare cross-checks two periods.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    if command == "run":
+        flags = [*flags, "--out", str(tmp_path / "x")]
+    assert run_cli(command, "--config", str(path), *flags) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -768,49 +768,41 @@ def test_run_inline_problem_config(tmp_path):
 # ---------------------------------------------------------------------------
 # other commands
 
-def test_compare_command(tmp_path, capsys):
-    out = tmp_path / "cmp"
-    code = run_cli("compare", "--scenario", "crawler2", "--out", str(out),
-                   "--periods", "4", "--steps", "400")
-    assert code == 0
-    gap = json.loads((out / "compare.json").read_text())
-    assert gap["sup_distance"] <= 0.02
-    assert "sup distance" in capsys.readouterr().out
-
-
 def test_run_with_compare_flag(tmp_path):
     out = tmp_path / "gait"
     code = run_cli("run", "--scenario", "crawler2", "--out", str(out),
                    "--periods", "4", "--steps", "400", "--compare")
     assert code == 0
-    assert (out / "compare.json").exists()
+    gap = json.loads((out / "compare.json").read_text())
+    assert gap["sup_distance"] <= 0.02
 
 
-@pytest.mark.parametrize("flags,config", [
-    (["--starts", "3", "--seed", "4"], None),
-    ([], {"scenario": "crawler2", "initial_states": [[0.0, 0.0], [0.0, 0.5]]}),
-    ([], {"scenario": "crawler2", "initial_states": {"random": 2**40}}),
-], ids=["starts-flag", "states-config", "random-2**40"])
-def test_compare_several_starts_exit_4_writes_nothing(tmp_path, capsys, monkeypatch, flags, config):
-    # compare cross-checks one start; run --compare checks the first of several.
-    # The count is refused before any start is drawn or any table is sized.
-    def no_draws(*args):
-        raise AssertionError("compare drew starts")
+def test_run_compare_with_no_reports_writes_the_cross_check_alone(tmp_path):
+    # The oracle cross-check without reports: compare.json and summary.txt,
+    # and the compare.json that a run with every report writes.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scenario": "crawler3", "reports": []}))
+    grid = ["--periods", "3", "--steps", "300", "--compare"]
+    bare, full = tmp_path / "bare", tmp_path / "full"
+    assert run_cli("run", "--config", str(cfg), *grid, "--out", str(bare)) == 0
+    assert run_cli("run", "--scenario", "crawler3", *grid, "--out", str(full)) == 0
+    assert sorted(p.name for p in bare.iterdir()) == ["compare.json", "summary.txt"]
+    assert (bare / "compare.json").read_bytes() == (full / "compare.json").read_bytes()
+    assert json.loads((bare / "compare.json").read_text())["sup_distance"] <= 1e-9
 
-    monkeypatch.setattr("sweeplab.cli._random_states_in", no_draws)
-    if config is not None:
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        flags = [*flags, "--config", str(path)]
-    else:
-        flags = [*flags, "--scenario", "crawler2"]
+
+def test_compare_is_not_a_command_exit_4_writes_nothing(tmp_path, capsys):
+    # The cross-check is run --compare; the parser offers three commands.
     out = tmp_path / "x"
-    assert run_cli("compare", *flags, "--periods", "3", "--steps", "200", "--out", str(out)) == 4
-    assert "compare takes one start, got" in capsys.readouterr().err
+    assert run_cli("compare", "--scenario", "crawler2", "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"^configuration error: sweeplab: argument command: invalid choice: '?compare\b", err, re.M)
     assert not out.exists()
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["run", "check-gait", "list-scenarios"]
 
 
-@pytest.mark.parametrize("command,flags", [("run", ["--compare"]), ("compare", [])])
+@pytest.mark.parametrize("command,flags", [("run", ["--compare"])])
 def test_compare_without_gait_exit_4_writes_nothing(tmp_path, capsys, command, flags):
     out = tmp_path / "x"
     assert run_cli(command, "--scenario", "box1", "--out", str(out), *flags) == 4

@@ -1336,6 +1336,17 @@ def test_gait_from_json_reads_n_t_and_k_as_json_numbers(key, value, error):
     assert Gait.from_json({**gait, "N": 2.0}).num_blocks == 2
 
 
+@pytest.mark.parametrize("num_blocks", [2.5, 2.0, np.float64(3.0), True], ids=["2.5", "2.0", "float64", "bool"])
+def test_gait_refuses_a_block_count_that_is_not_an_integer(num_blocks):
+    # _grid's count rule: operator.index accepts N, and a bool is not one.
+    T = 1.0
+    mu = (PeriodicSignal.constant(1.0, T),) * 2
+    L = (PeriodicSignal.constant(0.0, T),)
+    with pytest.raises(ValueError, match=f"^num_blocks must be an integer, got {re.escape(repr(num_blocks))}$"):
+        Gait(num_blocks, T, 1.0, L, mu, mu)
+    assert Gait(np.int64(2), T, 1.0, L, mu, mu).moving_set.num_constraints == 4
+
+
 def test_gait_rejects_a_stiffness_whose_moving_set_slopes_overflow():
     # crawler3's offsets of K(t) reach 1 + 3k, finite at k = 1.6e307, but
     # their slopes reach 12k, which is not: K(t) could not be built.

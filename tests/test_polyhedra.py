@@ -161,6 +161,16 @@ def test_frozen_polyhedron_names_a_malformed_array(normals, offsets, message):
         FrozenPolyhedron(normals, offsets)
 
 
+@pytest.mark.parametrize("normals,count,message", [
+    ([1.0, -1.0], 2, r"normals must be a 2-d array \(m, n\)"),
+    ([[1.0], [-1.0]], 1, "need one offset signal per normal"),
+    ([[1.0], [0.0]], 2, "zero normal vector"),
+], ids=["1-d-normals", "offset-count", "zero-normal"])
+def test_moving_polyhedron_names_a_malformed_array(normals, count, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MovingPolyhedron(normals, (PeriodicSignal.constant(1.0, 1.0),) * count)
+
+
 def test_moving_polyhedron_names_an_offset_that_is_not_a_signal_of_its_period():
     one = PeriodicSignal.constant(1.0, 1.0)
     with pytest.raises(TypeError, match=r"^offsets\[1\] is not a PeriodicSignal: 1.0$"):

@@ -110,6 +110,11 @@ def test_sweeping_problem_refuses_a_drift_that_does_not_fit():
         SweepingProblem(P, (PeriodicSignal.constant(0.0, 2 * T1),))
 
 
+def test_sweeping_problem_names_a_moving_set_that_is_not_a_moving_polyhedron():
+    with pytest.raises(TypeError, match=r"^moving_set is not a MovingPolyhedron: 1.0$"):
+        SweepingProblem(1.0)
+
+
 def test_sweeping_problem_names_a_drift_that_is_not_a_signal():
     P = constant_interval()
     with pytest.raises(TypeError, match=r"^drift\[0\] is not a PeriodicSignal: 0.5$"):
