@@ -64,6 +64,9 @@ class Gait:
         _checked_count("num_blocks", N)
         if N < 2:
             raise ValueError("a crawler needs at least 2 blocks")
+        for name, x in (("period", self.period), ("stiffness", self.stiffness)):
+            if isinstance(x, (bool, np.bool_)):
+                raise TypeError(f"the {name} must be a number, not the bool {x!r}")
         if not all(x > 0 and np.isfinite(x) for x in (self.period, self.stiffness)):
             raise ValueError("the period and stiffness must be finite and positive")
         if len(self.rest_lengths) != N - 1:

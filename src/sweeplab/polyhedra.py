@@ -189,8 +189,8 @@ def _subset_table(B: np.ndarray):
     lexicographically; index maps each index tuple to its entry number.
     stacks[s - 1] holds the size-s entries as read-only arrays (K_s, s),
     (K_s, s, n) and (K_s, s, s) in table order, and the entries are views into
-    them. faces starts empty: it holds the face maps that sweeping._face_maps
-    builds for B, by subset. inverses[s - 1] is None until _gram_inverses
+    them. faces starts empty: it holds the face maps that _project_raw builds
+    for B, by accepted subset. inverses[s - 1] is None until _gram_inverses
     first asks for size s, and then the read-only (K_s, s, s) stack of G_S^-1.
     Cached per distinct normals matrix, so every run on B shares them.
     """
@@ -223,8 +223,7 @@ def _subset_table(B: np.ndarray):
             a.setflags(write=False)
         stacks.append(stack)
         entries.extend(zip(*stack))
-    # sweeping._face_maps reads the index to find a subset's row in its size's
-    # stack; the benchmark's tracer (perfbench/spans.py, on_project) reads it too.
+    # Only the benchmark's tracer (perfbench/spans.py, on_project) and the tests read the index.
     table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {}, [None] * n)
     if len(_TABLES) > 512:
         _TABLES.clear()
@@ -306,7 +305,8 @@ class ProjectionResult:
 
 
 def _project_raw(B, c, table, p):
-    """Core projection onto {B z <= c}; returns (z*, lambda, subset).
+    """Core projection onto {B z <= c}; returns (z*, lambda, subset, face),
+    with _accept's face of the accepted subset, or None for an interior p.
 
     Where no candidate passes from the normal equations, whose rounding grows
     with cond(B_S)^2, the candidates are tried again in table order, with the
@@ -315,7 +315,7 @@ def _project_raw(B, c, table, p):
     """
     resid = c - B @ p
     if np.all(resid >= -DEFAULT_TOL):
-        return p.copy(), np.zeros(B.shape[0]), ()
+        return p.copy(), np.zeros(B.shape[0]), (), None
     bound = (c + DEFAULT_TOL)[:, None]
     for size, (idx, BS, G) in enumerate(table[2], 1):
         # Per row: multipliers >= -tol, then the point feasible; the first
@@ -327,31 +327,39 @@ def _project_raw(B, c, table, p):
         # machine eps even for moderately ill-conditioned active sets.
         lam_s += Ginv @ (r - G @ lam_s)
         rows = np.flatnonzero(~(lam_s < -DEFAULT_TOL).any(axis=(1, 2)))
-        if not len(rows):
-            continue
         Z = p[:, None] - BS[rows].transpose(0, 2, 1) @ lam_s[rows]
-        feasible = (B @ Z <= bound).all(axis=(1, 2))
-        first = feasible.argmax()
-        if feasible[first]:
-            return _candidate(B, idx[rows[first]], lam_s[rows[first]], Z[first])
-    for idx, BS, _G in table[2]:
+        won = np.flatnonzero((B @ Z <= bound).all(axis=(1, 2)))
+        if len(won):
+            return _accept(B, table, size, rows[won[0]], lam_s[rows[won[0]]], Z[won[0]])
+    for size, (idx, BS, _G) in enumerate(table[2], 1):
         Q, R = np.linalg.qr(BS.transpose(0, 2, 1))
         y = np.linalg.solve(R.transpose(0, 2, 1), (BS @ p - c[idx])[..., None])
         lam_s = np.linalg.solve(R, y)
         Z = p[:, None] - Q @ y
         ok = ~(lam_s < -DEFAULT_TOL).any(axis=(1, 2)) & (B @ Z <= bound).all(axis=(1, 2))
-        if ok.any():
-            j = ok.argmax()
-            return _candidate(B, idx[j], lam_s[j], Z[j])
+        won = np.flatnonzero(ok)
+        if len(won):
+            return _accept(B, table, size, won[0], lam_s[won[0]], Z[won[0]])
     raise InfeasibleSetError("no feasible projection candidate; the set appears empty")
 
 
-def _candidate(B, subset, lam_s, z):
-    """_project_raw's result for an accepted candidate: z and lam_s are (n, 1)
-    and (s, 1) columns; lam is zero off the subset and clipped at zero on it."""
+def _accept(B, table, size, row, lam_s, z):
+    """_project_raw's result for an accepted row of the size-s stack: z and
+    lam_s are (n, 1) and (s, 1) columns; lam is zero off the subset and lam_s
+    clipped at zero on it. The face (idx, B_S, G_S^-1, Pi_S, R_S), with
+    R_S = B_S^T G_S^-1 and Pi_S = I - R_S B_S, is read-only and cached in faces."""
+    idx, BS = (a[row] for a in table[2][size - 1][:2])
+    subset = tuple(int(i) for i in idx)
     lam = np.zeros(B.shape[0])
-    lam[subset] = np.maximum(lam_s[:, 0], 0.0)
-    return z[:, 0].copy(), lam, tuple(int(i) for i in subset)
+    lam[idx] = np.maximum(lam_s[:, 0], 0.0)
+    face = table[3].get(subset)
+    if face is None:
+        Ginv = _gram_inverses(table, size)[row]
+        R = BS.T @ Ginv
+        face = table[3][subset] = (idx, BS, Ginv, np.eye(len(z)) - R @ BS, R)
+        for a in face:
+            a.setflags(write=False)
+    return z[:, 0].copy(), lam, subset, face
 
 
 def project(F: FrozenPolyhedron, p) -> ProjectionResult:
@@ -363,9 +371,7 @@ def project(F: FrozenPolyhedron, p) -> ProjectionResult:
     reported multipliers deterministic.
     """
     p = _checked_vector(p, F.dim, "point")
-    table = _subset_table(F.normals)
-    z, lam, subset = _project_raw(F.normals, F.offsets, table, p)
-    return ProjectionResult(z, lam, subset)
+    return ProjectionResult(*_project_raw(F.normals, F.offsets, _subset_table(F.normals), p)[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .polyhedra import (
     MovingPolyhedron,
     _active_mask,
     _checked_vector,
-    _gram_inverses,
     _independent,
     _project_raw,
     _subset_table,
@@ -157,29 +156,11 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     return (h, np.concatenate(breaks).astype(np.int64), *tables)
 
 
-def _face_maps(subset, table):
-    """(idx, B_S, G_S^-1, Pi_S, R_S) for an accepted subset, read-only, built
-    on first use into the face-map dict of the normals' subset table. G_S^-1
-    is the table's own inverse of the subset's Gram matrix."""
-    faces = table[3]
-    face = faces.get(subset)
-    if face is None:
-        size = len(subset)
-        row = table[1][subset] - sum(len(st[0]) for st in table[2][: size - 1])
-        idx, BS = (a[row] for a in table[2][size - 1][:2])
-        Ginv = _gram_inverses(table, size)[row]
-        R = BS.T @ Ginv
-        face = faces[subset] = (idx, BS, Ginv, np.eye(BS.shape[1]) - R @ BS, R)
-        for a in face:
-            a.setflags(write=False)
-    return face
-
-
 def _segment(B, c, dz, z, face):
     """Run the steps of one block from z with the accepted subset held fixed.
 
     c holds the offsets each step projects onto and dz its drift increments
-    (None without drift); face is _face_maps's tuple, or None for interior
+    (None without drift); face is _project_raw's, or None for interior
     steps. Every step must pass the tests _project_raw applies to each
     candidate: p not interior, multipliers >= -DEFAULT_TOL, the new state
     feasible. Returns (accepted steps, states, multipliers on the subset),
@@ -287,7 +268,7 @@ def simulate(
             break
         p = z if dz is None else z + dz[ph]
         try:
-            z, lam, subset = _project_raw(B, c_next[ph], table, p)
+            z, lam, _, face = _project_raw(B, c_next[ph], table, p)
         except InfeasibleSetError as exc:
             raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
@@ -297,7 +278,6 @@ def simulate(
         # scalar step and the discrete map stays exactly T-periodic.
         if k % M:
             rows = slice(k % M, M)
-            face = _face_maps(subset, table) if subset else None
             used, Z, lam = _segment(
                 B, c_next[rows], None if dz is None else dz[rows], z, face
             )
@@ -428,9 +408,10 @@ def _visited_licq(traj: Trajectory, lo: int, hi: int) -> None:
 
 def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
     """Per-constraint discrete L2 distance between the multiplier rates
-    lambda_i(t_k) = eta_{k,i} / h of windows q and q+1. Raises LicqError if a
-    visited face is degenerate."""
+    lambda_i(t_k) = eta_{k,i} / h of windows q and q+1. q must pass
+    _checked_count; raises LicqError if a visited face is degenerate."""
     M = traj.steps_per_period
+    _checked_count("q", q)
     if q < 0 or (q + 2) * M > len(traj.multipliers):
         raise IndexError(f"window {q} out of range")
     lam = traj.multipliers / traj.h
@@ -541,8 +522,9 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     Raises ValueError when the file holds fewer than two data rows, which
     could not fix the step, or when its rows are not whole periods of the
     problem's grid: with h the file's step and M = round(T/h), unless
-    |T - M*h| <= 1e-6*h (the slack _grid allows a breakpoint) and the rows
-    after the first are a positive multiple of M."""
+    |T - M*h| <= 1e-6*h (the slack _grid allows a breakpoint), the rows
+    after the first are a positive multiple of M and every row k's t lies
+    within that slack of t0 + k*T/M; the error names the first row off it."""
     with open(path) as f:
         next(f, None)
         rows = len(list(itertools.islice((line for line in f if line.strip()), 2)))
@@ -565,4 +547,11 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
             f"{path} holds {len(times)} data rows at step {h}: not whole periods of "
             f"the problem's period {T}"
         )
-    return Trajectory(problem, float(times[0]), T / M, M, states, etas, masks)
+    traj = Trajectory(problem, float(times[0]), T / M, M, states, etas, masks)
+    off = ~(np.abs(times - traj.times) <= 1e-6 * h)
+    if off.any():
+        k = int(off.argmax())
+        raise ValueError(
+            f"{path} data row {k} has t = {times[k]:.17g}, not t0 + {k}*h = {traj.times[k]:.17g}"
+        )
+    return traj

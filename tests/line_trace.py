@@ -4,7 +4,8 @@ src/sweeplab that no test reaches, unless ALLOWED names it.
 Usage, from the repository root: PYTHONPATH=src python tests/line_trace.py
 Extra arguments go to pytest. The exit code is pytest's when the tests fail,
 1 when a statement outside ALLOWED is unreached or an ALLOWED statement is
-reached (the list is kept exact), and 0 otherwise. Standard library only.
+reached or no longer in the source (the list is kept exact), and 0
+otherwise. Standard library only.
 
 A statement is executable when the compiled module has an instruction on a
 line of its header (the whole statement, for a simple one; the lines before
@@ -30,11 +31,6 @@ ALLOWED = {
     ("cli.py", "sys.exit(main())"):
         "the __main__ call runs only when cli.py is executed as a script; "
         "tier-1 calls main() in process, and CI's numpy-only job runs the script",
-    ("polyhedra.py", "continue"):
-        "_project_raw's guard for a size at which every candidate has a negative "
-        "multiplier: an empty row stack would otherwise reach argmax of an empty "
-        "array. No known input reaches it: 34,542 projections onto random polytopes "
-        "with n <= 5 and m <= 10 did not",
 }
 
 
@@ -102,23 +98,24 @@ def main(argv) -> int:
         print(f"line trace: tier-1 exited {int(code)}")
         return int(code)
 
-    unreached, allowed_seen, count = [], set(), 0
+    unreached, allowed_seen, present, count = [], set(), set(), 0
     for path in sources:
         reached = hits[os.path.realpath(path)]
         for line, header, text in _statements(path):
             count += 1
+            key = (path.name, text)
+            present.add(key)
             if header & reached:
                 continue
-            key = (path.name, text)
             if key in ALLOWED and key not in allowed_seen:
                 allowed_seen.add(key)
             else:
                 unreached.append(f"src/sweeplab/{path.name}:{line}: {text}")
-    stale = [f"{name}: {text}" for name, text in ALLOWED if (name, text) not in allowed_seen]
+    stale = [key for key in ALLOWED if key not in allowed_seen]
     for entry in unreached:
         print(f"unreached: {entry}")
-    for entry in stale:
-        print(f"allowlisted but reached: {entry}")
+    for name, text in stale:
+        print(f"allowlisted but {'reached' if (name, text) in present else 'absent'}: {name}: {text}")
     print(f"line trace: {count} statements in {len(sources)} files, "
           f"{len(unreached) + len(allowed_seen)} unreached, {len(allowed_seen)} of them allowlisted")
     return 1 if unreached or stale else 0

@@ -1413,6 +1413,20 @@ def test_gait_rejects_non_finite_period_or_stiffness(period, stiffness):
         Gait(2, period, stiffness, (PeriodicSignal.constant(0.0, 1.0),), mu, mu)
 
 
+@pytest.mark.parametrize("name,period,stiffness", [
+    ("period", True, 1.0),
+    ("stiffness", 1.0, True),
+    ("stiffness", 1.0, np.True_),
+])
+def test_gait_refuses_a_bool_period_or_stiffness(name, period, stiffness):
+    # signals.is_json_number's rule: a bool would build a gait whose
+    # to_json config Gait.from_json refuses.
+    mu = (PeriodicSignal.constant(1.0, 1.0),) * 2
+    bad = re.escape(repr(period if name == "period" else stiffness))
+    with pytest.raises(TypeError, match=f"^the {name} must be a number, not the bool {bad}$"):
+        Gait(2, period, stiffness, (PeriodicSignal.constant(0.0, 1.0),), mu, mu)
+
+
 @pytest.mark.parametrize("key", ["N", "T", "k"])
 def test_gait_from_json_rejects_an_int_that_no_float_can_hold(key):
     gait = catalog()["crawler2"].gait.to_json()

@@ -231,7 +231,7 @@ def test_projection_property_suite():
 
 def _assert_projection_bit_equal(B, c, p):
     table = _subset_table(B)
-    z, lam, subset = _project_raw(B, c, table, p)
+    z, lam, subset = _project_raw(B, c, table, p)[:3]
     z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p)
     assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref), (B, c, p)
     assert subset == subset_ref
@@ -266,6 +266,23 @@ def test_project_tie_goes_to_the_first_passing_candidate(normals, offsets, p, su
     assert np.all(lam >= 0) and np.all(B @ (p - B[S].T @ lam) <= c + TOL)
 
 
+def test_project_falls_through_a_size_whose_every_candidate_has_a_negative_multiplier():
+    # A table of the unit square whose size-1 stack keeps only -x <= 0 and
+    # -y <= 0: at p = (2, 2) both have multiplier -2, so no size-1 row
+    # passes the sign test, and the search goes on to the pairs.
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    c, p = np.array([1.0, 1.0, 0.0, 0.0]), np.array([2.0, 2.0])
+    full = reference_subset_table(B)[2]
+    stacks = [tuple(a[2:] for a in full[0]), full[1]]
+    entries = [e for stack in stacks for e in zip(*stack)]
+    table = (entries, {tuple(e[0]): i for i, e in enumerate(entries)}, stacks, {}, [None, None])
+    z, lam, subset, face = _project_raw(B, c, table, p)
+    z_ref, lam_ref, subset_ref = reference_project_raw(B, c, table, p)
+    assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
+    assert subset == subset_ref == (0, 1) and z.tolist() == [1.0, 1.0]
+    assert face is table[3][(0, 1)]
+
+
 def _gait_wide_full_searches(monkeypatch):
     """(B, c, table, p, result) of every projection of seed 101's gait_wide
     runs that accepted a nonempty subset."""
@@ -273,7 +290,7 @@ def _gait_wide_full_searches(monkeypatch):
 
     def recording(B, c, table, p):
         result = _project_raw(B, c, table, p)
-        calls.append((B, c.copy(), table, p.copy(), result))
+        calls.append((B, c.copy(), table, p.copy(), result[:3]))
         return result
 
     monkeypatch.setattr(sweeplab.sweeping, "_project_raw", recording)
@@ -310,7 +327,7 @@ def test_project_matches_lu_solve_loop_on_random_polyhedra():
         table = _subset_table(F.normals)
         for _ in range(4):
             p = random_point_outside(rng, F)
-            result = _project_raw(F.normals, F.offsets, table, p)
+            result = _project_raw(F.normals, F.offsets, table, p)[:3]
             _assert_projection_near_lu_loop(F.normals, F.offsets, table, p, result)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -692,15 +693,19 @@ def test_problems_with_the_same_normals_share_face_maps(monkeypatch):
         cold.append(run(problem))
     tables.clear()
     used, built = [], []
-    face_maps = sweeping._face_maps
+    project_raw = sweeping._project_raw
 
-    def recording(subset, table):
-        used[-1].add(subset)
-        if subset not in table[3]:
-            built[-1].add(subset)
-        return face_maps(subset, table)
+    def recording(B, c, table, p):
+        faces = len(table[3])
+        result = project_raw(B, c, table, p)
+        assert result[3] is table[3].get(result[2])
+        if result[2]:
+            used[-1].add(result[2])
+        if len(table[3]) > faces:
+            built[-1].add(result[2])
+        return result
 
-    monkeypatch.setattr(sweeping, "_face_maps", recording)
+    monkeypatch.setattr(sweeping, "_project_raw", recording)
     warm = []
     for problem in problems:
         used.append(set())
@@ -951,6 +956,16 @@ def test_lambda_convergence_refuses_a_window_outside_the_record():
             lambda_convergence(traj, q)
 
 
+@pytest.mark.parametrize("q", [0.5, True, 1.0, "1"], ids=["half", "bool", "float", "str"])
+def test_lambda_convergence_refuses_a_window_index_that_is_not_a_count(q):
+    # sweeping._checked_count's rule, before the range check: 0.5 would
+    # reach slicing and True would read window 1.
+    traj = simulate(box_problem(), np.array([0.0]), 0.0, 3, 50)
+    with pytest.raises(ValueError, match=f"^q must be an integer, got {re.escape(repr(q))}$"):
+        lambda_convergence(traj, q)
+    assert lambda_convergence(traj, np.int64(1)).tobytes() == lambda_convergence(traj, 1).tobytes()
+
+
 def test_lambda_convergence_names_the_first_visited_dependent_set():
     # Twin upper faces (rows 0, 1: mask 3) and twin lower faces (rows 2, 3:
     # mask 12). The rising lower bound reaches the state first, the falling
@@ -1100,6 +1115,26 @@ def test_trajectory_csv_that_is_not_whole_periods_is_refused(tmp_path, period, r
     path.write_bytes(b"\r\n".join(lines[: 1 + rows]) + b"\r\n")
     with pytest.raises(ValueError, match=f"traj.csv holds {rows} data rows at step 0.02"):
         read_trajectory_csv(path, wedge_scenario(period=period).problem)
+
+
+@pytest.mark.parametrize("shift", [float("nan"), 1e-5, -1.0], ids=["nan", "off-slack", "step-back"])
+def test_trajectory_csv_with_a_time_off_the_grid_is_refused(tmp_path, shift):
+    # Only rows 0 and 1 fix t0 and h; every later t must lie within 1e-6*h
+    # of t0 + k*h too, and a shift of 1e-7*h still does.
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 40)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_bytes().split(b"\r\n")
+
+    def with_t5(t):
+        rest = lines[6].split(b",", 1)[1]
+        path.write_bytes(b"\r\n".join([*lines[:6], b"%.17g," % t + rest, *lines[7:]]))
+
+    with_t5(traj.times[5] + 1e-7 * traj.h)
+    assert read_trajectory_csv(path, wedge_scenario().problem).states.tobytes() == traj.states.tobytes()
+    with_t5(traj.times[5] + shift * traj.h)
+    with pytest.raises(ValueError, match=r"traj.csv data row 5 has t = \S+, not t0 \+ 5\*h = 0.25$"):
+        read_trajectory_csv(path, wedge_scenario().problem)
 
 
 # ---------------------------------------------------------------------------
