@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class Trajectory:
     steps_per_period: int
     states: np.ndarray = field(repr=False)
     multipliers: np.ndarray = field(repr=False)
-    active_masks: np.ndarray = field(repr=False)
 
     @property
     def periods(self) -> int:
@@ -99,6 +99,19 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.states)) * self.h
+
+    @cached_property
+    def active_masks(self) -> np.ndarray:
+        """Read off the states on first use, read-only: row 0, then one product
+        per whole period (one batched _active_mask call), then a partial last period."""
+        P, M, Q = self.problem.moving_set, self.steps_per_period, self.periods
+        c = _grid(P.period, self.t0, 1, M, offset=P.offsets)[2]   # the same for any period count
+        c_next, z = np.roll(c, -1, axis=0), self.states[1:]
+        masks = np.concatenate([_active_mask(P.normals, c[0], self.states[:1]),
+                                _active_mask(P.normals, c_next, z[: Q * M].reshape(Q, M, P.dim)).ravel(),
+                                _active_mask(P.normals, c_next[: len(z) - Q * M], z[Q * M :])])
+        masks.setflags(write=False)
+        return masks
 
 
 def _checked_count(name: str, count) -> None:
@@ -287,15 +300,9 @@ def simulate(
             k += used
             z = states[k]
 
-    # One product per period, so a copied period's masks are its source's.
-    masks = np.concatenate([
-        _active_mask(B, offsets_phase[0], states[:1]),
-        _active_mask(B, c_next, states[1:].reshape(periods, M, n)).ravel(),
-    ])
     states.setflags(write=False)
     multipliers.setflags(write=False)
-    masks.setflags(write=False)
-    return Trajectory(problem, float(t0), h, M, states, multipliers, masks)
+    return Trajectory(problem, float(t0), h, M, states, multipliers)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +530,11 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     could not fix the step, or when its rows are not whole periods of the
     problem's grid: with h the file's step and M = round(T/h), unless
     |T - M*h| <= 1e-6*h (the slack _grid allows a breakpoint), the rows
-    after the first are a positive multiple of M and every row k's t lies
-    within that slack of t0 + k*T/M; the error names the first row off it."""
+    after the first are a positive multiple of M. Then, in this order, the
+    file is refused at the first row whose t lies outside that slack of
+    t0 + k*T/M, that holds a cell that is not finite, whose multipliers are
+    not 0 when it is row 0, or whose active_bitmask is not the mask the
+    record reads off its state; the error names that row."""
     with open(path) as f:
         next(f, None)
         rows = len(list(itertools.islice((line for line in f if line.strip()), 2)))
@@ -535,10 +545,8 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     m = problem.moving_set.num_constraints
     if data.shape[1] != 1 + n + m + 1:
         raise ValueError("CSV columns do not match the problem dimensions")
+    data.setflags(write=False)   # as simulate's: the masks cached below must match the states
     times = data[:, 0]
-    states = data[:, 1 : 1 + n]
-    etas = data[1:, 1 + n : 1 + n + m]
-    masks = data[:, -1].astype(np.int64)
     T = problem.period
     h = float(times[1] - times[0])
     M = round(T / h) if h > 0 and math.isfinite(T / h) else 0
@@ -547,11 +555,19 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
             f"{path} holds {len(times)} data rows at step {h}: not whole periods of "
             f"the problem's period {T}"
         )
-    traj = Trajectory(problem, float(times[0]), T / M, M, states, etas, masks)
-    off = ~(np.abs(times - traj.times) <= 1e-6 * h)
-    if off.any():
-        k = int(off.argmax())
-        raise ValueError(
-            f"{path} data row {k} has t = {times[k]:.17g}, not t0 + {k}*h = {traj.times[k]:.17g}"
-        )
+    traj = Trajectory(problem, float(times[0]), T / M, M, data[:, 1 : 1 + n], data[1:, 1 + n : -1])
+
+    def refuse(bad, why):
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"{path} data row {k} {why(k)}")
+
+    refuse(~(np.abs(times - traj.times) <= 1e-6 * h),
+           lambda k: f"has t = {times[k]:.17g}, not t0 + {k}*h = {traj.times[k]:.17g}")
+    # Before the masks: a state that is not finite would make their product warn.
+    refuse(~np.isfinite(data).all(axis=1), lambda k: "holds a cell that is not finite")
+    refuse(np.any(data[:1, 1 + n : -1] != 0, axis=1),
+           lambda k: "has a multiplier that is not 0, but no step lands at its state")
+    refuse(data[:, -1] != traj.active_masks,
+           lambda k: f"has active_bitmask {data[k, -1]:.17g}, not its state's mask {traj.active_masks[k]}")
     return traj

@@ -840,6 +840,24 @@ def test_check_gait_reports_a_margin_that_vanishes_between_samples(tmp_path, cap
         assert not run_out.exists()
 
 
+@pytest.mark.parametrize("exponent,margin,code", [(31, "4.6566128730773926e-10", 2),
+                                                  (29, "1.862645149230957e-09", 0)])
+def test_the_margin_gate_rejects_a_margin_up_to_the_tolerance(tmp_path, capsys, exponent, margin, code):
+    # crawler2 but for mu2^- = 1 + 2^-e: the margin is exactly 2^-e, at t = 0
+    # for subset [0]. A margin <= 1e-9 is rejected, and 1e-9 lies between
+    # 2^-31 and 2^-29.
+    config = catalog()["crawler2"].export_json()
+    config["gait"]["mu_minus"][1] = PeriodicSignal.constant(1.0 + 2.0**-exponent, 1.0).to_json()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("check-gait", "--config", str(cfg)) == code
+    assert capsys.readouterr().out.splitlines() == [
+        f"uniqueness margin: {margin}", "worst time: 0", "worst forward-slip subset (0-based blocks): [0]"]
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--periods", "3", "--steps", "300", "--out", str(out)) == code
+    assert out.exists() == (code == 0)
+
+
 GAITS = sorted(name for name, sc in catalog().items() if sc.gait is not None)
 
 

@@ -541,6 +541,15 @@ def test_decompose_zero_vector():
     assert np.all(lam == 0)
 
 
+def test_decompose_reads_a_vector_up_to_the_tolerance_as_zero():
+    # At an interior point only v = 0 lies in the normal cone. |v| <= TOL
+    # counts as 0, and TOL = 1e-9 lies between 2^-30 and 2^-29.
+    F = FrozenPolyhedron([[1.0], [-1.0]], [1.0, 1.0])
+    assert decompose_normal(F, [0.0], [2.0**-30]).tolist() == [0.0, 0.0]
+    with pytest.raises(NormalConeError, match="interior point"):
+        decompose_normal(F, [0.0], [2.0**-29])
+
+
 def test_decompose_single_face():
     F = unit_square()
     lam = decompose_normal(F, [0.5, 0.0], np.array([0.0, -3.0]))

@@ -412,9 +412,7 @@ def test_validate_trajectory_judges_one_period_at_a_time(monkeypatch):
 
 def test_validate_trajectory_refuses_a_record_shorter_than_one_period():
     traj = simulate(box_problem(), np.array([0.0]), 0.0, 2, 100)
-    short = dataclasses.replace(
-        traj, states=traj.states[:51], multipliers=traj.multipliers[:50], active_masks=traj.active_masks[:51]
-    )
+    short = dataclasses.replace(traj, states=traj.states[:51], multipliers=traj.multipliers[:50])
     with pytest.raises(ValueError, match="^periods and steps_per_period must be positive$"):
         validate_trajectory(short)
 
@@ -652,6 +650,43 @@ def test_simulate_from_a_state_on_its_orbit_copies_after_period_0():
         _assert_bitwise(got, want)
 
 
+def test_a_copied_period_has_the_masks_of_the_period_it_copies():
+    # box3 at 1000 steps per period is on its orbit from period 1 on, so
+    # periods 2 to 5 are copies of period 1.
+    sc = catalog()["box3"]
+    traj = simulate(sc.problem, sc.initial_state, 0.0, 6, 1000)
+    M = traj.steps_per_period
+    assert _period_starts_repeat(traj.states, M).index(True) == 1
+    masks = traj.active_masks[1:].reshape(6, M)
+    assert masks[1].any()
+    for q in range(2, 6):
+        _assert_bitwise(masks[q], masks[1])
+
+
+def test_a_record_cut_to_a_partial_last_period_keeps_its_rows_masks():
+    whole = _crawler3_run(6)
+    cut = _truncated(whole, 7)
+    assert len(cut.states) - 1 > cut.periods * cut.steps_per_period
+    _assert_bitwise(cut.active_masks, whole.active_masks[:-7])
+
+
+def test_masks_are_read_off_the_states_on_first_use_and_kept(monkeypatch):
+    calls = []
+    active_mask = sweeping._active_mask
+
+    def counted(*args):
+        calls.append(1)
+        return active_mask(*args)
+
+    monkeypatch.setattr(sweeping, "_active_mask", counted)
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 100)
+    assert not calls
+    masks = traj.active_masks
+    assert calls and not masks.flags.writeable
+    calls.clear()
+    assert traj.active_masks is masks and not calls
+
+
 def test_simulate_stops_projecting_once_on_its_orbit(monkeypatch):
     # crawler3 at 300 steps per period is on its orbit from period 2 on, so
     # periods 3 to 9 are copied: 10 periods cost as many projections as 3.
@@ -812,8 +847,7 @@ def test_period_distances_match_a_window_by_window_reference(name):
         M, K = 7, 35
         P = random_moving_polyhedron(rng, 3, 7)[0]
         states = np.cumsum(rng.standard_normal((K + 1, 3)), axis=0)
-        traj = Trajectory(SweepingProblem(P), 0.0, T1 / M, M, states,
-                          np.zeros((K, 7)), np.zeros(K + 1, dtype=np.int64))
+        traj = Trajectory(SweepingProblem(P), 0.0, T1 / M, M, states, np.zeros((K, 7)))
     else:
         sc = catalog()[name]
         traj = simulate(sc.problem, sc.initial_state, 0.0, 4, 48)
@@ -852,7 +886,6 @@ def _synthetic_trajectory(d_values, n=1):
         M,
         states,
         np.zeros((K, 2)),
-        np.zeros(K + 1, dtype=np.int64),
     )
 
 
@@ -1079,6 +1112,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.states, traj.states)
     np.testing.assert_array_equal(back.multipliers, traj.multipliers)
     np.testing.assert_array_equal(back.active_masks, traj.active_masks)
+    assert not back.states.flags.writeable and not back.multipliers.flags.writeable
     validate_trajectory(back)
 
 
@@ -1137,6 +1171,29 @@ def test_trajectory_csv_with_a_time_off_the_grid_is_refused(tmp_path, shift):
         read_trajectory_csv(path, wedge_scenario().problem)
 
 
+@pytest.mark.parametrize("row,column,cell,error", [
+    (5, -1, b"3.7", r"has active_bitmask 3.7000000000000002, not its state's mask 2$"),
+    (5, -1, b"1e30", r"has active_bitmask 1e\+30, not its state's mask 2$"),
+    (5, -1, b"nan", r"holds a cell that is not finite$"),
+    (5, 1, b"inf", r"holds a cell that is not finite$"),
+    (0, 3, b"7.5", r"has a multiplier that is not 0, but no step lands at its state$"),
+], ids=["fractional-mask", "huge-mask", "nan-mask", "inf-state", "row-0-multiplier"])
+def test_trajectory_csv_with_a_cell_the_record_would_not_keep_is_refused(tmp_path, row, column, cell, error):
+    # A mask cell must be the mask the record reads off its state, and no
+    # step lands at row 0. Non-finite cells are refused before the masks are
+    # read, so reading never warns (pyproject turns warnings into errors).
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 40)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1 + row].split(b",")
+    cells[column] = cell
+    lines[1 + row] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=rf"traj.csv data row {row} {error}"):
+        read_trajectory_csv(path, wedge_scenario().problem)
+
+
 # ---------------------------------------------------------------------------
 # CSV rows: each distinct row but for t is formatted once, the same bytes
 
@@ -1171,8 +1228,7 @@ CSV_CASES = {
 
 def _truncated(traj, rows):
     """A copy without its last rows, so its rows no longer fill whole periods."""
-    return dataclasses.replace(traj, states=traj.states[:-rows], multipliers=traj.multipliers[:-rows],
-                               active_masks=traj.active_masks[:-rows])
+    return dataclasses.replace(traj, states=traj.states[:-rows], multipliers=traj.multipliers[:-rows])
 
 
 @pytest.mark.parametrize("name", CSV_CASES)
