@@ -44,6 +44,7 @@ from .signals import is_json_number
 from .sweeping import (
     FLOAT_FMT,
     SweepingProblem,
+    _grid_texts,
     _write_csv,
     convergence_report,
     simulate,
@@ -308,16 +309,19 @@ def _initial_states(cfg: RunConfig, rng) -> list:
 # ---------------------------------------------------------------------------
 # Motion CSV (gait runs)
 
-def write_motion_csv(path: Path, run) -> None:
+def write_motion_csv(path: Path, run, *, _t_texts=None) -> None:
     """t and the block positions x1..xN; lines end in \\n.
 
     Nothing derived is repeated: the mean and the gaps are the mean and the
     differences of the x columns, and the shape w is trajectory.csv's state.
+    _write_csv formats each distinct row once, from distinct positions;
+    _t_texts is _grid_texts(motion.times) when cmd_run has formatted it
+    for every file on the grid.
     """
     motion = run.motion
     N = motion.positions.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(N)]
-    _write_csv(path, header, motion.times, motion.positions, ",".join([FLOAT_FMT] * N), "\n")
+    _write_csv(path, header, motion.times, motion.positions, ",".join([FLOAT_FMT] * N), "\n", _t_texts)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +372,17 @@ def cmd_run(args) -> int:
             "h": gait.period / steps,
         }
     out = _output_dir(cfg.out)
+    # Every start's trajectory and motion share one grid t0 + k*h: when this
+    # run writes more than one such file, their t column is formatted once.
+    t_texts = None
+    if "trajectory" in reports and len(trajs) + len(runs) > 1:
+        t_texts = _grid_texts(trajs[0].times)
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
         if "trajectory" in reports:
-            write_trajectory_csv(traj, out / f"trajectory{tag}.csv")
+            write_trajectory_csv(traj, out / f"trajectory{tag}.csv", _t_texts=t_texts)
             if runs:
-                write_motion_csv(out / f"motion{tag}.csv", runs[i])
+                write_motion_csv(out / f"motion{tag}.csv", runs[i], _t_texts=t_texts)
         if "convergence" in reports:
             rep = convergence_report(traj)
             write_json(out / f"convergence{tag}.json", rep.to_json())

@@ -101,11 +101,21 @@ class Trajectory:
         return self.t0 + np.arange(len(self.states)) * self.h
 
     @cached_property
+    def _offsets_phase(self) -> np.ndarray:
+        """The (M x m) offsets at the grid phases t0 + k*h, k < M, from _grid.
+
+        simulate stores the table it ran on here, so a record it returns does
+        not build it again; a record built otherwise, by read_trajectory_csv
+        or dataclasses.replace, builds its own on first use."""
+        P = self.problem.moving_set
+        return _grid(P.period, self.t0, 1, self.steps_per_period, offset=P.offsets)[2]
+
+    @cached_property
     def active_masks(self) -> np.ndarray:
         """Read off the states on first use, read-only: row 0, then one product
         per whole period (one batched _active_mask call), then a partial last period."""
         P, M, Q = self.problem.moving_set, self.steps_per_period, self.periods
-        c = _grid(P.period, self.t0, 1, M, offset=P.offsets)[2]   # the same for any period count
+        c = self._offsets_phase
         c_next, z = np.roll(c, -1, axis=0), self.states[1:]
         masks = np.concatenate([_active_mask(P.normals, c[0], self.states[:1]),
                                 _active_mask(P.normals, c_next, z[: Q * M].reshape(Q, M, P.dim)).ravel(),
@@ -302,7 +312,9 @@ def simulate(
 
     states.setflags(write=False)
     multipliers.setflags(write=False)
-    return Trajectory(problem, float(t0), h, M, states, multipliers)
+    traj = Trajectory(problem, float(t0), h, M, states, multipliers)
+    traj.__dict__["_offsets_phase"] = offsets_phase   # fills the cached_property: the run's own table
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +476,64 @@ def validate_trajectory(traj: Trajectory) -> None:
                               f"multiplier support not active at step {k}")[firsts.index(k - lo)])
 
 
-def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str) -> None:
+def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str, _t_texts=None) -> None:
     """Header, then one line per row: its t, then the text of its body row.
 
-    Each distinct body (by its bits, so -0.0 and 0.0 differ) is formatted
-    once, by one `%` in the first block of _CSV_BLOCK_ROWS lines that uses it,
-    into a line template; a second `%` over the block's joined templates fills
-    in its t values. Body text holds no '%': %.17g and %d print only digits,
-    signs, '.', 'e', 'nan' and 'inf'. The file is the same as formatting every row.
+    Each distinct body (by its bits, so -0.0 and 0.0 differ) has one line
+    template: a comma, its cells and the newline. Templates are made in
+    rounds of _CSV_BLOCK_ROWS distinct bodies, in order of first use, from
+    the texts of the distinct values of the round (_cell_texts).
+    Lines are written in blocks of _CSV_BLOCK_ROWS: each t's text, then its
+    body's template. _t_texts, when given, is _grid_texts(t), formatted once
+    for every file on the same grid; otherwise each block formats its own t.
+    The file is the same as formatting every row with one `%`.
     """
     ids, firsts = _distinct_rows(body)
-    line = FLOAT_FMT.replace("%", "%%") + "," + body_fmt + newline
+    fmts = body_fmt.split(",")
+    line = "," + ",".join(["%s"] * len(fmts)) + newline
     templates = []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
         for lo in range(0, len(t), _CSV_BLOCK_ROWS):
-            block = ids[lo : lo + _CSV_BLOCK_ROWS].tolist()
-            new = body[firsts[len(templates) : max(block) + 1]]
-            templates += (line * len(new) % tuple(new.ravel().tolist())).split(newline)[:-1]
-            text = newline.join([templates[i] for i in block]) + newline
-            fh.write(text % tuple(t[lo : lo + _CSV_BLOCK_ROWS].tolist()))
+            hi = lo + _CSV_BLOCK_ROWS
+            block = ids[lo:hi].tolist()
+            while len(templates) <= max(block):
+                new = _cell_texts(body[firsts[len(templates) : len(templates) + _CSV_BLOCK_ROWS]], fmts)
+                # No cell text holds a line break, so the lines split at the newlines.
+                templates += (line * len(new) % tuple(new.ravel().tolist())).splitlines(keepends=True)
+            t_text = _text(FLOAT_FMT, t[lo:hi].tolist()) if _t_texts is None else _t_texts[lo // _CSV_BLOCK_ROWS]
+            parts = [None] * (2 * len(block))
+            parts[::2] = t_text.split("\n")[:-1]
+            parts[1::2] = [templates[i] for i in block]
+            fh.write("".join(parts))
+
+
+def _text(fmt: str, values: list) -> str:
+    """fmt's text of each of the values, each ended by a newline: one `%` over all of them."""
+    return (fmt + "\n") * len(values) % tuple(values)
+
+
+def _grid_texts(t: np.ndarray) -> list:
+    """The %.17g text of t for _write_csv: a _text string per block of _CSV_BLOCK_ROWS."""
+    return [_text(FLOAT_FMT, t[lo : lo + _CSV_BLOCK_ROWS].tolist()) for lo in range(0, len(t), _CSV_BLOCK_ROWS)]
+
+
+def _cell_texts(rows: np.ndarray, fmts: list) -> np.ndarray:
+    """The text of every cell of rows, column j by fmts[j], as an object array.
+
+    Among the columns that share a format, each distinct value (by bits) is
+    formatted once, and its cells hold that one string. No text holds '%'
+    or a line break: %.17g and %d print only digits, signs, '.', 'e', 'nan'
+    and 'inf'.
+    """
+    cells = np.empty(rows.shape, dtype=object)
+    for fmt in dict.fromkeys(fmts):
+        cols = [j for j, f in enumerate(fmts) if f == fmt]
+        # 1-D, so that np.unique's inverse is flat at every numpy version
+        bits, inverse = np.unique(rows[:, cols].ravel().view(np.int64), return_inverse=True)
+        text = np.array(_text(fmt, bits.view(np.float64).tolist()).split("\n")[:-1], dtype=object)
+        cells[:, cols] = text[inverse].reshape(len(rows), len(cols))
+    return cells
 
 
 def _distinct_rows(table: np.ndarray):
@@ -505,11 +555,14 @@ def _distinct_rows(table: np.ndarray):
     return ids, firsts[rank]
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
+def write_trajectory_csv(traj: Trajectory, path, *, _t_texts=None) -> None:
     """Rows t, z, the multipliers of the step landing at z, active bitmask; \\r\\n line ends.
 
     The rows of a state at rest, and the periods of an exact orbit (see
-    simulate), repeat one another but for t: _write_csv formats each once.
+    simulate), repeat one another but for t, and distinct rows repeat values
+    and masks: _write_csv formats each distinct row once, from the distinct
+    values of its round. _t_texts is _grid_texts(traj.times) when the
+    caller has formatted it for every file on the grid.
     """
     n = traj.problem.dim
     m = traj.problem.moving_set.num_constraints
@@ -520,7 +573,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + ["active_bitmask"]
     )
     body = np.column_stack([traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks])
-    _write_csv(path, header, traj.times, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n")
+    _write_csv(path, header, traj.times, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n", _t_texts)
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:

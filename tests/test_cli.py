@@ -133,6 +133,43 @@ def test_csvs_of_a_two_start_run_equal_formatting_every_row(tmp_path):
         assert (tmp_path / f"trajectory_s{i}.csv").read_bytes() == reference_trajectory_csv(run.reduced)
 
 
+def _assert_csvs_equal_formatting_every_row(argv, out):
+    """Each trajectory*.csv and motion*.csv that `run` argv wrote to out
+    equals one `%` per row over the run of its start, drawn as cmd_run draws it."""
+    cfg = RunConfig.load(build_parser().parse_args(argv))
+    starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
+    tags = [""] if len(starts) == 1 else [f"_s{i}" for i in range(len(starts))]
+    for tag, x0 in zip(tags, starts, strict=True):
+        if cfg.gait is None:
+            traj = simulate(cfg.problem, x0, cfg.t0, cfg.periods, cfg.steps)
+        else:
+            run = simulate_reduced(cfg.gait, x0, cfg.t0, cfg.periods, cfg.steps)
+            traj = run.reduced
+            assert (out / f"motion{tag}.csv").read_bytes() == reference_motion_csv(run.motion)
+        assert (out / f"trajectory{tag}.csv").read_bytes() == reference_trajectory_csv(traj)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "box3", "--starts", "3", "--seed", "1"],
+    ["--scenario", "crawler3", "--t0", "0.25", "--starts", "2", "--seed", "5", "--periods", "3", "--steps", "300"],
+], ids=["box3-three-starts", "crawler3-t0"])
+def test_csvs_of_runs_on_one_grid_equal_formatting_every_row(tmp_path, flags):
+    # Every file of the run fills in its t from one text of the grid.
+    argv = ["run", *flags, "--out", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    _assert_csvs_equal_formatting_every_row(argv, tmp_path)
+
+
+def test_no_t_text_outlives_an_invocation(tmp_path):
+    # The same grid but for t0: a second run that wrote the first run's t would differ.
+    flags = ["--scenario", "crawler3", "--starts", "2", "--seed", "5", "--periods", "3", "--steps", "300"]
+    for i, t0 in enumerate(("0", "0.25", "0")):
+        out = tmp_path / f"run{i}"
+        argv = ["run", *flags, "--t0", t0, "--out", str(out)]
+        assert run_cli(*argv) == 0
+        _assert_csvs_equal_formatting_every_row(argv, out)
+
+
 def test_motion_csv_holds_what_the_dropped_columns_are_derived_from(tmp_path):
     # motion.csv is t,x1..xN. The mean and the gaps come from its x columns
     # bit for bit, its t column is trajectory.csv's, and the shape w = -k diff(x)

@@ -687,6 +687,34 @@ def test_masks_are_read_off_the_states_on_first_use_and_kept(monkeypatch):
     assert traj.active_masks is masks and not calls
 
 
+def test_masks_are_read_with_the_offsets_table_of_their_run(monkeypatch, tmp_path):
+    # A record from simulate reads its masks with the table simulate ran on;
+    # one from dataclasses.replace or read_trajectory_csv builds its own.
+    grid, calls = sweeping._grid, []
+
+    def counted(*args, **lists):
+        calls.append(args[1])
+        return grid(*args, **lists)
+
+    monkeypatch.setattr(sweeping, "_grid", counted)
+    traj = simulate(wedge_scenario().problem, np.array([0.25, 0.0]), 0.0, 3, 100)
+    masks = traj.active_masks
+    assert calls == [0.0]   # simulate's own
+    calls.clear()
+    write_trajectory_csv(traj, tmp_path / "traj.csv")
+    _assert_bitwise(dataclasses.replace(traj).active_masks, masks)
+    _assert_bitwise(read_trajectory_csv(tmp_path / "traj.csv", traj.problem).active_masks, masks)
+    assert calls == [0.0, 0.0]
+    calls.clear()
+    P, Q = traj.problem.moving_set, catalog()["triangle"].problem.moving_set
+    for record, t0, R in ((dataclasses.replace(traj, t0=0.5), 0.5, P),
+                          (dataclasses.replace(traj, problem=SweepingProblem(Q)), 0.0, Q)):
+        table = grid(R.period, t0, 1, 100, offset=R.offsets)[2]
+        assert not np.array_equal(table, traj._offsets_phase)
+        _assert_bitwise(record._offsets_phase, table)
+    assert calls == [0.5, 0.0]
+
+
 def test_simulate_stops_projecting_once_on_its_orbit(monkeypatch):
     # crawler3 at 300 steps per period is on its orbit from period 2 on, so
     # periods 3 to 9 are copied: 10 periods cost as many projections as 3.
@@ -1250,11 +1278,35 @@ def _later_block_table():
     return body
 
 
+def _value_in_the_last_block_table():
+    # More distinct bodies than a block holds, so templates are made in
+    # several rounds; the value 6.25 is first seen in the last block.
+    B = _CSV_BLOCK_ROWS
+    body = np.column_stack([np.arange(2 * B + 9) * 0.5, np.tile([0.0, 1.0, 2.0], 2 * B + 3)[: 2 * B + 9]])
+    body[-3] = [6.25, 1.0]
+    body[-1] = [0.0, 6.25]
+    return body
+
+
+def _nans():
+    # quiet and signalling NaNs of both signs: four bit patterns, each printed as nan
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001],
+                    dtype=np.uint64)
+    return bits.view(np.float64)
+
+
 WRITE_CSV_CASES = {
     "signed-zeros-adjacent": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]),
     "body-reappears": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf], [1.0, 2.0], [5.0, np.inf], [3.0, 4.0]]),
     "first-used-in-a-later-block": _later_block_table(),
     "one-row": np.array([[0.5, -1.0]]),
+    "one-value-in-every-cell": np.full((7, 2), 0.1),
+    "one-value-across-columns-and-rows": np.array([[0.1, 0.1], [0.1, 2.0], [2.0, 0.1], [0.1, 0.1]]),
+    "signed-zeros-in-one-row": np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]),
+    "nans-of-both-signs-and-payloads": np.column_stack([_nans(), _nans()[::-1]]),
+    "infinities": np.array([[np.inf, -np.inf], [-np.inf, np.inf], [np.inf, np.inf]]),
+    "int-column-equal-to-float-cells": np.array([[3.0, 3.0], [3.5, 3.0], [3.0, 3.5], [3.5, 3.5]]),
+    "value-first-seen-in-the-last-block": _value_in_the_last_block_table(),
 }
 
 
