@@ -177,10 +177,9 @@ class RunConfig:
         """Parse the config file, and the flags that override its keys, through
         CONFIG_KEYS, and resolve the run they ask for.
 
-        Also rejects a compare on a run without a gait, run counts whose
-        arrays numpy cannot hold (for `run`, the arrays of every start's run
-        together), and numbers that the working tolerance cannot resolve.
-        The reports are `run`'s alone, so `cmd_run` checks them.
+        Also rejects a compare on a run without a gait, and numbers that the
+        working tolerance cannot resolve. The reports and the run counts are
+        `run`'s alone, so `cmd_run` checks them: check-gait builds no run.
         """
         raw = {}
         if args.config:
@@ -220,18 +219,13 @@ class RunConfig:
         if gait is None and compare:
             raise ConfigError("compare needs a gait scenario or an inline gait")
         moving = problem.moving_set if gait is None else gait.moving_set
-        starts = cfg.get("initial_states")
-        count = len(starts) if isinstance(starts, list) else starts or 1
-        # cmd_run keeps every start's run until all are simulated; check-gait sizes one table.
-        runs = count if getattr(args, "command", None) == "run" else 1
-        _check_counts(periods, steps, 2 + moving.dim + moving.num_constraints, runs)
         drift = (problem.drift or ()) if gait is None else ()
         _check_resolvable([moving.normals.ravel()]
                           + [s.values for s in moving.offsets]
                           + [moving.period / steps * s.values for s in drift])
         return RunConfig(
             sc, gait, problem, moving, cfg.get("t0", 0.0), periods, steps, cfg.get("seed", 0),
-            starts, cfg.get("reports", REPORTS if gait is not None else PLAIN_REPORTS),
+            cfg.get("initial_states"), cfg.get("reports", REPORTS if gait is not None else PLAIN_REPORTS),
             compare, Path(getattr(args, "out", None) or "."),
         )
 
@@ -315,13 +309,14 @@ def write_motion_csv(path: Path, run, *, _t_texts=None) -> None:
     Nothing derived is repeated: the mean and the gaps are the mean and the
     differences of the x columns, and the shape w is trajectory.csv's state.
     _write_csv formats each distinct row once, from distinct positions;
-    _t_texts is _grid_texts(motion.times) when cmd_run has formatted it
-    for every file on the grid.
+    _t_texts is a list of _grid_texts(motion.times) when cmd_run has
+    formatted it for every file on the grid.
     """
     motion = run.motion
     N = motion.positions.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(N)]
-    _write_csv(path, header, motion.times, motion.positions, ",".join([FLOAT_FMT] * N), "\n", _t_texts)
+    t_texts = _grid_texts(motion.times) if _t_texts is None else _t_texts
+    _write_csv(path, header, t_texts, motion.positions, ",".join([FLOAT_FMT] * N), "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +338,9 @@ def cmd_run(args) -> int:
     for name, least in (("velocity", 3), ("convergence", 2)):
         if name in reports and periods < least:
             raise ConfigError(f"{name} reports need at least {least} periods")
+    # Every start's run is kept until all are simulated, so their tables must fit together.
+    _check_counts(periods, steps, 2 + cfg.moving_set.dim + cfg.moving_set.num_constraints,
+                  len(cfg.starts) if isinstance(cfg.starts, list) else cfg.starts or 1)
     starts = _initial_states(cfg, np.random.default_rng(cfg.seed))
     summary = [
         f"scenario: {cfg.scenario.name if cfg.scenario else 'inline'}",
@@ -376,7 +374,7 @@ def cmd_run(args) -> int:
     # run writes more than one such file, their t column is formatted once.
     t_texts = None
     if "trajectory" in reports and len(trajs) + len(runs) > 1:
-        t_texts = _grid_texts(trajs[0].times)
+        t_texts = list(_grid_texts(trajs[0].times))
     for i, traj in enumerate(trajs):
         tag = "" if len(trajs) == 1 else f"_s{i}"
         if "trajectory" in reports:

@@ -31,7 +31,6 @@ from .polyhedra import (
 from .signals import PeriodicSignal, _checked_signals, eval_many
 
 FLOAT_FMT = "%.17g"
-FINITE_TIME_TOL = 1e-9   # period distance at which a run counts as converged
 _RATIO_SPREAD = 0.2      # relative spread below which per-period ratios count as geometric
 _CSV_BLOCK_ROWS = 1024
 
@@ -254,7 +253,8 @@ def simulate(
     and blocks never cross a period boundary. So once a period starts from
     the state, bit for bit, that the period before started from, the run is
     on an exact periodic orbit, and the remaining periods are copies of the
-    last one.
+    last one. That repeat is the one rule by which _classify calls a run
+    finite-time: its per-period sup distances are exactly 0 from there on.
     """
     M = steps_per_period
     P = problem.moving_set
@@ -342,21 +342,21 @@ class Classification:
 def _classify(d: np.ndarray) -> Classification:
     """Classify the per-period sup distances d of a run of at least 2 periods.
 
-    Finite-time at q* when d_q <= FINITE_TIME_TOL for all q >= q* (q* minimal).
+    Finite-time at q* when d_q == 0 for all q >= q* (q* minimal): the run
+    repeats a whole period bit for bit, the test simulate makes before it copies.
     Otherwise geometric with the median ratio over the largest suffix of the
-    above-tolerance run whose ratios have relative spread below _RATIO_SPREAD
-    (early windows may carry a transient in the sup geometry and are dropped
-    only when the full run fails the spread test); undetermined when no
-    suffix with at least two ratios qualifies.
+    trailing run of nonzero distances whose ratios have relative spread below
+    _RATIO_SPREAD (early windows may carry a transient in the sup geometry and
+    are dropped only when the full run fails the spread test); undetermined
+    when no suffix with at least two ratios qualifies.
     """
     if len(d) < 1:
         raise ValueError(f"need at least 2 periods, have {len(d) + 1}")
-    if d[-1] <= FINITE_TIME_TOL:
-        above = np.flatnonzero(d > FINITE_TIME_TOL)
-        qstar = 0 if len(above) == 0 else int(above[-1]) + 1
-        return Classification("finite-time", period=qstar)
+    if d[-1] == 0:
+        nonzero = np.flatnonzero(d)
+        return Classification("finite-time", period=0 if len(nonzero) == 0 else int(nonzero[-1]) + 1)
     qa = len(d) - 1
-    while qa > 0 and d[qa - 1] > FINITE_TIME_TOL:
+    while qa > 0 and d[qa - 1] > 0:
         qa -= 1
     ratios = d[qa + 1 :] / d[qa:-1]
     for start in range(len(ratios) - 1):
@@ -476,7 +476,7 @@ def validate_trajectory(traj: Trajectory) -> None:
                               f"multiplier support not active at step {k}")[firsts.index(k - lo)])
 
 
-def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str, _t_texts=None) -> None:
+def _write_csv(path, header, t_texts, body: np.ndarray, body_fmt: str, newline: str) -> None:
     """Header, then one line per row: its t, then the text of its body row.
 
     Each distinct body (by its bits, so -0.0 and 0.0 differ) has one line
@@ -484,9 +484,9 @@ def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str, _
     rounds of _CSV_BLOCK_ROWS distinct bodies, in order of first use, from
     the texts of the distinct values of the round (_cell_texts).
     Lines are written in blocks of _CSV_BLOCK_ROWS: each t's text, then its
-    body's template. _t_texts, when given, is _grid_texts(t), formatted once
-    for every file on the same grid; otherwise each block formats its own t.
-    The file is the same as formatting every row with one `%`.
+    body's template. t_texts is an iterable of the blocks' t texts, as
+    _grid_texts yields them. The file is the same as formatting every row
+    with one `%`.
     """
     ids, firsts = _distinct_rows(body)
     fmts = body_fmt.split(",")
@@ -494,14 +494,12 @@ def _write_csv(path, header, t, body: np.ndarray, body_fmt: str, newline: str, _
     templates = []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
-        for lo in range(0, len(t), _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
-            block = ids[lo:hi].tolist()
+        for lo, t_text in zip(range(0, len(body), _CSV_BLOCK_ROWS), t_texts):
+            block = ids[lo : lo + _CSV_BLOCK_ROWS].tolist()
             while len(templates) <= max(block):
                 new = _cell_texts(body[firsts[len(templates) : len(templates) + _CSV_BLOCK_ROWS]], fmts)
                 # No cell text holds a line break, so the lines split at the newlines.
                 templates += (line * len(new) % tuple(new.ravel().tolist())).splitlines(keepends=True)
-            t_text = _text(FLOAT_FMT, t[lo:hi].tolist()) if _t_texts is None else _t_texts[lo // _CSV_BLOCK_ROWS]
             parts = [None] * (2 * len(block))
             parts[::2] = t_text.split("\n")[:-1]
             parts[1::2] = [templates[i] for i in block]
@@ -513,9 +511,9 @@ def _text(fmt: str, values: list) -> str:
     return (fmt + "\n") * len(values) % tuple(values)
 
 
-def _grid_texts(t: np.ndarray) -> list:
-    """The %.17g text of t for _write_csv: a _text string per block of _CSV_BLOCK_ROWS."""
-    return [_text(FLOAT_FMT, t[lo : lo + _CSV_BLOCK_ROWS].tolist()) for lo in range(0, len(t), _CSV_BLOCK_ROWS)]
+def _grid_texts(t: np.ndarray):
+    """Yield the %.17g text of t for _write_csv: a _text string per block of _CSV_BLOCK_ROWS."""
+    return (_text(FLOAT_FMT, t[lo : lo + _CSV_BLOCK_ROWS].tolist()) for lo in range(0, len(t), _CSV_BLOCK_ROWS))
 
 
 def _cell_texts(rows: np.ndarray, fmts: list) -> np.ndarray:
@@ -561,8 +559,8 @@ def write_trajectory_csv(traj: Trajectory, path, *, _t_texts=None) -> None:
     The rows of a state at rest, and the periods of an exact orbit (see
     simulate), repeat one another but for t, and distinct rows repeat values
     and masks: _write_csv formats each distinct row once, from the distinct
-    values of its round. _t_texts is _grid_texts(traj.times) when the
-    caller has formatted it for every file on the grid.
+    values of its round. _t_texts is a list of _grid_texts(traj.times) when
+    the caller has formatted it for every file on the grid.
     """
     n = traj.problem.dim
     m = traj.problem.moving_set.num_constraints
@@ -572,8 +570,12 @@ def write_trajectory_csv(traj: Trajectory, path, *, _t_texts=None) -> None:
         + [f"eta_{i + 1}" for i in range(m)]
         + ["active_bitmask"]
     )
-    body = np.column_stack([traj.states, np.vstack([np.zeros(m), traj.multipliers]), traj.active_masks])
-    _write_csv(path, header, traj.times, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n", _t_texts)
+    body = np.zeros((len(traj.states), n + m + 1))   # filled in place: no stacked copies
+    body[:, :n] = traj.states
+    body[1:, n:-1] = traj.multipliers
+    body[:, -1] = traj.active_masks
+    t_texts = _grid_texts(traj.times) if _t_texts is None else _t_texts
+    _write_csv(path, header, t_texts, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n")
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:

@@ -1,8 +1,9 @@
 """The public functions take no tolerance or threshold parameters.
 
 Every tolerance and threshold is a module constant (polyhedra.DEFAULT_TOL,
-sweeping.FINITE_TIME_TOL, crawler.VELOCITY_TOL and private ones), so the
-tests cover the one configuration that runs.
+crawler.VELOCITY_TOL and private ones), so the tests cover the one
+configuration that runs. A run is finite-time when it repeats a period
+exactly, which needs no threshold.
 """
 
 import dataclasses

@@ -600,7 +600,7 @@ def test_run_counts_and_numbers_a_run_cannot_hold_exit_4_before_any_output(tmp_p
 @pytest.mark.parametrize("command,name", [("run", "box1"), ("run", "crawler2")])
 def test_starts_whose_runs_together_no_array_can_hold_exit_4_before_any_output(tmp_path, capsys, command, name):
     # One run's table is small; 2^40 of them, all kept until written, are not.
-    # (check-gait draws no starts and sizes one table.)
+    # (check-gait builds no run, so it sizes no table: test_check_gait_sizes_no_run.)
     out = tmp_path / "x"
     assert run_cli(command, "--scenario", name, "--periods", "3", "--steps", "10",
                    "--starts", str(2**40), "--out", str(out)) == 4
@@ -917,6 +917,14 @@ def test_check_gait_sizes_no_starts(tmp_path, capsys):
     # check-gait draws no starts, so a config's huge random count does not matter.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "crawler2", "initial_states": {"random": 2**40}}))
+    assert run_cli("check-gait", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.startswith("uniqueness margin: 1\n")
+
+
+def test_check_gait_sizes_no_run(tmp_path, capsys):
+    # check-gait builds no run, so a period count whose table no array can hold does not matter.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "crawler2", "periods": 10**12}))
     assert run_cli("check-gait", "--config", str(cfg)) == 0
     assert capsys.readouterr().out.startswith("uniqueness margin: 1\n")
 

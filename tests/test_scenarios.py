@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import acute_corner_note, bottom_edge_coordinate, random_polyhedron, reference_acute_corners
+from sweeplab.crawler import simulate_reduced
 from sweeplab.errors import SweepLabError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, freeze, vertices
 from sweeplab.scenarios import (
@@ -137,7 +138,7 @@ def test_ncell_finite_time_random_starts():
         traj = simulate(sc.problem, z0, 0.0, 6, sc.recommended_steps)
         cls = convergence_report(traj).classification
         assert cls.kind == "finite-time" and cls.period <= 1
-        assert np.all(convergence_report(traj).d_sup[1:] <= 1e-9)
+        assert np.all(convergence_report(traj).d_sup[1:] == 0)
 
 
 def test_ncell_constant_interval_is_stationary():
@@ -221,6 +222,67 @@ def test_bundled_maps_do_not_depend_on_the_grid(name, periods, fine, grids, boun
     for M in grids:
         states = simulate(sc.problem, sc.initial_state, 0.0, periods, M).states
         assert np.max(np.abs(states - ref[:: fine // M])) <= bound, M
+
+
+# ---------------------------------------------------------------------------
+# the periodic-orbit rule: finite-time means an exact repeat of a period
+
+_ORBIT_RUNS = {   # 39 runs: scenario -> (breakpoint and fine grids, period counts)
+    "wedge": ((4, 2000), (2, 20, 40)),
+    "triangle": ((6, 3000), (2, 12, 13, 24)),
+    "box1": ((2, 200), (2, 6, 12)),
+    "box3": ((4, 200), (2, 6, 12)),
+    "crawler2": ((2, 2000), (3, 10)),
+    "crawler3": ((4, 300, 2000), (3, 10, 12)),
+}
+
+
+def _bundled_run(name, periods, M):
+    """The trajectory of scenario name's own start: the reduced run for a gait."""
+    sc = scenario(name)
+    if sc.gait is None:
+        return simulate(sc.problem, sc.initial_state, 0.0, periods, M)
+    return simulate_reduced(sc.gait, sc.initial_state, 0.0, periods, M).reduced
+
+
+@pytest.mark.parametrize("name", _ORBIT_RUNS)
+def test_finite_time_exactly_when_a_period_repeats_bit_for_bit(name):
+    # A run is finite-time when the state at the start of some window q
+    # recurs bit for bit one period later, and its period is the least such q.
+    grids, counts = _ORBIT_RUNS[name]
+    for M in grids:
+        for Q in counts:
+            traj = _bundled_run(name, Q, M)
+            s = traj.states
+            repeats = [q for q in range(Q - 1) if s[q * M].tobytes() == s[(q + 1) * M].tobytes()]
+            cls = convergence_report(traj).classification
+            assert (cls.kind == "finite-time") == bool(repeats), (M, Q)
+            assert cls.period == (repeats[0] if repeats else None), (M, Q)
+
+
+@pytest.mark.parametrize("name,periods,grids,kind,period,ratio", [
+    # The paper's asymptotic-only example: d_sup shrinks by 1/8 per period to
+    # 1.5e-10 at 13 periods, and at 24 the map freezes on an orbit that
+    # period 18 repeats (d_17 = 5.2e-16, d_18 = 0).
+    ("triangle", 12, (6, 3000), "geometric", None, 0.125),
+    ("triangle", 13, (6, 3000), "geometric", None, 0.125),
+    ("triangle", 24, (6, 3000), "finite-time", 18, None),
+    # One ulp (d_sup = [1.58, 2.2e-16]) off the orbit that period 2 repeats.
+    ("crawler3", 3, (300,), "undetermined", None, None),
+    ("crawler3", 10, (300,), "finite-time", 2, None),
+    # Asymptotic too (ratio 1/2), but DEFAULT_TOL freezes the map on an orbit
+    # from period 29. ROADMAP item 12, the verdict read from the faces each
+    # period applies, will call this run geometric with ratio 0.5.
+    ("wedge", 40, (4, 2000), "finite-time", 29, None),
+])
+def test_orbit_rule_verdicts(name, periods, grids, kind, period, ratio):
+    for M in grids:
+        cls = convergence_report(_bundled_run(name, periods, M)).classification
+        assert (cls.kind, cls.period) == (kind, period), M
+        if ratio is None:
+            assert cls.ratio is None
+        else:
+            assert abs(cls.ratio - ratio) <= 1e-6, M
 
 
 def _translated_box(rng):
