@@ -33,6 +33,7 @@ from .signals import PeriodicSignal, _checked_signals, eval_many
 FLOAT_FMT = "%.17g"
 _RATIO_SPREAD = 0.2      # relative spread below which per-period ratios count as geometric
 _CSV_BLOCK_ROWS = 1024
+_REPORT_BLOCK_ROWS = 4096   # grid rows per block of convergence_report's period windows
 
 
 @dataclass(frozen=True)
@@ -320,15 +321,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Per-period distances and classification
 
-def _period_deltas(traj: Trajectory) -> np.ndarray:
-    """z(t_k + qT) - z(t_k + (q+1)T) over grid points qM..(q+1)M of every window q,
-    as a contiguous (Q-1, M+1, n) array, so that per-window sums keep their order."""
-    M = traj.steps_per_period
-    s = traj.states[: traj.periods * M + 1]
-    delta = s[:-M] - s[M:]
-    return np.concatenate([delta[:-1].reshape(-1, M, s.shape[1]), delta[M::M, None]], axis=1)
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str                 # "finite-time" | "geometric" | "undetermined"
@@ -392,15 +384,35 @@ def convergence_report(traj: Trajectory) -> ConvergenceReport:
     d_w12[q] is the discrete W^{1,2} distance between windows q and q+1, from
     forward divided differences; the last grid point of the window reuses the
     previous difference.
+
+    The windows are taken in blocks of about _REPORT_BLOCK_ROWS grid rows (one
+    window when M + 1 is larger). A block's differences and divided differences
+    fill two (k, M+1, n) buffers, squared once in place; the root of the
+    largest row sum is the largest root, so d_sup needs one root per window.
     """
-    h = traj.h
-    delta = _period_deltas(traj)
-    d_sup = np.max(np.linalg.norm(delta, axis=2), axis=1)
-    dd = np.diff(delta, axis=1) / h
-    dd = np.concatenate([dd, dd[:, -1:]], axis=1)
+    h, M, s = traj.h, traj.steps_per_period, traj.states
+    W, n = max(traj.periods - 1, 0), s.shape[1]
+    k = max(1, _REPORT_BLOCK_ROWS // (M + 1))
+    delta, slope = np.empty((2, min(k, W), M + 1, n))
+    d_sup, d_w12 = np.empty(W), np.empty(W)
+    rs, cs = s.strides
+    for q in range(0, W, k):
+        b = min(k, W - q)
+        # Windows q..q+b, each of M+1 rows, overlapping in their end rows.
+        win = np.lib.stride_tricks.as_strided(s[q * M :], (b + 1, M + 1, n), (M * rs, rs, cs),
+                                              writeable=False)
+        d, dd = delta[:b], slope[:b]
+        np.subtract(win[:-1], win[1:], out=d)
+        np.subtract(d[:, 1:], d[:, :-1], out=dd[:, :-1])
+        np.divide(dd[:, :-1], h, out=dd[:, :-1])
+        dd[:, -1] = dd[:, -2]
+        np.square(d, out=d)
+        np.square(dd, out=dd)
+        d_sup[q : q + b] = np.sqrt(np.max(np.sum(d, axis=2), axis=1))
+        d_w12[q : q + b] = np.sqrt(h * np.sum(d, axis=(1, 2)) + h * np.sum(dd, axis=(1, 2)))
     return ConvergenceReport(
         d_sup=d_sup,
-        d_w12=np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2))),
+        d_w12=d_w12,
         classification=_classify(d_sup),
         residual=float(d_sup[-1]),
     )
@@ -433,9 +445,8 @@ def lambda_convergence(traj: Trajectory, q: int) -> np.ndarray:
     _checked_count("q", q)
     if q < 0 or (q + 2) * M > len(traj.multipliers):
         raise IndexError(f"window {q} out of range")
-    lam = traj.multipliers / traj.h
-    a = lam[q * M : (q + 1) * M]
-    b = lam[(q + 1) * M : (q + 2) * M]
+    a = traj.multipliers[q * M : (q + 1) * M] / traj.h
+    b = traj.multipliers[(q + 1) * M : (q + 2) * M] / traj.h
     _visited_licq(traj, q * M + 1, (q + 2) * M + 1)
     return np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
 

@@ -680,6 +680,26 @@ def reference_period_distances(states: np.ndarray, M: int, h: float):
     return np.array(sup), np.array(w12)
 
 
+def _period_deltas(states: np.ndarray, M: int) -> np.ndarray:
+    """z(t_k + qT) - z(t_k + (q+1)T) over grid points qM..(q+1)M of every window q
+    of a record's whole periods, as one contiguous (Q-1, M+1, n) array."""
+    s = states[: (len(states) - 1) // M * M + 1]
+    delta = s[:-M] - s[M:]
+    return np.concatenate([delta[:-1].reshape(-1, M, s.shape[1]), delta[M::M, None]], axis=1)
+
+
+def stacked_period_distances(states: np.ndarray, M: int, h: float):
+    """(d_sup, d_w12) from one stacked array of every window: np.linalg.norm
+    per grid point, np.diff for the divided differences and np.concatenate
+    for the last one. The bit-equal reference for convergence_report, whose
+    blocks reduce each window's values in the same order."""
+    delta = _period_deltas(states, M)
+    d_sup = np.max(np.linalg.norm(delta, axis=2), axis=1)
+    dd = np.diff(delta, axis=1) / h
+    dd = np.concatenate([dd, dd[:, -1:]], axis=1)
+    return d_sup, np.sqrt(h * np.sum(delta**2, axis=(1, 2)) + h * np.sum(dd**2, axis=(1, 2)))
+
+
 def canonical_patterns(positions: np.ndarray, tol: float = TOL) -> np.ndarray:
     """The sign of each block's displacement at each step, 0 where |dx| <= tol."""
     dx = np.diff(positions, axis=0)

@@ -15,6 +15,7 @@ from helpers import (
     reference_simulate,
     reference_trajectory_csv,
     reference_validate_trajectory,
+    stacked_period_distances,
 )
 from sweeplab import polyhedra, sweeping
 from sweeplab.crawler import build_moving_set, incremental_oracle, pi_z, simulate_reduced
@@ -533,6 +534,23 @@ def test_segment_scan_accepts_the_rows_of_the_row_by_row_rule(monkeypatch, name)
     assert stopped, f"{name}: no block stopped early (test vacuous)"
 
 
+def test_interior_block_and_scalar_step_agree_at_the_tolerance():
+    # With B = [[1]], c = 0 and z = DEFAULT_TOL, c - zB = -DEFAULT_TOL exactly:
+    # _project_raw calls p interior, so an interior block from z must accept
+    # every row. A row whose offset is NaN fails on both paths.
+    B, tol = np.array([[1.0]]), polyhedra.DEFAULT_TOL
+    z = np.array([tol])
+    table = polyhedra._subset_table(B)
+    z_next, lam, subset, face = polyhedra._project_raw(B, np.zeros(1), table, z)
+    assert face is None and subset == () and z_next.tobytes() == z.tobytes()
+    c = np.zeros((5, 1))
+    assert sweeping._segment(B, c, None, z, None)[0] == len(c)
+    c[3] = np.nan
+    assert sweeping._segment(B, c, None, z, None)[0] == 3
+    with pytest.raises(InfeasibleSetError):
+        polyhedra._project_raw(B, c[3], table, z)
+
+
 _JUST_BELOW_MINUS_TOL = np.nextafter(-TOL, -np.inf)
 _JUST_ABOVE_TOL = np.nextafter(TOL, np.inf)
 
@@ -889,6 +907,50 @@ def test_period_distances_match_a_window_by_window_reference(name):
     np.testing.assert_allclose(report.residual, sup[-1], rtol=1e-13, atol=0)
 
 
+# The records the blocked report must match the stacked reference on: the
+# recommended grids (a few long windows per block), wedge 400x4 (hundreds of
+# windows in one block), triangle 3x6000 (one window longer than a block), a
+# record read back from CSV (its states a strided view), a record cut to a
+# partial last period, and box1 at M = 1 (windows of 2 rows).
+REPORT_RECORDS = ("wedge-recommended", "triangle-recommended", "wedge-400x4", "triangle-3x6000",
+                  "csv-read", "partial-last-period", "box1-M1")
+
+
+def _report_record(name, tmp_path):
+    cat = catalog()
+    scenario, _, grid = name.partition("-")
+    if grid == "recommended":
+        sc = cat[scenario]
+        return simulate(sc.problem, sc.initial_state, 0.0, sc.recommended_periods, sc.recommended_steps)
+    if scenario in ("wedge", "triangle"):
+        periods, M = map(int, grid.split("x"))
+        return simulate(cat[scenario].problem, cat[scenario].initial_state, 0.0, periods, M)
+    if name == "box1-M1":
+        # box1 has breakpoints at half periods, so its M = 1 record is every
+        # other row of an M = 2 run.
+        box = simulate(cat["box1"].problem, cat["box1"].initial_state, 0.0, 5, 2)
+        return dataclasses.replace(box, h=2 * box.h, steps_per_period=1, states=box.states[::2],
+                                   multipliers=box.multipliers[::2])
+    traj = simulate(cat["wedge"].problem, cat["wedge"].initial_state, 0.0, 6, 300)
+    if name == "partial-last-period":
+        return dataclasses.replace(traj, states=traj.states[:-100], multipliers=traj.multipliers[:-100])
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    back = read_trajectory_csv(tmp_path / "trajectory.csv", traj.problem)
+    assert not back.states.flags.c_contiguous
+    return back
+
+
+@pytest.mark.parametrize("name", REPORT_RECORDS)
+def test_report_equals_the_stacked_reference_bit_for_bit(name, tmp_path):
+    traj = _report_record(name, tmp_path)
+    d_sup, d_w12 = stacked_period_distances(traj.states, traj.steps_per_period, traj.h)
+    report = convergence_report(traj)
+    assert report.d_sup.shape == report.d_w12.shape == (traj.periods - 1,)
+    assert report.d_sup.tobytes() == d_sup.tobytes()
+    assert report.d_w12.tobytes() == d_w12.tobytes()
+    assert report.classification == _classify(d_sup)
+
+
 # ---------------------------------------------------------------------------
 # classification on synthetic distance sequences
 
@@ -949,9 +1011,9 @@ def test_classify_from_two_periods(periods, box1, wedge):
 
 def test_classify_rejects_one_period():
     traj = simulate(box_problem(), np.array([0.0]), 0.0, 1, 50)
-    with pytest.raises(ValueError, match="at least 2 periods"):
+    with pytest.raises(ValueError, match="^need at least 2 periods, have 1$"):
         _classify(np.empty(0))
-    with pytest.raises(ValueError, match="at least 2 periods"):
+    with pytest.raises(ValueError, match="^need at least 2 periods, have 1$"):
         convergence_report(traj)
 
 
@@ -991,6 +1053,20 @@ def test_lambda_convergence_wedge_decreases():
     dists = [np.max(lambda_convergence(traj, q)) for q in range(0, 40, 4)]
     assert dists[-1] < 1e-4
     assert dists[-1] < dists[0]
+
+
+def test_lambda_convergence_equals_the_rates_of_the_whole_run_bit_for_bit():
+    # Dividing only the two windows read is elementwise, so it gives the bits
+    # of dividing the whole run's multipliers.
+    sc = wedge_scenario()
+    traj = simulate(sc.problem, np.array([0.25, 0.0]), 0.0, 6, 500)
+    M = traj.steps_per_period
+    lam = traj.multipliers / traj.h
+    for q in range(traj.periods - 1):
+        a, b = lam[q * M : (q + 1) * M], lam[(q + 1) * M : (q + 2) * M]
+        want = np.sqrt(traj.h * np.sum((a - b) ** 2, axis=0))
+        assert np.any(want > 0)
+        assert lambda_convergence(traj, q).tobytes() == want.tobytes()
 
 
 def test_lambda_convergence_box_zero_after_first_period():
