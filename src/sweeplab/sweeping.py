@@ -10,6 +10,7 @@ be tested at tolerances near machine precision instead of O(h).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -34,6 +35,7 @@ FLOAT_FMT = "%.17g"
 _RATIO_SPREAD = 0.2      # relative spread below which per-period ratios count as geometric
 _CSV_BLOCK_ROWS = 1024
 _REPORT_BLOCK_ROWS = 4096   # grid rows per block of convergence_report's period windows
+_SPLIT_ROWS = 256           # fewest rows a stop hint must spare for _segment to split a block
 
 
 @dataclass(frozen=True)
@@ -179,28 +181,50 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     return (h, np.concatenate(breaks).astype(np.int64), *tables)
 
 
-def _segment(B, c, dz, z, face):
+def _segment(B, c, dz, z, face, stop=None):
     """Run the steps of one block from z with the accepted subset held fixed.
 
     c holds the offsets each step projects onto and dz its drift increments
     (None without drift); face is _project_raw's, or None for interior
     steps. Every step must pass the tests _project_raw applies to each
     candidate: p not interior, multipliers >= -DEFAULT_TOL, the new state
-    feasible. Returns (accepted steps, states, multipliers on the subset),
-    the arrays covering the whole block.
+    feasible. Returns (accepted steps, states, multipliers on the subset)
+    over the rows the block computed.
+
+    stop is the row where the block is expected to fail, or None. When at
+    least _SPLIT_ROWS rows follow row stop + 1, the block computes rows
+    0..stop+1 first and the rest only if all of those pass. Each part is
+    one product per quantity over at least 2 rows, and such a part's rows
+    equal the same rows of the whole block's products bit for bit.
     """
     L = len(c)
     # Running sum of the drift increments, added in the same order as the
     # scalar loop, so interior blocks are bit-identical to scalar steps.
     q = z if dz is None else np.cumsum(np.vstack([z, dz]), axis=0)[1:]
+    cut = L if stop is None or L - stop - 2 < _SPLIT_ROWS else stop + 2
+    used, Z, lam = _segment_rows(B, c, dz, q, z, face, slice(0, cut))
+    if used == cut < L:
+        more, Z_rest, lam_rest = _segment_rows(B, c, dz, q, Z[-1], face, slice(cut, L))
+        used, Z = used + more, np.concatenate([Z, Z_rest])
+        lam = None if face is None else np.concatenate([lam, lam_rest])
+    return used, Z, lam
+
+
+def _segment_rows(B, c, dz, q, start, face, rows):
+    """(passing steps, states, multipliers) of the block rows `rows`, from
+    the running drift sums q (the block's start z without drift) and the
+    state start that the step before the first row landed on."""
+    c = c[rows]
+    if dz is not None:
+        q, dz = q[rows], dz[rows]
     if face is None:
-        Z = np.broadcast_to(q, (L, len(z)))
+        Z = np.broadcast_to(q, (len(c), len(start)))
         return _rows_passing(c - Z @ B.T >= -DEFAULT_TOL), Z, None
     idx, BS, Ginv, Pi, R = face
     cS = c[:, idx]
     # With S fixed, z_{j+1} = Pi_S (z_k + h sum d) + R_S c_S(j), since Pi_S R_S = 0.
     Z = q @ Pi.T + cS @ R.T
-    P = np.vstack([z, Z[:-1]])
+    P = np.vstack([start, Z[:-1]])
     if dz is not None:
         P += dz
     lam = (P @ BS.T - cS) @ Ginv.T
@@ -249,6 +273,12 @@ def simulate(
     projection, a full search in the fixed candidate order. The block is the
     only warm start.
 
+    The map is exactly T-periodic, so a block tends to stop where a block of
+    the period before stopped: a block from phase r takes the previous
+    period's first stop at or after r as its hint (_segment), and computes
+    the rest of its period only when it passes the rows up to that stop.
+    The hint changes which rows are computed, not their values.
+
     A period of the loop is a pure function of the state it starts from: the
     phase tables, the subset table and its face maps are fixed for the run,
     and blocks never cross a period boundary. So once a period starts from
@@ -284,12 +314,15 @@ def simulate(
 
     z = z0.copy()
     k = 0
+    stops = []   # the phases where this period's blocks stopped, in order
     while k < K:
         ph = k % M
-        if ph == 0 and k >= M and states[k].tobytes() == states[k - M].tobytes():
-            states[k + 1 :].reshape(-1, M, n)[:] = states[k - M + 1 : k + 1]
-            multipliers[k:].reshape(-1, M, m)[:] = multipliers[k - M : k]
-            break
+        if ph == 0:
+            if k >= M and states[k].tobytes() == states[k - M].tobytes():
+                states[k + 1 :].reshape(-1, M, n)[:] = states[k - M + 1 : k + 1]
+                multipliers[k:].reshape(-1, M, m)[:] = multipliers[k - M : k]
+                break
+            before, stops = stops, []
         p = z if dz is None else z + dz[ph]
         try:
             z, lam, _, face = _project_raw(B, c_next[ph], table, p)
@@ -300,16 +333,21 @@ def simulate(
         k += 1
         # Blocks never cross a period boundary, so every period starts with a
         # scalar step and the discrete map stays exactly T-periodic.
-        if k % M:
-            rows = slice(k % M, M)
+        r = k % M
+        if r:
+            # The previous period's first stop at or after r, as this block's hint.
+            i = bisect.bisect_left(before, r)
             used, Z, lam = _segment(
-                B, c_next[rows], None if dz is None else dz[rows], z, face
+                B, c_next[r:], None if dz is None else dz[r:], z, face,
+                before[i] - r if i < len(before) else None,
             )
             states[k + 1 : k + 1 + used] = Z[:used]
             if face is not None:
                 multipliers[k : k + used, face[0]] = np.maximum(lam[:used], 0.0)
             k += used
             z = states[k]
+            if k % M:
+                stops.append(k % M)
 
     states.setflags(write=False)
     multipliers.setflags(write=False)

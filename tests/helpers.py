@@ -641,6 +641,27 @@ def reference_segment_steps(inside, lam_ok=None, feasible=None) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
+def reference_segment(B, c, dz, z, face):
+    """sweeping._segment as one part: every row of the block to the end of
+    its period, each quantity one product over all L rows. Returns
+    (accepted steps, states, multipliers on the subset) over the L rows."""
+    from sweeplab.sweeping import _face_steps, _rows_passing
+
+    L = len(c)
+    q = z if dz is None else np.cumsum(np.vstack([z, dz]), axis=0)[1:]
+    if face is None:
+        Z = np.broadcast_to(q, (L, len(z)))
+        return _rows_passing(c - Z @ B.T >= -TOL), Z, None
+    idx, BS, Ginv, Pi, R = face
+    cS = c[:, idx]
+    Z = q @ Pi.T + cS @ R.T
+    P = np.vstack([z, Z[:-1]])
+    if dz is not None:
+        P += dz
+    lam = (P @ BS.T - cS) @ Ginv.T
+    return _face_steps(c, P @ B.T, lam, Z @ B.T), Z, lam
+
+
 def reference_periods(problem, z0, t0: float, periods: int, steps_per_period: int):
     """simulate one period at a time: a chain of one-period runs, each from t0
     (the discrete map is exactly T-periodic) and the last state of the one

@@ -435,6 +435,19 @@ def test_admissible_rest_and_overstretched():
     assert not admissible(g, 0.0, np.array([0.0, 5.0]))
 
 
+def test_admissible_allows_a_backward_force_up_to_the_tolerance():
+    # Gap 2 + eps over rest length 1 gives block 1 the force -1 - eps against
+    # its backward bound mu^- = 1. TOL = 1e-9 lies between 2^-30 and 2^-29.
+    signals = lambda *vs: tuple(PeriodicSignal.constant(v, 1.0) for v in vs)
+    g = Gait(2, 1.0, 1.0, signals(1.0), mu_plus=signals(2.0, 2.0), mu_minus=signals(1.0, 1.0))
+    inside, outside = np.array([0.0, 2.0 + 2.0**-31]), np.array([0.0, 2.0 + 2.0**-29])
+    assert -energy_gradient(g, 0.0, inside)[1] == -1.0 - 2.0**-31
+    assert admissible(g, 0.0, inside)
+    assert not admissible(g, 0.0, outside)
+    with pytest.raises(InadmissibleStateError):
+        simulate_reduced(g, outside, 0.0, 1, 4)
+
+
 def test_admissible_equals_reduced_membership():
     rng = np.random.default_rng(21)
     g = three_block_gait()

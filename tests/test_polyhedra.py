@@ -550,6 +550,16 @@ def test_decompose_reads_a_vector_up_to_the_tolerance_as_zero():
         decompose_normal(F, [0.0], [2.0**-29])
 
 
+def test_decompose_admits_a_negative_coefficient_up_to_the_tolerance():
+    # At the corner z = (1, 1) of the box |z_i| <= 1 the active normals are
+    # e1 and e2, and v = (1, -eps) has the coefficient -eps on e2. TOL = 1e-9
+    # lies between 2^-30 and 2^-29: -2^-31 counts as 0, -2^-29 is refused.
+    F = FrozenPolyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4)
+    assert decompose_normal(F, [1.0, 1.0], [1.0, -(2.0**-31)]).tolist() == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(NormalConeError, match="negative coefficient"):
+        decompose_normal(F, [1.0, 1.0], [1.0, -(2.0**-29)])
+
+
 def test_decompose_single_face():
     F = unit_square()
     lam = decompose_normal(F, [0.5, 0.0], np.array([0.0, -3.0]))

@@ -11,6 +11,7 @@ from helpers import (
     reference_csv,
     reference_period_distances,
     reference_periods,
+    reference_segment,
     reference_segment_steps,
     reference_simulate,
     reference_trajectory_csv,
@@ -451,11 +452,15 @@ def segment_case(name):
         drift = random_drift(rng, n) if name.endswith("-drift") else None
         return SweepingProblem(moving_set, drift), z0, 4, 200
     sc = catalog()[name]
+    return (*bundled_problem(sc), sc.recommended_periods, 300)
+
+
+def bundled_problem(sc):
+    """(problem, z0) of a bundled scenario: a gait's reduced problem and start."""
     if sc.gait is None:
-        return sc.problem, sc.initial_state, sc.recommended_periods, 300
+        return sc.problem, sc.initial_state
     g = sc.gait
-    problem = SweepingProblem(build_moving_set(g))
-    return problem, -g.stiffness * pi_z(sc.initial_state), sc.recommended_periods, 300
+    return SweepingProblem(build_moving_set(g)), -g.stiffness * pi_z(sc.initial_state)
 
 
 @pytest.mark.parametrize("name", SEGMENT_CASES)
@@ -469,16 +474,22 @@ def test_segment_kernel_matches_step_by_step_reference(name):
     np.testing.assert_allclose(traj.multipliers, multipliers, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("with_drift", [False, True])
-def test_segment_kernel_interior_runs_are_bitwise(with_drift):
+def drifted_box(velocities=None):
+    """The box |z_i| <= w(t), w stepping between 1 and 2, with a drift that
+    is +v on the first half-period and -v on the second (no drift for None)."""
     walls = PeriodicSignal(T1, [(0.0, 1.0), (0.5, 2.0)])
     box = MovingPolyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], (walls,) * 4)
     drift = None
-    if with_drift:
+    if velocities is not None:
         drift = tuple(
-            PeriodicSignal(T1, [(0.0, v), (0.5, -v)], PIECEWISE_CONSTANT) for v in (0.3, -0.7)
+            PeriodicSignal(T1, [(0.0, v), (0.5, -v)], PIECEWISE_CONSTANT) for v in velocities
         )
-    problem = SweepingProblem(box, drift)
+    return SweepingProblem(box, drift)
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_segment_kernel_interior_runs_are_bitwise(with_drift):
+    problem = drifted_box((0.3, -0.7) if with_drift else None)
     z0 = np.array([0.1, -0.2])
     traj = simulate(problem, z0, 0.0, 3, 400)
     states, multipliers, masks = reference_simulate(problem, z0, 0.0, 3, 400)
@@ -489,7 +500,7 @@ def test_segment_kernel_interior_runs_are_bitwise(with_drift):
 
 
 def _recorded_segments(monkeypatch, problem, z0, periods, M):
-    """(B, c, dz, z, face, accepted, Z, lam) of every _segment call of one simulate run."""
+    """(B, c, dz, z, face, stop, accepted, Z, lam) of every _segment call of one simulate run."""
     calls = []
     segment = sweeping._segment
 
@@ -505,21 +516,22 @@ def _recorded_segments(monkeypatch, problem, z0, periods, M):
 
 
 def _segment_tables(B, c, dz, z, face, Z, lam):
-    """A block's test tables, from the products the kernel forms: an interior
-    block's (c - Z B^T >= -TOL,); a face block's p-inside, multiplier and
-    feasibility tables."""
+    """A block's test tables over the rows it computed (those of Z), from the
+    products the kernel forms: an interior block's (c - Z B^T >= -TOL,); a
+    face block's p-inside, multiplier and feasibility tables."""
+    c = c[: len(Z)]
     if face is None:
         return (c - Z @ B.T >= -TOL,)
     P = np.vstack([z, Z[:-1]])
     if dz is not None:
-        P += dz
+        P += dz[: len(Z)]
     return c - P @ B.T >= -TOL, lam >= -TOL, Z @ B.T <= c + TOL
 
 
 @pytest.mark.parametrize("name", SEGMENT_CASES + ["wedge-recommended", "triangle-recommended"])
 def test_segment_scan_accepts_the_rows_of_the_row_by_row_rule(monkeypatch, name):
     # The recommended grids give the longest blocks: up to a period of 2000
-    # (wedge) or 3000 (triangle) rows.
+    # (wedge) or 3000 (triangle) rows, and blocks that the stop hint splits.
     if name.endswith("-recommended"):
         sc = catalog()[name.split("-")[0]]
         problem, z0, periods, M = sc.problem, sc.initial_state, sc.recommended_periods, sc.recommended_steps
@@ -527,11 +539,103 @@ def test_segment_scan_accepts_the_rows_of_the_row_by_row_rule(monkeypatch, name)
         problem, z0, periods, M = segment_case(name)
     calls = _recorded_segments(monkeypatch, problem, z0, periods, M)
     assert calls, f"{name}: no block ran"
-    stopped = 0
-    for B, c, dz, z, face, accepted, Z, lam in calls:
+    stopped, parts = 0, set()
+    for B, c, dz, z, face, stop, accepted, Z, lam in calls:
         assert accepted == reference_segment_steps(*_segment_tables(B, c, dz, z, face, Z, lam))
         stopped += accepted < len(c)
+        # A split block computes rows 0..stop+1, and the rest of the period
+        # only when all of those pass; any other block computes every row.
+        split = stop is not None and len(c) - stop - 2 >= sweeping._SPLIT_ROWS
+        assert len(Z) == (stop + 2 if split and accepted < stop + 2 else len(c))
+        if split:
+            parts.add(len(Z) == len(c))
     assert stopped, f"{name}: no block stopped early (test vacuous)"
+    if name.endswith("-recommended"):
+        assert parts == {False, True}, f"{name}: no split block stopped in or passed its first part"
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_a_split_block_equals_the_whole_block_bit_for_bit(monkeypatch, with_drift):
+    # The blocks of runs on random moving polyhedra, replayed with the stop
+    # hint before the true stop, at it, one row after it and at L - 2. With
+    # _SPLIT_ROWS = 2 every hint below L - 2 splits: each part keeps 2 rows
+    # or more, since one-row products (gemv) need not match the block's rows.
+    rng = np.random.default_rng(41 + with_drift)
+    blocks = []
+    for n in (2, 3, 4):
+        moving_set, z0 = random_moving_polyhedron(rng, n, n + 3)
+        problem = SweepingProblem(moving_set, random_drift(rng, n) if with_drift else None)
+        blocks += [call[:5] for call in _recorded_segments(monkeypatch, problem, z0, 2, 2000)]
+    monkeypatch.setattr(sweeping, "_SPLIT_ROWS", 2)
+    seen = set()
+    for B, c, dz, z, face in blocks:
+        used, Z, lam = reference_segment(B, c, dz, z, face)
+        hints = {int(rng.integers(used)) if used else 0, used, used + 1, len(c) - 2}
+        for stop in sorted(h for h in hints if 0 <= h <= len(c) - 2):
+            got_used, got_Z, got_lam = sweeping._segment(B, c, dz, z, face, stop)
+            assert got_used == used
+            _assert_bitwise(np.asarray(got_Z[:used]), np.asarray(Z[:used]))
+            if face is None:
+                assert got_lam is None
+            else:
+                _assert_bitwise(got_lam[:used], lam[:used])
+            if stop + 2 < len(c):
+                seen.add((face is None, used >= stop + 2))
+    # interior and face blocks, each stopping in its first part and running a second
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def _breakpoint_grid(problem):
+    """The fewest steps per period that put every breakpoint of the problem on the grid."""
+    for M in range(1, 1001):
+        try:
+            sweeping._grid(problem.period, 0.0, 1, M, offset=problem.moving_set.offsets, drift=problem.drift)
+            return M
+        except GridAlignmentError:
+            pass
+    raise AssertionError("no grid of at most 1000 steps holds every breakpoint")
+
+
+def _assert_split_run_is_bitwise(monkeypatch, problem, z0, periods, M):
+    """simulate equals simulate with every block run whole by the one-part
+    kernel, byte for byte; returns the number of blocks it split."""
+    splits = []
+    rows = sweeping._segment_rows
+
+    def count(B, c, dz, q, start, face, part):
+        splits.append(part.start == 0 and part.stop < len(c))
+        return rows(B, c, dz, q, start, face, part)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeping, "_segment_rows", count)
+        traj = simulate(problem, z0, 0.0, periods, M)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeping, "_segment", lambda B, c, dz, z, face, stop: reference_segment(B, c, dz, z, face))
+        whole = simulate(problem, z0, 0.0, periods, M)
+    _assert_bitwise(traj.states, whole.states)
+    _assert_bitwise(traj.multipliers, whole.multipliers)
+    return sum(splits)
+
+
+@pytest.mark.parametrize("name,grid", [(name, grid) for name in catalog() for grid in ("recommended", "breakpoint")]
+                         + [("wedge", (40, 2000)), ("triangle", (24, 3000))])
+def test_split_blocks_leave_every_bundled_run_bitwise(monkeypatch, name, grid):
+    sc = catalog()[name]
+    problem, z0 = bundled_problem(sc)
+    periods, M = {"recommended": (sc.recommended_periods, sc.recommended_steps),
+                  "breakpoint": (sc.recommended_periods, _breakpoint_grid(problem))}.get(grid, grid)
+    splits = _assert_split_run_is_bitwise(monkeypatch, problem, z0, periods, M)
+    if name in ("wedge", "triangle") and grid != "breakpoint":
+        assert splits, f"{name} {grid}: no block was split (test vacuous)"
+
+
+@pytest.mark.parametrize("velocities,walls", [(None, False), ((0.3, -0.7), False), ((3.0, -5.0), True),
+                                              ((8.0, 2.0), True)])
+@pytest.mark.parametrize("M", [400, 2000])
+def test_split_blocks_leave_drifted_box_runs_bitwise(monkeypatch, velocities, walls, M):
+    # The state stays inside (walls False) or the drift pushes it onto the walls.
+    splits = _assert_split_run_is_bitwise(monkeypatch, drifted_box(velocities), np.array([0.1, -0.2]), 3, M)
+    assert bool(splits) == walls
 
 
 def test_interior_block_and_scalar_step_agree_at_the_tolerance():
