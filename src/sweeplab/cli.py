@@ -316,7 +316,7 @@ def write_motion_csv(path: Path, run, *, _t_texts=None) -> None:
     N = motion.positions.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(N)]
     t_texts = _grid_texts(motion.times) if _t_texts is None else _t_texts
-    _write_csv(path, header, t_texts, motion.positions, ",".join([FLOAT_FMT] * N), "\n")
+    _write_csv(path, header, t_texts, motion.positions, "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,6 @@ def wedge_scenario(alpha: float = 1.0, beta: float = 2.0, period: float = 2.0) -
                 "source": "closed-form",
             },
             "alpha": alpha,
-            "beta": beta,
         },
     )
 
@@ -204,7 +203,6 @@ def triangle_scenario(alpha: float = 2.0, period: float = 3.0, side: float = 1.0
             "moving_form": moving_form,
             "drift_primitive": primitive,
             "geometry": {"P": P, "Q": Q, "R": R, "side": side},
-            "sample_phase_fraction": 1.0 / 3.0,   # states are on PQ at t = qT + T/3
         },
     )
 
@@ -265,9 +263,7 @@ def degenerate_gait() -> Gait:
 
 def _gait_scenario(name: str, g: Gait, v0_ref: float | None) -> Scenario:
     x0 = assemble_positions(0.0, rest_length_values(g, 0.0))
-    reference = {"margin": {"source": "derived"}}
-    if v0_ref is not None:
-        reference["v0"] = {"value": v0_ref, "source": "derived"}
+    reference = {} if v0_ref is None else {"v0": {"value": v0_ref, "source": "derived"}}
     return Scenario(
         name=name,
         problem=None,

@@ -106,9 +106,9 @@ class Trajectory:
     def _offsets_phase(self) -> np.ndarray:
         """The (M x m) offsets at the grid phases t0 + k*h, k < M, from _grid.
 
-        simulate stores the table it ran on here, so a record it returns does
-        not build it again; a record built otherwise, by read_trajectory_csv
-        or dataclasses.replace, builds its own on first use."""
+        simulate and read_trajectory_csv store the table their _grid call
+        built here; a record built otherwise, such as by dataclasses.replace,
+        builds its own on first use."""
         P = self.problem.moving_set
         return _grid(P.period, self.t0, 1, self.steps_per_period, offset=P.offsets)[2]
 
@@ -525,7 +525,7 @@ def validate_trajectory(traj: Trajectory) -> None:
                               f"multiplier support not active at step {k}")[firsts.index(k - lo)])
 
 
-def _write_csv(path, header, t_texts, body: np.ndarray, body_fmt: str, newline: str) -> None:
+def _write_csv(path, header, t_texts, body: np.ndarray, newline: str) -> None:
     """Header, then one line per row: its t, then the text of its body row.
 
     Each distinct body (by its bits, so -0.0 and 0.0 differ) has one line
@@ -538,15 +538,14 @@ def _write_csv(path, header, t_texts, body: np.ndarray, body_fmt: str, newline: 
     with one `%`.
     """
     ids, firsts = _distinct_rows(body)
-    fmts = body_fmt.split(",")
-    line = "," + ",".join(["%s"] * len(fmts)) + newline
+    line = "," + ",".join(["%s"] * body.shape[1]) + newline
     templates = []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
         for lo, t_text in zip(range(0, len(body), _CSV_BLOCK_ROWS), t_texts):
             block = ids[lo : lo + _CSV_BLOCK_ROWS].tolist()
             while len(templates) <= max(block):
-                new = _cell_texts(body[firsts[len(templates) : len(templates) + _CSV_BLOCK_ROWS]], fmts)
+                new = _cell_texts(body[firsts[len(templates) : len(templates) + _CSV_BLOCK_ROWS]])
                 # No cell text holds a line break, so the lines split at the newlines.
                 templates += (line * len(new) % tuple(new.ravel().tolist())).splitlines(keepends=True)
             parts = [None] * (2 * len(block))
@@ -555,32 +554,28 @@ def _write_csv(path, header, t_texts, body: np.ndarray, body_fmt: str, newline: 
             fh.write("".join(parts))
 
 
-def _text(fmt: str, values: list) -> str:
-    """fmt's text of each of the values, each ended by a newline: one `%` over all of them."""
-    return (fmt + "\n") * len(values) % tuple(values)
+def _text(values: list) -> str:
+    """The FLOAT_FMT text of each of the values, each ended by a newline: one `%` over all of them."""
+    return (FLOAT_FMT + "\n") * len(values) % tuple(values)
 
 
 def _grid_texts(t: np.ndarray):
     """Yield the %.17g text of t for _write_csv: a _text string per block of _CSV_BLOCK_ROWS."""
-    return (_text(FLOAT_FMT, t[lo : lo + _CSV_BLOCK_ROWS].tolist()) for lo in range(0, len(t), _CSV_BLOCK_ROWS))
+    return (_text(t[lo : lo + _CSV_BLOCK_ROWS].tolist()) for lo in range(0, len(t), _CSV_BLOCK_ROWS))
 
 
-def _cell_texts(rows: np.ndarray, fmts: list) -> np.ndarray:
-    """The text of every cell of rows, column j by fmts[j], as an object array.
+def _cell_texts(rows: np.ndarray) -> np.ndarray:
+    """The FLOAT_FMT text of every cell of rows, as an object array.
 
-    Among the columns that share a format, each distinct value (by bits) is
-    formatted once, and its cells hold that one string. No text holds '%'
-    or a line break: %.17g and %d print only digits, signs, '.', 'e', 'nan'
-    and 'inf'.
+    Each distinct value (by bits) is formatted once, and its cells hold that
+    one string; an integral float below 10**17, such as a mask, prints as
+    its int's digits alone. No text holds '%' or a line break: %.17g prints
+    only digits, signs, '.', 'e', 'nan' and 'inf'.
     """
-    cells = np.empty(rows.shape, dtype=object)
-    for fmt in dict.fromkeys(fmts):
-        cols = [j for j, f in enumerate(fmts) if f == fmt]
-        # 1-D, so that np.unique's inverse is flat at every numpy version
-        bits, inverse = np.unique(rows[:, cols].ravel().view(np.int64), return_inverse=True)
-        text = np.array(_text(fmt, bits.view(np.float64).tolist()).split("\n")[:-1], dtype=object)
-        cells[:, cols] = text[inverse].reshape(len(rows), len(cols))
-    return cells
+    # 1-D, so that np.unique's inverse is flat at every numpy version
+    bits, inverse = np.unique(rows.ravel().view(np.int64), return_inverse=True)
+    text = np.array(_text(bits.view(np.float64).tolist()).split("\n")[:-1], dtype=object)
+    return text[inverse].reshape(rows.shape)
 
 
 def _distinct_rows(table: np.ndarray):
@@ -624,7 +619,7 @@ def write_trajectory_csv(traj: Trajectory, path, *, _t_texts=None) -> None:
     body[1:, n:-1] = traj.multipliers
     body[:, -1] = traj.active_masks
     t_texts = _grid_texts(traj.times) if _t_texts is None else _t_texts
-    _write_csv(path, header, t_texts, body, ",".join([FLOAT_FMT] * (n + m) + ["%d"]), "\r\n")
+    _write_csv(path, header, t_texts, body, "\r\n")
 
 
 def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
@@ -634,8 +629,10 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     could not fix the step, or when its rows are not whole periods of the
     problem's grid: with h the file's step and M = round(T/h), unless
     |T - M*h| <= 1e-6*h (the slack _grid allows a breakpoint), the rows
-    after the first are a positive multiple of M. Then, in this order, the
-    file is refused at the first row whose t lies outside that slack of
+    after the first are a positive multiple of M. Then _grid checks the grid
+    from t0, the first t, and raises GridAlignmentError, as simulate's does;
+    the record keeps its offsets table. Then, in this order, ValueError
+    refuses the file at the first row whose t lies outside that slack of
     t0 + k*T/M, that holds a cell that is not finite, whose multipliers are
     not 0 when it is row 0, or whose active_bitmask is not the mask the
     record reads off its state; the error names that row."""
@@ -645,8 +642,8 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
     if rows < 2:
         raise ValueError(f"{path} holds {rows} data rows; a trajectory needs at least 2")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = problem.dim
-    m = problem.moving_set.num_constraints
+    P = problem.moving_set
+    n, m = problem.dim, P.num_constraints
     if data.shape[1] != 1 + n + m + 1:
         raise ValueError("CSV columns do not match the problem dimensions")
     data.setflags(write=False)   # as simulate's: the masks cached below must match the states
@@ -659,7 +656,9 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
             f"{path} holds {len(times)} data rows at step {h}: not whole periods of "
             f"the problem's period {T}"
         )
+    offsets_phase = _grid(T, float(times[0]), (len(times) - 1) // M, M, offset=P.offsets, drift=problem.drift)[2]
     traj = Trajectory(problem, float(times[0]), T / M, M, data[:, 1 : 1 + n], data[1:, 1 + n : -1])
+    traj.__dict__["_offsets_phase"] = offsets_phase   # fills the cached_property, as simulate does
 
     def refuse(bad, why):
         if bad.any():

@@ -372,6 +372,21 @@ def test_project_retries_ill_conditioned_candidates_by_qr():
     assert np.all(-B[res.multipliers > 0] @ res.point <= 10 * TOL)
 
 
+@pytest.mark.parametrize("e,subset", [(31, (0, 1)), (29, (0, 2))])
+def test_project_accepts_a_multiplier_within_the_tolerance_below_zero(e, subset):
+    # The cone z2 <= 0, z1 <= 0, z2 <= 4*z1 with apex 0, and p = b_0 - d*b_1:
+    # candidate (0, 1) has multipliers (1, -d) exactly, and is accepted when
+    # d = 2^-31 <= 1e-9. At d = 2^-29 it is not, and (0, 2) is, with
+    # lam_2 = d/4. (0,) fails in both: it stops at (-d, 0), where z2 <= 4*z1
+    # fails by 4*d > 1e-9. The sign test's tolerance alone tells them apart.
+    B = np.array([[0.0, 1.0], [1.0, 0.0], [-4.0, 1.0]])
+    res = project(FrozenPolyhedron(B, np.zeros(3)), np.array([-(2.0**-e), 1.0]))
+    assert res.subset == subset
+    assert res.point.tolist() == [0.0, 0.0]
+    if e == 31:
+        assert res.multipliers.tolist() == [1.0, 0.0, 0.0]   # -2^-31 clipped at 0
+
+
 @pytest.mark.parametrize("normals,offsets", [
     ([[1.0], [-1.0]], [-1.0, -2.0]),
     ([[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, -1.0]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import acute_corner_note, bottom_edge_coordinate, random_polyhedron, reference_acute_corners
-from sweeplab.crawler import simulate_reduced
+from sweeplab.crawler import estimate_velocity, simulate_reduced
 from sweeplab.errors import SweepLabError
 from sweeplab.polyhedra import FrozenPolyhedron, MovingPolyhedron, freeze, vertices
 from sweeplab.scenarios import (
@@ -415,6 +415,29 @@ def test_catalog_contents_and_export():
         for entry in sc.reference.values():
             if isinstance(entry, dict) and "source" in entry:
                 assert entry["source"] in ("closed-form", "derived", "construction")
+
+
+def test_every_reference_value_of_a_bundled_scenario_matches_its_run():
+    # At the recommended grid: an expected classification is the run's kind,
+    # within 1e-9 of its ratio and at most its max_period; an expected v0 is
+    # the run's converged velocity within 1e-9.
+    checked = set()
+    for name, sc in catalog().items():
+        Q, M = sc.recommended_periods, sc.recommended_steps
+        expected = sc.reference.get("classification")
+        if expected is not None:
+            got = convergence_report(simulate(sc.problem, sc.initial_state, 0.0, Q, M)).classification
+            assert got.kind == expected["kind"], name
+            if "ratio" in expected:
+                assert abs(got.ratio - expected["ratio"]) <= 1e-9, name
+            if got.kind == "finite-time":
+                assert got.period <= expected["max_period"], name
+            checked.add(name)
+        if "v0" in sc.reference:
+            vel = estimate_velocity(simulate_reduced(sc.gait, sc.initial_state, 0.0, Q, M).motion)
+            assert vel.converged and abs(vel.v0 - sc.reference["v0"]["value"]) <= 1e-9, name
+            checked.add(name)
+    assert checked == {"wedge", "triangle", "box1", "box3", "crawler2", "crawler2-mirror"}
 
 
 def test_scenario_builds_the_catalog_entry_alone():

@@ -32,6 +32,7 @@ from sweeplab.sweeping import (
     read_trajectory_csv,
     simulate,
     _CSV_BLOCK_ROWS,
+    _cell_texts,
     _classify,
     _distinct_rows,
     _grid_texts,
@@ -1403,6 +1404,30 @@ def test_trajectory_csv_with_a_cell_the_record_would_not_keep_is_refused(tmp_pat
         read_trajectory_csv(path, wedge_scenario().problem)
 
 
+@pytest.mark.parametrize("name,periods,steps,new_steps,nan_row,error", [
+    ("box1", 3, 4, 3, None, r"offset\[0\] breakpoint t=0.5 is not on the grid \(t0=0.0, h=0.3333333333333333\)"),
+    ("triangle", 2, 6, 4, None, r"drift\[0\] breakpoint t=2.0 is not on the grid \(t0=0.0, h=0.75\)"),
+    ("box1", 3, 4, 3, 5, r"offset\[0\] breakpoint t=0.5 is not on the grid"),
+], ids=["offset-breakpoint", "drift-breakpoint", "and-a-nan-cell"])
+def test_trajectory_csv_off_its_problems_grid_is_refused_before_its_rows(
+        tmp_path, name, periods, steps, new_steps, nan_row, error):
+    # The file's t column is rewritten to whole periods of new_steps steps,
+    # a grid that misses a breakpoint of the problem: _grid refuses it before
+    # any row is checked, so a NaN cell is not what the error names.
+    sc = catalog()[name]
+    traj = simulate(sc.problem, sc.initial_state, 0.0, periods, steps)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_bytes().split(b"\r\n")
+    h = sc.problem.period / new_steps
+    lines[1:-1] = [b"%.17g," % (k * h) + line.split(b",", 1)[1] for k, line in enumerate(lines[1:-1])]
+    if nan_row is not None:
+        lines[1 + nan_row] = lines[1 + nan_row].rsplit(b",", 1)[0] + b",nan"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(GridAlignmentError, match=f"^{error}"):
+        read_trajectory_csv(path, sc.problem)
+
+
 # ---------------------------------------------------------------------------
 # CSV rows: each distinct row but for t is formatted once, the same bytes
 
@@ -1491,16 +1516,41 @@ WRITE_CSV_CASES = {
 }
 
 
+def _as_masks(column):
+    """column as active-set masks would be: nonnegative integral floats, 0.0 where it is not finite."""
+    return np.floor(np.where(np.isfinite(column) & (column > 0), column, 0.0))
+
+
 @pytest.mark.parametrize("name", WRITE_CSV_CASES)
-@pytest.mark.parametrize("body_fmt,newline", [("%.17g,%.17g", "\n"), ("%.17g,%d", "\r\n")])
-def test_write_csv_equals_formatting_every_row(tmp_path, name, body_fmt, newline):
+@pytest.mark.parametrize("reference_fmt,newline", [("%.17g,%.17g", "\n"), ("%.17g,%d", "\r\n")])
+def test_write_csv_equals_formatting_every_row(tmp_path, name, reference_fmt, newline):
+    # The writer prints every cell with %.17g. Against a reference that
+    # prints column b with %d, as reference_trajectory_csv prints the masks,
+    # column b holds masks, and the files are the same.
     body = WRITE_CSV_CASES[name]
-    if body_fmt.endswith("%d"):
-        body = np.where(np.isfinite(body), body, 1.0)   # %d takes finite numbers only
+    if reference_fmt.endswith("%d"):
+        body = np.column_stack([body[:, 0], _as_masks(body[:, 1])])
     t = np.arange(len(body)) * -0.1   # from -0.0
-    _write_csv(tmp_path / "out.csv", ["t", "a", "b"], _grid_texts(t), body, body_fmt, newline)
-    expected = reference_csv(["t", "a", "b"], np.column_stack([t, body]), "%.17g," + body_fmt, newline)
+    _write_csv(tmp_path / "out.csv", ["t", "a", "b"], _grid_texts(t), body, newline)
+    expected = reference_csv(["t", "a", "b"], np.column_stack([t, body]), "%.17g," + reference_fmt, newline)
     assert (tmp_path / "out.csv").read_bytes() == expected
+
+
+def test_cell_texts_of_integral_floats_are_their_ints_texts():
+    # Masks are ints below 2**24 (ENUMERATION_CAP bits), exact in a float64,
+    # and %.17g prints such a float as %d prints its int.
+    ints = [0] + [2**k + d for k in range(25) for d in (-1, 0, 1)]
+    ints += np.random.default_rng(41).integers(0, 2**24, size=10_000).tolist()
+    texts = _cell_texts(np.array(ints, dtype=float).reshape(-1, 1)).ravel().tolist()
+    assert texts == ["%d" % i for i in ints]
+
+
+def test_cell_texts_share_one_text_for_a_mask_and_an_equal_float_cell():
+    body = np.column_stack([WRITE_CSV_CASES["int-column-equal-to-float-cells"][:, 0],
+                            _as_masks(WRITE_CSV_CASES["int-column-equal-to-float-cells"][:, 1])])
+    cells = _cell_texts(body)
+    assert cells.tolist() == [["3", "3"], ["3.5", "3"], ["3", "3"], ["3.5", "3"]]
+    assert len({id(cell) for cell in cells.ravel()}) == 2   # one string per distinct value
 
 
 def test_distinct_rows_by_bits_in_order_of_first_appearance():
