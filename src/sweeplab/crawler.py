@@ -530,9 +530,11 @@ def incremental_oracle(
     (the KKT test).
 
     One kernel, ``_try_pattern``, solves and judges a pattern over a block
-    of steps: the steps up to the next grid phase where a gait signal has a
-    breakpoint, or to the end of the period. It keeps the steps before the
-    first one the pattern fails. A block that no step fails is followed by
+    of steps: from the current step to the end of its period, as
+    ``simulate``'s blocks run. It keeps the steps before the first one the
+    pattern fails. Sticking blocks keep the block's start and each slipping
+    row is its own stacked solve, so a row's bits do not depend on the
+    block it is solved in. A block that no step fails is followed by
     another with the same pattern, all-stick at step 0. Where a step fails,
     a search (``_oracle_step``) runs: a dynamic program along the chain
     minimizes the step, and each slip pattern read off its displacement is
@@ -547,14 +549,12 @@ def incremental_oracle(
     slip and stick pass, and which one is accepted depends on the search.
     """
     M = steps_per_period
-    h, breaks, ell_phase, mup_phase, mum_phase = _grid(
+    h, *tables = _grid(
         g.period, t0, periods, M,
         rest_lengths=g.rest_lengths, mu_plus=g.mu_plus, mu_minus=g.mu_minus,
     )
-    # A block from phase ph ends just after the first breakpoint phase beyond ph,
-    # or at the period's end.
-    ends = np.unique(breaks % M) + 1
-    block_end = np.append(ends, M)[np.searchsorted(ends, np.arange(M) + 1, "right")].tolist()
+    # Row k % M: the phase step k lands on, as simulate's c_next.
+    ell_phase, mup_phase, mum_phase = (np.roll(a, -1, axis=0) for a in tables)
     N = g.num_blocks
     x0 = _checked_start(g, t0, x0)
 
@@ -570,15 +570,14 @@ def incremental_oracle(
     hint, miss = (0,) * N, None   # all-stick: step 0 starts in a block
     k = 0
     while k < K:
-        ph = (k + 1) % M
-        end = ph + min(block_end[ph] - ph, K - k)
-        b, mup, mum = b_phase[ph:end], mup_phase[ph:end], mum_phase[ph:end]
+        r = k % M
+        b, mup, mum = b_phase[r:], mup_phase[r:], mum_phase[r:]
         if miss is None:
             rows, n, miss = _try_pattern(x, b, mup, mum, table[hint])
         else:
             try:
                 rows, n, miss, hint = _oracle_step(
-                    x, b, ell_phase[ph], mup, mum, g.stiffness, table, (miss, hint)
+                    x, b, ell_phase[r], mup, mum, g.stiffness, table, (miss, hint)
                 )
             except PatternSearchError as exc:
                 raise PatternSearchError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
@@ -630,7 +629,7 @@ def _oracle_step(x, b, ell, mup, mum, k, table, nearest):
     first, then in tuple order. Each is tried through ``_try_pattern`` over
     the block, so the positions are the kernel's, and the first that passes
     the first step is accepted. If none is, every sticking block of the
-    first candidate whose force breaks a bound slips in that bound's
+    first candidate whose force exceeds a bound slips in that bound's
     direction, and that pattern is tried once. nearest is the closest miss
     already seen, as (violation, pattern). Returns the accepted try's rows,
     passing steps and miss, and its pattern.

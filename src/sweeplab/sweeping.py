@@ -110,7 +110,7 @@ class Trajectory:
         built here; a record built otherwise, such as by dataclasses.replace,
         builds its own on first use."""
         P = self.problem.moving_set
-        return _grid(P.period, self.t0, 1, self.steps_per_period, offset=P.offsets)[2]
+        return _grid(P.period, self.t0, 1, self.steps_per_period, offset=P.offsets)[1]
 
     @cached_property
     def active_masks(self) -> np.ndarray:
@@ -139,11 +139,9 @@ def _checked_count(name: str, count) -> None:
 
 def _grid(T: float, t0: float, periods: int, M: int, **signals):
     """The grid of a run of `periods` periods of M steps from t0:
-    (h, breaks, *tables), one table per named signal list.
+    (h, *tables), one table per named signal list.
 
-    h = T/M. breaks holds the int64 grid indices i of the breakpoints
-    t0 + i*h of every list that is not None, in the order named (empty when
-    none is). A table holds a list's (M x len) values at the phases t0 + k*h,
+    h = T/M. A table holds a list's (M x len) values at the phases t0 + k*h,
     k < M, or is None for a list that is None.
 
     Raises ValueError unless periods and M are positive integers (a bool is
@@ -164,12 +162,10 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
         raise GridAlignmentError(
             f"t0={t0} is too large for the step h={h}: floats near it are {spacing:.3e} apart"
         )
-    breaks = [np.empty(0)]
     for label, sigs in signals.items():
         for i, s in enumerate(sigs or ()):
             r = (s.times - t0) / h
-            breaks.append(np.round(r))
-            off = np.abs(r - breaks[-1])
+            off = np.abs(r - np.round(r))
             if np.any(off > 1e-6):
                 bad = s.times[int(np.argmax(off))]
                 raise GridAlignmentError(
@@ -178,7 +174,7 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     phases = t0 + np.arange(M) * h
     tables = [None if sigs is None else np.column_stack([eval_many(s, phases) for s in sigs])
               for sigs in signals.values()]
-    return (h, np.concatenate(breaks).astype(np.int64), *tables)
+    return (h, *tables)
 
 
 def _segment(B, c, dz, z, face, stop=None):
@@ -236,7 +232,7 @@ def _face_steps(c, PB, lam, ZB) -> int:
     block's products PB = P B^T and ZB = Z B^T and its multipliers lam.
 
     The rows before the first multiplier below -DEFAULT_TOL or the first
-    bound that the new state breaks by more than DEFAULT_TOL are found by
+    bound that the new state exceeds by more than DEFAULT_TOL are found by
     scans; "p is not interior" needs whole rows, so it is tested only on
     the rows before that cut.
     """
@@ -289,7 +285,7 @@ def simulate(
     """
     M = steps_per_period
     P = problem.moving_set
-    h, _, offsets_phase, drift_phase = _grid(
+    h, offsets_phase, drift_phase = _grid(
         problem.period, t0, periods, M, offset=P.offsets, drift=problem.drift
     )
 
@@ -506,7 +502,7 @@ def validate_trajectory(traj: Trajectory) -> None:
     P = traj.problem.moving_set
     B = P.normals
     M = traj.steps_per_period
-    h, _, offsets_phase, drift_phase = _grid(
+    h, offsets_phase, drift_phase = _grid(
         P.period, traj.t0, traj.periods, M, offset=P.offsets, drift=traj.problem.drift
     )
     c_next = np.roll(offsets_phase, -1, axis=0)   # row k % M: the offsets step k lands on
@@ -656,7 +652,7 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
             f"{path} holds {len(times)} data rows at step {h}: not whole periods of "
             f"the problem's period {T}"
         )
-    offsets_phase = _grid(T, float(times[0]), (len(times) - 1) // M, M, offset=P.offsets, drift=problem.drift)[2]
+    offsets_phase = _grid(T, float(times[0]), (len(times) - 1) // M, M, offset=P.offsets, drift=problem.drift)[1]
     traj = Trajectory(problem, float(times[0]), T / M, M, data[:, 1 : 1 + n], data[1:, 1 + n : -1])
     traj.__dict__["_offsets_phase"] = offsets_phase   # fills the cached_property, as simulate does
 

@@ -56,6 +56,7 @@ from sweeplab.errors import (
     PatternSearchError,
 )
 from sweeplab.polyhedra import (
+    DEFAULT_TOL,
     MovingPolyhedron,
     check_licq,
     contains,
@@ -971,6 +972,19 @@ def test_chain_minimizers_bit_equal_on_lattice_gaits_with_segments_and_vertex_st
     assert sum(on_vertex) >= 20
 
 
+@pytest.mark.parametrize("e,expected", [(31, [[0.0, 2.0], [3.0, 5.0]]), (29, [[3.0, 5.0]])])
+def test_chain_minimizers_tie_is_a_flat_level_within_the_tolerance_of_zero(e, expected):
+    # Two blocks 5 apart on a unit spring of rest length 1: the polyline of
+    # the last block is flat at level -2**-e for y_2 from 2 to 5. Within
+    # DEFAULT_TOL of 0 (at 2**-31) the minimizers form a segment and both of
+    # its ends come back; beyond it (at 2**-29) only y_2 = 5, where G
+    # crosses 0.
+    args = [0.0, 5.0], [1.0], [1.0, 1.0], [1.0, 1.0 + 2.0**-e]
+    assert 2.0**-31 <= DEFAULT_TOL < 2.0**-29
+    assert sweeplab.crawler._chain_minimizers(*args, 1.0) == expected
+    _assert_chain_minimizers_bit_equal(np.array(args[0]), *args[1:], 1.0)
+
+
 def test_interp_bit_equal_to_numpy_on_polylines_with_jumps():
     rng = np.random.default_rng(5)
     for n in range(1, 9):
@@ -989,23 +1003,26 @@ def _grid_breakpoints(g, t0, M):
     return {int(round((t - t0) / h)) % M for s in signals for t in s.times}
 
 
-@pytest.mark.parametrize("gait,t0,M", [
-    (three_block_gait(), 0.0, 400),
-    (three_block_gait(), 0.0175, 400),
-    (_WORKLOADS.peristaltic_gait(_SL, 6), 0.0, 240),
-    (perturbed_peristaltic_gait(8), 0.0, 140),
+@pytest.mark.parametrize("gait,t0,M,crosses", [
+    (three_block_gait(), 0.0, 400, True),
+    (three_block_gait(), 0.0175, 400, True),
+    (_WORKLOADS.peristaltic_gait(_SL, 6), 0.0, 240, False),
+    (perturbed_peristaltic_gait(8), 0.0, 140, True),
 ], ids=["crawler3", "crawler3-shifted", "peristaltic6", "perturbed8"])
-def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
-    # No kernel call, in a block or in a search, runs past a grid phase where
-    # a gait signal has a breakpoint; each runs to the next one, or to the
-    # period's end; and the positions still equal the step-by-step reference.
+def test_oracle_blocks_run_to_the_end_of_their_period(monkeypatch, gait, t0, M, crosses):
+    # Every kernel call, in a block or in a search, starts at the first step
+    # not yet kept and runs to the end of its period, and the positions still
+    # equal the step-by-step reference. Where the slip pattern holds across a
+    # grid phase at which a gait signal has a breakpoint, one call keeps the
+    # steps on both sides of it; on the peristaltic wave from rest a search
+    # starts at every breakpoint, so no call does.
     cr = sweeplab.crawler
     real_try, real_step = cr._try_pattern, cr._oracle_step
     calls = []
 
     def kernel(x, b, mup, mum, system):
         rows, n, miss = real_try(x, b, mup, mum, system)
-        calls.append((len(b), n))
+        calls.append((x.tobytes(), len(b), n))
         return rows, n, miss
 
     def search(*args):
@@ -1016,20 +1033,21 @@ def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
     monkeypatch.setattr(cr, "_oracle_step", search)
     x0 = assemble_positions(0.0, rest_length_values(gait, t0))
     periods = 2
-    run = incremental_oracle(gait, x0, t0, periods, M)
+    xs = incremental_oracle(gait, x0, t0, periods, M).motion.positions
     breaks = _grid_breakpoints(gait, t0, M)
-    k = 0
+    k = crossing = 0
     for call in calls:
         if call is None:
             continue
-        ph, (n, kept) = (k + 1) % M, call
-        last = ph + n - 1
-        assert not any(ph < q < last for q in breaks)
-        assert last in breaks or last == M - 1 or k + n == periods * M
-        k += kept
+        x, length, n = call
+        assert x == xs[k].tobytes() and length == M - k % M
+        # the steps kept land at phases k % M + 1 .. k % M + n
+        crossing += any(k % M < q < k % M + n for q in breaks)
+        k += n
     assert k == periods * M and sum(call is None for call in calls) > 0
+    assert (crossing > 0) == crosses
     positions, _ = reference_oracle(gait, x0, t0, periods, M)
-    assert run.motion.positions.tobytes() == positions.tobytes()
+    assert xs.tobytes() == positions.tobytes()
 
 
 @pytest.mark.parametrize("gait,M", [(three_block_gait(), 200), (_WORKLOADS.peristaltic_gait(_SL, 7), 240)],
@@ -1037,10 +1055,10 @@ def test_oracle_blocks_end_at_gait_breakpoints(monkeypatch, gait, t0, M):
 def test_oracle_keeps_each_step_from_the_kernel_call_that_judged_it(monkeypatch, gait, M):
     # A search's try is the start of its block: every kernel call, in a block
     # or in a search, starts at the first step not yet kept and judges the
-    # whole block from there, and the steps it passes are kept from its rows.
-    # So the calls are the blocks not started by a search (step 0, and each
-    # block after one that every step passed) plus the candidates tried; a
-    # searched step solved apart from its block would add a call.
+    # rest of its period from there, and the steps it passes are kept from its
+    # rows. So the calls are the blocks not started by a search (step 0, and
+    # each block after one that every step passed) plus the candidates tried;
+    # a searched step solved apart from its block would add a call.
     cr = sweeplab.crawler
     real_try, real_step = cr._try_pattern, cr._oracle_step
     searching, calls = [False], []
@@ -1062,12 +1080,9 @@ def test_oracle_keeps_each_step_from_the_kernel_call_that_judged_it(monkeypatch,
     periods = 2
     K = periods * M
     xs = incremental_oracle(gait, _rest_start(gait), 0.0, periods, M).motion.positions
-    breaks = _grid_breakpoints(gait, 0.0, M)
     k = fresh = 0
     for in_search, x, length, rows, n, miss in calls:
-        ph = (k + 1) % M
-        last = min([q for q in breaks if q > ph] + [M - 1])
-        assert x == xs[k].tobytes() and length == min(last + 1 - ph, K - k)
+        assert x == xs[k].tobytes() and length == M - k % M
         assert xs[k + 1 : k + 1 + n].tobytes() == rows[:n].tobytes()
         fresh += miss is None and k + n < K
         k += n

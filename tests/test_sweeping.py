@@ -150,19 +150,15 @@ def _named_signal_lists(sc):
 
 @pytest.mark.parametrize("name", sorted(catalog()))
 def test_grid_matches_eval_many_on_bundled_scenarios(name):
-    # Each table is eval_many at t0 + k*h, bit for bit, and the breakpoints
-    # are the rounded grid indices, list by list in the order named.
+    # Each table is eval_many at t0 + k*h, bit for bit, list by list in the
+    # order named.
     sc = catalog()[name]
     T, lists = _named_signal_lists(sc)
     M = sc.recommended_steps
     for t0 in (0.0, -T):
-        h, breaks, *tables = sweeping._grid(T, t0, 1, M, **lists)
+        h, *tables = sweeping._grid(T, t0, 1, M, **lists)
         assert h == T / M
         phases = np.array([t0 + k * h for k in range(M)])
-        signals = [sigs for sigs in lists.values() if sigs is not None]
-        expected = [np.round((s.times - t0) / h) for sigs in signals for s in sigs]
-        assert breaks.dtype == np.int64
-        np.testing.assert_array_equal(breaks, np.concatenate(expected))
         assert len(tables) == len(lists)
         for sigs, table in zip(lists.values(), tables):
             if sigs is None:
@@ -174,9 +170,7 @@ def test_grid_matches_eval_many_on_bundled_scenarios(name):
 
 
 def test_grid_without_lists_is_the_step_and_no_breakpoints():
-    h, breaks = sweeping._grid(2.0, 0.5, 3, 8)
-    assert h == 0.25
-    assert breaks.dtype == np.int64 and breaks.shape == (0,)
+    assert sweeping._grid(2.0, 0.5, 3, 8) == (0.25,)
 
 
 def _grid_runs(t0, periods, M):
@@ -833,7 +827,7 @@ def test_masks_are_read_with_the_offsets_table_of_their_run(monkeypatch, tmp_pat
     P, Q = traj.problem.moving_set, catalog()["triangle"].problem.moving_set
     for record, t0, R in ((dataclasses.replace(traj, t0=0.5), 0.5, P),
                           (dataclasses.replace(traj, problem=SweepingProblem(Q)), 0.0, Q)):
-        table = grid(R.period, t0, 1, 100, offset=R.offsets)[2]
+        table = grid(R.period, t0, 1, 100, offset=R.offsets)[1]
         assert not np.array_equal(table, traj._offsets_phase)
         _assert_bitwise(record._offsets_phase, table)
     assert calls == [0.5, 0.0]
