@@ -527,7 +527,8 @@ def incremental_oracle(
     least one sticking block: sticking blocks are pinned, slipping blocks
     satisfy the linear force balance at their saturated threshold, and the
     pattern is accepted when its solution passes the sign and bound checks
-    (the KKT test).
+    (the KKT test). Step k reads ``_grid``'s tables at the row of the phase
+    it lands on.
 
     One kernel, ``_try_pattern``, solves and judges a pattern over a block
     of steps: from the current step to the end of its period, as
@@ -549,12 +550,10 @@ def incremental_oracle(
     slip and stick pass, and which one is accepted depends on the search.
     """
     M = steps_per_period
-    h, *tables = _grid(
+    h, ell_phase, mup_phase, mum_phase = _grid(
         g.period, t0, periods, M,
         rest_lengths=g.rest_lengths, mu_plus=g.mu_plus, mu_minus=g.mu_minus,
     )
-    # Row k % M: the phase step k lands on, as simulate's c_next.
-    ell_phase, mup_phase, mum_phase = (np.roll(a, -1, axis=0) for a in tables)
     N = g.num_blocks
     x0 = _checked_start(g, t0, x0)
 
@@ -570,7 +569,7 @@ def incremental_oracle(
     hint, miss = (0,) * N, None   # all-stick: step 0 starts in a block
     k = 0
     while k < K:
-        r = k % M
+        r = k % M + 1   # the row of the phase that step k lands on
         b, mup, mum = b_phase[r:], mup_phase[r:], mum_phase[r:]
         if miss is None:
             rows, n, miss = _try_pattern(x, b, mup, mum, table[hint])

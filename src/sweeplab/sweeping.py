@@ -84,15 +84,19 @@ class Trajectory:
 
     states has Q*M+1 rows; multipliers row k holds the projection multipliers
     of the step landing at states[k+1]; active_masks[k] is the bitmask of the
-    active set at states[k] against the set frozen at t_k.
+    active set at states[k] against the set frozen at t_k. h is T/M.
     """
 
     problem: SweepingProblem
     t0: float
-    h: float
     steps_per_period: int
     states: np.ndarray = field(repr=False)
     multipliers: np.ndarray = field(repr=False)
+
+    @property
+    def h(self) -> float:
+        """The problem's T/M, as _grid computes it: a record has one grid."""
+        return self.problem.period / self.steps_per_period
 
     @property
     def periods(self) -> int:
@@ -104,7 +108,7 @@ class Trajectory:
 
     @cached_property
     def _offsets_phase(self) -> np.ndarray:
-        """The (M x m) offsets at the grid phases t0 + k*h, k < M, from _grid.
+        """The (M+1 x m) offsets at the grid phases, from _grid.
 
         simulate and read_trajectory_csv store the table their _grid call
         built here; a record built otherwise, such as by dataclasses.replace,
@@ -114,14 +118,12 @@ class Trajectory:
 
     @cached_property
     def active_masks(self) -> np.ndarray:
-        """Read off the states on first use, read-only: row 0, then one product
-        per whole period (one batched _active_mask call), then a partial last period."""
+        """Read off the states on first use, read-only: state k against table
+        row k % M, states 0..QM-1 in one batched _active_mask call, then the rest."""
         P, M, Q = self.problem.moving_set, self.steps_per_period, self.periods
-        c = self._offsets_phase
-        c_next, z = np.roll(c, -1, axis=0), self.states[1:]
-        masks = np.concatenate([_active_mask(P.normals, c[0], self.states[:1]),
-                                _active_mask(P.normals, c_next, z[: Q * M].reshape(Q, M, P.dim)).ravel(),
-                                _active_mask(P.normals, c_next[: len(z) - Q * M], z[Q * M :])])
+        c, z = self._offsets_phase, self.states
+        masks = np.concatenate([_active_mask(P.normals, c[:M], z[: Q * M].reshape(Q, M, P.dim)).ravel(),
+                                _active_mask(P.normals, c[: len(z) - Q * M], z[Q * M :])])
         masks.setflags(write=False)
         return masks
 
@@ -141,8 +143,10 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
     """The grid of a run of `periods` periods of M steps from t0:
     (h, *tables), one table per named signal list.
 
-    h = T/M. A table holds a list's (M x len) values at the phases t0 + k*h,
-    k < M, or is None for a list that is None.
+    h = T/M. A table holds a list's (M+1 x len) values at the phases
+    t0 + (k % M)*h, k = 0..M, or is None for a list that is None: row k is
+    phase k, and row M repeats row 0. A step from phase ph departs from row
+    ph (drift) and lands on row ph + 1 (offsets, rest lengths, thresholds).
 
     Raises ValueError unless periods and M are positive integers (a bool is
     not one) and t0 is finite; GridAlignmentError when floats near |t0| + T
@@ -171,7 +175,7 @@ def _grid(T: float, t0: float, periods: int, M: int, **signals):
                 raise GridAlignmentError(
                     f"{label}[{i}] breakpoint t={bad} is not on the grid (t0={t0}, h={h})"
                 )
-    phases = t0 + np.arange(M) * h
+    phases = t0 + np.arange(M + 1) % M * h
     tables = [None if sigs is None else np.column_stack([eval_many(s, phases) for s in sigs])
               for sigs in signals.values()]
     return (h, *tables)
@@ -258,9 +262,9 @@ def simulate(
 ) -> Trajectory:
     """Run Q*M catching-up steps with h = T/M from an admissible state.
 
-    Offsets and drift are evaluated at the M grid phases once, so offsets are
+    Offsets and drift are evaluated at the grid phases once, so offsets are
     bit-identical across periods and the discrete flow is exactly periodic.
-    The drift is evaluated at the left endpoint of each step.
+    A step reads _grid's rows: its drift at its start, its offsets at its end.
 
     Each scalar projection is followed by one vectorized block over the rest
     of its period, with the accepted subset held fixed: between active-set
@@ -285,7 +289,7 @@ def simulate(
     """
     M = steps_per_period
     P = problem.moving_set
-    h, offsets_phase, drift_phase = _grid(
+    h, c, drift_phase = _grid(
         problem.period, t0, periods, M, offset=P.offsets, drift=problem.drift
     )
 
@@ -293,8 +297,8 @@ def simulate(
     m, n = B.shape
     z0 = _checked_vector(z0, n, "initial state")
 
-    if np.any(B @ z0 > offsets_phase[0] + DEFAULT_TOL):
-        worst = float(np.max(B @ z0 - offsets_phase[0]))
+    if np.any(B @ z0 > c[0] + DEFAULT_TOL):
+        worst = float(np.max(B @ z0 - c[0]))
         raise InadmissibleStateError(f"constraint violation {worst:.3e} at t0={t0}")
 
     table = _subset_table(B)
@@ -303,10 +307,7 @@ def simulate(
     multipliers = np.zeros((K, m))
     states[0] = z0
 
-    # Row ph holds what step k with k % M == ph uses: the offsets frozen at
-    # its end and its drift increment.
-    c_next = np.roll(offsets_phase, -1, axis=0)
-    dz = None if drift_phase is None else h * drift_phase
+    dz = None if drift_phase is None else h * drift_phase[:M]
 
     z = z0.copy()
     k = 0
@@ -321,7 +322,7 @@ def simulate(
             before, stops = stops, []
         p = z if dz is None else z + dz[ph]
         try:
-            z, lam, _, face = _project_raw(B, c_next[ph], table, p)
+            z, lam, _, face = _project_raw(B, c[ph + 1], table, p)
         except InfeasibleSetError as exc:
             raise InfeasibleSetError(f"step {k}, t={t0 + (k + 1) * h:.17g}: {exc}") from exc
         states[k + 1] = z
@@ -334,7 +335,7 @@ def simulate(
             # The previous period's first stop at or after r, as this block's hint.
             i = bisect.bisect_left(before, r)
             used, Z, lam = _segment(
-                B, c_next[r:], None if dz is None else dz[r:], z, face,
+                B, c[r + 1 :], None if dz is None else dz[r:], z, face,
                 before[i] - r if i < len(before) else None,
             )
             states[k + 1 : k + 1 + used] = Z[:used]
@@ -347,8 +348,8 @@ def simulate(
 
     states.setflags(write=False)
     multipliers.setflags(write=False)
-    traj = Trajectory(problem, float(t0), h, M, states, multipliers)
-    traj.__dict__["_offsets_phase"] = offsets_phase   # fills the cached_property: the run's own table
+    traj = Trajectory(problem, float(t0), M, states, multipliers)
+    traj.__dict__["_offsets_phase"] = c   # fills the cached_property: the run's own table
     return traj
 
 
@@ -502,15 +503,14 @@ def validate_trajectory(traj: Trajectory) -> None:
     P = traj.problem.moving_set
     B = P.normals
     M = traj.steps_per_period
-    h, offsets_phase, drift_phase = _grid(
+    h, c, drift_phase = _grid(
         P.period, traj.t0, traj.periods, M, offset=P.offsets, drift=traj.problem.drift
     )
-    c_next = np.roll(offsets_phase, -1, axis=0)   # row k % M: the offsets step k lands on
     dz = np.zeros((M, 1)) if drift_phase is None else h * drift_phase
     for lo in range(0, len(traj.states) - 1, M):
         Z = traj.states[lo + 1 : lo + 1 + M]
         L = len(Z)
-        p, eta, C = traj.states[lo : lo + L] + dz[:L], traj.multipliers[lo : lo + L], c_next[:L]
+        p, eta, C = traj.states[lo : lo + L] + dz[:L], traj.multipliers[lo : lo + L], c[1 : L + 1]
         ZB = Z @ B.T
         recon = np.linalg.norm(p - Z - eta @ B, axis=1) <= 1e-10 * (1.0 + np.linalg.norm(p, axis=1))
         firsts = [_rows_passing(ZB <= C + 10 * DEFAULT_TOL), _rows_passing(recon[:, None]),
@@ -653,7 +653,7 @@ def read_trajectory_csv(path, problem: SweepingProblem) -> Trajectory:
             f"the problem's period {T}"
         )
     offsets_phase = _grid(T, float(times[0]), (len(times) - 1) // M, M, offset=P.offsets, drift=problem.drift)[1]
-    traj = Trajectory(problem, float(times[0]), T / M, M, data[:, 1 : 1 + n], data[1:, 1 + n : -1])
+    traj = Trajectory(problem, float(times[0]), M, data[:, 1 : 1 + n], data[1:, 1 + n : -1])
     traj.__dict__["_offsets_phase"] = offsets_phase   # fills the cached_property, as simulate does
 
     def refuse(bad, why):

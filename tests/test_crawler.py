@@ -1170,6 +1170,31 @@ def test_oracle_error_names_the_nearest_miss_after_the_flip(monkeypatch):
         incremental_oracle(gait, x0, 0.0, 2, 200)
 
 
+@pytest.mark.parametrize("b,flipped", [
+    ((2.0, 1.0 + 2.0**-31, 0.0), (1, 0, 0)),      # block 1's force is within 1e-9 above mu^+
+    ((-2.5, -1.5 - 2.0**-31, 0.0), (-1, 0, 0)),   # block 1's force is within 1e-9 below -mu^-
+], ids=["forward", "backward"])
+def test_oracle_flips_only_the_blocks_that_break_a_bound_by_more_than_the_tolerance(monkeypatch, b, flipped):
+    # One search of a three-block chain (k = 1, mu^+ = 1, mu^- = 1.5) from
+    # x = 0, where the all-stick force is b; the chain search returns the
+    # start, so all-stick is tried first. Block 0 breaks its bound by 1 and
+    # slips; block 1 breaks it by 2^-31 < 1e-9 and sticks.
+    cr = sweeplab.crawler
+    _first_search_sticks(monkeypatch)
+    tried, real_try = [], cr._try_pattern
+
+    def try_pattern(x, b, mup, mum, system):
+        tried.append(tuple(system.sign.astype(int).tolist()))
+        return real_try(x, b, mup, mum, system)
+
+    monkeypatch.setattr(cr, "_try_pattern", try_pattern)
+    PZ = cr.shape_matrix(3)
+    with pytest.raises(PatternSearchError):
+        cr._oracle_step(np.zeros(3), np.array([b]), np.zeros(2), np.ones((1, 3)), np.full((1, 3), 1.5), 1.0,
+                        cr._PatternTable(PZ.T @ PZ), (np.inf, None))
+    assert tried[:2] == [(0, 0, 0), flipped]
+
+
 # ---------------------------------------------------------------------------
 # values kept on the gait: K(t), the period margin, the pattern systems
 

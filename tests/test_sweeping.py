@@ -150,23 +150,24 @@ def _named_signal_lists(sc):
 
 @pytest.mark.parametrize("name", sorted(catalog()))
 def test_grid_matches_eval_many_on_bundled_scenarios(name):
-    # Each table is eval_many at t0 + k*h, bit for bit, list by list in the
-    # order named.
+    # Each table is eval_many at t0 + (k % M)*h, k = 0..M, bit for bit, list
+    # by list in the order named: M + 1 rows, row M bit-equal to row 0.
     sc = catalog()[name]
     T, lists = _named_signal_lists(sc)
     M = sc.recommended_steps
     for t0 in (0.0, -T):
         h, *tables = sweeping._grid(T, t0, 1, M, **lists)
         assert h == T / M
-        phases = np.array([t0 + k * h for k in range(M)])
+        phases = np.array([t0 + k % M * h for k in range(M + 1)])
         assert len(tables) == len(lists)
         for sigs, table in zip(lists.values(), tables):
             if sigs is None:
                 assert table is None
                 continue
             expected = np.column_stack([eval_many(s, phases) for s in sigs])
-            assert table.shape == (M, len(sigs))
+            assert table.shape == (M + 1, len(sigs))
             assert table.tobytes() == expected.tobytes()
+            assert table[M].tobytes() == table[0].tobytes()
 
 
 def test_grid_without_lists_is_the_step_and_no_breakpoints():
@@ -993,7 +994,7 @@ def test_period_distances_match_a_window_by_window_reference(name):
         M, K = 7, 35
         P = random_moving_polyhedron(rng, 3, 7)[0]
         states = np.cumsum(rng.standard_normal((K + 1, 3)), axis=0)
-        traj = Trajectory(SweepingProblem(P), 0.0, T1 / M, M, states, np.zeros((K, 7)))
+        traj = Trajectory(SweepingProblem(P), 0.0, M, states, np.zeros((K, 7)))
     else:
         sc = catalog()[name]
         traj = simulate(sc.problem, sc.initial_state, 0.0, 4, 48)
@@ -1028,7 +1029,7 @@ def _report_record(name, tmp_path):
         # box1 has breakpoints at half periods, so its M = 1 record is every
         # other row of an M = 2 run.
         box = simulate(cat["box1"].problem, cat["box1"].initial_state, 0.0, 5, 2)
-        return dataclasses.replace(box, h=2 * box.h, steps_per_period=1, states=box.states[::2],
+        return dataclasses.replace(box, steps_per_period=1, states=box.states[::2],
                                    multipliers=box.multipliers[::2])
     traj = simulate(cat["wedge"].problem, cat["wedge"].initial_state, 0.0, 6, 300)
     if name == "partial-last-period":
@@ -1050,6 +1051,18 @@ def test_report_equals_the_stacked_reference_bit_for_bit(name, tmp_path):
     assert report.classification == _classify(d_sup)
 
 
+@pytest.mark.parametrize("name", ["wedge-recommended", "triangle-recommended", "csv-read", "box1-M1"])
+def test_a_record_steps_by_its_problems_grid(name, tmp_path):
+    # h is the problem's T/M, the step _grid computes, so no record carries a
+    # second grid: simulate's, read_trajectory_csv's and a replaced M.
+    traj = _report_record(name, tmp_path)
+    h = sweeping._grid(traj.problem.period, traj.t0, 1, traj.steps_per_period)[0]
+    assert np.float64(traj.h).tobytes() == np.float64(h).tobytes()
+    assert traj.times.tobytes() == (traj.t0 + np.arange(len(traj.states)) * h).tobytes()
+    with pytest.raises(TypeError):
+        dataclasses.replace(traj, h=2 * traj.h)
+
+
 # ---------------------------------------------------------------------------
 # classification on synthetic distance sequences
 
@@ -1069,14 +1082,7 @@ def _synthetic_trajectory(d_values, n=1):
     states = np.array(rows)
     problem = SweepingProblem(constant_interval(-1e9, 1e9))
     K = len(states) - 1
-    return Trajectory(
-        problem,
-        0.0,
-        T1 / M,
-        M,
-        states,
-        np.zeros((K, 2)),
-    )
+    return Trajectory(problem, 0.0, M, states, np.zeros((K, 2)))
 
 
 def test_classify_finite_time_from_start():
